@@ -10,14 +10,11 @@ model.
 from .bogoliubov import (
     BogoliubovPair,
     QuadratureUnresolved,
-    alpha_entry,
-    beta_entry,
     build_pair,
     calibrate,
     canonicity_residual,
-    coeff_a,
-    coeff_b,
     coeff_w,
+    coefficients,
     overlap_oracle,
 )
 from .detector import (
@@ -38,13 +35,10 @@ from .field import (
     Branch,
     DegenerateDispersion,
     FieldConfig,
-    Ladder,
-    ModeIndex,
     Region,
     Spinor,
     energy,
     mode_function,
-    momentum,
     spinor,
     spinor_overlap,
 )

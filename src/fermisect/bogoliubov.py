@@ -18,6 +18,11 @@ measures them from the independent quadrature oracle ``overlap_oracle``,
 which integrates the defining overlaps numerically.  Right-half coefficients
 equal left-half ones times ``(-1)**k`` (translation of the half by L flips
 the sign of every odd full-interval mode).
+
+`coefficients` evaluates one row ``m`` of both matrices over any set of
+full-interval indices; it is the only implementation of these formulas, and
+`build_pair`, `canonicity_residual`, `calibrate` and the contractions in
+:mod:`fermisect.spectrum` all read their entries from it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._textio import text_buffer
 from .field import (
     Branch,
     FieldConfig,
@@ -48,16 +54,11 @@ __all__ = [
     "KAPPA_BETA",
     "QuadratureUnresolved",
     "SERIES_PREFACTOR",
-    "alpha_entry",
-    "alpha_row",
-    "beta_entry",
-    "beta_row",
     "build_pair",
     "calibrate",
     "canonicity_residual",
-    "coeff_a",
-    "coeff_b",
     "coeff_w",
+    "coefficients",
     "overlap_oracle",
     "pair_to_csv",
 ]
@@ -87,22 +88,6 @@ def coeff_w(m: int, cfg: FieldConfig) -> complex:
     return q * np.exp(-2j * eps * cfg.time) / (math.sqrt(2.0) * eps)
 
 
-def coeff_a(n: int, m: int, k: int, cfg: FieldConfig) -> complex:
-    """Odd-column alpha series term: spinor overlap, phase, resonance ``n - m + 1/2``."""
-    q = float(subsection_momentum(m, cfg))
-    p = float(section_momentum(k, cfg))
-    phase = np.exp(1j * (float(energy(q, cfg.mass)) - float(energy(p, cfg.mass))) * cfg.time)
-    return complex(spinor_overlap(q, p, cfg.mass)) * phase / (n - m + 0.5)
-
-
-def coeff_b(n: int, m: int, k: int, cfg: FieldConfig) -> complex:
-    """Odd-column beta series term: cross overlap, phase, resonance ``n + m + 1/2``."""
-    q = float(subsection_momentum(m, cfg))
-    p = float(section_momentum(k, cfg))
-    phase = np.exp(-1j * (float(energy(q, cfg.mass)) + float(energy(p, cfg.mass))) * cfg.time)
-    return complex(spinor_cross_overlap(q, p, cfg.mass)) * phase / (n + m + 0.5)
-
-
 def _region_sign(k, region: Region):
     """Translation phase of full-interval mode k seen from the right half."""
     if region is Region.RIGHT:
@@ -110,24 +95,8 @@ def _region_sign(k, region: Region):
     return np.ones_like(np.asarray(k, dtype=float))
 
 
-def alpha_entry(m: int, k: int, region: Region, cfg: FieldConfig) -> complex:
-    """Single coefficient ``alpha[m, k]`` for the given half."""
-    if k % 2 == 0:
-        return complex(SQRT_HALF) if k == 2 * m else 0.0 + 0.0j
-    sign = -1.0 if region is Region.RIGHT else 1.0
-    return sign * KAPPA_ALPHA * coeff_a((k - 1) // 2, m, k, cfg)
-
-
-def beta_entry(m: int, k: int, region: Region, cfg: FieldConfig) -> complex:
-    """Single coefficient ``beta[m, k]`` for the given half."""
-    if k % 2 == 0:
-        return coeff_w(m, cfg) if k == -2 * m else 0.0 + 0.0j
-    sign = -1.0 if region is Region.RIGHT else 1.0
-    return sign * KAPPA_BETA * coeff_b((k - 1) // 2, m, k, cfg)
-
-
-def _rows(m, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (alpha_row, beta_row) over full-interval indices ``ks``."""
+def coefficients(m: int, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``m`` of ``(alpha, beta)`` over the full-interval indices ``ks``."""
     m = int(m)
     ks = np.asarray(ks, dtype=int)
     q = float(subsection_momentum(m, cfg))
@@ -157,18 +126,6 @@ def _rows(m, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarr
     return alpha * sign, beta * sign
 
 
-def alpha_row(m: int, region: Region, cfg: FieldConfig, n_max: int | None = None) -> np.ndarray:
-    """``alpha[m, k]`` for ``k = -n_max..n_max`` as a complex vector."""
-    n = cfg.truncation if n_max is None else int(n_max)
-    return _rows(m, np.arange(-n, n + 1), region, cfg)[0]
-
-
-def beta_row(m: int, region: Region, cfg: FieldConfig, n_max: int | None = None) -> np.ndarray:
-    """``beta[m, k]`` for ``k = -n_max..n_max`` as a complex vector."""
-    n = cfg.truncation if n_max is None else int(n_max)
-    return _rows(m, np.arange(-n, n + 1), region, cfg)[1]
-
-
 @dataclass(frozen=True)
 class BogoliubovPair:
     """Coefficient matrices over ``|m|, |k| <= n_max`` for one half.
@@ -183,12 +140,6 @@ class BogoliubovPair:
     cfg: FieldConfig
     n_max: int
 
-    def entry(self, m: int, k: int, which: str = "alpha") -> complex:
-        if abs(m) > self.n_max or abs(k) > self.n_max:
-            raise IndexError(f"|m|,|k| must be <= {self.n_max}")
-        mat = self.alpha if which == "alpha" else self.beta
-        return complex(mat[m + self.n_max, k + self.n_max])
-
     @property
     def indices(self) -> np.ndarray:
         return np.arange(-self.n_max, self.n_max + 1)
@@ -201,7 +152,7 @@ def build_pair(region: Region, cfg: FieldConfig, n_max: int | None = None) -> Bo
     alpha = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
     beta = np.zeros_like(alpha)
     for i, m in enumerate(range(-n, n + 1)):
-        alpha[i], beta[i] = _rows(m, ks, region, cfg)
+        alpha[i], beta[i] = coefficients(m, ks, region, cfg)
     return BogoliubovPair(alpha=alpha, beta=beta, region=region, cfg=cfg, n_max=n)
 
 
@@ -212,7 +163,7 @@ def canonicity_residual(m: int, n_max: int, cfg: FieldConfig, region: Region = R
     matched-momentum ``W_m`` term present the limit is nonzero for ``m != 0``
     (see package docs), so the number is reported rather than assumed small.
     """
-    a, b = _rows(m, np.arange(-n_max, n_max + 1), region, cfg)
+    a, b = coefficients(m, np.arange(-n_max, n_max + 1), region, cfg)
     return float(abs(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2) - 1.0))
 
 
@@ -300,20 +251,20 @@ class CalibrationResult:
 def calibrate(cfg: FieldConfig | None = None, region: Region = Region.LEFT) -> CalibrationResult:
     """Measure the odd-column series prefactors at the (m=0, k=1) entry.
 
-    Dividing the quadrature overlap by the bare series term isolates the
-    prefactor.  The module constants ``KAPPA_ALPHA``/``KAPPA_BETA`` must
-    reproduce the measured values; the measured magnitude discriminates
-    between the candidate readings ``1/sqrt(2*pi)`` (= 0.399) and
+    Dividing the quadrature overlap by the bare series term (the
+    `coefficients` entry over its prefactor, which carries the same region
+    sign as the oracle) isolates the prefactor.  The module constants
+    ``KAPPA_ALPHA``/``KAPPA_BETA`` must reproduce the measured values; the
+    measured magnitude discriminates between the candidate readings ``1/sqrt(2*pi)`` (= 0.399) and
     ``1/(sqrt(2)*pi)`` (= 0.225) -- quadrature selects the latter.
     """
     if cfg is None:
         cfg = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
     a_meas = overlap_oracle(0, 1, region, (Branch.POSITIVE, Branch.POSITIVE), cfg)
     b_meas = overlap_oracle(0, 1, region, (Branch.POSITIVE, Branch.NEGATIVE), cfg)
-    kappa_a = a_meas / coeff_a(0, 0, 1, cfg)
-    kappa_b = b_meas / coeff_b(0, 0, 1, cfg)
-    if region is Region.RIGHT:
-        kappa_a, kappa_b = -kappa_a, -kappa_b
+    alpha, beta = coefficients(0, [1], region, cfg)
+    kappa_a = a_meas / (alpha[0] / KAPPA_ALPHA)
+    kappa_b = b_meas / (beta[0] / KAPPA_BETA)
     return CalibrationResult(kappa_alpha=complex(kappa_a), kappa_beta=complex(kappa_b))
 
 
@@ -323,13 +274,7 @@ def calibrate(cfg: FieldConfig | None = None, region: Region = Region.LEFT) -> C
 
 def pair_to_csv(pair: BogoliubovPair, path_or_buf) -> None:
     """Write a pair as ``m,k,re_alpha,im_alpha,re_beta,im_beta`` rows."""
-    close = False
-    if isinstance(path_or_buf, (str, bytes)):
-        buf = open(path_or_buf, "w", encoding="utf-8")
-        close = True
-    else:
-        buf = path_or_buf
-    try:
+    with text_buffer(path_or_buf) as buf:
         cfg = pair.cfg
         buf.write(f"# region={pair.region.value} mass={cfg.mass!r} half_length={cfg.half_length!r}"
                   f" time={cfg.time!r} n_max={pair.n_max}\n")
@@ -341,21 +286,12 @@ def pair_to_csv(pair: BogoliubovPair, path_or_buf) -> None:
                 if a == 0 and b == 0:
                     continue
                 buf.write(f"{m},{k},{a.real!r},{a.imag!r},{b.real!r},{b.imag!r}\n")
-    finally:
-        if close:
-            buf.close()
 
 
 def pair_from_csv(path_or_buf) -> dict[tuple[int, int], tuple[complex, complex]]:
     """Read rows written by `pair_to_csv` into a sparse ``{(m, k): (alpha, beta)}`` map."""
-    close = False
-    if isinstance(path_or_buf, (str, bytes)):
-        buf = open(path_or_buf, "r", encoding="utf-8")
-        close = True
-    else:
-        buf = path_or_buf
-    try:
-        entries: dict[tuple[int, int], tuple[complex, complex]] = {}
+    entries: dict[tuple[int, int], tuple[complex, complex]] = {}
+    with text_buffer(path_or_buf, "r") as buf:
         for line in buf:
             if line.startswith("#") or line.startswith("m,"):
                 continue
@@ -364,7 +300,4 @@ def pair_from_csv(path_or_buf) -> dict[tuple[int, int], tuple[complex, complex]]
                 complex(float(ra), float(ia)),
                 complex(float(rb), float(ib)),
             )
-        return entries
-    finally:
-        if close:
-            buf.close()
+    return entries

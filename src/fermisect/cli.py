@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
+from ._textio import text_buffer
 from .bogoliubov import QuadratureUnresolved, build_pair, pair_to_csv
 from .detector import (
     PhasePoint,
@@ -75,19 +76,21 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.array(_parse_floats(text))
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _single_mu_l(text: str) -> float:
+    mu_ls = _parse_floats(text)
+    if len(mu_ls) != 1:
+        raise ConfigError(f"--mu-l needs exactly one value, got {text!r}")
+    return mu_ls[0]
+
+
+def _target(path):
+    """What the writers write to: the ``--out`` path, or stdout for none or ``-``."""
+    return sys.stdout if path is None or path == "-" else path
 
 
 def _emit(path, text: str) -> None:
-    buf, close = _open_out(path)
-    try:
+    with text_buffer(_target(path)) as buf:
         buf.write(text)
-    finally:
-        if close:
-            buf.close()
 
 
 def _resolve_truncation(args, cfg: FieldConfig, k_max: int) -> int:
@@ -110,17 +113,12 @@ def _cmd_spectrum(args) -> int:
         _emit(args.out, json.dumps({"k": list(range(1, args.k_max + 1)), "occupation": payload},
                                    indent=2) + "\n")
     else:
-        buf, close = _open_out(args.out)
-        try:
-            write_spectrum_csv(buf, spectra)
-        finally:
-            if close:
-                buf.close()
+        write_spectrum_csv(_target(args.out), spectra)
     return 0
 
 
 def _cmd_correlation(args) -> int:
-    mu_l = _parse_floats(args.mu_l)[0]
+    mu_l = _single_mu_l(args.mu_l)
     cfg = FieldConfig.from_mu_l(mu_l, time=args.time)
     n = _resolve_truncation(args, cfg, args.k_max)
     mat = correlation_matrix(args.k_max, cfg, n)
@@ -132,26 +130,16 @@ def _cmd_correlation(args) -> int:
         ]
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
     else:
-        buf, close = _open_out(args.out)
-        try:
-            write_correlation_csv(buf, mat)
-        finally:
-            if close:
-                buf.close()
+        write_correlation_csv(_target(args.out), mat)
     return 0
 
 
 def _cmd_bogoliubov(args) -> int:
-    mu_l = _parse_floats(args.mu_l)[0]
+    mu_l = _single_mu_l(args.mu_l)
     cfg = FieldConfig.from_mu_l(mu_l, time=args.time)
     region = Region.LEFT if args.region == "left" else Region.RIGHT
     pair = build_pair(region, cfg, args.truncation if args.truncation is not None else 16)
-    buf, close = _open_out(args.out)
-    try:
-        pair_to_csv(pair, buf)
-    finally:
-        if close:
-            buf.close()
+    pair_to_csv(pair, _target(args.out))
     return 0
 
 
@@ -221,13 +209,7 @@ def _cmd_verify(args) -> int:
         if unknown:
             raise ConfigError(f"unknown criteria: {sorted(unknown)}")
     results = verify_mod.run(numbers, seed=args.seed)
-    buf, close = _open_out(args.out)
-    try:
-        for result in results:
-            buf.write(result.line() + "\n")
-    finally:
-        if close:
-            buf.close()
+    _emit(args.out, "".join(result.line() + "\n" for result in results))
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -237,14 +219,14 @@ def _build_parser() -> _Parser:
 
     def add_common(p, mu_l_default="1.0"):
         p.add_argument("--mu-l", default=mu_l_default,
-                       help="interval half-length over Compton wavelength (comma list)")
+                       help="interval half-length over Compton wavelength"
+                            " (comma list for spectrum, one value otherwise)")
         p.add_argument("--k-max", type=int, default=64, help="largest mode number")
         p.add_argument("--truncation", type=int, default=None,
                        help="symmetric cutoff; default: doubling convergence probe")
         p.add_argument("--time", type=float, default=0.0, help="evaluation time")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None, help="accepted for reproducibility")
 
     p = sub.add_parser("spectrum", help="occupation spectrum per mu*L value")
     add_common(p, mu_l_default="0.1,1,10")
@@ -265,7 +247,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", default="0:4:50", help="|beta| grid start:stop:count")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_detector)
 
     p = sub.add_parser("joint-correlation", help="joint-registration correlation surface")
@@ -273,7 +254,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", default="0:3:25", help="detector distance grid start:stop:count")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_joint_correlation)
 
     p = sub.add_parser("povm", help="two-subsystem joint probability table")
@@ -282,7 +262,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--with-conditionals", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_povm)
 
     p = sub.add_parser("verify", help="run the verification suite")

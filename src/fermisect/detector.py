@@ -61,6 +61,9 @@ class PhasePoint:
     p: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("sigma", "x", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 

@@ -25,13 +25,10 @@ __all__ = [
     "Branch",
     "DegenerateDispersion",
     "FieldConfig",
-    "Ladder",
-    "ModeIndex",
     "Region",
     "Spinor",
     "energy",
     "mode_function",
-    "momentum",
     "section_momentum",
     "spinor",
     "spinor_cross_overlap",
@@ -51,13 +48,6 @@ class Branch(enum.Enum):
     NEGATIVE = "-"
 
 
-class Ladder(enum.Enum):
-    """Which momentum ladder a mode index refers to."""
-
-    SECTION = "section"          # p_m = pi*m/L on the full interval
-    SUBSECTION = "subsection"    # q_m = 2*pi*m/L on a half interval
-
-
 class Region(enum.Enum):
     """Support of a mode function."""
 
@@ -72,10 +62,6 @@ class Region(enum.Enum):
         if self is Region.LEFT:
             return (0.0, ell)
         return (ell, 2.0 * ell)
-
-    @property
-    def ladder(self) -> Ladder:
-        return Ladder.SECTION if self is Region.WHOLE else Ladder.SUBSECTION
 
 
 @dataclass(frozen=True)
@@ -103,6 +89,9 @@ class FieldConfig:
     truncation: int = 257
 
     def __post_init__(self) -> None:
+        for name in ("mass", "half_length", "time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mass < 0:
             raise ValueError(f"mass must be >= 0, got {self.mass}")
         if self.half_length <= 0:
@@ -121,23 +110,12 @@ class FieldConfig:
 
 
 @dataclass(frozen=True)
-class ModeIndex:
-    """Integer mode index on one of the two momentum ladders."""
-
-    index: int
-    ladder: Ladder
-
-
-@dataclass(frozen=True)
 class Spinor:
     """Two-component frequency-branch spinor, unit norm."""
 
     upper: float
     lower: float
     branch: Branch
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.upper, self.lower])
 
     def dot(self, other: "Spinor") -> float:
         return self.upper * other.upper + self.lower * other.lower
@@ -156,13 +134,6 @@ def section_momentum(k, cfg: FieldConfig):
 def subsection_momentum(m, cfg: FieldConfig):
     """Half-interval ladder ``q_m = 2*pi*m/L``."""
     return 2.0 * np.pi * np.asarray(m, dtype=float) / cfg.half_length
-
-
-def momentum(mode: ModeIndex, cfg: FieldConfig) -> float:
-    """Momentum of a mode on its ladder."""
-    if mode.ladder is Ladder.SECTION:
-        return float(section_momentum(mode.index, cfg))
-    return float(subsection_momentum(mode.index, cfg))
 
 
 def spinor(p: float, mass: float, branch: Branch) -> Spinor:

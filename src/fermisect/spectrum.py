@@ -4,7 +4,8 @@ The full-interval vacuum is not a vacuum for the half-interval
 quasi-particles, so each half-interval mode carries a nonzero mean filling
 number, and the filling numbers of the left and the right half are
 correlated.  Both quantities reduce to contractions of the Bogoliubov
-coefficient rows computed in :mod:`fermisect.bogoliubov`:
+coefficient rows that :func:`fermisect.bogoliubov.coefficients` computes,
+once per ``(mode, half)``:
 
 * ``occupation(k) = sum_j |beta[k, j]|^2`` (identical for particles and
   antiparticles and for the two halves);
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import alpha_row, beta_row
+from ._textio import text_buffer
+from .bogoliubov import coefficients
 from .field import FieldConfig, Region
 
 __all__ = [
@@ -37,6 +39,12 @@ __all__ = [
     "write_correlation_csv",
     "write_spectrum_csv",
 ]
+
+#: Doubling probe of `auto_truncation`: relative tolerance on the spectrum,
+#: first cutoff and largest cutoff (powers of two plus one).
+PROBE_REL_TOL = 1e-3
+PROBE_N_START = 65
+PROBE_N_CAP = 16385
 
 
 @dataclass(frozen=True)
@@ -65,12 +73,18 @@ class CorrelationMatrix:
         return complex(self.entries[k - 1, m - 1])
 
 
+def _indices(cfg: FieldConfig, n_max: int | None) -> np.ndarray:
+    """Full-interval indices ``|j| <= n_max`` (default: the config's truncation)."""
+    n = cfg.truncation if n_max is None else int(n_max)
+    return np.arange(-n, n + 1)
+
+
 def occupation(k: int, cfg: FieldConfig, n_max: int | None = None) -> float:
     """Vacuum mean filling number of half-interval mode ``k >= 1``."""
     if k < 1:
         raise ValueError("mode number must be >= 1")
-    row = beta_row(k, Region.LEFT, cfg, n_max)
-    return float(np.sum(np.abs(row) ** 2))
+    beta = coefficients(k, _indices(cfg, n_max), Region.LEFT, cfg)[1]
+    return float(np.sum(np.abs(beta) ** 2))
 
 
 def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int | None = None) -> OccupationSpectrum:
@@ -100,41 +114,45 @@ def cross_correlation(k: int, m: int, cfg: FieldConfig, n_max: int | None = None
     """Left-mode-k / right-mode-m filling-number correlation."""
     if k < 1 or m < 1:
         raise ValueError("mode numbers must be >= 1")
-    return cross_correlation_from_rows(
-        alpha_row(k, Region.LEFT, cfg, n_max),
-        beta_row(k, Region.LEFT, cfg, n_max),
-        alpha_row(m, Region.RIGHT, cfg, n_max),
-        beta_row(m, Region.RIGHT, cfg, n_max),
-    )
+    js = _indices(cfg, n_max)
+    return cross_correlation_from_rows(*coefficients(k, js, Region.LEFT, cfg),
+                                       *coefficients(m, js, Region.RIGHT, cfg))
+
+
+def _rows(k_max: int, js: np.ndarray, region: Region, cfg: FieldConfig):
+    """Stacked ``(alpha, beta)`` rows of modes 1..k_max, one kernel call per row."""
+    alpha = np.empty((k_max, js.size), dtype=complex)
+    beta = np.empty_like(alpha)
+    for i in range(k_max):
+        alpha[i], beta[i] = coefficients(i + 1, js, region, cfg)
+    return alpha, beta
 
 
 def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int | None = None) -> CorrelationMatrix:
     """Correlation over 1 <= k, m <= k_max, vectorized over rows."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n = cfg.truncation if n_max is None else int(n_max)
-    a_left = np.array([alpha_row(k, Region.LEFT, cfg, n) for k in range(1, k_max + 1)])
-    b_left = np.array([beta_row(k, Region.LEFT, cfg, n) for k in range(1, k_max + 1)])
-    a_right = np.array([alpha_row(m, Region.RIGHT, cfg, n) for m in range(1, k_max + 1)])
-    b_right = np.array([beta_row(m, Region.RIGHT, cfg, n) for m in range(1, k_max + 1)])
+    js = _indices(cfg, n_max)
+    a_left, b_left = _rows(k_max, js, Region.LEFT, cfg)
+    a_right, b_right = _rows(k_max, js, Region.RIGHT, cfg)
     entries = (b_left @ b_right.conj().T) * (a_left @ a_right.conj().T)
-    return CorrelationMatrix(entries=entries, cfg=cfg, truncation_used=n)
+    return CorrelationMatrix(entries=entries, cfg=cfg, truncation_used=int(js[-1]))
 
 
-def auto_truncation(cfg: FieldConfig, k_max: int, rel_tol: float = 1e-3, n_start: int = 65,
-                    n_cap: int = 16385) -> int:
+def auto_truncation(cfg: FieldConfig, k_max: int) -> int:
     """Doubling probe: smallest cutoff at which the spectrum has converged.
 
     Doubles the cutoff (keeping it a power of two plus one) until the
-    occupation values for modes 1..k_max change by less than ``rel_tol``
-    relative to their magnitude.
+    occupation values for modes 1..k_max change by less than
+    ``PROBE_REL_TOL`` relative to their magnitude, or ``PROBE_N_CAP`` is
+    reached.
     """
-    n = max(n_start, 2 * k_max + 1)
+    n = max(PROBE_N_START, 2 * k_max + 1)
     prev = occupation_spectrum(k_max, cfg, n).values
-    while n < n_cap:
+    while n < PROBE_N_CAP:
         n_next = 2 * (n - 1) + 1
         cur = occupation_spectrum(k_max, cfg, n_next).values
-        if np.max(np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-30)) < rel_tol:
+        if np.max(np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-30)) < PROBE_REL_TOL:
             return n_next
         prev = cur
         n = n_next
@@ -153,13 +171,7 @@ def _config_header(cfg: FieldConfig, **extra) -> str:
 
 def write_spectrum_csv(path_or_buf, spectra: dict[float, OccupationSpectrum]) -> None:
     """One k column plus one occupation column per sweep value (mu*L)."""
-    close = False
-    if isinstance(path_or_buf, (str, bytes)):
-        buf = open(path_or_buf, "w", encoding="utf-8")
-        close = True
-    else:
-        buf = path_or_buf
-    try:
+    with text_buffer(path_or_buf) as buf:
         mu_ls = sorted(spectra)
         first = spectra[mu_ls[0]]
         buf.write(_config_header(first.cfg, truncation=first.truncation_used,
@@ -169,20 +181,11 @@ def write_spectrum_csv(path_or_buf, spectra: dict[float, OccupationSpectrum]) ->
         for k in range(1, k_max + 1):
             row = ",".join(repr(float(spectra[v].values[k - 1])) for v in mu_ls)
             buf.write(f"{k},{row}\n")
-    finally:
-        if close:
-            buf.close()
 
 
 def write_correlation_csv(path_or_buf, matrix: CorrelationMatrix) -> None:
     """Rows ``k,m,re_d,im_d`` with a config echo header."""
-    close = False
-    if isinstance(path_or_buf, (str, bytes)):
-        buf = open(path_or_buf, "w", encoding="utf-8")
-        close = True
-    else:
-        buf = path_or_buf
-    try:
+    with text_buffer(path_or_buf) as buf:
         buf.write(_config_header(matrix.cfg, truncation=matrix.truncation_used))
         buf.write("k,m,re_d,im_d\n")
         k_max = matrix.entries.shape[0]
@@ -190,6 +193,3 @@ def write_correlation_csv(path_or_buf, matrix: CorrelationMatrix) -> None:
             for m in range(1, k_max + 1):
                 d = complex(matrix.entries[k - 1, m - 1])
                 buf.write(f"{k},{m},{d.real!r},{d.imag!r}\n")
-    finally:
-        if close:
-            buf.close()

@@ -8,16 +8,11 @@ from fermisect.bogoliubov import (
     KAPPA_ALPHA,
     KAPPA_BETA,
     SERIES_PREFACTOR,
-    alpha_entry,
-    alpha_row,
-    beta_entry,
-    beta_row,
     build_pair,
     calibrate,
     canonicity_residual,
-    coeff_a,
-    coeff_b,
     coeff_w,
+    coefficients,
     overlap_oracle,
     pair_from_csv,
     pair_to_csv,
@@ -60,46 +55,42 @@ def test_w_time_phase():
     )
 
 
-# --- A / B series terms ----------------------------------------------------
-
-def test_a_spinor_factor_is_one_at_equal_momenta():
-    # k = 2m puts p_k = q_m; the spinor factor collapses to 1
-    val = coeff_a(1, 1, 2, CFG)
-    assert val == pytest.approx(1.0 / (1 - 1 + 0.5))
+def _entry(m, k, region=Region.LEFT, cfg=CFG):
+    """``(alpha[m, k], beta[m, k])`` from the coefficient kernel."""
+    alpha, beta = coefficients(m, [k], region, cfg)
+    return complex(alpha[0]), complex(beta[0])
 
 
-def test_b_vanishes_at_equal_momenta():
-    assert abs(coeff_b(1, 1, 2, CFG)) <= 1e-15
-
+# --- odd-column series -----------------------------------------------------
 
 def test_a_against_oracle_entry():
     # the calibrated closed form at (m=0, k=1) must match quadrature
     oracle = overlap_oracle(0, 1, Region.LEFT, PP, CFG)
-    assert abs(KAPPA_ALPHA * coeff_a(0, 0, 1, CFG) - oracle) <= 1e-12
+    assert abs(_entry(0, 1)[0] - oracle) <= 1e-12
 
 
 # --- piecewise entries -----------------------------------------------------
 
 def test_even_column_deltas():
-    assert alpha_entry(3, 6, Region.LEFT, CFG) == pytest.approx(1 / math.sqrt(2))
-    assert alpha_entry(3, 4, Region.LEFT, CFG) == 0
-    assert beta_entry(3, -6, Region.LEFT, CFG) == coeff_w(3, CFG)
-    assert beta_entry(3, 6, Region.LEFT, CFG) == 0
+    assert _entry(3, 6)[0] == pytest.approx(1 / math.sqrt(2))
+    assert _entry(3, 4)[0] == 0
+    assert _entry(3, -6)[1] == coeff_w(3, CFG)
+    assert _entry(3, 6)[1] == 0
 
 
 def test_calibrated_entry_matches_oracle():
-    assert abs(alpha_entry(0, 1, Region.LEFT, CFG)
-               - overlap_oracle(0, 1, Region.LEFT, PP, CFG)) <= 1e-6
-    assert abs(beta_entry(0, 1, Region.LEFT, CFG)
-               - overlap_oracle(0, 1, Region.LEFT, PM, CFG)) <= 1e-6
+    alpha, beta = _entry(0, 1)
+    assert abs(alpha - overlap_oracle(0, 1, Region.LEFT, PP, CFG)) <= 1e-6
+    assert abs(beta - overlap_oracle(0, 1, Region.LEFT, PM, CFG)) <= 1e-6
 
 
 def test_all_branch_pair_routes_agree():
+    # same-branch routes estimate alpha, mixed routes estimate beta
     pairs = [PP, PM, (Branch.NEGATIVE, Branch.POSITIVE), (Branch.NEGATIVE, Branch.NEGATIVE)]
     for m, k in [(-2, 3), (1, -1), (2, 4), (0, 0)]:
+        alpha, beta = _entry(m, k)
         for branches in pairs:
-            ref = (alpha_entry if branches[0] is branches[1] else beta_entry)(
-                m, k, Region.LEFT, CFG)
+            ref = alpha if branches[0] is branches[1] else beta
             assert abs(overlap_oracle(m, k, Region.LEFT, branches, CFG) - ref) <= 1e-10
 
 
@@ -143,41 +134,31 @@ def test_calibration_stable_across_configs_and_regions():
     assert abs(cal_r.kappa_beta - KAPPA_BETA) <= 1e-10
 
 
-# --- rows and pair assembly ------------------------------------------------
-
-def test_rows_match_entries():
-    ks = np.arange(-9, 10)
-    a = alpha_row(2, Region.LEFT, CFG, 9)
-    b = beta_row(2, Region.LEFT, CFG, 9)
-    for i, k in enumerate(ks):
-        assert a[i] == pytest.approx(alpha_entry(2, int(k), Region.LEFT, CFG))
-        assert b[i] == pytest.approx(beta_entry(2, int(k), Region.LEFT, CFG))
-
+# --- pair assembly ---------------------------------------------------------
 
 def test_build_pair_n1_hand_enumeration():
-    # N = 1: 3x3 matrices assembled by hand from the piecewise formulas
+    # N = 1: 3x3 matrices, even columns by hand, every entry against quadrature
     pair = build_pair(Region.LEFT, CFG, 1)
     assert pair.alpha.shape == (3, 3)
     for m in (-1, 0, 1):
         for k in (-1, 0, 1):
+            alpha, beta = pair.alpha[m + 1, k + 1], pair.beta[m + 1, k + 1]
             if k % 2 == 0:
-                alpha_hand = 1 / math.sqrt(2) if k == 2 * m else 0.0
-                beta_hand = coeff_w(m, CFG) if k == -2 * m else 0.0
-            else:
-                alpha_hand = KAPPA_ALPHA * coeff_a((k - 1) // 2, m, k, CFG)
-                beta_hand = KAPPA_BETA * coeff_b((k - 1) // 2, m, k, CFG)
-            assert pair.entry(m, k, "alpha") == pytest.approx(alpha_hand)
-            assert pair.entry(m, k, "beta") == pytest.approx(beta_hand)
+                assert alpha == pytest.approx(1 / math.sqrt(2) if k == 2 * m else 0.0)
+                assert beta == pytest.approx(coeff_w(m, CFG) if k == -2 * m else 0.0)
+            assert abs(alpha - overlap_oracle(m, k, Region.LEFT, PP, CFG)) <= 1e-10
+            assert abs(beta - overlap_oracle(m, k, Region.LEFT, PM, CFG)) <= 1e-10
 
 
 def test_even_columns_sparsity():
     pair = build_pair(Region.LEFT, CFG, 8)
+    n = pair.n_max
     for m in pair.indices:
         for k in pair.indices:
             if k % 2 == 0 and k != 2 * m:
-                assert pair.entry(int(m), int(k), "alpha") == 0
+                assert pair.alpha[m + n, k + n] == 0
             if k % 2 == 0 and k != -2 * m:
-                assert pair.entry(int(m), int(k), "beta") == 0
+                assert pair.beta[m + n, k + n] == 0
 
 
 def test_right_pair_negates_odd_columns():
@@ -200,10 +181,9 @@ def test_cross_region_magnitudes_coincide():
 
 def test_magnitudes_independent_of_time():
     cfg_t = FieldConfig(mass=1.0, half_length=1.0, time=1.3)
-    a0 = np.abs(alpha_row(2, Region.LEFT, CFG, 30))
-    at = np.abs(alpha_row(2, Region.LEFT, cfg_t, 30))
-    b0 = np.abs(beta_row(2, Region.LEFT, CFG, 30))
-    bt = np.abs(beta_row(2, Region.LEFT, cfg_t, 30))
+    ks = np.arange(-30, 31)
+    a0, b0 = np.abs(coefficients(2, ks, Region.LEFT, CFG))
+    at, bt = np.abs(coefficients(2, ks, Region.LEFT, cfg_t))
     assert np.allclose(a0, at, atol=1e-14)
     assert np.allclose(b0, bt, atol=1e-14)
 
@@ -230,10 +210,11 @@ def test_csv_round_trip():
     pair_to_csv(pair, buf)
     buf.seek(0)
     entries = pair_from_csv(buf)
+    n = pair.n_max
     for m in pair.indices:
         for k in pair.indices:
-            a = pair.entry(int(m), int(k), "alpha")
-            b = pair.entry(int(m), int(k), "beta")
+            a = pair.alpha[m + n, k + n]
+            b = pair.beta[m + n, k + n]
             if a == 0 and b == 0:
                 assert (int(m), int(k)) not in entries
             else:

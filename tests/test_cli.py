@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,58 @@ def test_outputs_byte_identical_across_runs(capsys, tmp_path):
     assert main(argv + ["--out", str(path_a)]) == 0
     assert main(argv + ["--out", str(path_b)]) == 0
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+#: sha256 prefixes of stdout, pinned so refactors keep the output bytes.
+GOLDEN = [
+    (["spectrum", "--k-max", "16", "--truncation", "257"], 0, "e3c7e36fedd87b47"),
+    (["spectrum", "--mu-l", "0.5,2", "--k-max", "8", "--truncation", "129", "--time", "0.5",
+      "--format", "json"], 0, "cca7f6a3782ca140"),
+    (["correlation", "--mu-l", "1", "--k-max", "8", "--truncation", "129", "--time", "0.5"],
+     0, "f0701a37a31461fa"),
+    (["correlation", "--mu-l", "3", "--k-max", "4", "--truncation", "65", "--format", "json"],
+     0, "1db8b36eff7127d0"),
+    (["bogoliubov", "--mu-l", "1", "--truncation", "16"], 0, "f934984937b773c7"),
+    (["bogoliubov", "--mu-l", "3", "--truncation", "16", "--region", "right", "--time", "0.25"],
+     0, "e11288d5ca4fe4e5"),
+    (["verify", "--only", "1,2,5"], 2, "c0f8da2f0507644c"),
+]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _argv_id(value):
+    return " ".join(value) if isinstance(value, list) else None
+
+
+@pytest.mark.parametrize("argv,rc,digest", GOLDEN, ids=_argv_id)
+def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
+    code, out, _ = _run(capsys, argv)
+    assert (code, _digest(out)) == (rc, digest)
+    path = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(path)]) == rc
+    assert _digest(path.read_text(encoding="utf-8")) == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--mu-l", "nan"], "finite"),
+    (["spectrum", "--mu-l", "inf", "--k-max", "4"], "finite"),
+    (["spectrum", "--mu-l", "1", "--time", "nan", "--k-max", "4"], "finite"),
+    (["correlation", "--mu-l", "1", "--time", "inf", "--truncation", "9"], "finite"),
+    (["detector", "--sigma", "nan"], "finite"),
+    (["correlation", "--mu-l", ","], "exactly one"),
+    (["correlation", "--mu-l", "1,2"], "exactly one"),
+    (["bogoliubov", "--mu-l", ""], "exactly one"),
+    (["bogoliubov", "--mu-l", "0.5,3"], "exactly one"),
+    (["spectrum", "--seed", "3"], "unrecognized"),
+], ids=_argv_id)
+def test_bad_input_exits_1_with_message(capsys, argv, message):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_verify_selected_criteria_pass(capsys):

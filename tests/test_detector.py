@@ -43,6 +43,10 @@ def test_label_zero_iff_origin():
     assert PhasePoint(1.0, x=0.1).label != 0
     with pytest.raises(ValueError):
         PhasePoint(sigma=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for kwargs in ({"sigma": bad}, {"sigma": 1.0, "x": bad}, {"sigma": 1.0, "p": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                PhasePoint(**kwargs)
 
 
 def test_level_bounds():

@@ -7,15 +7,14 @@ from fermisect.field import (
     Branch,
     DegenerateDispersion,
     FieldConfig,
-    Ladder,
-    ModeIndex,
     Region,
     energy,
     mode_function,
-    momentum,
+    section_momentum,
     spinor,
     spinor_cross_overlap,
     spinor_overlap,
+    subsection_momentum,
 )
 
 CFG = FieldConfig(mass=1.0, half_length=np.pi, time=0.0)
@@ -35,10 +34,10 @@ def test_energy_even_and_bounded_below():
 
 
 def test_momentum_ladders():
-    assert momentum(ModeIndex(0, Ladder.SECTION), CFG) == 0.0
-    assert momentum(ModeIndex(2, Ladder.SECTION), CFG) == pytest.approx(2.0)
-    assert momentum(ModeIndex(1, Ladder.SUBSECTION), CFG) == pytest.approx(2.0)
-    assert momentum(ModeIndex(-3, Ladder.SUBSECTION), CFG) == pytest.approx(-6.0)
+    assert section_momentum(0, CFG) == 0.0
+    assert section_momentum(2, CFG) == pytest.approx(2.0)
+    assert subsection_momentum(1, CFG) == pytest.approx(2.0)
+    assert subsection_momentum(-3, CFG) == pytest.approx(-6.0)
 
 
 def test_config_validation():
@@ -48,6 +47,15 @@ def test_config_validation():
         FieldConfig(mass=1.0, half_length=0.0)
     with pytest.raises(ValueError):
         FieldConfig(mass=1.0, half_length=1.0, truncation=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FieldConfig(mass=bad, half_length=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            FieldConfig(mass=1.0, half_length=bad)
+        with pytest.raises(ValueError, match="finite"):
+            FieldConfig(mass=1.0, half_length=1.0, time=bad)
+        with pytest.raises(ValueError, match="finite"):
+            FieldConfig.from_mu_l(bad)
 
 
 def test_rest_frame_spinors():
@@ -155,6 +163,6 @@ def test_mode_function_time_phase():
     cfg = FieldConfig(mass=2.0, half_length=1.5, time=0.0)
     x = np.array([0.3])
     t = 0.9
-    p = momentum(ModeIndex(2, Ladder.SECTION), cfg)
+    p = float(section_momentum(2, cfg))
     expected = mode_function(2, Region.WHOLE, x, cfg, t=0.0) * np.exp(-1j * float(energy(p, cfg.mass)) * t)
     assert np.allclose(mode_function(2, Region.WHOLE, x, cfg, t=t), expected)

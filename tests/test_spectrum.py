@@ -1,9 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
-from fermisect.bogoliubov import alpha_row, beta_row
+from fermisect.bogoliubov import coefficients
 from fermisect.field import FieldConfig, Region
 from fermisect.fock import QuasiOperator, build_space, random_canonical_transform, vacuum_expectation
 from fermisect.spectrum import (
@@ -28,10 +29,8 @@ def test_occupation_matches_fock_engine_on_truncated_rows():
     n_window = 2
     space = build_space(2 * n_window + 1, 2 * n_window + 1)
     for k in (1, 2):
-        c = QuasiOperator(
-            alpha=alpha_row(k, Region.LEFT, CFG, n_window),
-            beta=beta_row(k, Region.LEFT, CFG, n_window),
-        )
+        alpha, beta = coefficients(k, np.arange(-n_window, n_window + 1), Region.LEFT, CFG)
+        c = QuasiOperator(alpha=alpha, beta=beta)
         fock_val = vacuum_expectation(space, [c.dagger_matrix(space), c.matrix(space)])
         row_sum = float(np.sum(np.abs(c.beta) ** 2))
         assert fock_val.real == pytest.approx(row_sum, rel=1e-12)
@@ -49,8 +48,7 @@ def test_antiparticle_occupation_identical():
     n_window = 2
     space = build_space(2 * n_window + 1, 2 * n_window + 1)
     k = 1
-    alpha = alpha_row(k, Region.LEFT, CFG, n_window)
-    beta = beta_row(k, Region.LEFT, CFG, n_window)
+    alpha, beta = coefficients(k, np.arange(-n_window, n_window + 1), Region.LEFT, CFG)
     d_mat = None
     for j in range(2 * n_window + 1):
         term = alpha[j] * space.annihilate_anti(j) - np.conj(beta[j]) * space.create_particle[j]
@@ -74,9 +72,10 @@ def test_occupation_vanishes_deep_nonrelativistic():
 
 def test_left_right_spectra_coincide():
     # magnitudes of the two halves' coefficients coincide column by column
+    js = np.arange(-257, 258)
     for k in (1, 3, 5):
-        left = float(np.sum(np.abs(beta_row(k, Region.LEFT, CFG, 257)) ** 2))
-        right = float(np.sum(np.abs(beta_row(k, Region.RIGHT, CFG, 257)) ** 2))
+        left = float(np.sum(np.abs(coefficients(k, js, Region.LEFT, CFG)[1]) ** 2))
+        right = float(np.sum(np.abs(coefficients(k, js, Region.RIGHT, CFG)[1]) ** 2))
         assert abs(left - right) <= 1e-12
 
 
@@ -101,6 +100,11 @@ def test_occupation_input_validation():
         occupation(0, CFG)
     with pytest.raises(ValueError):
         occupation_spectrum(0, CFG)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            occupation(1, FieldConfig.from_mu_l(bad))
+        with pytest.raises(ValueError, match="finite"):
+            occupation(1, FieldConfig.from_mu_l(1.0, time=bad))
 
 
 # --- cross correlation -------------------------------------------------------
@@ -168,7 +172,7 @@ def test_near_diagonality_ratio_snapshot():
 # --- plumbing ----------------------------------------------------------------
 
 def test_auto_truncation_converges():
-    n = auto_truncation(CFG, 4, rel_tol=1e-3)
+    n = auto_truncation(CFG, 4)
     coarse = occupation_spectrum(4, CFG, n).values
     fine = occupation_spectrum(4, CFG, 2 * (n - 1) + 1).values
     assert np.max(np.abs(fine - coarse) / fine) < 1e-3
