@@ -11,7 +11,6 @@ from .bogoliubov import (
     BogoliubovPair,
     QuadratureUnresolved,
     build_pair,
-    calibrate,
     canonicity_residual,
     coeff_w,
     coefficients,
@@ -23,7 +22,6 @@ from .detector import (
     PhasePoint,
     WidthMismatch,
     gram_matrix,
-    ground_overlap,
     joint_correlation,
     joint_correlation_exact,
     mode_overlap,
@@ -40,7 +38,7 @@ from .field import (
     energy,
     mode_function,
     spinor,
-    spinor_overlap,
+    spinor_overlaps,
 )
 from .fock import (
     DimensionTooLarge,
@@ -62,7 +60,6 @@ from .spectrum import (
     CorrelationMatrix,
     OccupationSpectrum,
     correlation_matrix,
-    cross_correlation,
     occupation,
     occupation_spectrum,
 )

@@ -13,27 +13,30 @@ with closed-form coefficients obtained from half-interval overlap integrals:
   ``-i/(sqrt(2)*pi)`` for beta (see ``SERIES_PREFACTOR``), spinor weight, a
   free-phase factor and a half-integer resonance denominator.
 
-The prefactor magnitudes and signs are not taken on faith: ``calibrate``
-measures them from the independent quadrature oracle ``overlap_oracle``,
-which integrates the defining overlaps numerically.  Right-half coefficients
-equal left-half ones times ``(-1)**k`` (translation of the half by L flips
-the sign of every odd full-interval mode).
+The prefactor magnitudes and signs are not taken on faith: the independent
+quadrature oracle ``overlap_oracle``, which integrates the defining overlaps
+numerically, pins every entry of the closed form (verification criterion 1
+and the test suite).  Right-half coefficients equal left-half ones times
+``(-1)**k`` (translation of the half by L flips the sign of every odd
+full-interval mode).
 
 `coefficients` evaluates one row ``m`` of both matrices over any set of
-full-interval indices; it is the only implementation of these formulas, and
-`build_pair`, `canonicity_residual`, `calibrate` and the contractions in
-:mod:`fermisect.spectrum` all read their entries from it.
+full-interval indices; it is the only implementation of these formulas.
+`coefficient_rows` stacks its rows, and `build_pair`,
+`canonicity_residual` and the contractions in :mod:`fermisect.spectrum` all
+read their entries from these two.  `cutoff_indices` is the one place that
+turns a cutoff ``N`` into the index set ``|k| <= N`` and rejects ``N < 1``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._textio import text_buffer
+from ._textio import text_buffer, write_table
 from .field import (
     Branch,
     FieldConfig,
@@ -42,33 +45,32 @@ from .field import (
     mode_function,
     section_momentum,
     spinor,
-    spinor_cross_overlap,
-    spinor_overlap,
+    spinor_overlaps,
     subsection_momentum,
 )
 
 __all__ = [
     "BogoliubovPair",
-    "CalibrationResult",
     "KAPPA_ALPHA",
     "KAPPA_BETA",
     "QuadratureUnresolved",
     "SERIES_PREFACTOR",
     "build_pair",
-    "calibrate",
     "canonicity_residual",
     "coeff_w",
+    "coefficient_rows",
     "coefficients",
+    "cutoff_indices",
     "overlap_oracle",
     "pair_to_csv",
 ]
 
 #: Magnitude of the odd-column series prefactor, fixed by the half-interval
-#: Fourier integral and confirmed by `calibrate` against the quadrature
-#: oracle.  Note this is 1/(sqrt(2)*pi), not 1/sqrt(2*pi).
+#: Fourier integral and confirmed against the quadrature oracle.  Note this
+#: is 1/(sqrt(2)*pi), not 1/sqrt(2*pi).
 SERIES_PREFACTOR = 1.0 / (math.sqrt(2.0) * math.pi)
 
-#: Signed prefactors of the odd-column series (measured; see `calibrate`).
+#: Signed prefactors of the odd-column series, as the oracle measures them.
 KAPPA_ALPHA = 1j * SERIES_PREFACTOR
 KAPPA_BETA = -1j * SERIES_PREFACTOR
 
@@ -77,6 +79,14 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 class QuadratureUnresolved(RuntimeError):
     """Two successive quadrature orders disagree beyond tolerance."""
+
+
+def cutoff_indices(n_max: int) -> np.ndarray:
+    """Full-interval indices ``|k| <= n_max`` of a symmetric cutoff ``n_max >= 1``."""
+    n = int(n_max)
+    if n < 1:
+        raise ValueError(f"truncation must be >= 1, got {n}")
+    return np.arange(-n, n + 1)
 
 
 def coeff_w(m: int, cfg: FieldConfig) -> complex:
@@ -112,8 +122,7 @@ def coefficients(m: int, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarr
 
     odd = ks % 2 != 0
     if np.any(odd):
-        s_plus = spinor_overlap(q, p[odd], cfg.mass)
-        s_cross = spinor_cross_overlap(q, p[odd], cfg.mass)
+        s_plus, s_cross = spinor_overlaps(q, p[odd], cfg.mass)
         # resonance denominators n -+ m + 1/2 with n = (k-1)/2
         den_a = (ks[odd] - 2 * m) / 2.0
         den_b = (ks[odd] + 2 * m) / 2.0
@@ -124,6 +133,16 @@ def coefficients(m: int, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarr
 
     sign = _region_sign(ks, region)
     return alpha * sign, beta * sign
+
+
+def coefficient_rows(ms, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``ms`` of ``(alpha, beta)`` over ``ks``, stacked; one `coefficients` call per row."""
+    ks = np.asarray(ks, dtype=int)
+    alpha = np.empty((len(ms), ks.size), dtype=complex)
+    beta = np.empty_like(alpha)
+    for i, m in enumerate(ms):
+        alpha[i], beta[i] = coefficients(m, ks, region, cfg)
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -142,18 +161,14 @@ class BogoliubovPair:
 
     @property
     def indices(self) -> np.ndarray:
-        return np.arange(-self.n_max, self.n_max + 1)
+        return cutoff_indices(self.n_max)
 
 
-def build_pair(region: Region, cfg: FieldConfig, n_max: int | None = None) -> BogoliubovPair:
-    """Assemble the coefficient matrices for one half."""
-    n = cfg.truncation if n_max is None else int(n_max)
-    ks = np.arange(-n, n + 1)
-    alpha = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    beta = np.zeros_like(alpha)
-    for i, m in enumerate(range(-n, n + 1)):
-        alpha[i], beta[i] = coefficients(m, ks, region, cfg)
-    return BogoliubovPair(alpha=alpha, beta=beta, region=region, cfg=cfg, n_max=n)
+def build_pair(region: Region, cfg: FieldConfig, n_max: int) -> BogoliubovPair:
+    """Assemble the coefficient matrices over ``|m|, |k| <= n_max`` for one half."""
+    ks = cutoff_indices(n_max)
+    alpha, beta = coefficient_rows(ks, ks, region, cfg)
+    return BogoliubovPair(alpha=alpha, beta=beta, region=region, cfg=cfg, n_max=int(ks[-1]))
 
 
 def canonicity_residual(m: int, n_max: int, cfg: FieldConfig, region: Region = Region.LEFT) -> float:
@@ -163,7 +178,7 @@ def canonicity_residual(m: int, n_max: int, cfg: FieldConfig, region: Region = R
     matched-momentum ``W_m`` term present the limit is nonzero for ``m != 0``
     (see package docs), so the number is reported rather than assumed small.
     """
-    a, b = coefficients(m, np.arange(-n_max, n_max + 1), region, cfg)
+    a, b = coefficients(m, cutoff_indices(n_max), region, cfg)
     return float(abs(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2) - 1.0))
 
 
@@ -236,56 +251,24 @@ def overlap_oracle(
     return -np.conj(fine)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Series prefactors measured from the quadrature oracle."""
-
-    kappa_alpha: complex
-    kappa_beta: complex
-
-    @property
-    def magnitude(self) -> float:
-        return 0.5 * (abs(self.kappa_alpha) + abs(self.kappa_beta))
-
-
-def calibrate(cfg: FieldConfig | None = None, region: Region = Region.LEFT) -> CalibrationResult:
-    """Measure the odd-column series prefactors at the (m=0, k=1) entry.
-
-    Dividing the quadrature overlap by the bare series term (the
-    `coefficients` entry over its prefactor, which carries the same region
-    sign as the oracle) isolates the prefactor.  The module constants
-    ``KAPPA_ALPHA``/``KAPPA_BETA`` must reproduce the measured values; the
-    measured magnitude discriminates between the candidate readings ``1/sqrt(2*pi)`` (= 0.399) and
-    ``1/(sqrt(2)*pi)`` (= 0.225) -- quadrature selects the latter.
-    """
-    if cfg is None:
-        cfg = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
-    a_meas = overlap_oracle(0, 1, region, (Branch.POSITIVE, Branch.POSITIVE), cfg)
-    b_meas = overlap_oracle(0, 1, region, (Branch.POSITIVE, Branch.NEGATIVE), cfg)
-    alpha, beta = coefficients(0, [1], region, cfg)
-    kappa_a = a_meas / (alpha[0] / KAPPA_ALPHA)
-    kappa_b = b_meas / (beta[0] / KAPPA_BETA)
-    return CalibrationResult(kappa_alpha=complex(kappa_a), kappa_beta=complex(kappa_b))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
 def pair_to_csv(pair: BogoliubovPair, path_or_buf) -> None:
-    """Write a pair as ``m,k,re_alpha,im_alpha,re_beta,im_beta`` rows."""
-    with text_buffer(path_or_buf) as buf:
-        cfg = pair.cfg
-        buf.write(f"# region={pair.region.value} mass={cfg.mass!r} half_length={cfg.half_length!r}"
-                  f" time={cfg.time!r} n_max={pair.n_max}\n")
-        buf.write("m,k,re_alpha,im_alpha,re_beta,im_beta\n")
-        for i, m in enumerate(pair.indices):
-            for j, k in enumerate(pair.indices):
-                a = complex(pair.alpha[i, j])
-                b = complex(pair.beta[i, j])
-                if a == 0 and b == 0:
-                    continue
-                buf.write(f"{m},{k},{a.real!r},{a.imag!r},{b.real!r},{b.imag!r}\n")
+    """Write a pair's nonzero entries as ``m,k,re_alpha,im_alpha,re_beta,im_beta`` rows."""
+    write_table(path_or_buf, {"region": pair.region.value, **asdict(pair.cfg), "n_max": pair.n_max},
+                ("m", "k", "re_alpha", "im_alpha", "re_beta", "im_beta"), _pair_rows(pair))
+
+
+def _pair_rows(pair: BogoliubovPair):
+    for i, m in enumerate(pair.indices):
+        for j, k in enumerate(pair.indices):
+            a = complex(pair.alpha[i, j])
+            b = complex(pair.beta[i, j])
+            if a == 0 and b == 0:
+                continue
+            yield f"{m},{k},{a.real!r},{a.imag!r},{b.real!r},{b.imag!r}\n"
 
 
 def pair_from_csv(path_or_buf) -> dict[tuple[int, int], tuple[complex, complex]]:

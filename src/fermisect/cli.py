@@ -5,8 +5,8 @@ figure datasets as CSV/JSON: occupation spectra, left/right correlation
 matrices, Bogoliubov coefficient dumps, detector registration curves, the
 joint-registration correlation surface, POVM tables, and the verification
 suite.  Output is deterministic for a fixed command line (floats are written
-with shortest round-trip repr) and every CSV carries a ``#`` header echoing
-the configuration that produced it.
+with shortest round-trip repr) and every CSV but the POVM table carries a
+``#`` header echoing the configuration that produced it.
 
 Exit codes: 0 success, 1 configuration or compute error, 2 verification
 failure.
@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from ._textio import text_buffer
+from ._textio import text_buffer, write_table
 from .bogoliubov import QuadratureUnresolved, build_pair, pair_to_csv
 from .detector import (
     PhasePoint,
@@ -73,7 +73,29 @@ def _parse_grid(text: str) -> np.ndarray:
         if count < 1:
             raise ConfigError("grid count must be >= 1")
         return np.linspace(start, stop, count)
-    return np.array(_parse_floats(text))
+    values = _parse_floats(text)
+    if not values:
+        raise ConfigError(f"--grid needs at least one value, got {text!r}")
+    return np.array(values)
+
+
+def _detectors(args, imaginary: bool = False) -> tuple[list[float], list[PhasePoint]]:
+    """``--grid`` values ``g`` and detectors of width ``--sigma`` at label ``g`` (or ``i*g``).
+
+    The label ``g`` sits at ``x = g/sigma`` and ``i*g`` at ``p = 2*sigma*g``;
+    a position that overflows is reported against the flags that produced it.
+    """
+    sigma = PhasePoint(args.sigma).sigma  # finite and > 0 before dividing by it
+    grid = _parse_grid(args.grid).tolist()
+    try:
+        if imaginary:
+            points = [PhasePoint(sigma, p=2.0 * sigma * g) for g in grid]
+        else:
+            points = [PhasePoint(sigma, x=g / sigma) for g in grid]
+    except ValueError as exc:  # sigma is valid, so a coordinate overflowed
+        raise ConfigError(f"--grid {args.grid} at --sigma {sigma!r} puts a detector at a"
+                          f" non-finite position ({exc})") from exc
+    return grid, points
 
 
 def _single_mu_l(text: str) -> float:
@@ -91,6 +113,14 @@ def _target(path):
 def _emit(path, text: str) -> None:
     with text_buffer(_target(path)) as buf:
         buf.write(text)
+
+
+def _emit_rows(args, columns: tuple[str, ...], rows: list[tuple], lines) -> None:
+    """``rows`` as JSON objects, or their CSV ``lines`` under a ``--sigma``/``--grid`` header."""
+    if args.format == "json":
+        _emit(args.out, json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n")
+    else:
+        write_table(_target(args.out), {"sigma": args.sigma, "grid": args.grid}, columns, lines)
 
 
 def _resolve_truncation(args, cfg: FieldConfig, k_max: int) -> int:
@@ -138,66 +168,49 @@ def _cmd_bogoliubov(args) -> int:
     mu_l = _single_mu_l(args.mu_l)
     cfg = FieldConfig.from_mu_l(mu_l, time=args.time)
     region = Region.LEFT if args.region == "left" else Region.RIGHT
-    pair = build_pair(region, cfg, args.truncation if args.truncation is not None else 16)
-    pair_to_csv(pair, _target(args.out))
+    pair_to_csv(build_pair(region, cfg, args.truncation), _target(args.out))
     return 0
 
 
 def _cmd_detector(args) -> int:
-    radii = _parse_grid(args.grid)
-    rows = []
-    for r in radii:
-        point = PhasePoint(args.sigma, x=float(r) / args.sigma)
-        rows.append((float(r), registration_prob_one(point), registration_prob_two(point)))
-    if args.format == "json":
-        _emit(args.out, json.dumps([{"beta": b, "p1": p1, "p2": p2} for b, p1, p2 in rows],
-                                   indent=2) + "\n")
-    else:
-        lines = [f"# sigma={args.sigma!r} grid={args.grid}", "beta,p1,p2"]
-        lines += [f"{b!r},{p1!r},{p2!r}" for b, p1, p2 in rows]
-        _emit(args.out, "\n".join(lines) + "\n")
+    grid, points = _detectors(args)
+    rows = [(r, registration_prob_one(point), registration_prob_two(point))
+            for r, point in zip(grid, points)]
+    _emit_rows(args, ("beta", "p1", "p2"), rows,
+               (f"{b!r},{p1!r},{p2!r}\n" for b, p1, p2 in rows))
     return 0
 
 
 def _cmd_joint_correlation(args) -> int:
-    grid = _parse_grid(args.grid)
-    rows = []
-    for parametrization in ("real_real", "real_imag"):
-        for a in grid:
-            point_a = PhasePoint(args.sigma, x=float(a) / args.sigma)
-            for b in grid:
-                if parametrization == "real_real":
-                    point_b = PhasePoint(args.sigma, x=float(b) / args.sigma)
-                else:
-                    point_b = PhasePoint(args.sigma, p=2.0 * args.sigma * float(b))
-                rows.append((parametrization, float(a), float(b),
-                             joint_correlation(point_a, point_b)))
-    if args.format == "json":
-        _emit(args.out, json.dumps([{"parametrization": s, "a": a, "b": b, "c": c}
-                                    for s, a, b, c in rows], indent=2) + "\n")
-    else:
-        lines = [f"# sigma={args.sigma!r} grid={args.grid}", "parametrization,a,b,c"]
-        lines += [f"{s},{a!r},{b!r},{c!r}" for s, a, b, c in rows]
-        _emit(args.out, "\n".join(lines) + "\n")
+    grid, real = _detectors(args)
+    _, imag = _detectors(args, imaginary=True)
+    rows = [(parametrization, a, b, joint_correlation(point_a, point_b))
+            for parametrization, points_b in (("real_real", real), ("real_imag", imag))
+            for a, point_a in zip(grid, real)
+            for b, point_b in zip(grid, points_b)]
+    _emit_rows(args, ("parametrization", "a", "b", "c"), rows,
+               (f"{s},{a!r},{b!r},{c!r}\n" for s, a, b, c in rows))
     return 0
 
 
 def _cmd_povm(args) -> int:
     if (args.entangled is None) == (args.product is None):
         raise ConfigError("choose exactly one of --entangled P or --product PA PB")
+    if args.with_conditionals and args.format == "csv":
+        raise ConfigError("--with-conditionals needs --format json")
     if args.entangled is not None:
         table = entangled_table(args.entangled)
     else:
         table = product_table(args.product[0], args.product[1])
     payload = table.as_dict()
+    if args.format == "csv":
+        write_table(_target(args.out), {}, ("cell", "probability"),
+                    (f"{k},{v!r}\n" for k, v in payload.items()))
+        return 0
     if args.with_conditionals:
         cond = conditionals(table)
         payload["conditionals"] = [list(cond[0]), list(cond[1])]
-    if args.format == "csv":
-        lines = ["cell,probability"] + [f"{k},{v!r}" for k, v in table.as_dict().items()]
-        _emit(args.out, "\n".join(lines) + "\n")
-    else:
-        _emit(args.out, json.dumps(payload, indent=2) + "\n")
+    _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -217,28 +230,31 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fermisect", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, mu_l_default="1.0"):
+    def add_field(p, mu_l_default, truncation_default):
         p.add_argument("--mu-l", default=mu_l_default,
                        help="interval half-length over Compton wavelength"
                             " (comma list for spectrum, one value otherwise)")
-        p.add_argument("--k-max", type=int, default=64, help="largest mode number")
-        p.add_argument("--truncation", type=int, default=None,
-                       help="symmetric cutoff; default: doubling convergence probe")
+        p.add_argument("--truncation", type=int, default=truncation_default,
+                       help="symmetric mode cutoff N >= 1; default: "
+                            f"{truncation_default or 'doubling convergence probe'}")
         p.add_argument("--time", type=float, default=0.0, help="evaluation time")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def add_spectral(p, mu_l_default, k_max_default):
+        add_field(p, mu_l_default, None)
+        p.add_argument("--k-max", type=int, default=k_max_default, help="largest mode number")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("spectrum", help="occupation spectrum per mu*L value")
-    add_common(p, mu_l_default="0.1,1,10")
+    add_spectral(p, "0.1,1,10", 64)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("correlation", help="left/right filling-number correlation matrix")
-    add_common(p)
+    add_spectral(p, "1.0", 16)
     p.set_defaults(func=_cmd_correlation)
-    p.set_defaults(k_max=16)
 
-    p = sub.add_parser("bogoliubov", help="coefficient matrix dump")
-    add_common(p)
+    p = sub.add_parser("bogoliubov", help="coefficient matrix dump (csv)")
+    add_field(p, "1.0", 16)
     p.add_argument("--region", choices=("left", "right"), default="left")
     p.set_defaults(func=_cmd_bogoliubov)
 

@@ -32,7 +32,6 @@ __all__ = [
     "PhasePoint",
     "WidthMismatch",
     "gram_matrix",
-    "ground_overlap",
     "joint_correlation",
     "joint_correlation_exact",
     "mode_overlap",
@@ -71,11 +70,6 @@ class PhasePoint:
     def label(self) -> complex:
         return self.sigma * self.x + 0.5j * self.p / self.sigma
 
-    @classmethod
-    def from_label(cls, label: complex, sigma: float = 1.0) -> "PhasePoint":
-        label = complex(label)
-        return cls(sigma=sigma, x=label.real / sigma, p=2.0 * sigma * label.imag)
-
 
 @dataclass(frozen=True)
 class DetectorMode:
@@ -96,13 +90,6 @@ def _check_widths(a: PhasePoint, b: PhasePoint) -> None:
         raise WidthMismatch(f"widths differ: {a.sigma} vs {b.sigma}")
 
 
-def ground_overlap(a: PhasePoint, b: PhasePoint) -> complex:
-    """``<a|b> = exp(-|a-b|^2/2 + (conj(a)*b - a*conj(b))/2)`` on the labels."""
-    _check_widths(a, b)
-    al, bl = a.label, b.label
-    return complex(np.exp(-0.5 * abs(al - bl) ** 2 + 0.5 * (np.conj(al) * bl - al * np.conj(bl))))
-
-
 def _displaced_number_overlap(n: int, m: int, gamma: complex) -> complex:
     """``<n| D(gamma) |m>`` for the oscillator displacement operator."""
     if n < m:
@@ -115,9 +102,9 @@ def _displaced_number_overlap(n: int, m: int, gamma: complex) -> complex:
 def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
     """Gram entry ``<a, n_a | b, n_b>`` between two detector modes.
 
-    Reduces to `ground_overlap` at levels (0, 0) and to ``delta_{n_a, n_b}``
-    at equal points.  This is also the anticommutator of the mode-a
-    annihilator with the mode-b creator.
+    Reduces to ``exp(-|a-b|^2/2 + (conj(a)*b - a*conj(b))/2)`` on the labels
+    at levels (0, 0) and to ``delta_{n_a, n_b}`` at equal points.  This is
+    also the anticommutator of the mode-a annihilator with the mode-b creator.
     """
     _check_widths(a.point, b.point)
     al, bl = a.point.label, b.point.label

@@ -31,8 +31,7 @@ __all__ = [
     "mode_function",
     "section_momentum",
     "spinor",
-    "spinor_cross_overlap",
-    "spinor_overlap",
+    "spinor_overlaps",
     "subsection_momentum",
 ]
 
@@ -77,16 +76,14 @@ class FieldConfig:
     time : float
         Evaluation time.  Enters only through phases of mode functions and
         expansion coefficients.
-    truncation : int
-        Symmetric mode cutoff: sums over the full-interval ladder run over
-        ``|k| <= truncation``.  Default 257 (a power of two plus one, so the
-        doubling convergence probe lands on round cutoffs).
+
+    The mode cutoff is not part of the configuration: every truncated sum
+    takes it as its own ``n_max`` argument.
     """
 
     mass: float
     half_length: float
     time: float = 0.0
-    truncation: int = 257
 
     def __post_init__(self) -> None:
         for name in ("mass", "half_length", "time"):
@@ -96,8 +93,6 @@ class FieldConfig:
             raise ValueError(f"mass must be >= 0, got {self.mass}")
         if self.half_length <= 0:
             raise ValueError(f"half_length must be > 0, got {self.half_length}")
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
 
     @property
     def mu_l(self) -> float:
@@ -115,7 +110,6 @@ class Spinor:
 
     upper: float
     lower: float
-    branch: Branch
 
     def dot(self, other: "Spinor") -> float:
         return self.upper * other.upper + self.lower * other.lower
@@ -149,55 +143,42 @@ def spinor(p: float, mass: float, branch: Branch) -> Spinor:
         raise DegenerateDispersion("spinor undefined at p = mass = 0")
     norm = math.sqrt(2.0 * eps * (eps + mass))
     if branch is Branch.POSITIVE:
-        return Spinor((eps + mass) / norm, p / norm, branch)
-    return Spinor(-p / norm, (eps + mass) / norm, branch)
+        return Spinor((eps + mass) / norm, p / norm)
+    return Spinor(-p / norm, (eps + mass) / norm)
 
 
-def _check_nondegenerate(eps_q, eps_p) -> None:
-    if np.any(np.asarray(eps_q) == 0.0) or np.any(np.asarray(eps_p) == 0.0):
-        raise DegenerateDispersion("spinor overlap undefined at p = mass = 0")
+def spinor_overlaps(q, p, mass):
+    """Positive-branch overlap ``u+(q) . u+(p)`` and cross-branch factor ``u-(q) . u+(p)``.
 
-
-def spinor_overlap(q, p, mass):
-    """Positive-branch overlap ``u+(q) . u+(p)``.
-
-    Equals ``[(eps_p+mu)(eps_q+mu) + p*q] / [2*sqrt(eps_p*eps_q*(eps_p+mu)*(eps_q+mu))]``;
-    symmetric in (q, p) and exactly 1 at q = p.  Accepts arrays.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    eps_q = energy(q, mass)
-    eps_p = energy(p, mass)
-    _check_nondegenerate(eps_q, eps_p)
-    num = (eps_p + mass) * (eps_q + mass) + p * q
-    den = 2.0 * np.sqrt(eps_p * eps_q * (eps_p + mass) * (eps_q + mass))
-    return num / den
-
-
-def spinor_cross_overlap(q, p, mass):
-    """Cross-branch factor ``u-(q) . u+(p)``.
-
-    Equals ``[p*(eps_q+mu) - q*(eps_p+mu)] / [2*sqrt(eps_p*eps_q*(eps_p+mu)*(eps_q+mu))]``;
+    With the shared denominator ``d = 2*sqrt(eps_p*eps_q*(eps_p+mu)*(eps_q+mu))``
+    they are ``[(eps_p+mu)(eps_q+mu) + p*q] / d``, symmetric in (q, p) and
+    exactly 1 at q = p, and ``[p*(eps_q+mu) - q*(eps_p+mu)] / d``,
     antisymmetric under q <-> p and zero at q = p.  Accepts arrays.
+
+    Raises
+    ------
+    DegenerateDispersion
+        If either momentum sits at ``p = mass = 0``.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     eps_q = energy(q, mass)
     eps_p = energy(p, mass)
-    _check_nondegenerate(eps_q, eps_p)
-    num = p * (eps_q + mass) - q * (eps_p + mass)
+    if np.any(eps_q == 0.0) or np.any(eps_p == 0.0):
+        raise DegenerateDispersion("spinor overlap undefined at p = mass = 0")
     den = 2.0 * np.sqrt(eps_p * eps_q * (eps_p + mass) * (eps_q + mass))
-    return num / den
+    plus = ((eps_p + mass) * (eps_q + mass) + p * q) / den
+    cross = (p * (eps_q + mass) - q * (eps_p + mass)) / den
+    return plus, cross
 
 
-def mode_function(index: int, region: Region, x, cfg: FieldConfig, t: float | None = None):
-    """Plane-wave mode ``exp(i*(p*x - eps*t))`` on the region, unit L2 norm.
+def mode_function(index: int, region: Region, x, cfg: FieldConfig):
+    """Plane-wave mode ``exp(i*(p*x - eps*t))`` at ``t = cfg.time`` on the region, unit L2 norm.
 
     Half-interval modes vanish identically outside their half.  ``x`` may be
-    an array.  ``t`` defaults to ``cfg.time``.
+    an array.
     """
-    if t is None:
-        t = cfg.time
+    t = cfg.time
     x = np.asarray(x, dtype=float)
     if region is Region.WHOLE:
         p = float(section_momentum(index, cfg))

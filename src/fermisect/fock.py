@@ -113,10 +113,6 @@ class QuasiOperator:
     def canonicity(self) -> float:
         return float(np.sum(np.abs(self.alpha) ** 2) + np.sum(np.abs(self.beta) ** 2))
 
-    def normalized(self) -> "QuasiOperator":
-        scale = 1.0 / np.sqrt(self.canonicity())
-        return QuasiOperator(alpha=self.alpha * scale, beta=self.beta * scale)
-
     def matrix(self, space: FockSpace):
         if len(self.alpha) != space.n_particle or len(self.beta) != space.n_anti:
             raise ValueError("coefficient lengths do not match the space")

@@ -9,9 +9,12 @@ once per ``(mode, half)``:
 
 * ``occupation(k) = sum_j |beta[k, j]|^2`` (identical for particles and
   antiparticles and for the two halves);
-* ``cross_correlation(k, m) = (sum_j betaL[k,j] * conj(betaR[m,j]))
+* ``correlation[k, m] = (sum_j betaL[k,j] * conj(betaR[m,j]))
   * (sum_j alphaL[k,j] * conj(alphaR[m,j]))`` -- the connected part of the
   joint filling-number expectation, already minus the product of singles.
+
+Every sum runs over ``|j| <= n_max`` for a cutoff ``n_max`` that the caller
+passes; `auto_truncation` chooses one when the caller has none.
 
 The contraction form is validated end to end against the exact Fock-space
 engine in the test suite.
@@ -19,12 +22,12 @@ engine in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._textio import text_buffer
-from .bogoliubov import coefficients
+from ._textio import write_table
+from .bogoliubov import coefficient_rows, coefficients, cutoff_indices
 from .field import FieldConfig, Region
 
 __all__ = [
@@ -32,7 +35,6 @@ __all__ = [
     "OccupationSpectrum",
     "auto_truncation",
     "correlation_matrix",
-    "cross_correlation",
     "cross_correlation_from_rows",
     "occupation",
     "occupation_spectrum",
@@ -54,7 +56,6 @@ class OccupationSpectrum:
     values: np.ndarray
     cfg: FieldConfig
     truncation_used: int
-    region: Region = Region.LEFT
 
     def __getitem__(self, k: int) -> float:
         return float(self.values[k - 1])
@@ -73,25 +74,19 @@ class CorrelationMatrix:
         return complex(self.entries[k - 1, m - 1])
 
 
-def _indices(cfg: FieldConfig, n_max: int | None) -> np.ndarray:
-    """Full-interval indices ``|j| <= n_max`` (default: the config's truncation)."""
-    n = cfg.truncation if n_max is None else int(n_max)
-    return np.arange(-n, n + 1)
-
-
-def occupation(k: int, cfg: FieldConfig, n_max: int | None = None) -> float:
-    """Vacuum mean filling number of half-interval mode ``k >= 1``."""
+def occupation(k: int, cfg: FieldConfig, n_max: int) -> float:
+    """Vacuum mean filling number of half-interval mode ``k >= 1`` at cutoff ``n_max``."""
     if k < 1:
         raise ValueError("mode number must be >= 1")
-    beta = coefficients(k, _indices(cfg, n_max), Region.LEFT, cfg)[1]
+    beta = coefficients(k, cutoff_indices(n_max), Region.LEFT, cfg)[1]
     return float(np.sum(np.abs(beta) ** 2))
 
 
-def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int | None = None) -> OccupationSpectrum:
-    """Occupation for modes 1..k_max at fixed truncation."""
+def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int) -> OccupationSpectrum:
+    """Occupation for modes 1..k_max at cutoff ``n_max``."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n = cfg.truncation if n_max is None else int(n_max)
+    n = int(n_max)
     values = np.array([occupation(k, cfg, n) for k in range(1, k_max + 1)])
     return OccupationSpectrum(values=values, cfg=cfg, truncation_used=n)
 
@@ -110,31 +105,14 @@ def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:
     return complex(np.sum(beta_c * np.conj(beta_f)) * np.sum(alpha_c * np.conj(alpha_f)))
 
 
-def cross_correlation(k: int, m: int, cfg: FieldConfig, n_max: int | None = None) -> complex:
-    """Left-mode-k / right-mode-m filling-number correlation."""
-    if k < 1 or m < 1:
-        raise ValueError("mode numbers must be >= 1")
-    js = _indices(cfg, n_max)
-    return cross_correlation_from_rows(*coefficients(k, js, Region.LEFT, cfg),
-                                       *coefficients(m, js, Region.RIGHT, cfg))
-
-
-def _rows(k_max: int, js: np.ndarray, region: Region, cfg: FieldConfig):
-    """Stacked ``(alpha, beta)`` rows of modes 1..k_max, one kernel call per row."""
-    alpha = np.empty((k_max, js.size), dtype=complex)
-    beta = np.empty_like(alpha)
-    for i in range(k_max):
-        alpha[i], beta[i] = coefficients(i + 1, js, region, cfg)
-    return alpha, beta
-
-
-def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int | None = None) -> CorrelationMatrix:
-    """Correlation over 1 <= k, m <= k_max, vectorized over rows."""
+def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int) -> CorrelationMatrix:
+    """Correlation over 1 <= k, m <= k_max at cutoff ``n_max``, vectorized over rows."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    js = _indices(cfg, n_max)
-    a_left, b_left = _rows(k_max, js, Region.LEFT, cfg)
-    a_right, b_right = _rows(k_max, js, Region.RIGHT, cfg)
+    js = cutoff_indices(n_max)
+    modes = range(1, k_max + 1)
+    a_left, b_left = coefficient_rows(modes, js, Region.LEFT, cfg)
+    a_right, b_right = coefficient_rows(modes, js, Region.RIGHT, cfg)
     entries = (b_left @ b_right.conj().T) * (a_left @ a_right.conj().T)
     return CorrelationMatrix(entries=entries, cfg=cfg, truncation_used=int(js[-1]))
 
@@ -159,37 +137,20 @@ def auto_truncation(cfg: FieldConfig, k_max: int) -> int:
     return n
 
 
-def _config_header(cfg: FieldConfig, **extra) -> str:
-    fields = {
-        "mass": repr(cfg.mass),
-        "half_length": repr(cfg.half_length),
-        "time": repr(cfg.time),
-    }
-    fields.update({k: repr(v) if isinstance(v, float) else str(v) for k, v in extra.items()})
-    return "# " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n"
-
-
 def write_spectrum_csv(path_or_buf, spectra: dict[float, OccupationSpectrum]) -> None:
     """One k column plus one occupation column per sweep value (mu*L)."""
-    with text_buffer(path_or_buf) as buf:
-        mu_ls = sorted(spectra)
-        first = spectra[mu_ls[0]]
-        buf.write(_config_header(first.cfg, truncation=first.truncation_used,
-                                 mu_l_values=",".join(repr(v) for v in mu_ls)))
-        buf.write("k," + ",".join(f"n_muL_{v!r}" for v in mu_ls) + "\n")
-        k_max = len(first.values)
-        for k in range(1, k_max + 1):
-            row = ",".join(repr(float(spectra[v].values[k - 1])) for v in mu_ls)
-            buf.write(f"{k},{row}\n")
+    mu_ls = sorted(spectra)
+    first = spectra[mu_ls[0]]
+    header = {**asdict(first.cfg), "truncation": first.truncation_used,
+              "mu_l_values": ",".join(repr(v) for v in mu_ls)}
+    columns = [spectra[v].values.tolist() for v in mu_ls]
+    lines = (f"{k},{','.join(map(repr, row))}\n" for k, row in enumerate(zip(*columns), 1))
+    write_table(path_or_buf, header, ["k"] + [f"n_muL_{v!r}" for v in mu_ls], lines)
 
 
 def write_correlation_csv(path_or_buf, matrix: CorrelationMatrix) -> None:
     """Rows ``k,m,re_d,im_d`` with a config echo header."""
-    with text_buffer(path_or_buf) as buf:
-        buf.write(_config_header(matrix.cfg, truncation=matrix.truncation_used))
-        buf.write("k,m,re_d,im_d\n")
-        k_max = matrix.entries.shape[0]
-        for k in range(1, k_max + 1):
-            for m in range(1, k_max + 1):
-                d = complex(matrix.entries[k - 1, m - 1])
-                buf.write(f"{k},{m},{d.real!r},{d.imag!r}\n")
+    lines = (f"{k},{m},{d.real!r},{d.imag!r}\n"
+             for k, row in enumerate(matrix.entries.tolist(), 1) for m, d in enumerate(row, 1))
+    write_table(path_or_buf, {**asdict(matrix.cfg), "truncation": matrix.truncation_used},
+                ("k", "m", "re_d", "im_d"), lines)

@@ -9,7 +9,6 @@ from fermisect.bogoliubov import (
     KAPPA_BETA,
     SERIES_PREFACTOR,
     build_pair,
-    calibrate,
     canonicity_residual,
     coeff_w,
     coefficients,
@@ -18,7 +17,7 @@ from fermisect.bogoliubov import (
     pair_to_csv,
     QuadratureUnresolved,
 )
-from fermisect.field import Branch, FieldConfig, Region, energy, spinor_overlap, subsection_momentum
+from fermisect.field import Branch, FieldConfig, Region, energy, spinor_overlaps, subsection_momentum
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
 PP = (Branch.POSITIVE, Branch.POSITIVE)
@@ -102,8 +101,8 @@ def test_oracle_even_off_delta_columns_vanish():
 def test_oracle_matched_column_value():
     # k = 2m: constant-phase integral over the half interval gives 1/sqrt(2)
     val = overlap_oracle(2, 4, Region.LEFT, PP, CFG)
-    assert val == pytest.approx(1 / math.sqrt(2) * float(spinor_overlap(
-        subsection_momentum(2, CFG), subsection_momentum(2, CFG), CFG.mass)))
+    assert val == pytest.approx(1 / math.sqrt(2) * float(spinor_overlaps(
+        subsection_momentum(2, CFG), subsection_momentum(2, CFG), CFG.mass)[0]))
 
 
 def test_quadrature_unresolved():
@@ -113,25 +112,33 @@ def test_quadrature_unresolved():
 
 # --- calibration -----------------------------------------------------------
 
+def _measured_prefactors(cfg=CFG, region=Region.LEFT):
+    """Series prefactors the oracle measures: its (0, 1) entry over the kernel's bare term."""
+    alpha, beta = _entry(0, 1, region, cfg)
+    return (overlap_oracle(0, 1, region, PP, cfg) / (alpha / KAPPA_ALPHA),
+            overlap_oracle(0, 1, region, PM, cfg) / (beta / KAPPA_BETA))
+
+
 def test_calibration_reproduces_module_constants():
-    cal = calibrate()
-    assert abs(cal.kappa_alpha - KAPPA_ALPHA) <= 1e-10
-    assert abs(cal.kappa_beta - KAPPA_BETA) <= 1e-10
+    kappa_a, kappa_b = _measured_prefactors()
+    assert abs(kappa_a - KAPPA_ALPHA) <= 1e-10
+    assert abs(kappa_b - KAPPA_BETA) <= 1e-10
 
 
 def test_calibration_selects_the_smaller_prefactor():
-    cal = calibrate()
-    assert cal.magnitude == pytest.approx(1.0 / (math.sqrt(2.0) * math.pi), abs=1e-10)
-    assert abs(cal.magnitude - 1.0 / math.sqrt(2.0 * math.pi)) > 0.17
+    magnitude = 0.5 * sum(abs(kappa) for kappa in _measured_prefactors())
+    assert magnitude == pytest.approx(SERIES_PREFACTOR, abs=1e-10)
+    assert magnitude == pytest.approx(1.0 / (math.sqrt(2.0) * math.pi), abs=1e-10)
+    assert abs(magnitude - 1.0 / math.sqrt(2.0 * math.pi)) > 0.17
 
 
 def test_calibration_stable_across_configs_and_regions():
     for mu_l in (0.1, 10.0):
-        cal = calibrate(FieldConfig.from_mu_l(mu_l))
-        assert abs(cal.kappa_alpha - KAPPA_ALPHA) <= 1e-10
-    cal_r = calibrate(region=Region.RIGHT)
-    assert abs(cal_r.kappa_alpha - KAPPA_ALPHA) <= 1e-10
-    assert abs(cal_r.kappa_beta - KAPPA_BETA) <= 1e-10
+        kappa_a, _ = _measured_prefactors(FieldConfig.from_mu_l(mu_l))
+        assert abs(kappa_a - KAPPA_ALPHA) <= 1e-10
+    kappa_a, kappa_b = _measured_prefactors(region=Region.RIGHT)
+    assert abs(kappa_a - KAPPA_ALPHA) <= 1e-10
+    assert abs(kappa_b - KAPPA_BETA) <= 1e-10
 
 
 # --- pair assembly ---------------------------------------------------------

@@ -124,6 +124,15 @@ GOLDEN = [
     (["bogoliubov", "--mu-l", "3", "--truncation", "16", "--region", "right", "--time", "0.25"],
      0, "e11288d5ca4fe4e5"),
     (["verify", "--only", "1,2,5"], 2, "c0f8da2f0507644c"),
+    (["detector", "--sigma", "0.5", "--grid", "0:3:7"], 0, "5904ead80035b374"),
+    (["detector", "--grid", "0,0.5,2.25", "--format", "json"], 0, "2f7293e6252d7e27"),
+    (["joint-correlation", "--sigma", "2.0", "--grid", "0:2.5:4"], 0, "64895c6e3e3451fc"),
+    (["joint-correlation", "--grid", "0:3:3", "--format", "json"], 0, "b1c2d9a70e7e5528"),
+    (["povm", "--product", "0.3", "0.6", "--format", "csv"], 0, "80681a536571df58"),
+    (["povm", "--entangled", "0.25", "--with-conditionals"], 0, "fbc9d926c91a0921"),
+    # no --truncation: these two run the doubling convergence probe
+    (["spectrum", "--mu-l", "1", "--k-max", "20"], 0, "c238c5224f8113fc"),
+    (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "c4e293bc3fd96a4e"),
 ]
 
 
@@ -155,6 +164,19 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
     (["bogoliubov", "--mu-l", ""], "exactly one"),
     (["bogoliubov", "--mu-l", "0.5,3"], "exactly one"),
     (["spectrum", "--seed", "3"], "unrecognized"),
+    (["spectrum", "--k-max", "2", "--truncation", "-3"], "truncation must be >= 1"),
+    (["spectrum", "--truncation", "0"], "truncation must be >= 1"),
+    (["correlation", "--truncation", "0"], "truncation must be >= 1"),
+    (["bogoliubov", "--truncation", "-2"], "truncation must be >= 1"),
+    (["bogoliubov", "--format", "json"], "unrecognized"),
+    (["detector", "--sigma", "1e-320", "--grid", "0:1:2"], "--sigma 1e-320"),
+    (["joint-correlation", "--sigma", "1e308", "--grid", "0:3:3"], "--sigma 1e+308"),
+    (["detector", "--grid", ""], "--grid needs at least one value"),
+    (["joint-correlation", "--grid", ","], "--grid needs at least one value"),
+    (["detector", "--sigma", "0"], "sigma must be > 0"),
+    (["joint-correlation", "--sigma", "0", "--grid", "0:1:2"], "sigma must be > 0"),
+    (["povm", "--product", "0.3", "0.6", "--format", "csv", "--with-conditionals"],
+     "--with-conditionals needs --format json"),
 ], ids=_argv_id)
 def test_bad_input_exits_1_with_message(capsys, argv, message):
     rc, out, err = _run(capsys, argv)

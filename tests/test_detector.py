@@ -10,7 +10,6 @@ from fermisect.detector import (
     PhasePoint,
     WidthMismatch,
     gram_matrix,
-    ground_overlap,
     joint_correlation,
     joint_correlation_exact,
     mode_overlap,
@@ -33,9 +32,9 @@ def _quad_overlap(ma: DetectorMode, mb: DetectorMode, n=6000, span=40.0):
 def test_label_round_trip():
     pt = PhasePoint(sigma=0.7, x=1.3, p=-2.1)
     assert pt.label == pytest.approx(0.7 * 1.3 - 1j * 2.1 / 1.4)
-    back = PhasePoint.from_label(pt.label, sigma=0.7)
-    assert back.x == pytest.approx(pt.x)
-    assert back.p == pytest.approx(pt.p)
+    # the label determines the point: x = Re(label)/sigma, p = 2*sigma*Im(label)
+    assert pt.label.real / 0.7 == pytest.approx(pt.x)
+    assert 2.0 * 0.7 * pt.label.imag == pytest.approx(pt.p)
 
 
 def test_label_zero_iff_origin():
@@ -58,6 +57,11 @@ def test_level_bounds():
 
 # --- ground overlap ----------------------------------------------------------
 
+def ground_overlap(a: PhasePoint, b: PhasePoint) -> complex:
+    """`mode_overlap` at levels (0, 0)."""
+    return mode_overlap(DetectorMode(a, 0), DetectorMode(b, 0))
+
+
 def test_ground_overlap_identity_and_modulus():
     a = PhasePoint(1.0, 0.4, 1.0)
     b = PhasePoint(1.0, -0.6, 0.3)
@@ -77,8 +81,6 @@ def test_ground_overlap_conjugate_symmetric():
 
 def test_width_mismatch_rejected():
     with pytest.raises(WidthMismatch):
-        ground_overlap(PhasePoint(1.0), PhasePoint(2.0))
-    with pytest.raises(WidthMismatch):
         mode_overlap(DetectorMode(PhasePoint(1.0), 0), DetectorMode(PhasePoint(2.0), 0))
 
 
@@ -89,7 +91,10 @@ def test_ground_overlap_against_quadrature():
         a = PhasePoint(s, float(rng.normal()), float(rng.normal()))
         b = PhasePoint(s, float(rng.normal()), float(rng.normal()))
         quad = _quad_overlap(DetectorMode(a, 0), DetectorMode(b, 0))
+        al, bl = a.label, b.label
+        closed = np.exp(-0.5 * abs(al - bl) ** 2 + 0.5 * (np.conj(al) * bl - al * np.conj(bl)))
         assert abs(quad - ground_overlap(a, b)) <= 1e-10
+        assert abs(closed - ground_overlap(a, b)) <= 1e-14
 
 
 # --- wavefunctions -----------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fermisect.bogoliubov import cutoff_indices
 from fermisect.field import (
     Branch,
     DegenerateDispersion,
@@ -12,8 +14,7 @@ from fermisect.field import (
     mode_function,
     section_momentum,
     spinor,
-    spinor_cross_overlap,
-    spinor_overlap,
+    spinor_overlaps,
     subsection_momentum,
 )
 
@@ -45,8 +46,9 @@ def test_config_validation():
         FieldConfig(mass=-1.0, half_length=1.0)
     with pytest.raises(ValueError):
         FieldConfig(mass=1.0, half_length=0.0)
-    with pytest.raises(ValueError):
-        FieldConfig(mass=1.0, half_length=1.0, truncation=0)
+    with pytest.raises(ValueError, match="truncation must be >= 1, got 0"):
+        cutoff_indices(0)
+    assert list(cutoff_indices(1)) == [-1, 0, 1]
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             FieldConfig(mass=bad, half_length=1.0)
@@ -84,26 +86,31 @@ def test_degenerate_point_raises():
     with pytest.raises(DegenerateDispersion):
         spinor(0.0, 0.0, Branch.POSITIVE)
     with pytest.raises(DegenerateDispersion):
-        spinor_overlap(0.0, 1.0, 0.0)
+        spinor_overlaps(0.0, 1.0, 0.0)
 
 
 def test_spinor_overlap_against_explicit_dot_product():
     # independent route: build both spinors and take the 2-vector dot product
     for q, p, mu in [(1.0, 2.0, 1.0), (-3.0, 0.5, 0.2), (4.0, -4.0, 2.0), (0.0, 7.0, 1.5)]:
+        plus, cross = spinor_overlaps(q, p, mu)
         direct = spinor(q, mu, Branch.POSITIVE).dot(spinor(p, mu, Branch.POSITIVE))
-        assert abs(float(spinor_overlap(q, p, mu)) - direct) <= 1e-12
-        cross = spinor(q, mu, Branch.NEGATIVE).dot(spinor(p, mu, Branch.POSITIVE))
-        assert abs(float(spinor_cross_overlap(q, p, mu)) - cross) <= 1e-12
+        assert abs(float(plus) - direct) <= 1e-12
+        direct = spinor(q, mu, Branch.NEGATIVE).dot(spinor(p, mu, Branch.POSITIVE))
+        assert abs(float(cross) - direct) <= 1e-12
 
 
 def test_spinor_overlap_structure():
-    assert float(spinor_overlap(2.0, 2.0, 0.7)) == pytest.approx(1.0, abs=1e-12)
-    assert float(spinor_overlap(1.0, 2.0, 1.0)) == float(spinor_overlap(2.0, 1.0, 1.0))
-    assert 0.0 < float(spinor_overlap(1.0, 2.0, 1.0)) < 1.0
+    def plus(q, p, mu):
+        return float(spinor_overlaps(q, p, mu)[0])
+
+    assert plus(2.0, 2.0, 0.7) == pytest.approx(1.0, abs=1e-12)
+    assert plus(1.0, 2.0, 1.0) == plus(2.0, 1.0, 1.0)
+    assert 0.0 < plus(1.0, 2.0, 1.0) < 1.0
     # massless opposite momenta are orthogonal helicities
-    assert abs(float(spinor_overlap(-2.0, 2.0, 0.0))) <= 1e-12
-    # cross overlap vanishes at equal momenta
-    assert abs(float(spinor_cross_overlap(3.0, 3.0, 1.0))) <= 1e-12
+    assert abs(plus(-2.0, 2.0, 0.0)) <= 1e-12
+    # cross overlap vanishes at equal momenta and flips sign under q <-> p
+    assert abs(float(spinor_overlaps(3.0, 3.0, 1.0)[1])) <= 1e-12
+    assert float(spinor_overlaps(1.0, 2.0, 1.0)[1]) == -float(spinor_overlaps(2.0, 1.0, 1.0)[1])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(400)
@@ -155,7 +162,7 @@ def test_left_mode_vanishes_on_right_half():
 
 def test_zero_mode_is_constant():
     x = np.linspace(0, 2 * CFG.half_length, 17)
-    vals = mode_function(0, Region.WHOLE, x, CFG, t=0.0)
+    vals = mode_function(0, Region.WHOLE, x, CFG)
     assert np.allclose(vals, 1.0 / math.sqrt(2.0 * CFG.half_length))
 
 
@@ -164,5 +171,5 @@ def test_mode_function_time_phase():
     x = np.array([0.3])
     t = 0.9
     p = float(section_momentum(2, cfg))
-    expected = mode_function(2, Region.WHOLE, x, cfg, t=0.0) * np.exp(-1j * float(energy(p, cfg.mass)) * t)
-    assert np.allclose(mode_function(2, Region.WHOLE, x, cfg, t=t), expected)
+    expected = mode_function(2, Region.WHOLE, x, cfg) * np.exp(-1j * float(energy(p, cfg.mass)) * t)
+    assert np.allclose(mode_function(2, Region.WHOLE, x, replace(cfg, time=t)), expected)

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from fermisect.bogoliubov import coefficients
+from fermisect.bogoliubov import build_pair, canonicity_residual, coefficients
 from fermisect.field import FieldConfig, Region
 from fermisect.fock import QuasiOperator, build_space, random_canonical_transform, vacuum_expectation
 from fermisect.spectrum import (
     auto_truncation,
     correlation_matrix,
-    cross_correlation,
     cross_correlation_from_rows,
     occupation,
     occupation_spectrum,
@@ -97,14 +96,23 @@ def test_mu_l_ordering_near_origin():
 
 def test_occupation_input_validation():
     with pytest.raises(ValueError):
-        occupation(0, CFG)
+        occupation(0, CFG, 65)
     with pytest.raises(ValueError):
-        occupation_spectrum(0, CFG)
+        occupation_spectrum(0, CFG, 65)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            occupation(1, FieldConfig.from_mu_l(bad))
+            occupation(1, FieldConfig.from_mu_l(bad), 65)
         with pytest.raises(ValueError, match="finite"):
-            occupation(1, FieldConfig.from_mu_l(1.0, time=bad))
+            occupation(1, FieldConfig.from_mu_l(1.0, time=bad), 65)
+    # every truncated sum rejects a cutoff below 1
+    for n_bad in (0, -3):
+        for compute in (lambda n: occupation(1, CFG, n),
+                        lambda n: occupation_spectrum(2, CFG, n),
+                        lambda n: correlation_matrix(2, CFG, n),
+                        lambda n: build_pair(Region.LEFT, CFG, n),
+                        lambda n: canonicity_residual(0, n, CFG)):
+            with pytest.raises(ValueError, match=f"truncation must be >= 1, got {n_bad}"):
+                compute(n_bad)
 
 
 # --- cross correlation -------------------------------------------------------
@@ -153,10 +161,14 @@ def test_spectrum_monotone_increasing_toward_saturation():
 
 
 def test_correlation_matrix_matches_scalar_entries():
+    # each entry against the scalar contraction of one left and one right row
     mat = correlation_matrix(4, CFG, 129)
+    js = np.arange(-129, 130)
     for k in (1, 3):
         for m in (2, 4):
-            assert mat[k, m] == pytest.approx(cross_correlation(k, m, CFG, 129))
+            scalar = cross_correlation_from_rows(*coefficients(k, js, Region.LEFT, CFG),
+                                                 *coefficients(m, js, Region.RIGHT, CFG))
+            assert mat[k, m] == pytest.approx(scalar)
 
 
 def test_near_diagonality_ratio_snapshot():
