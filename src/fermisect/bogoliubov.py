@@ -20,19 +20,21 @@ and the test suite).  Right-half coefficients equal left-half ones times
 ``(-1)**k`` (translation of the half by L flips the sign of every odd
 full-interval mode).
 
-`coefficients` evaluates one row ``m`` of both matrices over any set of
-full-interval indices; it is the only implementation of these formulas.
-`coefficient_rows` stacks its rows, and `build_pair`,
-`canonicity_residual` and the contractions in :mod:`fermisect.spectrum` all
-read their entries from these two.  `cutoff_indices` is the one place that
-turns a cutoff ``N`` into the index set ``|k| <= N`` and rejects ``N < 1``.
+`iter_coefficients` yields rows ``m`` of both matrices over any set of
+full-interval indices, computing the ``m``-independent column terms once;
+it is the only implementation of these formulas.  `coefficients` is its
+single row and `coefficient_rows` stacks its rows.  `pair_to_csv`, the
+contractions in :mod:`fermisect.spectrum` and `canonicity_residual` read
+their entries from these, and a dump never holds its two ``(2N+1)**2``
+matrices.  `cutoff_indices` is the one place that turns a cutoff ``N`` into
+the index set ``|k| <= N`` and rejects ``N < 1``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,6 +63,7 @@ __all__ = [
     "coefficient_rows",
     "coefficients",
     "cutoff_indices",
+    "iter_coefficients",
     "overlap_oracle",
     "pair_to_csv",
 ]
@@ -105,56 +108,70 @@ def _region_sign(k, region: Region):
     return np.ones_like(np.asarray(k, dtype=float))
 
 
-def coefficients(m: int, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``m`` of ``(alpha, beta)`` over the full-interval indices ``ks``."""
-    m = int(m)
+def iter_coefficients(ms, ks, region: Region, cfg: FieldConfig):
+    """Rows ``m`` in ``ms`` of ``(alpha, beta)`` over the full-interval indices ``ks``.
+
+    Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order.  The column
+    terms, which do not depend on ``m`` (momenta, energies, the odd columns
+    and the region sign), are computed once per call.
+    """
     ks = np.asarray(ks, dtype=int)
-    q = float(subsection_momentum(m, cfg))
-    eps_q = float(energy(q, cfg.mass))
     p = section_momentum(ks, cfg)
     eps_p = energy(p, cfg.mass)
-
-    alpha = np.zeros(ks.shape, dtype=complex)
-    beta = np.zeros(ks.shape, dtype=complex)
-
-    alpha[ks == 2 * m] = SQRT_HALF
-    beta[ks == -2 * m] = coeff_w(m, cfg)
-
     odd = ks % 2 != 0
-    if np.any(odd):
-        s_plus, s_cross = spinor_overlaps(q, p[odd], cfg.mass)
-        # resonance denominators n -+ m + 1/2 with n = (k-1)/2
-        den_a = (ks[odd] - 2 * m) / 2.0
-        den_b = (ks[odd] + 2 * m) / 2.0
-        ph_a = np.exp(1j * (eps_q - eps_p[odd]) * cfg.time)
-        ph_b = np.exp(-1j * (eps_q + eps_p[odd]) * cfg.time)
-        alpha[odd] = KAPPA_ALPHA * s_plus * ph_a / den_a
-        beta[odd] = KAPPA_BETA * s_cross * ph_b / den_b
-
+    any_odd = bool(np.any(odd))
+    k_odd, p_odd, eps_odd = ks[odd], p[odd], eps_p[odd]
     sign = _region_sign(ks, region)
-    return alpha * sign, beta * sign
+
+    for m in ms:
+        m = int(m)
+        q = float(subsection_momentum(m, cfg))
+        eps_q = float(energy(q, cfg.mass))
+
+        alpha = np.zeros(ks.shape, dtype=complex)
+        beta = np.zeros(ks.shape, dtype=complex)
+
+        alpha[ks == 2 * m] = SQRT_HALF
+        beta[ks == -2 * m] = coeff_w(m, cfg)
+
+        if any_odd:
+            s_plus, s_cross = spinor_overlaps(q, p_odd, cfg.mass)
+            # resonance denominators n -+ m + 1/2 with n = (k-1)/2
+            den_a = (k_odd - 2 * m) / 2.0
+            den_b = (k_odd + 2 * m) / 2.0
+            ph_a = np.exp(1j * (eps_q - eps_odd) * cfg.time)
+            ph_b = np.exp(-1j * (eps_q + eps_odd) * cfg.time)
+            alpha[odd] = KAPPA_ALPHA * s_plus * ph_a / den_a
+            beta[odd] = KAPPA_BETA * s_cross * ph_b / den_b
+
+        yield alpha * sign, beta * sign
+
+
+def coefficients(m: int, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``m`` of ``(alpha, beta)`` over the full-interval indices ``ks``."""
+    return next(iter_coefficients((m,), ks, region, cfg))
 
 
 def coefficient_rows(ms, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``ms`` of ``(alpha, beta)`` over ``ks``, stacked; one `coefficients` call per row."""
+    """Rows ``ms`` of ``(alpha, beta)`` over ``ks``, stacked from `iter_coefficients`."""
     ks = np.asarray(ks, dtype=int)
     alpha = np.empty((len(ms), ks.size), dtype=complex)
     beta = np.empty_like(alpha)
-    for i, m in enumerate(ms):
-        alpha[i], beta[i] = coefficients(m, ks, region, cfg)
+    for i, (a, b) in enumerate(iter_coefficients(ms, ks, region, cfg)):
+        alpha[i], beta[i] = a, b
     return alpha, beta
 
 
 @dataclass(frozen=True)
 class BogoliubovPair:
-    """Coefficient matrices over ``|m|, |k| <= n_max`` for one half.
+    """Coefficients over ``|m|, |k| <= n_max`` for one half.
 
-    ``alpha[m + n_max, k + n_max]`` is the coefficient of ``a_k`` in ``c_m``;
-    ``beta`` likewise for the pair-creation part.  Read-only once built.
+    The pair holds only its configuration; `pair_to_csv` streams its rows
+    from `iter_coefficients`.  ``alpha[m + n_max, k + n_max]`` is the
+    coefficient of ``a_k`` in ``c_m`` and ``beta`` likewise for the
+    pair-creation part; both full matrices are built on first access.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
     region: Region
     cfg: FieldConfig
     n_max: int
@@ -163,12 +180,22 @@ class BogoliubovPair:
     def indices(self) -> np.ndarray:
         return cutoff_indices(self.n_max)
 
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        return coefficient_rows(self.indices, self.indices, self.region, self.cfg)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._matrices[0]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self._matrices[1]
+
 
 def build_pair(region: Region, cfg: FieldConfig, n_max: int) -> BogoliubovPair:
-    """Assemble the coefficient matrices over ``|m|, |k| <= n_max`` for one half."""
-    ks = cutoff_indices(n_max)
-    alpha, beta = coefficient_rows(ks, ks, region, cfg)
-    return BogoliubovPair(alpha=alpha, beta=beta, region=region, cfg=cfg, n_max=int(ks[-1]))
+    """The coefficient pair over ``|m|, |k| <= n_max`` for one half; rejects ``n_max < 1``."""
+    return BogoliubovPair(region=region, cfg=cfg, n_max=int(cutoff_indices(n_max)[-1]))
 
 
 def canonicity_residual(m: int, n_max: int, cfg: FieldConfig, region: Region = Region.LEFT) -> float:
@@ -262,13 +289,21 @@ def pair_to_csv(pair: BogoliubovPair, path_or_buf) -> None:
 
 
 def _pair_rows(pair: BogoliubovPair):
-    for i, m in enumerate(pair.indices):
-        for j, k in enumerate(pair.indices):
-            a = complex(pair.alpha[i, j])
-            b = complex(pair.beta[i, j])
-            if a == 0 and b == 0:
-                continue
-            yield f"{m},{k},{a.real!r},{a.imag!r},{b.real!r},{b.imag!r}\n"
+    """The rows' text, one chunk of ``m,k,...`` lines per row ``m`` with a nonzero entry.
+
+    Each row is formatted in one pass: the tuple ``repr`` of Python floats is
+    their shortest round-trip ``repr`` (``-0.0`` included), and the two
+    replacements turn ``[(k, ...), (k, ...)]`` into CSV lines.
+    """
+    ks = pair.indices
+    rows = iter_coefficients(ks, ks, pair.region, pair.cfg)
+    for m, (a, b) in zip(ks.tolist(), rows):
+        nz = np.flatnonzero((a != 0) | (b != 0))
+        if nz.size == 0:
+            continue
+        cells = repr(list(zip(ks[nz].tolist(), a.real[nz].tolist(), a.imag[nz].tolist(),
+                              b.real[nz].tolist(), b.imag[nz].tolist())))
+        yield f"{m}," + cells[2:-2].replace("), (", f"\n{m},").replace(", ", ",") + "\n"
 
 
 def pair_from_csv(path_or_buf) -> dict[tuple[int, int], tuple[complex, complex]]:

@@ -124,9 +124,14 @@ def _emit_rows(args, columns: tuple[str, ...], rows: list[tuple], lines) -> None
 
 
 def _resolve_truncation(args, cfg: FieldConfig, k_max: int) -> int:
+    """``--truncation``, or the probe's cutoff, raised to ``2*k_max + 1``.
+
+    The probe checks modes up to 16 only, and mode ``k`` needs ``N >= 2k``
+    to reach its matched ``W_k`` column.
+    """
     if args.truncation is not None:
         return args.truncation
-    return auto_truncation(cfg, min(k_max, 16))
+    return max(auto_truncation(cfg, min(k_max, 16)), 2 * k_max + 1)
 
 
 def _cmd_spectrum(args) -> int:

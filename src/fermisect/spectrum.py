@@ -4,7 +4,7 @@ The full-interval vacuum is not a vacuum for the half-interval
 quasi-particles, so each half-interval mode carries a nonzero mean filling
 number, and the filling numbers of the left and the right half are
 correlated.  Both quantities reduce to contractions of the Bogoliubov
-coefficient rows that :func:`fermisect.bogoliubov.coefficients` computes,
+coefficient rows that :func:`fermisect.bogoliubov.iter_coefficients` yields,
 once per ``(mode, half)``:
 
 * ``occupation(k) = sum_j |beta[k, j]|^2`` (identical for particles and
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._textio import write_table
-from .bogoliubov import coefficient_rows, coefficients, cutoff_indices
+from .bogoliubov import coefficient_rows, cutoff_indices, iter_coefficients
 from .field import FieldConfig, Region
 
 __all__ = [
@@ -78,8 +78,7 @@ def occupation(k: int, cfg: FieldConfig, n_max: int) -> float:
     """Vacuum mean filling number of half-interval mode ``k >= 1`` at cutoff ``n_max``."""
     if k < 1:
         raise ValueError("mode number must be >= 1")
-    beta = coefficients(k, cutoff_indices(n_max), Region.LEFT, cfg)[1]
-    return float(np.sum(np.abs(beta) ** 2))
+    return _occupations((k,), cfg, n_max)[0]
 
 
 def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int) -> OccupationSpectrum:
@@ -87,8 +86,14 @@ def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int) -> OccupationS
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     n = int(n_max)
-    values = np.array([occupation(k, cfg, n) for k in range(1, k_max + 1)])
+    values = np.array(_occupations(range(1, k_max + 1), cfg, n))
     return OccupationSpectrum(values=values, cfg=cfg, truncation_used=n)
+
+
+def _occupations(ks, cfg: FieldConfig, n_max: int) -> list[float]:
+    """``sum_j |beta[k, j]|^2`` for each mode in ``ks``, one kernel row at a time."""
+    rows = iter_coefficients(ks, cutoff_indices(n_max), Region.LEFT, cfg)
+    return [float(np.sum(np.abs(beta) ** 2)) for _, beta in rows]
 
 
 def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:

@@ -1,0 +1,37 @@
+"""The bench tracer (``bench/spans.py``) covers the package and leaves its output alone."""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+from fermisect import cli
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ARGVS = (["bogoliubov", "--truncation", "8"], ["spectrum", "--k-max", "4", "--truncation", "65"])
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    return buf.getvalue()
+
+
+def test_traced_output_equals_untraced():
+    untraced = [_stdout(argv) for argv in ARGVS]
+    tracer = _load_spans().Tracer()
+    tracer.install()  # raises CoverageError if a public function stays unwrapped
+    try:
+        traced = [_stdout(argv) for argv in ARGVS]
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracer.names.index("bogoliubov.iter_coefficients") in tracer.rec.name_id

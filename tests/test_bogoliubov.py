@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from fermisect.bogoliubov import (
     build_pair,
     canonicity_residual,
     coeff_w,
+    coefficient_rows,
     coefficients,
+    iter_coefficients,
     overlap_oracle,
     pair_from_csv,
     pair_to_csv,
@@ -228,6 +232,29 @@ def test_csv_round_trip():
                 ra, rb = entries[(int(m), int(k))]
                 assert ra == pytest.approx(a)
                 assert rb == pytest.approx(b)
+
+
+def test_streamed_rows_equal_single_rows():
+    # the column terms computed once per call serve every row unchanged
+    ks = np.arange(-9, 12)
+    ms = [3, -2, 0, 3, 5]
+    cfg = FieldConfig.from_mu_l(2.0, time=0.7)
+    alpha, beta = coefficient_rows(ms, ks, Region.RIGHT, cfg)
+    for i, (a, b) in enumerate(iter_coefficients(ms, ks, Region.RIGHT, cfg)):
+        single = coefficients(ms[i], ks, Region.RIGHT, cfg)
+        assert np.array_equal(a, single[0]) and np.array_equal(b, single[1])
+        assert np.array_equal(alpha[i], a) and np.array_equal(beta[i], b)
+
+
+def test_dump_streams_without_its_matrices():
+    # one (2N+1)^2 complex matrix at N=128 alone is 1.06 MB
+    tracemalloc.start()
+    try:
+        pair_to_csv(build_pair(Region.LEFT, FieldConfig.from_mu_l(1.0, time=0.5), 128), os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_csv_header_echoes_config():

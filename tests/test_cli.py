@@ -1,9 +1,12 @@
 import hashlib
 import json
+import math
 
 import pytest
 
 from fermisect.cli import main
+from fermisect.field import FieldConfig
+from fermisect.spectrum import occupation
 
 
 def _run(capsys, argv):
@@ -133,6 +136,14 @@ GOLDEN = [
     # no --truncation: these two run the doubling convergence probe
     (["spectrum", "--mu-l", "1", "--k-max", "20"], 0, "c238c5224f8113fc"),
     (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "c4e293bc3fd96a4e"),
+    # larger cutoffs; the time-0 right dump writes signed zeros
+    (["bogoliubov", "--mu-l", "10", "--truncation", "64", "--time", "0.5"], 0, "897edd0595be5eb0"),
+    (["bogoliubov", "--mu-l", "0.1", "--truncation", "48", "--region", "right"],
+     0, "4188536ad4928a83"),
+    (["spectrum", "--mu-l", "0.3,10", "--k-max", "32", "--truncation", "4097", "--time", "0.3"],
+     0, "1f49b391eb1b5977"),
+    (["correlation", "--mu-l", "10", "--k-max", "24", "--truncation", "1025", "--time", "0.7"],
+     0, "323143a4501204bb"),
 ]
 
 
@@ -210,3 +221,16 @@ def test_verify_seed_changes_draws_deterministically(capsys):
     rc2, out2, _ = _run(capsys, ["verify", "--only", "7", "--seed", "5"])
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_probe_cutoff_reaches_every_requested_mode(capsys):
+    # mode k needs N >= 2k for its matched W_k column, beyond what the probe checks
+    rc, out, _ = _run(capsys, ["spectrum", "--mu-l", "1", "--k-max", "200"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert "truncation=401" in lines[0].split()
+    values = dict(line.split(",") for line in lines[2:])
+    n, cfg = 401, FieldConfig.from_mu_l(1.0)
+    for k in (129, 200):
+        tail = (1 / math.pi**2) * (1 / (n - 2 * k) + 1 / (n + 2 * k))
+        assert abs(float(values[str(k)]) - occupation(k, cfg, 16385)) <= tail

@@ -3,12 +3,21 @@
 Draws are derandomized and few, so the suite stays deterministic and fast.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermisect.bogoliubov import coefficients, cutoff_indices
+from fermisect.bogoliubov import (
+    build_pair,
+    coefficient_rows,
+    coefficients,
+    cutoff_indices,
+    pair_from_csv,
+    pair_to_csv,
+)
 from fermisect.field import FieldConfig, Region
 from fermisect.spectrum import occupation
 
@@ -45,3 +54,20 @@ def test_left_and_right_magnitudes_equal(mu_l, time, m):
     alpha_r, beta_r = coefficients(m, js, Region.RIGHT, cfg)
     assert np.array_equal(np.abs(beta_l), np.abs(beta_r))
     assert np.array_equal(np.abs(alpha_l), np.abs(alpha_r))
+
+
+@DRAWS
+@given(mu_l=st.floats(0.05, 20.0), time=st.floats(-2.0, 2.0),
+       region=st.sampled_from((Region.LEFT, Region.RIGHT)), n=st.integers(1, 12))
+def test_csv_round_trip_is_exact(mu_l, time, region, n):
+    # the dump holds every nonzero entry of the kernel, bit for bit, and nothing else
+    cfg = FieldConfig.from_mu_l(mu_l, time=time)
+    buf = io.StringIO()
+    pair_to_csv(build_pair(region, cfg, n), buf)
+    buf.seek(0)
+    ks = cutoff_indices(n)
+    alpha, beta = coefficient_rows(ks, ks, region, cfg)
+    nonzero = {(m, k): (complex(alpha[i, j]), complex(beta[i, j]))
+               for i, m in enumerate(ks.tolist()) for j, k in enumerate(ks.tolist())
+               if alpha[i, j] != 0 or beta[i, j] != 0}
+    assert pair_from_csv(buf) == nonzero
