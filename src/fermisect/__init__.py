@@ -15,6 +15,7 @@ from .bogoliubov import (
     coeff_w,
     coefficients,
     overlap_oracle,
+    region_sign,
 )
 from .detector import (
     DetectorMode,

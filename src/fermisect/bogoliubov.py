@@ -16,9 +16,12 @@ with closed-form coefficients obtained from half-interval overlap integrals:
 The prefactor magnitudes and signs are not taken on faith: the independent
 quadrature oracle ``overlap_oracle``, which integrates the defining overlaps
 numerically, pins every entry of the closed form (verification criterion 1
-and the test suite).  Right-half coefficients equal left-half ones times
-``(-1)**k`` (translation of the half by L flips the sign of every odd
-full-interval mode).
+and the test suite).
+
+The kernel computes the left half only.  Right-half coefficients equal
+left-half ones times ``(-1)**k`` (translation of the half by L flips the
+sign of every odd full-interval mode); `region_sign` is that column factor,
+and each consumer applies it as ``row * region_sign(ks, region)``.
 
 `iter_coefficients` yields rows ``m`` of both matrices over any set of
 full-interval indices, computing the ``m``-independent column terms once;
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,6 +69,7 @@ __all__ = [
     "iter_coefficients",
     "overlap_oracle",
     "pair_to_csv",
+    "region_sign",
 ]
 
 #: Magnitude of the odd-column series prefactor, fixed by the half-interval
@@ -101,19 +105,23 @@ def coeff_w(m: int, cfg: FieldConfig) -> complex:
     return q * np.exp(-2j * eps * cfg.time) / (math.sqrt(2.0) * eps)
 
 
-def _region_sign(k, region: Region):
-    """Translation phase of full-interval mode k seen from the right half."""
+def region_sign(ks, region: Region) -> np.ndarray:
+    """Column factor from left-half rows over ``ks`` to ``region``.
+
+    Ones on the left, ``(-1)**k`` on the right, as float64; apply it as
+    ``row * region_sign(ks, region)``.
+    """
     if region is Region.RIGHT:
-        return np.where(np.asarray(k) % 2 == 0, 1.0, -1.0)
-    return np.ones_like(np.asarray(k, dtype=float))
+        return np.where(np.asarray(ks) % 2 == 0, 1.0, -1.0)
+    return np.ones_like(np.asarray(ks, dtype=float))
 
 
-def iter_coefficients(ms, ks, region: Region, cfg: FieldConfig):
-    """Rows ``m`` in ``ms`` of ``(alpha, beta)`` over the full-interval indices ``ks``.
+def iter_coefficients(ms, ks, cfg: FieldConfig):
+    """Left-half rows ``m`` in ``ms`` of ``(alpha, beta)`` over the full-interval indices ``ks``.
 
     Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order.  The column
-    terms, which do not depend on ``m`` (momenta, energies, the odd columns
-    and the region sign), are computed once per call.
+    terms, which do not depend on ``m`` (momenta, energies and the odd
+    columns), are computed once per call.
     """
     ks = np.asarray(ks, dtype=int)
     p = section_momentum(ks, cfg)
@@ -121,7 +129,6 @@ def iter_coefficients(ms, ks, region: Region, cfg: FieldConfig):
     odd = ks % 2 != 0
     any_odd = bool(np.any(odd))
     k_odd, p_odd, eps_odd = ks[odd], p[odd], eps_p[odd]
-    sign = _region_sign(ks, region)
 
     for m in ms:
         m = int(m)
@@ -144,20 +151,20 @@ def iter_coefficients(ms, ks, region: Region, cfg: FieldConfig):
             alpha[odd] = KAPPA_ALPHA * s_plus * ph_a / den_a
             beta[odd] = KAPPA_BETA * s_cross * ph_b / den_b
 
-        yield alpha * sign, beta * sign
+        yield alpha, beta
 
 
-def coefficients(m: int, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``m`` of ``(alpha, beta)`` over the full-interval indices ``ks``."""
-    return next(iter_coefficients((m,), ks, region, cfg))
+def coefficients(m: int, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Left-half row ``m`` of ``(alpha, beta)`` over the full-interval indices ``ks``."""
+    return next(iter_coefficients((m,), ks, cfg))
 
 
-def coefficient_rows(ms, ks, region: Region, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``ms`` of ``(alpha, beta)`` over ``ks``, stacked from `iter_coefficients`."""
+def coefficient_rows(ms, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Left-half rows ``ms`` of ``(alpha, beta)`` over ``ks``, stacked from `iter_coefficients`."""
     ks = np.asarray(ks, dtype=int)
     alpha = np.empty((len(ms), ks.size), dtype=complex)
     beta = np.empty_like(alpha)
-    for i, (a, b) in enumerate(iter_coefficients(ms, ks, region, cfg)):
+    for i, (a, b) in enumerate(iter_coefficients(ms, ks, cfg)):
         alpha[i], beta[i] = a, b
     return alpha, beta
 
@@ -167,9 +174,7 @@ class BogoliubovPair:
     """Coefficients over ``|m|, |k| <= n_max`` for one half.
 
     The pair holds only its configuration; `pair_to_csv` streams its rows
-    from `iter_coefficients`.  ``alpha[m + n_max, k + n_max]`` is the
-    coefficient of ``a_k`` in ``c_m`` and ``beta`` likewise for the
-    pair-creation part; both full matrices are built on first access.
+    from `iter_coefficients`.
     """
 
     region: Region
@@ -180,32 +185,21 @@ class BogoliubovPair:
     def indices(self) -> np.ndarray:
         return cutoff_indices(self.n_max)
 
-    @cached_property
-    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        return coefficient_rows(self.indices, self.indices, self.region, self.cfg)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self._matrices[0]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self._matrices[1]
-
 
 def build_pair(region: Region, cfg: FieldConfig, n_max: int) -> BogoliubovPair:
     """The coefficient pair over ``|m|, |k| <= n_max`` for one half; rejects ``n_max < 1``."""
     return BogoliubovPair(region=region, cfg=cfg, n_max=int(cutoff_indices(n_max)[-1]))
 
 
-def canonicity_residual(m: int, n_max: int, cfg: FieldConfig, region: Region = Region.LEFT) -> float:
+def canonicity_residual(m: int, n_max: int, cfg: FieldConfig) -> float:
     """``| sum_{|k|<=n_max} (|alpha[m,k]|^2 + |beta[m,k]|^2) - 1 |``.
 
     The exact transform would make this vanish as ``n_max`` grows; with the
     matched-momentum ``W_m`` term present the limit is nonzero for ``m != 0``
     (see package docs), so the number is reported rather than assumed small.
+    Both halves give the same residual, since ``|region_sign| = 1``.
     """
-    a, b = coefficients(m, cutoff_indices(n_max), region, cfg)
+    a, b = coefficients(m, cutoff_indices(n_max), cfg)
     return float(abs(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2) - 1.0))
 
 
@@ -296,8 +290,9 @@ def _pair_rows(pair: BogoliubovPair):
     replacements turn ``[(k, ...), (k, ...)]`` into CSV lines.
     """
     ks = pair.indices
-    rows = iter_coefficients(ks, ks, pair.region, pair.cfg)
-    for m, (a, b) in zip(ks.tolist(), rows):
+    sign = region_sign(ks, pair.region)
+    for m, (a, b) in zip(ks.tolist(), iter_coefficients(ks, ks, pair.cfg)):
+        a, b = a * sign, b * sign
         nz = np.flatnonzero((a != 0) | (b != 0))
         if nz.size == 0:
             continue

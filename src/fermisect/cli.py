@@ -123,17 +123,6 @@ def _emit_rows(args, columns: tuple[str, ...], rows: list[tuple], lines) -> None
         write_table(_target(args.out), {"sigma": args.sigma, "grid": args.grid}, columns, lines)
 
 
-def _resolve_truncation(args, cfg: FieldConfig, k_max: int) -> int:
-    """``--truncation``, or the probe's cutoff, raised to ``2*k_max + 1``.
-
-    The probe checks modes up to 16 only, and mode ``k`` needs ``N >= 2k``
-    to reach its matched ``W_k`` column.
-    """
-    if args.truncation is not None:
-        return args.truncation
-    return max(auto_truncation(cfg, min(k_max, 16)), 2 * k_max + 1)
-
-
 def _cmd_spectrum(args) -> int:
     mu_ls = _parse_floats(args.mu_l)
     if not mu_ls:
@@ -141,7 +130,7 @@ def _cmd_spectrum(args) -> int:
     spectra = {}
     for mu_l in mu_ls:
         cfg = FieldConfig.from_mu_l(mu_l, time=args.time)
-        n = _resolve_truncation(args, cfg, args.k_max)
+        n = args.truncation if args.truncation is not None else auto_truncation(cfg, args.k_max)
         spectra[mu_l] = occupation_spectrum(args.k_max, cfg, n)
     if args.format == "json":
         payload = {repr(mu_l): [float(v) for v in s.values] for mu_l, s in spectra.items()}
@@ -155,7 +144,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_correlation(args) -> int:
     mu_l = _single_mu_l(args.mu_l)
     cfg = FieldConfig.from_mu_l(mu_l, time=args.time)
-    n = _resolve_truncation(args, cfg, args.k_max)
+    n = args.truncation if args.truncation is not None else auto_truncation(cfg, args.k_max)
     mat = correlation_matrix(args.k_max, cfg, n)
     if args.format == "json":
         payload = [

@@ -5,7 +5,8 @@ quasi-particles, so each half-interval mode carries a nonzero mean filling
 number, and the filling numbers of the left and the right half are
 correlated.  Both quantities reduce to contractions of the Bogoliubov
 coefficient rows that :func:`fermisect.bogoliubov.iter_coefficients` yields,
-once per ``(mode, half)``:
+once per mode (right-half rows are the left ones times
+:func:`fermisect.bogoliubov.region_sign`):
 
 * ``occupation(k) = sum_j |beta[k, j]|^2`` (identical for particles and
   antiparticles and for the two halves);
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._textio import write_table
-from .bogoliubov import coefficient_rows, cutoff_indices, iter_coefficients
+from .bogoliubov import coefficient_rows, cutoff_indices, iter_coefficients, region_sign
 from .field import FieldConfig, Region
 
 __all__ = [
@@ -43,10 +44,12 @@ __all__ = [
 ]
 
 #: Doubling probe of `auto_truncation`: relative tolerance on the spectrum,
-#: first cutoff and largest cutoff (powers of two plus one).
+#: first cutoff and largest cutoff (powers of two plus one), and the largest
+#: mode it checks.
 PROBE_REL_TOL = 1e-3
 PROBE_N_START = 65
 PROBE_N_CAP = 16385
+PROBE_K_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,6 @@ class OccupationSpectrum:
     cfg: FieldConfig
     truncation_used: int
 
-    def __getitem__(self, k: int) -> float:
-        return float(self.values[k - 1])
-
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
@@ -68,10 +68,6 @@ class CorrelationMatrix:
     entries: np.ndarray
     cfg: FieldConfig
     truncation_used: int
-
-    def __getitem__(self, km: tuple[int, int]) -> complex:
-        k, m = km
-        return complex(self.entries[k - 1, m - 1])
 
 
 def occupation(k: int, cfg: FieldConfig, n_max: int) -> float:
@@ -92,7 +88,7 @@ def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int) -> OccupationS
 
 def _occupations(ks, cfg: FieldConfig, n_max: int) -> list[float]:
     """``sum_j |beta[k, j]|^2`` for each mode in ``ks``, one kernel row at a time."""
-    rows = iter_coefficients(ks, cutoff_indices(n_max), Region.LEFT, cfg)
+    rows = iter_coefficients(ks, cutoff_indices(n_max), cfg)
     return [float(np.sum(np.abs(beta) ** 2)) for _, beta in rows]
 
 
@@ -111,35 +107,40 @@ def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:
 
 
 def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int) -> CorrelationMatrix:
-    """Correlation over 1 <= k, m <= k_max at cutoff ``n_max``, vectorized over rows."""
+    """Correlation over 1 <= k, m <= k_max at cutoff ``n_max``, vectorized over rows.
+
+    The kernel runs once per mode: the right-half rows are the left rows
+    times `region_sign`.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     js = cutoff_indices(n_max)
-    modes = range(1, k_max + 1)
-    a_left, b_left = coefficient_rows(modes, js, Region.LEFT, cfg)
-    a_right, b_right = coefficient_rows(modes, js, Region.RIGHT, cfg)
-    entries = (b_left @ b_right.conj().T) * (a_left @ a_right.conj().T)
+    alpha, beta = coefficient_rows(range(1, k_max + 1), js, cfg)
+    sign = region_sign(js, Region.RIGHT)
+    entries = (beta @ (beta * sign).conj().T) * (alpha @ (alpha * sign).conj().T)
     return CorrelationMatrix(entries=entries, cfg=cfg, truncation_used=int(js[-1]))
 
 
 def auto_truncation(cfg: FieldConfig, k_max: int) -> int:
-    """Doubling probe: smallest cutoff at which the spectrum has converged.
+    """Default cutoff for modes 1..k_max: a doubling probe, raised to ``2*k_max + 1``.
 
     Doubles the cutoff (keeping it a power of two plus one) until the
-    occupation values for modes 1..k_max change by less than
-    ``PROBE_REL_TOL`` relative to their magnitude, or ``PROBE_N_CAP`` is
-    reached.
+    occupation values for modes 1..min(k_max, ``PROBE_K_MAX``) change by
+    less than ``PROBE_REL_TOL`` relative to their magnitude, or
+    ``PROBE_N_CAP`` is reached.  Mode ``k`` needs ``N >= 2k`` to reach its
+    matched ``W_k`` column, beyond the modes the probe checks.
     """
-    n = max(PROBE_N_START, 2 * k_max + 1)
-    prev = occupation_spectrum(k_max, cfg, n).values
+    k_probe = min(k_max, PROBE_K_MAX)
+    n = max(PROBE_N_START, 2 * k_probe + 1)
+    prev = occupation_spectrum(k_probe, cfg, n).values
     while n < PROBE_N_CAP:
         n_next = 2 * (n - 1) + 1
-        cur = occupation_spectrum(k_max, cfg, n_next).values
-        if np.max(np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-30)) < PROBE_REL_TOL:
-            return n_next
-        prev = cur
+        cur = occupation_spectrum(k_probe, cfg, n_next).values
         n = n_next
-    return n
+        if np.max(np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-30)) < PROBE_REL_TOL:
+            break
+        prev = cur
+    return max(n, 2 * k_max + 1)
 
 
 def write_spectrum_csv(path_or_buf, spectra: dict[float, OccupationSpectrum]) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import povm
-from .bogoliubov import canonicity_residual, coefficients, overlap_oracle
+from .bogoliubov import canonicity_residual, coefficients, overlap_oracle, region_sign
 from .detector import (
     DetectorMode,
     PhasePoint,
@@ -56,15 +56,17 @@ class CriterionResult:
 
 
 def criterion_oracle_agreement() -> CriterionResult:
-    """Closed-form alpha/beta match quadrature overlaps to 1e-6."""
+    """Closed-form alpha/beta match quadrature overlaps to 1e-6, on both halves."""
     tol = 1e-6
     worst = 0.0
     ks = range(-17, 18)
+    signs = {region: region_sign(ks, region) for region in (Region.LEFT, Region.RIGHT)}
     for mu_l in (0.1, 1.0, 10.0):
         cfg = FieldConfig.from_mu_l(mu_l, time=0.0)
-        for region in (Region.LEFT, Region.RIGHT):
-            for m in range(-8, 9):
-                alpha, beta = coefficients(m, ks, region, cfg)
+        for m in range(-8, 9):
+            left = coefficients(m, ks, cfg)
+            for region, sign in signs.items():
+                alpha, beta = left[0] * sign, left[1] * sign
                 for k, a, b in zip(ks, alpha, beta):
                     a_or = overlap_oracle(m, k, region, (Branch.POSITIVE, Branch.POSITIVE), cfg)
                     b_or = overlap_oracle(m, k, region, (Branch.POSITIVE, Branch.NEGATIVE), cfg)

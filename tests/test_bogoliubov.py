@@ -15,11 +15,13 @@ from fermisect.bogoliubov import (
     coeff_w,
     coefficient_rows,
     coefficients,
+    cutoff_indices,
     iter_coefficients,
     overlap_oracle,
     pair_from_csv,
     pair_to_csv,
     QuadratureUnresolved,
+    region_sign,
 )
 from fermisect.field import Branch, FieldConfig, Region, energy, spinor_overlaps, subsection_momentum
 
@@ -59,9 +61,10 @@ def test_w_time_phase():
 
 
 def _entry(m, k, region=Region.LEFT, cfg=CFG):
-    """``(alpha[m, k], beta[m, k])`` from the coefficient kernel."""
-    alpha, beta = coefficients(m, [k], region, cfg)
-    return complex(alpha[0]), complex(beta[0])
+    """``(alpha[m, k], beta[m, k])`` from the coefficient kernel, signed for ``region``."""
+    sign = region_sign([k], region)
+    alpha, beta = coefficients(m, [k], cfg)
+    return complex((alpha * sign)[0]), complex((beta * sign)[0])
 
 
 # --- odd-column series -----------------------------------------------------
@@ -149,11 +152,12 @@ def test_calibration_stable_across_configs_and_regions():
 
 def test_build_pair_n1_hand_enumeration():
     # N = 1: 3x3 matrices, even columns by hand, every entry against quadrature
-    pair = build_pair(Region.LEFT, CFG, 1)
-    assert pair.alpha.shape == (3, 3)
+    ks = cutoff_indices(1)
+    pair_alpha, pair_beta = coefficient_rows(ks, ks, CFG)
+    assert pair_alpha.shape == (3, 3)
     for m in (-1, 0, 1):
         for k in (-1, 0, 1):
-            alpha, beta = pair.alpha[m + 1, k + 1], pair.beta[m + 1, k + 1]
+            alpha, beta = pair_alpha[m + 1, k + 1], pair_beta[m + 1, k + 1]
             if k % 2 == 0:
                 assert alpha == pytest.approx(1 / math.sqrt(2) if k == 2 * m else 0.0)
                 assert beta == pytest.approx(coeff_w(m, CFG) if k == -2 * m else 0.0)
@@ -164,37 +168,49 @@ def test_build_pair_n1_hand_enumeration():
 def test_even_columns_sparsity():
     pair = build_pair(Region.LEFT, CFG, 8)
     n = pair.n_max
+    alpha, beta = coefficient_rows(pair.indices, pair.indices, CFG)
     for m in pair.indices:
         for k in pair.indices:
             if k % 2 == 0 and k != 2 * m:
-                assert pair.alpha[m + n, k + n] == 0
+                assert alpha[m + n, k + n] == 0
             if k % 2 == 0 and k != -2 * m:
-                assert pair.beta[m + n, k + n] == 0
+                assert beta[m + n, k + n] == 0
 
 
 def test_right_pair_negates_odd_columns():
-    left = build_pair(Region.LEFT, CFG, 6)
-    right = build_pair(Region.RIGHT, CFG, 6)
-    sign = np.where(left.indices % 2 == 0, 1.0, -1.0)
-    assert np.allclose(right.alpha, left.alpha * sign)
-    assert np.allclose(right.beta, left.beta * sign)
-    # and the phase is what the oracle measures on the right half interval
+    # left rows times region_sign are the right half the oracle integrates, entry by entry
+    ks = cutoff_indices(6)
+    sign = region_sign(ks, Region.RIGHT)
+    assert np.array_equal(sign, np.where(ks % 2 == 0, 1.0, -1.0))
+    alpha, beta = coefficient_rows(ks, ks, CFG)
+    right_alpha, right_beta = alpha * sign, beta * sign
+    for i, m in enumerate(ks.tolist()):
+        for j, k in enumerate(ks.tolist()):
+            assert abs(right_alpha[i, j] - overlap_oracle(m, k, Region.RIGHT, PP, CFG)) <= 1e-10
+            assert abs(right_beta[i, j] - overlap_oracle(m, k, Region.RIGHT, PM, CFG)) <= 1e-10
     assert abs(overlap_oracle(1, 3, Region.RIGHT, PP, CFG)
                + overlap_oracle(1, 3, Region.LEFT, PP, CFG)) <= 1e-12
 
 
 def test_cross_region_magnitudes_coincide():
-    left = build_pair(Region.LEFT, CFG, 6)
-    right = build_pair(Region.RIGHT, CFG, 6)
-    assert np.allclose(np.abs(left.alpha), np.abs(right.alpha))
-    assert np.allclose(np.abs(left.beta), np.abs(right.beta))
+    # the oracle's two halves agree in magnitude with each other and with the kernel
+    cfg = FieldConfig.from_mu_l(3.0, time=0.4)
+    ks = cutoff_indices(4)
+    alpha, beta = coefficient_rows(ks, ks, cfg)
+    for i, m in enumerate(ks.tolist()):
+        for j, k in enumerate(ks.tolist()):
+            for branches, kernel in ((PP, alpha[i, j]), (PM, beta[i, j])):
+                left = abs(overlap_oracle(m, k, Region.LEFT, branches, cfg))
+                right = abs(overlap_oracle(m, k, Region.RIGHT, branches, cfg))
+                assert abs(left - right) <= 1e-10
+                assert abs(right - abs(kernel)) <= 1e-10
 
 
 def test_magnitudes_independent_of_time():
     cfg_t = FieldConfig(mass=1.0, half_length=1.0, time=1.3)
     ks = np.arange(-30, 31)
-    a0, b0 = np.abs(coefficients(2, ks, Region.LEFT, CFG))
-    at, bt = np.abs(coefficients(2, ks, Region.LEFT, cfg_t))
+    a0, b0 = np.abs(coefficients(2, ks, CFG))
+    at, bt = np.abs(coefficients(2, ks, cfg_t))
     assert np.allclose(a0, at, atol=1e-14)
     assert np.allclose(b0, bt, atol=1e-14)
 
@@ -222,10 +238,11 @@ def test_csv_round_trip():
     buf.seek(0)
     entries = pair_from_csv(buf)
     n = pair.n_max
+    alpha, beta = coefficient_rows(pair.indices, pair.indices, CFG)
     for m in pair.indices:
         for k in pair.indices:
-            a = pair.alpha[m + n, k + n]
-            b = pair.beta[m + n, k + n]
+            a = alpha[m + n, k + n]
+            b = beta[m + n, k + n]
             if a == 0 and b == 0:
                 assert (int(m), int(k)) not in entries
             else:
@@ -239,9 +256,9 @@ def test_streamed_rows_equal_single_rows():
     ks = np.arange(-9, 12)
     ms = [3, -2, 0, 3, 5]
     cfg = FieldConfig.from_mu_l(2.0, time=0.7)
-    alpha, beta = coefficient_rows(ms, ks, Region.RIGHT, cfg)
-    for i, (a, b) in enumerate(iter_coefficients(ms, ks, Region.RIGHT, cfg)):
-        single = coefficients(ms[i], ks, Region.RIGHT, cfg)
+    alpha, beta = coefficient_rows(ms, ks, cfg)
+    for i, (a, b) in enumerate(iter_coefficients(ms, ks, cfg)):
+        single = coefficients(ms[i], ks, cfg)
         assert np.array_equal(a, single[0]) and np.array_equal(b, single[1])
         assert np.array_equal(alpha[i], a) and np.array_equal(beta[i], b)
 

@@ -144,6 +144,12 @@ GOLDEN = [
      0, "1f49b391eb1b5977"),
     (["correlation", "--mu-l", "10", "--k-max", "24", "--truncation", "1025", "--time", "0.7"],
      0, "323143a4501204bb"),
+    # correlations from one kernel pass; the time-0 left dump writes 1220 signed zeros
+    (["correlation", "--mu-l", "0.1", "--k-max", "16", "--truncation", "4097"],
+     0, "72d6dea2ec7cdb4e"),
+    (["correlation", "--mu-l", "2", "--k-max", "40", "--truncation", "513", "--time", "1.5"],
+     0, "507cfb834c225622"),
+    (["bogoliubov", "--mu-l", "0.5", "--truncation", "40"], 0, "ebe90da9d5bffad8"),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Invariants of the coefficient kernel and the occupation, over drawn configurations.
+"""Invariants of the coefficient kernel, the occupation and the detector Gram
+matrix, over drawn configurations.
 
 Draws are derandomized and few, so the suite stays deterministic and fast.
 """
@@ -15,10 +16,13 @@ from fermisect.bogoliubov import (
     coefficient_rows,
     coefficients,
     cutoff_indices,
+    overlap_oracle,
     pair_from_csv,
     pair_to_csv,
+    region_sign,
 )
-from fermisect.field import FieldConfig, Region
+from fermisect.detector import DetectorMode, PhasePoint, gram_matrix
+from fermisect.field import Branch, FieldConfig, Region
 from fermisect.spectrum import occupation
 
 N = 65
@@ -48,12 +52,15 @@ def test_occupation_is_a_filling_fraction(mu_l, time, k):
 @DRAWS
 @given(mu_l=mu_ls, time=times, m=st.integers(-20, 20))
 def test_left_and_right_magnitudes_equal(mu_l, time, m):
+    # the kernel's (left) magnitudes are those the oracle integrates on the right half
     cfg = FieldConfig.from_mu_l(mu_l, time=time)
-    js = cutoff_indices(N)
-    alpha_l, beta_l = coefficients(m, js, Region.LEFT, cfg)
-    alpha_r, beta_r = coefficients(m, js, Region.RIGHT, cfg)
-    assert np.array_equal(np.abs(beta_l), np.abs(beta_r))
-    assert np.array_equal(np.abs(alpha_l), np.abs(alpha_r))
+    js = cutoff_indices(17)
+    alpha, beta = coefficients(m, js, cfg)
+    for j, a, b in zip(js.tolist(), alpha, beta):
+        a_right = overlap_oracle(m, j, Region.RIGHT, (Branch.POSITIVE, Branch.POSITIVE), cfg)
+        b_right = overlap_oracle(m, j, Region.RIGHT, (Branch.POSITIVE, Branch.NEGATIVE), cfg)
+        assert abs(abs(a) - abs(a_right)) <= 1e-10
+        assert abs(abs(b) - abs(b_right)) <= 1e-10
 
 
 @DRAWS
@@ -66,8 +73,20 @@ def test_csv_round_trip_is_exact(mu_l, time, region, n):
     pair_to_csv(build_pair(region, cfg, n), buf)
     buf.seek(0)
     ks = cutoff_indices(n)
-    alpha, beta = coefficient_rows(ks, ks, region, cfg)
+    sign = region_sign(ks, region)
+    alpha, beta = (rows * sign for rows in coefficient_rows(ks, ks, cfg))
     nonzero = {(m, k): (complex(alpha[i, j]), complex(beta[i, j]))
                for i, m in enumerate(ks.tolist()) for j, k in enumerate(ks.tolist())
                if alpha[i, j] != 0 or beta[i, j] != 0}
     assert pair_from_csv(buf) == nonzero
+
+
+@DRAWS
+@given(sigma=st.floats(0.3, 2.0),
+       modes=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.integers(0, 5)),
+                      min_size=2, max_size=20))
+def test_gram_matrix_is_positive_semidefinite(sigma, modes):
+    # pairwise overlaps of normalized modes: unit diagonal, no negative eigenvalue
+    gram = gram_matrix(DetectorMode(PhasePoint(sigma, x=x, p=p), level) for x, p, level in modes)
+    assert np.all(np.diag(gram) == 1.0)
+    assert np.min(np.linalg.eigvalsh(gram)) >= -1e-10

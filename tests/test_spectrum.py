@@ -1,11 +1,19 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fermisect.bogoliubov import build_pair, canonicity_residual, coefficients
-from fermisect.field import FieldConfig, Region
+from fermisect.bogoliubov import (
+    build_pair,
+    canonicity_residual,
+    coefficients,
+    cutoff_indices,
+    overlap_oracle,
+    region_sign,
+)
+from fermisect.field import Branch, FieldConfig, Region
 from fermisect.fock import QuasiOperator, build_space, random_canonical_transform, vacuum_expectation
 from fermisect.spectrum import (
     auto_truncation,
@@ -18,6 +26,8 @@ from fermisect.spectrum import (
 )
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
+PP = (Branch.POSITIVE, Branch.POSITIVE)
+PM = (Branch.POSITIVE, Branch.NEGATIVE)
 
 
 # --- occupation --------------------------------------------------------------
@@ -28,7 +38,7 @@ def test_occupation_matches_fock_engine_on_truncated_rows():
     n_window = 2
     space = build_space(2 * n_window + 1, 2 * n_window + 1)
     for k in (1, 2):
-        alpha, beta = coefficients(k, np.arange(-n_window, n_window + 1), Region.LEFT, CFG)
+        alpha, beta = coefficients(k, np.arange(-n_window, n_window + 1), CFG)
         c = QuasiOperator(alpha=alpha, beta=beta)
         fock_val = vacuum_expectation(space, [c.dagger_matrix(space), c.matrix(space)])
         row_sum = float(np.sum(np.abs(c.beta) ** 2))
@@ -47,7 +57,7 @@ def test_antiparticle_occupation_identical():
     n_window = 2
     space = build_space(2 * n_window + 1, 2 * n_window + 1)
     k = 1
-    alpha, beta = coefficients(k, np.arange(-n_window, n_window + 1), Region.LEFT, CFG)
+    alpha, beta = coefficients(k, np.arange(-n_window, n_window + 1), CFG)
     d_mat = None
     for j in range(2 * n_window + 1):
         term = alpha[j] * space.annihilate_anti(j) - np.conj(beta[j]) * space.create_particle[j]
@@ -70,12 +80,12 @@ def test_occupation_vanishes_deep_nonrelativistic():
 
 
 def test_left_right_spectra_coincide():
-    # magnitudes of the two halves' coefficients coincide column by column
-    js = np.arange(-257, 258)
+    # the right-half occupation the oracle integrates equals the kernel's (left) one
+    n = 17
     for k in (1, 3, 5):
-        left = float(np.sum(np.abs(coefficients(k, js, Region.LEFT, CFG)[1]) ** 2))
-        right = float(np.sum(np.abs(coefficients(k, js, Region.RIGHT, CFG)[1]) ** 2))
-        assert abs(left - right) <= 1e-12
+        right = sum(abs(overlap_oracle(k, j, Region.RIGHT, PM, CFG)) ** 2
+                    for j in cutoff_indices(n).tolist())
+        assert abs(occupation(k, CFG, n) - right) <= 1e-10
 
 
 def test_truncation_cauchy_and_shrinking_increments():
@@ -164,11 +174,41 @@ def test_correlation_matrix_matches_scalar_entries():
     # each entry against the scalar contraction of one left and one right row
     mat = correlation_matrix(4, CFG, 129)
     js = np.arange(-129, 130)
+    sign = region_sign(js, Region.RIGHT)
     for k in (1, 3):
         for m in (2, 4):
-            scalar = cross_correlation_from_rows(*coefficients(k, js, Region.LEFT, CFG),
-                                                 *coefficients(m, js, Region.RIGHT, CFG))
-            assert mat[k, m] == pytest.approx(scalar)
+            scalar = cross_correlation_from_rows(*coefficients(k, js, CFG),
+                                                 *(row * sign for row in coefficients(m, js, CFG)))
+            assert mat.entries[k - 1, m - 1] == pytest.approx(scalar)
+
+
+def test_correlation_matrix_matches_oracle_rows():
+    # every entry against the contraction of left and right rows integrated by the oracle
+    cfg = FieldConfig.from_mu_l(2.0, time=0.3)
+    mat = correlation_matrix(3, cfg, 7).entries
+    js = cutoff_indices(7).tolist()
+
+    def oracle_rows(k, region):
+        return ([overlap_oracle(k, j, region, PP, cfg) for j in js],
+                [overlap_oracle(k, j, region, PM, cfg) for j in js])
+
+    for k in (1, 2, 3):
+        for m in (1, 2, 3):
+            oracle = cross_correlation_from_rows(*oracle_rows(k, Region.LEFT),
+                                                 *oracle_rows(m, Region.RIGHT))
+            assert abs(mat[k - 1, m - 1] - oracle) <= 1e-10
+
+
+def test_correlation_evaluates_each_row_once():
+    # one (16, 32771) complex block is 8.39 MB; left and right rows stacked apart peak at 5
+    block = 16 * 32771 * 16
+    tracemalloc.start()
+    try:
+        correlation_matrix(16, FieldConfig.from_mu_l(1.0), 16385)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * block
 
 
 def test_near_diagonality_ratio_snapshot():
