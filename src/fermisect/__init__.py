@@ -28,7 +28,6 @@ from .detector import (
     mode_overlap,
     registration_prob_one,
     registration_prob_two,
-    wavefunction,
 )
 from .field import (
     Branch,
@@ -58,8 +57,6 @@ from .povm import (
     product_table,
 )
 from .spectrum import (
-    CorrelationMatrix,
-    OccupationSpectrum,
     correlation_matrix,
     occupation,
     occupation_spectrum,

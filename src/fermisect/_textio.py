@@ -20,11 +20,15 @@ def write_table(path_or_buf, header: dict, columns, lines) -> None:
 
     Header values are written as given when they are strings and by ``repr``
     otherwise; an empty header writes no header line.  ``lines`` are the
-    formatted rows, each ending in a newline.
+    formatted rows, each ending in a newline.  The first of them is formed
+    before the target is opened, so a table whose first row fails writes
+    nothing.
     """
+    lines = iter(lines)
+    first = next(lines, "")
     with text_buffer(path_or_buf) as buf:
         if header:
             buf.write("# " + " ".join(f"{key}={value if isinstance(value, str) else repr(value)}"
                                       for key, value in header.items()) + "\n")
-        buf.write(",".join(columns) + "\n")
+        buf.write(",".join(columns) + "\n" + first)
         buf.writelines(lines)

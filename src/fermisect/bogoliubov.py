@@ -44,6 +44,7 @@ import numpy as np
 from ._textio import text_buffer, write_table
 from .field import (
     Branch,
+    DegenerateDispersion,
     FieldConfig,
     Region,
     energy,
@@ -187,7 +188,13 @@ class BogoliubovPair:
 
 
 def build_pair(region: Region, cfg: FieldConfig, n_max: int) -> BogoliubovPair:
-    """The coefficient pair over ``|m|, |k| <= n_max`` for one half; rejects ``n_max < 1``."""
+    """The coefficient pair over ``|m|, |k| <= n_max`` for one half; rejects ``n_max < 1``.
+
+    Also rejects mass 0 before any row is written: every pair holds the row
+    ``m = 0``, whose spinor overlaps are undefined there.
+    """
+    if cfg.mass == 0:
+        raise DegenerateDispersion("spinor overlap undefined at p = mass = 0 (the m = 0 row)")
     return BogoliubovPair(region=region, cfg=cfg, n_max=int(cutoff_indices(n_max)[-1]))
 
 

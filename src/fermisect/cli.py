@@ -30,7 +30,7 @@ from .detector import (
     registration_prob_two,
 )
 from .field import FieldConfig, Region
-from .povm import OutOfRange, UndefinedConditional, conditionals, entangled_table, product_table
+from .povm import conditionals, entangled_table, product_table
 from .spectrum import (
     auto_truncation,
     correlation_matrix,
@@ -42,8 +42,8 @@ from .spectrum import (
 __all__ = ["main"]
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A flag or flag combination the command cannot run with."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,38 +123,39 @@ def _emit_rows(args, columns: tuple[str, ...], rows: list[tuple], lines) -> None
         write_table(_target(args.out), {"sigma": args.sigma, "grid": args.grid}, columns, lines)
 
 
+def _cutoff(args, cfgs) -> int:
+    """The one cutoff of a table: ``--truncation``, or the largest probe cutoff over ``cfgs``."""
+    if args.truncation is not None:
+        return args.truncation
+    return max(auto_truncation(cfg, args.k_max) for cfg in cfgs)
+
+
 def _cmd_spectrum(args) -> int:
     mu_ls = _parse_floats(args.mu_l)
     if not mu_ls:
         raise ConfigError("--mu-l needs at least one value")
-    spectra = {}
-    for mu_l in mu_ls:
-        cfg = FieldConfig.from_mu_l(mu_l, time=args.time)
-        n = args.truncation if args.truncation is not None else auto_truncation(cfg, args.k_max)
-        spectra[mu_l] = occupation_spectrum(args.k_max, cfg, n)
+    cfgs = {mu_l: FieldConfig.from_mu_l(mu_l, time=args.time) for mu_l in mu_ls}
+    n = _cutoff(args, cfgs.values())
+    spectra = {mu_l: occupation_spectrum(args.k_max, cfg, n) for mu_l, cfg in cfgs.items()}
     if args.format == "json":
-        payload = {repr(mu_l): [float(v) for v in s.values] for mu_l, s in spectra.items()}
+        payload = {repr(mu_l): values.tolist() for mu_l, values in spectra.items()}
         _emit(args.out, json.dumps({"k": list(range(1, args.k_max + 1)), "occupation": payload},
                                    indent=2) + "\n")
     else:
-        write_spectrum_csv(_target(args.out), spectra)
+        write_spectrum_csv(_target(args.out), spectra, cfgs[min(cfgs)], n)
     return 0
 
 
 def _cmd_correlation(args) -> int:
-    mu_l = _single_mu_l(args.mu_l)
-    cfg = FieldConfig.from_mu_l(mu_l, time=args.time)
-    n = args.truncation if args.truncation is not None else auto_truncation(cfg, args.k_max)
-    mat = correlation_matrix(args.k_max, cfg, n)
+    cfg = FieldConfig.from_mu_l(_single_mu_l(args.mu_l), time=args.time)
+    n = _cutoff(args, [cfg])
+    entries = correlation_matrix(args.k_max, cfg, n)
     if args.format == "json":
-        payload = [
-            {"k": k, "m": m,
-             "re": mat.entries[k - 1, m - 1].real, "im": mat.entries[k - 1, m - 1].imag}
-            for k in range(1, args.k_max + 1) for m in range(1, args.k_max + 1)
-        ]
+        payload = [{"k": k, "m": m, "re": d.real, "im": d.imag}
+                   for k, row in enumerate(entries.tolist(), 1) for m, d in enumerate(row, 1)]
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
     else:
-        write_correlation_csv(_target(args.out), mat)
+        write_correlation_csv(_target(args.out), entries, cfg, n)
     return 0
 
 
@@ -230,7 +231,7 @@ def _build_parser() -> _Parser:
                             " (comma list for spectrum, one value otherwise)")
         p.add_argument("--truncation", type=int, default=truncation_default,
                        help="symmetric mode cutoff N >= 1; default: "
-                            f"{truncation_default or 'doubling convergence probe'}")
+                            f"{truncation_default or 'doubling probe, largest over --mu-l'}")
         p.add_argument("--time", type=float, default=0.0, help="evaluation time")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -288,10 +289,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OutOfRange, UndefinedConditional, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QuadratureUnresolved as exc:

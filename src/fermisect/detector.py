@@ -37,7 +37,6 @@ __all__ = [
     "mode_overlap",
     "registration_prob_one",
     "registration_prob_two",
-    "wavefunction",
 ]
 
 MAX_LEVEL = 30
@@ -112,29 +111,6 @@ def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
     # the label pairs with the oscillator ladder as D(-i*label): its real part
     # generates the momentum-space phase, its imaginary part the translation
     return complex(phase * _displaced_number_overlap(a.level, b.level, -1j * (bl - al)))
-
-
-def wavefunction(mode: DetectorMode, p) -> np.ndarray:
-    """Momentum-space wavefunction of a detector mode; unit L2 norm.
-
-    Levels are generated by the stable normalized Hermite recurrence rather
-    than repeated differentiation.  The overall phase is fixed so that
-    numerical overlaps of these functions reproduce `mode_overlap` exactly,
-    which pins the gauge ``exp(i*p_c*x_c/2)`` relative to the bare Gaussian.
-    """
-    pt = mode.point
-    p = np.asarray(p, dtype=float)
-    u = (p - pt.p) / (math.sqrt(2.0) * pt.sigma)
-    gauss = np.exp(-0.5 * u * u) / math.sqrt(pt.sigma * math.sqrt(2.0 * math.pi))
-    phase = np.exp(-1j * p * pt.x + 0.5j * pt.p * pt.x)
-    if mode.level == 0:
-        return gauss * phase
-    h_prev = np.ones_like(u)
-    h_cur = u * math.sqrt(2.0)
-    for n in range(1, mode.level):
-        h_next = u * math.sqrt(2.0 / (n + 1)) * h_cur - math.sqrt(n / (n + 1.0)) * h_prev
-        h_prev, h_cur = h_cur, h_next
-    return h_cur * gauss * phase
 
 
 def gram_matrix(modes) -> np.ndarray:

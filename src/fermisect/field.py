@@ -94,11 +94,6 @@ class FieldConfig:
         if self.half_length <= 0:
             raise ValueError(f"half_length must be > 0, got {self.half_length}")
 
-    @property
-    def mu_l(self) -> float:
-        """Interval half-length in units of the Compton wavelength."""
-        return self.mass * self.half_length
-
     @classmethod
     def from_mu_l(cls, mu_l: float, half_length: float = 1.0, **kwargs) -> "FieldConfig":
         return cls(mass=mu_l / half_length, half_length=half_length, **kwargs)
@@ -159,6 +154,9 @@ def spinor_overlaps(q, p, mass):
     ------
     DegenerateDispersion
         If either momentum sits at ``p = mass = 0``.
+    ValueError
+        If ``d`` overflows float64, which happens from ``mass`` or ``|p|``
+        about 1e77 on.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -166,7 +164,11 @@ def spinor_overlaps(q, p, mass):
     eps_p = energy(p, mass)
     if np.any(eps_q == 0.0) or np.any(eps_p == 0.0):
         raise DegenerateDispersion("spinor overlap undefined at p = mass = 0")
-    den = 2.0 * np.sqrt(eps_p * eps_q * (eps_p + mass) * (eps_q + mass))
+    with np.errstate(over="ignore"):
+        den = 2.0 * np.sqrt(eps_p * eps_q * (eps_p + mass) * (eps_q + mass))
+    if not np.all(np.isfinite(den)):
+        raise ValueError(f"spinor overlap overflows float64 at mass {mass!r}"
+                         " (mass or momentum beyond about 1e77)")
     plus = ((eps_p + mass) * (eps_q + mass) + p * q) / den
     cross = (p * (eps_q + mass) - q * (eps_p + mass)) / den
     return plus, cross

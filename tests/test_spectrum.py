@@ -70,13 +70,24 @@ def test_fermionic_bound():
     for mu_l in (0.1, 1.0, 10.0):
         cfg = FieldConfig.from_mu_l(mu_l)
         spec = occupation_spectrum(24, cfg, 1025)
-        assert np.all(spec.values >= 0.0)
-        assert np.all(spec.values <= 1.0)
+        assert np.all(spec >= 0.0)
+        assert np.all(spec <= 1.0)
 
 
 def test_occupation_vanishes_deep_nonrelativistic():
     cfg = FieldConfig.from_mu_l(1e4)
     assert occupation(1, cfg, 513) <= 1e-3
+
+
+def test_overflowing_spinor_overlap_raises():
+    # from mu*L about 1e77 on the overlap denominator leaves float64; 1e76 still has
+    # the series value 4.284e-151, and 1e77 would print 1.974e-153 instead of 4.284e-153
+    assert occupation(1, FieldConfig.from_mu_l(1e76), 9) == pytest.approx(4.284e-151, rel=1e-3)
+    for compute in (lambda cfg: occupation(1, cfg, 9),
+                    lambda cfg: correlation_matrix(2, cfg, 9),
+                    lambda cfg: canonicity_residual(1, 9, cfg)):
+        with pytest.raises(ValueError, match="overflows float64"):
+            compute(FieldConfig.from_mu_l(1e77))
 
 
 def test_left_right_spectra_coincide():
@@ -97,7 +108,7 @@ def test_truncation_cauchy_and_shrinking_increments():
 
 def test_mu_l_ordering_near_origin():
     curves = {
-        mu_l: occupation_spectrum(4, FieldConfig.from_mu_l(mu_l), 1025).values
+        mu_l: occupation_spectrum(4, FieldConfig.from_mu_l(mu_l), 1025)
         for mu_l in (0.1, 1.0, 10.0)
     }
     for i in range(4):
@@ -153,12 +164,12 @@ def test_contraction_two_mode_hand_value():
 
 
 def test_cross_correlation_hermitian_structure():
-    mat = correlation_matrix(6, CFG, 257).entries
+    mat = correlation_matrix(6, CFG, 257)
     assert np.allclose(mat, mat.conj().T, atol=1e-14)
 
 
 def test_cross_correlation_diagonal_real_positive():
-    mat = correlation_matrix(8, CFG, 513).entries
+    mat = correlation_matrix(8, CFG, 513)
     diag = np.diag(mat)
     assert np.max(np.abs(np.imag(diag))) <= 1e-12
     assert np.all(np.real(diag) > 0)
@@ -166,7 +177,7 @@ def test_cross_correlation_diagonal_real_positive():
 
 def test_spectrum_monotone_increasing_toward_saturation():
     for mu_l in (0.1, 1.0):
-        values = occupation_spectrum(24, FieldConfig.from_mu_l(mu_l), 1025).values
+        values = occupation_spectrum(24, FieldConfig.from_mu_l(mu_l), 1025)
         assert np.all(np.diff(values) > 0)
 
 
@@ -179,13 +190,13 @@ def test_correlation_matrix_matches_scalar_entries():
         for m in (2, 4):
             scalar = cross_correlation_from_rows(*coefficients(k, js, CFG),
                                                  *(row * sign for row in coefficients(m, js, CFG)))
-            assert mat.entries[k - 1, m - 1] == pytest.approx(scalar)
+            assert mat[k - 1, m - 1] == pytest.approx(scalar)
 
 
 def test_correlation_matrix_matches_oracle_rows():
     # every entry against the contraction of left and right rows integrated by the oracle
     cfg = FieldConfig.from_mu_l(2.0, time=0.3)
-    mat = correlation_matrix(3, cfg, 7).entries
+    mat = correlation_matrix(3, cfg, 7)
     js = cutoff_indices(7).tolist()
 
     def oracle_rows(k, region):
@@ -214,7 +225,7 @@ def test_correlation_evaluates_each_row_once():
 def test_near_diagonality_ratio_snapshot():
     # measured ratio recorded for regression; the advertised <= 10% diagonal
     # dominance does not hold for the full coefficient rows (see README)
-    mat = correlation_matrix(16, FieldConfig.from_mu_l(1.0), n_max=1025).entries
+    mat = correlation_matrix(16, FieldConfig.from_mu_l(1.0), n_max=1025)
     diag = np.abs(np.diag(mat))
     off = np.abs(mat[~np.eye(16, dtype=bool)])
     ratio = float(np.median(off) / np.median(diag))
@@ -225,16 +236,16 @@ def test_near_diagonality_ratio_snapshot():
 
 def test_auto_truncation_converges():
     n = auto_truncation(CFG, 4)
-    coarse = occupation_spectrum(4, CFG, n).values
-    fine = occupation_spectrum(4, CFG, 2 * (n - 1) + 1).values
+    coarse = occupation_spectrum(4, CFG, n)
+    fine = occupation_spectrum(4, CFG, 2 * (n - 1) + 1)
     assert np.max(np.abs(fine - coarse) / fine) < 1e-3
 
 
 def test_spectrum_csv_format():
-    spectra = {mu_l: occupation_spectrum(3, FieldConfig.from_mu_l(mu_l), 65)
-               for mu_l in (0.1, 1.0)}
+    cfgs = {mu_l: FieldConfig.from_mu_l(mu_l) for mu_l in (0.1, 1.0)}
+    spectra = {mu_l: occupation_spectrum(3, cfg, 65) for mu_l, cfg in cfgs.items()}
     buf = io.StringIO()
-    write_spectrum_csv(buf, spectra)
+    write_spectrum_csv(buf, spectra, cfgs[0.1], 65)
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "k,n_muL_0.1,n_muL_1.0"
@@ -245,7 +256,7 @@ def test_spectrum_csv_format():
 
 def test_correlation_csv_format():
     buf = io.StringIO()
-    write_correlation_csv(buf, correlation_matrix(2, CFG, 65))
+    write_correlation_csv(buf, correlation_matrix(2, CFG, 65), CFG, 65)
     lines = buf.getvalue().splitlines()
     assert lines[1] == "k,m,re_d,im_d"
     assert len(lines) == 6
