@@ -120,13 +120,17 @@ def region_sign(ks, region: Region) -> np.ndarray:
 def iter_coefficients(ms, ks, cfg: FieldConfig):
     """Left-half rows ``m`` in ``ms`` of ``(alpha, beta)`` over the full-interval indices ``ks``.
 
-    Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order.  The column
-    terms, which do not depend on ``m`` (momenta, energies and the odd
-    columns), are computed once per call.
+    Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order.  The column terms, which do
+    not depend on ``m`` (momenta, energies and the odd columns), are computed once per call.
+    A phase argument that overflows float64 raises `ValueError` before the first row.
     """
     ks = np.asarray(ks, dtype=int)
     p = section_momentum(ks, cfg)
     eps_p = energy(p, cfg.mass)
+    with np.errstate(over="ignore"):  # 2 * eps * |t| bounds (eps_q +- eps_p) * t and 2 * eps_q * t
+        bound = 2.0 * (energy(np.append(subsection_momentum(ms, cfg), p), cfg.mass) * abs(cfg.time))
+    if not np.all(np.isfinite(bound)):
+        raise ValueError(f"--time {cfg.time!r} overflows the phase arguments (eps_q + eps_p) * t")
     odd = ks % 2 != 0
     any_odd = bool(np.any(odd))
     k_odd, p_odd, eps_odd = ks[odd], p[odd], eps_p[odd]

@@ -32,7 +32,7 @@ from .detector import (
 from .field import FieldConfig, Region
 from .povm import conditionals, entangled_table, product_table
 from .spectrum import (
-    auto_truncation,
+    converged_cutoff,
     correlation_matrix,
     occupation_spectrum,
     write_correlation_csv,
@@ -123,11 +123,11 @@ def _emit_rows(args, columns: tuple[str, ...], rows: list[tuple], lines) -> None
         write_table(_target(args.out), {"sigma": args.sigma, "grid": args.grid}, columns, lines)
 
 
-def _cutoff(args, cfgs) -> int:
-    """The one cutoff of a table: ``--truncation``, or the largest probe cutoff over ``cfgs``."""
+def _cutoff(args, cfgs) -> tuple[int, bool]:
+    """A table's cutoff and tail flag: ``--truncation`` raw, else the largest `converged_cutoff`."""
     if args.truncation is not None:
-        return args.truncation
-    return max(auto_truncation(cfg, args.k_max) for cfg in cfgs)
+        return args.truncation, False
+    return max(converged_cutoff(args.k_max, cfg) for cfg in cfgs), True
 
 
 def _cmd_spectrum(args) -> int:
@@ -135,27 +135,27 @@ def _cmd_spectrum(args) -> int:
     if not mu_ls:
         raise ConfigError("--mu-l needs at least one value")
     cfgs = {mu_l: FieldConfig.from_mu_l(mu_l, time=args.time) for mu_l in mu_ls}
-    n = _cutoff(args, cfgs.values())
-    spectra = {mu_l: occupation_spectrum(args.k_max, cfg, n) for mu_l, cfg in cfgs.items()}
+    n, tail = _cutoff(args, cfgs.values())
+    spectra = {mu_l: occupation_spectrum(args.k_max, cfg, n, tail) for mu_l, cfg in cfgs.items()}
     if args.format == "json":
         payload = {repr(mu_l): values.tolist() for mu_l, values in spectra.items()}
         _emit(args.out, json.dumps({"k": list(range(1, args.k_max + 1)), "occupation": payload},
                                    indent=2) + "\n")
     else:
-        write_spectrum_csv(_target(args.out), spectra, cfgs[min(cfgs)], n)
+        write_spectrum_csv(_target(args.out), spectra, cfgs[min(cfgs)], n, tail)
     return 0
 
 
 def _cmd_correlation(args) -> int:
     cfg = FieldConfig.from_mu_l(_single_mu_l(args.mu_l), time=args.time)
-    n = _cutoff(args, [cfg])
-    entries = correlation_matrix(args.k_max, cfg, n)
+    n, tail = _cutoff(args, [cfg])
+    entries = correlation_matrix(args.k_max, cfg, n, tail)
     if args.format == "json":
         payload = [{"k": k, "m": m, "re": d.real, "im": d.imag}
                    for k, row in enumerate(entries.tolist(), 1) for m, d in enumerate(row, 1)]
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
     else:
-        write_correlation_csv(_target(args.out), entries, cfg, n)
+        write_correlation_csv(_target(args.out), entries, cfg, n, tail)
     return 0
 
 
@@ -230,8 +230,8 @@ def _build_parser() -> _Parser:
                        help="interval half-length over Compton wavelength"
                             " (comma list for spectrum, one value otherwise)")
         p.add_argument("--truncation", type=int, default=truncation_default,
-                       help="symmetric mode cutoff N >= 1; default: "
-                            f"{truncation_default or 'doubling probe, largest over --mu-l'}")
+                       help="symmetric mode cutoff N >= 1, summed raw; default: "
+                            f"{truncation_default or 'max(513, 4*k_max+1, 32*mu*L) plus a tail'}")
         p.add_argument("--time", type=float, default=0.0, help="evaluation time")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QuadratureUnresolved as exc:

@@ -16,9 +16,9 @@ once per mode (right-half rows are the left ones times
 
 `occupation_spectrum` and `correlation_matrix` return plain arrays.  Every
 sum runs over ``|j| <= n_max`` for a cutoff ``n_max`` that the caller
-passes; `auto_truncation` chooses one when the caller has none.  The CSV
-writers take the configuration and the one cutoff of their table as
-arguments, so a table's header states the cutoff of every column.
+passes, and with ``tail=True`` they add the `tail_sums` past it.  The CSV
+writers take the configuration, the one cutoff and the ``tail`` flag of
+their table, so a table's header states how every column was summed.
 
 The contraction form is validated end to end against the exact Fock-space
 engine in the test suite.
@@ -29,28 +29,57 @@ from __future__ import annotations
 from dataclasses import asdict
 
 import numpy as np
+from scipy.special import digamma, zeta
 
 from ._textio import write_table
-from .bogoliubov import coefficient_rows, cutoff_indices, iter_coefficients, region_sign
-from .field import FieldConfig, Region
+from .bogoliubov import SERIES_PREFACTOR, coefficient_rows, cutoff_indices, iter_coefficients
+from .bogoliubov import region_sign
+from .field import FieldConfig, Region, energy, subsection_momentum
 
 __all__ = [
-    "auto_truncation",
+    "converged_cutoff",
     "correlation_matrix",
     "cross_correlation_from_rows",
     "occupation",
     "occupation_spectrum",
+    "tail_sums",
     "write_correlation_csv",
     "write_spectrum_csv",
 ]
 
-#: Doubling probe of `auto_truncation`: relative tolerance on the spectrum,
-#: first cutoff and largest cutoff (powers of two plus one), and the largest
-#: mode it checks.
-PROBE_REL_TOL = 1e-3
-PROBE_N_START = 65
-PROBE_N_CAP = 16385
-PROBE_K_MAX = 16
+
+def converged_cutoff(k_max: int, cfg: FieldConfig) -> int:
+    """Smallest odd ``N >= max(513, 4*k_max + 1, 32*mu*L)``, from which `tail_sums` holds."""
+    mu_l = cfg.mass * cfg.half_length
+    if mu_l > 512.0:  # compared before 32 * mu_l, which may be inf
+        raise ValueError(f"mu*L {mu_l!r} above 512 needs a cutoff past 16385; pass --truncation N")
+    return max(513, 4 * k_max + 1, int(np.ceil(32.0 * mu_l))) | 1
+
+
+def tail_sums(ks, ms, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(alpha_tail, beta_tail)``: sums over odd ``|j| > n_max`` of the cross terms, no phases.
+
+    Terms ``|kappa|^2 s_k s_m / (((j -+ 2k)/2) ((j -+ 2m)/2))`` with ``s_k s_m`` to first order
+    in ``mu/|p|`` sum to digamma differences and trigammas (DLMF 5.7, 5.15).  Integer arrays
+    ``ks``, ``ms`` broadcast: ``ks[:, None], ks[None, :]`` gives matrices, ``ks, ks`` diagonals.
+    """
+    # sums of 1/((x+a)(x+b)) and 1/(x(x+a)(x+b)) over x = |j|/2 >= x0 at (a, b) = +-(k, m)
+    x0 = (n_max + 1 + n_max % 2) / 2.0
+    a, b = np.stack((ks, -ks)), np.stack((ms, -ms))
+    psi0, psi_a, psi_b = digamma(x0), digamma(x0 + a), digamma(x0 + b)
+    tri_a, d_a, d_b = zeta(2.0, x0 + a), (psi_a - psi0) / a, (psi_b - psi0) / b  # psi' = zeta(2, .)
+    same, step = a == b, np.where(a == b, 1, b - a)
+    s1 = np.where(same, tri_a, (psi_b - psi_a) / step)
+    s2 = np.where(same, (d_a - tri_a) / a, (d_a - d_b) / step)
+    # s_k s_m -> lo_k lo_m (a = +k) or hi_k hi_m (a = -k), -+ mu (lo_k hi_m + hi_k lo_m) / (2|p|)
+    q = subsection_momentum(np.stack(np.broadcast_arrays(ks, ms)), cfg)
+    eps = energy(q, cfg.mass)
+    c = 2.0 * np.sqrt(eps * (eps + cfg.mass))
+    lo, hi = (eps + cfg.mass - q) / c, (eps + cfg.mass + q) / c  # |s| as p -> +oo and -oo
+    lead = lo[0] * lo[1] * s1[0] + hi[0] * hi[1] * s1[1]
+    first = (cfg.mass * cfg.half_length / (4 * np.pi) * (lo[0] * hi[1] + hi[0] * lo[1])
+             * (s2[0] + s2[1]))
+    return SERIES_PREFACTOR**2 * (lead + first), SERIES_PREFACTOR**2 * (lead - first)
 
 
 def occupation(k: int, cfg: FieldConfig, n_max: int) -> float:
@@ -60,11 +89,13 @@ def occupation(k: int, cfg: FieldConfig, n_max: int) -> float:
     return _occupations((k,), cfg, n_max)[0]
 
 
-def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int) -> np.ndarray:
-    """Occupation of modes 1..k_max at cutoff ``n_max``, entry ``k - 1`` for mode ``k``."""
+def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = False) -> np.ndarray:
+    """Occupation of modes 1..k_max, entry ``k - 1``, at cutoff ``n_max`` (and tail if ``tail``)."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return np.array(_occupations(range(1, k_max + 1), cfg, n_max))
+    ks = np.arange(1, k_max + 1)
+    values = np.array(_occupations(ks, cfg, n_max))
+    return values + tail_sums(ks, ks, cfg, n_max)[1] if tail else values
 
 
 def _occupations(ks, cfg: FieldConfig, n_max: int) -> list[float]:
@@ -87,58 +118,44 @@ def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:
     return complex(np.sum(beta_c * np.conj(beta_f)) * np.sum(alpha_c * np.conj(alpha_f)))
 
 
-def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int) -> np.ndarray:
+def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = False) -> np.ndarray:
     """Correlation over 1 <= k, m <= k_max at cutoff ``n_max``, entry ``[k - 1, m - 1]``.
 
-    The kernel runs once per mode: the right-half rows are the left rows
-    times `region_sign`.
+    The kernel runs once per mode: the right-half rows are the left rows times `region_sign`.
+    A ``tail`` enters with the odd-column sign -1 and its phase ``exp(-+i (eps_k - eps_m) t)``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    js = cutoff_indices(n_max)
-    alpha, beta = coefficient_rows(range(1, k_max + 1), js, cfg)
+    js, ks = cutoff_indices(n_max), np.arange(1, k_max + 1)
+    alpha, beta = coefficient_rows(ks, js, cfg)
     sign = region_sign(js, Region.RIGHT)
-    return (beta @ (beta * sign).conj().T) * (alpha @ (alpha * sign).conj().T)
-
-
-def auto_truncation(cfg: FieldConfig, k_max: int) -> int:
-    """Default cutoff for modes 1..k_max: a doubling probe, raised to ``2*k_max + 1``.
-
-    Doubles the cutoff (keeping it a power of two plus one) until the
-    occupation values for modes 1..min(k_max, ``PROBE_K_MAX``) change by
-    less than ``PROBE_REL_TOL`` relative to their magnitude, or
-    ``PROBE_N_CAP`` is reached.  Mode ``k`` needs ``N >= 2k`` to reach its
-    matched ``W_k`` column, beyond the modes the probe checks.
-    """
-    k_probe = min(k_max, PROBE_K_MAX)
-    n = max(PROBE_N_START, 2 * k_probe + 1)
-    prev = occupation_spectrum(k_probe, cfg, n)
-    while n < PROBE_N_CAP:
-        n_next = 2 * (n - 1) + 1
-        cur = occupation_spectrum(k_probe, cfg, n_next)
-        n = n_next
-        if np.max(np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-30)) < PROBE_REL_TOL:
-            break
-        prev = cur
-    return max(n, 2 * k_max + 1)
+    beta_sum, alpha_sum = beta @ (beta * sign).conj().T, alpha @ (alpha * sign).conj().T
+    if tail:
+        eps = energy(subsection_momentum(ks, cfg), cfg.mass)
+        phase = np.exp(-1j * (eps[:, None] - eps[None, :]) * cfg.time)
+        alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], cfg, n_max)
+        beta_sum, alpha_sum = beta_sum - beta_tail * phase, alpha_sum - alpha_tail * phase.conj()
+    return beta_sum * alpha_sum
 
 
 def write_spectrum_csv(path_or_buf, spectra: dict[float, np.ndarray], cfg: FieldConfig,
-                       n_max: int) -> None:
+                       n_max: int, tail: bool = False) -> None:
     """One k column plus one occupation column per sweep value (mu*L), all at cutoff ``n_max``.
 
     The header echoes ``cfg``, the configuration of the smallest mu*L.
     """
     mu_ls = sorted(spectra)
-    header = {**asdict(cfg), "truncation": n_max, "mu_l_values": ",".join(map(repr, mu_ls))}
+    header = {**asdict(cfg), "truncation": n_max, **({"tail": "digamma"} if tail else {}),
+              "mu_l_values": ",".join(map(repr, mu_ls))}
     columns = [spectra[v].tolist() for v in mu_ls]
     lines = (f"{k},{','.join(map(repr, row))}\n" for k, row in enumerate(zip(*columns), 1))
     write_table(path_or_buf, header, ["k"] + [f"n_muL_{v!r}" for v in mu_ls], lines)
 
 
-def write_correlation_csv(path_or_buf, entries: np.ndarray, cfg: FieldConfig, n_max: int) -> None:
+def write_correlation_csv(path_or_buf, entries: np.ndarray, cfg: FieldConfig, n_max: int,
+                          tail: bool = False) -> None:
     """Rows ``k,m,re_d,im_d`` of ``entries`` at cutoff ``n_max``, with a config header."""
     lines = (f"{k},{m},{d.real!r},{d.imag!r}\n"
              for k, row in enumerate(entries.tolist(), 1) for m, d in enumerate(row, 1))
-    write_table(path_or_buf, {**asdict(cfg), "truncation": n_max},
-                ("k", "m", "re_d", "im_d"), lines)
+    header = {**asdict(cfg), "truncation": n_max, **({"tail": "digamma"} if tail else {})}
+    write_table(path_or_buf, header, ("k", "m", "re_d", "im_d"), lines)

@@ -8,7 +8,8 @@ from pathlib import Path
 from fermisect import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-ARGVS = (["bogoliubov", "--truncation", "8"], ["spectrum", "--k-max", "4", "--truncation", "65"])
+ARGVS = (["bogoliubov", "--truncation", "8"], ["spectrum", "--k-max", "4", "--truncation", "65"],
+         ["correlation", "--k-max", "3"])
 
 
 def _load_spans():
@@ -34,4 +35,5 @@ def test_traced_output_equals_untraced():
     finally:
         tracer.uninstall()
     assert traced == untraced
-    assert tracer.names.index("bogoliubov.iter_coefficients") in tracer.rec.name_id
+    for name in ("bogoliubov.iter_coefficients", "spectrum.converged_cutoff", "spectrum.tail_sums"):
+        assert tracer.names.index(name) in tracer.rec.name_id

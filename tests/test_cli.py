@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fermisect import cli
+from fermisect.bogoliubov import coefficient_rows, cutoff_indices, region_sign
 from fermisect.cli import main
-from fermisect.field import FieldConfig
+from fermisect.field import FieldConfig, Region
 from fermisect.spectrum import occupation, occupation_spectrum
 
 
@@ -133,9 +136,9 @@ GOLDEN = [
     (["joint-correlation", "--grid", "0:3:3", "--format", "json"], 0, "b1c2d9a70e7e5528"),
     (["povm", "--product", "0.3", "0.6", "--format", "csv"], 0, "80681a536571df58"),
     (["povm", "--entangled", "0.25", "--with-conditionals"], 0, "fbc9d926c91a0921"),
-    # no --truncation: these two run the doubling convergence probe
-    (["spectrum", "--mu-l", "1", "--k-max", "20"], 0, "c238c5224f8113fc"),
-    (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "c4e293bc3fd96a4e"),
+    # no --truncation: the converged cutoff plus the closed-form tail
+    (["spectrum", "--mu-l", "1", "--k-max", "20"], 0, "ed108a284a6da688"),
+    (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "c30b91ef82e26ed8"),
     # larger cutoffs; the time-0 right dump writes signed zeros
     (["bogoliubov", "--mu-l", "10", "--truncation", "64", "--time", "0.5"], 0, "897edd0595be5eb0"),
     (["bogoliubov", "--mu-l", "0.1", "--truncation", "48", "--region", "right"],
@@ -195,9 +198,17 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
     (["povm", "--product", "0.3", "0.6", "--format", "csv", "--with-conditionals"],
      "--with-conditionals needs --format json"),
     # the spinor-overlap denominator overflows float64 from mu*L about 1e77 on
-    (["spectrum", "--mu-l", "1e308"], "overflows float64"),
-    (["correlation", "--mu-l", "1e200"], "overflows float64"),
+    (["spectrum", "--mu-l", "1e308", "--truncation", "9"], "overflows float64"),
+    (["correlation", "--mu-l", "1e200", "--truncation", "9"], "overflows float64"),
     (["bogoliubov", "--mu-l", "1e200"], "overflows float64"),
+    # the converged default cutoff would pass 16385 above mu*L = 512
+    (["spectrum", "--mu-l", "1e308"], "pass --truncation"),
+    (["correlation", "--mu-l", "1e200"], "pass --truncation"),
+    (["spectrum", "--mu-l", "600"], "pass --truncation"),
+    # a phase argument (eps_q + eps_p) * t overflows float64
+    (["spectrum", "--mu-l", "1", "--time", "1e308", "--k-max", "2", "--truncation", "9"],
+     "--time 1e+308"),
+    (["correlation", "--mu-l", "1", "--time", "1e307", "--k-max", "2"], "--time 1e+307"),
 ], ids=_argv_id)
 def test_bad_input_exits_1_with_message(capsys, argv, message):
     rc, out, err = _run(capsys, argv)
@@ -234,28 +245,83 @@ def test_verify_seed_changes_draws_deterministically(capsys):
 
 
 def test_probe_cutoff_reaches_every_requested_mode(capsys):
-    # mode k needs N >= 2k for its matched W_k column, beyond what the probe checks
+    # mode k needs N >= 2k for its matched W_k column; the default cutoff is 4*k_max + 1
     rc, out, _ = _run(capsys, ["spectrum", "--mu-l", "1", "--k-max", "200"])
     assert rc == 0
     lines = out.splitlines()
-    assert "truncation=401" in lines[0].split()
+    n, cfg = 801, FieldConfig.from_mu_l(1.0)
+    assert f"truncation={n}" in lines[0].split()
     values = dict(line.split(",") for line in lines[2:])
-    n, cfg = 401, FieldConfig.from_mu_l(1.0)
     for k in (129, 200):
         tail = (1 / math.pi**2) * (1 / (n - 2 * k) + 1 / (n + 2 * k))
         assert abs(float(values[str(k)]) - occupation(k, cfg, 16385)) <= tail
 
 
 def test_spectrum_header_states_the_cutoff_of_every_column(capsys):
-    # the probe alone gives 257 at mu*L = 0.1 and 513 at mu*L = 10; the table uses one cutoff
-    rc, out, _ = _run(capsys, ["spectrum", "--mu-l", "0.1,10", "--k-max", "16"])
+    # the rule alone gives 513 at mu*L = 0.1 and 3201 at mu*L = 100; the table uses one cutoff
+    rc, out, _ = _run(capsys, ["spectrum", "--mu-l", "0.1,100", "--k-max", "16"])
     assert rc == 0
     lines = out.splitlines()
-    n = int(dict(tok.split("=") for tok in lines[0][2:].split())["truncation"])
+    header = dict(tok.split("=") for tok in lines[0][2:].split())
+    n = int(header["truncation"])
+    assert (n, header["tail"]) == (3201, "digamma")
     columns = list(zip(*(line.split(",")[1:] for line in lines[2:])))
-    for mu_l, column in zip((0.1, 10.0), columns):
-        expected = occupation_spectrum(16, FieldConfig.from_mu_l(mu_l), n).tolist()
+    for mu_l, column in zip((0.1, 100.0), columns):
+        expected = occupation_spectrum(16, FieldConfig.from_mu_l(mu_l), n, tail=True).tolist()
         assert [float(v) for v in column] == expected
+
+
+#: Raw sums at these cutoffs, with one Richardson step in 1/N, pin the default path.
+N_LO, N_HI = 2**16 + 1, 2**17 + 1
+
+
+def _richardson(at_lo, at_hi):
+    """Limit of ``S(N) = S + c/N`` from its values at ``N_LO`` and ``N_HI``."""
+    return (N_HI * at_hi - N_LO * at_lo) / (N_HI - N_LO)
+
+
+@pytest.mark.parametrize("mu_l", ["0", "1", "10"])
+def test_default_spectrum_is_the_converged_sum(capsys, mu_l):
+    rc, out, _ = _run(capsys, ["spectrum", "--mu-l", mu_l, "--k-max", "8"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert "tail=digamma" in lines[0].split()
+    printed = np.array([float(line.split(",")[1]) for line in lines[2:]])
+    cfg = FieldConfig.from_mu_l(float(mu_l))
+    limit = _richardson(*(occupation_spectrum(8, cfg, n) for n in (N_LO, N_HI)))
+    assert np.max(np.abs(printed - limit) / limit) <= 1e-8
+
+
+def test_default_correlation_is_the_converged_sum(capsys):
+    rc, out, _ = _run(capsys, ["correlation", "--mu-l", "0.5", "--k-max", "4"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert "tail=digamma" in lines[0].split()
+    printed = np.array([complex(float(line.split(",")[2]), float(line.split(",")[3]))
+                        for line in lines[2:]]).reshape(4, 4)
+    cfg = FieldConfig.from_mu_l(0.5)
+    cross_sums = []
+    for n in (N_LO, N_HI):
+        js = cutoff_indices(n)
+        alpha, beta = coefficient_rows(range(1, 5), js, cfg)
+        sign = region_sign(js, Region.RIGHT)
+        cross_sums.append((beta @ (beta * sign).conj().T, alpha @ (alpha * sign).conj().T))
+    limit = _richardson(cross_sums[0][0], cross_sums[1][0]) * _richardson(cross_sums[0][1],
+                                                                          cross_sums[1][1])
+    # relative to the largest entry: the limit's own O(1/N**2) residual, 2e-12, is 1.3e-8
+    # of the smallest entry
+    assert np.max(np.abs(printed - limit)) <= 1e-8 * np.max(np.abs(limit))
+
+
+def test_out_of_memory_exits_1_with_message(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(cli, "occupation_spectrum", exhausted)
+    rc, out, err = _run(capsys, ["spectrum", "--k-max", "3", "--truncation", "100000000000"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "Unable to allocate" in err
 
 
 def test_massless_dump_writes_no_rows(capsys, tmp_path):
@@ -266,5 +332,17 @@ def test_massless_dump_writes_no_rows(capsys, tmp_path):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and "undefined at p = mass = 0" in err
+    assert not path.exists() or not [line for line in path.read_text().splitlines()
+                                     if not line.startswith(("#", "m,"))]
+
+
+def test_overflowing_time_dump_writes_no_rows(capsys, tmp_path):
+    # the phase check runs before the first row, so neither stdout nor --out gets one
+    argv = ["bogoliubov", "--mu-l", "1", "--time", "1e307", "--truncation", "2"]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and "--time 1e+307" in err
+    path = tmp_path / "dump.csv"
+    assert main(argv + ["--out", str(path)]) == 1
     assert not path.exists() or not [line for line in path.read_text().splitlines()
                                      if not line.startswith(("#", "m,"))]

@@ -23,7 +23,12 @@ from fermisect.bogoliubov import (
 )
 from fermisect.detector import DetectorMode, PhasePoint, gram_matrix
 from fermisect.field import Branch, FieldConfig, Region
-from fermisect.spectrum import occupation
+from fermisect.spectrum import (
+    converged_cutoff,
+    correlation_matrix,
+    occupation,
+    occupation_spectrum,
+)
 
 N = 65
 DRAWS = settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -41,6 +46,22 @@ def test_occupation_depends_on_mu_l_alone(mu_l, half_length, time, k):
     ref = occupation(k, FieldConfig.from_mu_l(mu_l), N)
     moved = occupation(k, FieldConfig.from_mu_l(mu_l, half_length=half_length, time=time), N)
     assert moved == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@DRAWS
+@given(mu_l=st.floats(0.0, 100.0), half_length=half_lengths, time=times, k_max=st.integers(1, 24))
+def test_tail_corrected_sums_do_not_depend_on_the_cutoff(mu_l, half_length, time, k_max):
+    # the closed-form tail makes the converged cutoff and a far larger one agree,
+    # and |correlation| still depends on mu*L alone
+    cfg = FieldConfig.from_mu_l(mu_l, half_length=half_length, time=time)
+    n = converged_cutoff(k_max, cfg)
+    spectrum = occupation_spectrum(k_max, cfg, n, tail=True)
+    assert spectrum == pytest.approx(occupation_spectrum(k_max, cfg, 4097, tail=True),
+                                     rel=1e-9, abs=0.0)
+    corr = correlation_matrix(k_max, cfg, n, tail=True)
+    assert np.max(np.abs(corr - correlation_matrix(k_max, cfg, 4097, tail=True))) <= 1e-11
+    still = correlation_matrix(k_max, FieldConfig.from_mu_l(mu_l), n, tail=True)
+    assert np.max(np.abs(np.abs(corr) - np.abs(still))) <= 1e-14
 
 
 @DRAWS

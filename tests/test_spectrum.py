@@ -16,7 +16,7 @@ from fermisect.bogoliubov import (
 from fermisect.field import Branch, FieldConfig, Region
 from fermisect.fock import QuasiOperator, build_space, random_canonical_transform, vacuum_expectation
 from fermisect.spectrum import (
-    auto_truncation,
+    converged_cutoff,
     correlation_matrix,
     cross_correlation_from_rows,
     occupation,
@@ -234,11 +234,17 @@ def test_near_diagonality_ratio_snapshot():
 
 # --- plumbing ----------------------------------------------------------------
 
-def test_auto_truncation_converges():
-    n = auto_truncation(CFG, 4)
-    coarse = occupation_spectrum(4, CFG, n)
-    fine = occupation_spectrum(4, CFG, 2 * (n - 1) + 1)
-    assert np.max(np.abs(fine - coarse) / fine) < 1e-3
+def test_converged_cutoff_rule():
+    # smallest odd N >= max(513, 4*k_max + 1, 32*mu*L); the k_max term is not capped
+    assert converged_cutoff(128, FieldConfig.from_mu_l(10.0)) == 513
+    assert converged_cutoff(200, CFG) == 801
+    assert converged_cutoff(5000, CFG) == 20001
+    assert converged_cutoff(16, FieldConfig.from_mu_l(100.0)) == 3201
+    assert converged_cutoff(16, FieldConfig.from_mu_l(100.01)) == 3201
+    assert converged_cutoff(16, FieldConfig.from_mu_l(512.0)) == 16385
+    for mu_l in (512.5, 1e308):
+        with pytest.raises(ValueError, match="--truncation"):
+            converged_cutoff(16, FieldConfig.from_mu_l(mu_l))
 
 
 def test_spectrum_csv_format():
