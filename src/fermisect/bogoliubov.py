@@ -223,32 +223,29 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gauss_legendre_value(m, k, region, branches, cfg, order):
-    b1, b2 = branches
-    q = float(subsection_momentum(m, cfg))
-    p = float(section_momentum(k, cfg))
-    spin = spinor(q, cfg.mass, b1).dot(spinor(p, cfg.mass, b2))
+def _gauss_legendre_values(m, ks, region, branches, cfg, order):
+    """Mode overlap integrals of row ``m`` over the indices ``ks`` at one quadrature order."""
     lo, hi = region.interval(cfg)
     nodes, weights = _leggauss(order)
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
     f_half = np.conj(mode_function(m, region, x, cfg))
-    f_full = mode_function(k, Region.WHOLE, x, cfg)
-    if b1 is not b2:
+    f_full = mode_function(ks[:, None], Region.WHOLE, x, cfg)
+    if branches[0] is not branches[1]:
         # mixed-branch overlaps pair the half mode with the conjugate full mode
         f_full = np.conj(f_full)
-    return spin * complex(np.sum(w * f_half * f_full))
+    return np.sum(w * f_half * f_full, axis=-1)
 
 
 def overlap_oracle(
     m: int,
-    k: int,
+    k,
     region: Region,
     branches: tuple[Branch, Branch],
     cfg: FieldConfig,
     order: int | None = None,
-) -> complex:
-    """Numerical-quadrature estimate of a Bogoliubov coefficient.
+):
+    """Numerical-quadrature estimate of Bogoliubov coefficients in row ``m``.
 
     Integrates ``[u^{b1}(q_m) . u^{b2}(p_k)] * conj(phi_m_half) * phi_k`` over
     the half interval (the full-interval mode is conjugated when ``b2`` is the
@@ -261,26 +258,43 @@ def overlap_oracle(
     (-, +)      beta[m, k]   (integral estimates -conj(beta))
     ==========  =========================================
 
-    The integral is evaluated at two quadrature orders (``order`` and
-    ``2*order``); disagreement beyond 1e-8 raises `QuadratureUnresolved`.
+    ``k`` is an int, which gives a complex, or a 1-D integer array, which
+    gives a complex array of its length.  The entries of a row are grouped
+    by their quadrature order; each group fetches its node set once and
+    integrates all its modes as one ``(n_k, order)`` array, and every entry
+    equals the one-entry call bit for bit.  Each integral is evaluated at two orders
+    (``order`` and ``2*order``); the first entry whose two values disagree
+    beyond 1e-8 raises `QuadratureUnresolved` naming its ``(m, k)``.
     """
+    ks = np.atleast_1d(np.asarray(k, dtype=int))
     if order is None:
         # >= 8 nodes per oscillation wavelength of the integrand, rounded up
         # to a multiple of 32 so cached node sets are reused across the grid
-        cycles = (abs(2 * m) + abs(k)) / 2.0
-        order = max(64, 32 * math.ceil((8 * cycles + 16) / 32))
-    coarse = _gauss_legendre_value(m, k, region, branches, cfg, order)
-    fine = _gauss_legendre_value(m, k, region, branches, cfg, 2 * order)
-    if abs(fine - coarse) > 1e-8:
-        raise QuadratureUnresolved(
-            f"orders {order} and {2 * order} disagree by {abs(fine - coarse):.3e}"
-        )
+        cycles = (abs(2 * m) + np.abs(ks)) / 2.0
+        orders = np.maximum(64, 32 * np.ceil((8 * cycles + 16) / 32).astype(int))
+    else:
+        orders = np.full(ks.shape, order)
     b1, b2 = branches
-    if b1 is b2:
-        return fine
-    if b1 is Branch.POSITIVE:
-        return np.conj(fine)
-    return -np.conj(fine)
+    spin = spinor(subsection_momentum(m, cfg), cfg.mass, b1).dot(
+        spinor(section_momentum(ks, cfg), cfg.mass, b2))
+    coarse = np.empty(ks.shape, dtype=complex)
+    fine = np.empty_like(coarse)
+    for group_order in np.unique(orders).tolist():
+        group = np.flatnonzero(orders == group_order)
+        args = (m, ks[group], region, branches, cfg)
+        coarse[group] = spin[group] * _gauss_legendre_values(*args, group_order)
+        fine[group] = spin[group] * _gauss_legendre_values(*args, 2 * group_order)
+    gap = np.abs(fine - coarse)
+    unresolved = np.flatnonzero(gap > 1e-8)
+    if unresolved.size:
+        i = unresolved[0]
+        raise QuadratureUnresolved(
+            f"entry (m={m}, k={ks[i]}): orders {orders[i]} and {2 * orders[i]}"
+            f" disagree by {gap[i]:.3e}"
+        )
+    if b1 is not b2:
+        fine = np.conj(fine) if b1 is Branch.POSITIVE else -np.conj(fine)
+    return fine[0] if np.ndim(k) == 0 else fine
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class Spinor:
-    """Two-component frequency-branch spinor, unit norm."""
+    """Two-component frequency-branch spinor, unit norm; components are floats or arrays."""
 
     upper: float
     lower: float
@@ -125,18 +125,22 @@ def subsection_momentum(m, cfg: FieldConfig):
     return 2.0 * np.pi * np.asarray(m, dtype=float) / cfg.half_length
 
 
-def spinor(p: float, mass: float, branch: Branch) -> Spinor:
+def spinor(p, mass: float, branch: Branch) -> Spinor:
     """Frequency-branch spinor at momentum ``p``.
+
+    ``p`` may be an array; the components are then arrays of its shape, and
+    each element is the value the scalar ``p`` gives, bit for bit.
 
     Raises
     ------
     DegenerateDispersion
-        If ``p = mass = 0``, where the normalization is singular.
+        If any ``p = mass = 0``, where the normalization is singular.
     """
-    eps = float(energy(p, mass))
-    if eps == 0.0:
+    p = np.asarray(p, dtype=float)
+    eps = energy(p, mass)
+    if np.any(eps == 0.0):
         raise DegenerateDispersion("spinor undefined at p = mass = 0")
-    norm = math.sqrt(2.0 * eps * (eps + mass))
+    norm = np.sqrt(2.0 * eps * (eps + mass))
     if branch is Branch.POSITIVE:
         return Spinor((eps + mass) / norm, p / norm)
     return Spinor(-p / norm, (eps + mass) / norm)
@@ -174,20 +178,22 @@ def spinor_overlaps(q, p, mass):
     return plus, cross
 
 
-def mode_function(index: int, region: Region, x, cfg: FieldConfig):
+def mode_function(index, region: Region, x, cfg: FieldConfig):
     """Plane-wave mode ``exp(i*(p*x - eps*t))`` at ``t = cfg.time`` on the region, unit L2 norm.
 
-    Half-interval modes vanish identically outside their half.  ``x`` may be
-    an array.
+    Half-interval modes vanish identically outside their half.  ``index`` and
+    ``x`` may be arrays and broadcast against each other: ``ks[:, None]`` with
+    nodes ``x`` gives one row per index, each element the value the scalar
+    index gives, bit for bit.
     """
     t = cfg.time
     x = np.asarray(x, dtype=float)
     if region is Region.WHOLE:
-        p = float(section_momentum(index, cfg))
+        p = section_momentum(index, cfg)
         amp = 1.0 / math.sqrt(2.0 * cfg.half_length)
-        return amp * np.exp(1j * (p * x - float(energy(p, cfg.mass)) * t))
-    p = float(subsection_momentum(index, cfg))
+        return amp * np.exp(1j * (p * x - energy(p, cfg.mass) * t))
+    p = subsection_momentum(index, cfg)
     amp = 1.0 / math.sqrt(cfg.half_length)
     lo, hi = region.interval(cfg)
     inside = (x >= lo) & (x <= hi)
-    return np.where(inside, amp * np.exp(1j * (p * x - float(energy(p, cfg.mass)) * t)), 0.0 + 0.0j)
+    return np.where(inside, amp * np.exp(1j * (p * x - energy(p, cfg.mass) * t)), 0.0 + 0.0j)

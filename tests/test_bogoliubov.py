@@ -23,7 +23,15 @@ from fermisect.bogoliubov import (
     QuadratureUnresolved,
     region_sign,
 )
-from fermisect.field import Branch, FieldConfig, Region, energy, spinor_overlaps, subsection_momentum
+from fermisect.field import (
+    Branch,
+    DegenerateDispersion,
+    FieldConfig,
+    Region,
+    energy,
+    spinor_overlaps,
+    subsection_momentum,
+)
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
 PP = (Branch.POSITIVE, Branch.POSITIVE)
@@ -117,6 +125,22 @@ def test_quadrature_unresolved():
         overlap_oracle(8, 17, Region.LEFT, PP, CFG, order=3)
 
 
+def test_row_keeps_the_entry_checks():
+    # at order 16 row m = 1 resolves k in [-7, 11] and no k from 12 on
+    resolved = [0, 1, 2, 3, 4, 5]
+    row = overlap_oracle(1, np.array(resolved), Region.LEFT, PP, CFG, order=16)
+    assert row.tolist() == [overlap_oracle(1, k, Region.LEFT, PP, CFG, order=16) for k in resolved]
+    with pytest.raises(QuadratureUnresolved, match=r"\(m=1, k=12\)"):
+        overlap_oracle(1, np.array([0, 1, 2, 3, 12, 4, 5]), Region.LEFT, PP, CFG, order=16)
+    with pytest.raises(QuadratureUnresolved, match=r"\(m=1, k=13\)"):
+        overlap_oracle(1, np.array([0, 13, 2, 12]), Region.LEFT, PP, CFG, order=16)
+    massless = FieldConfig(mass=0.0, half_length=1.0)
+    assert np.all(np.isfinite(overlap_oracle(1, np.array([-3, -1, 1, 3]), Region.LEFT, PP, massless)))
+    for region, branches in ((Region.LEFT, PP), (Region.RIGHT, PM)):
+        with pytest.raises(DegenerateDispersion):
+            overlap_oracle(1, np.arange(-3, 4), region, branches, massless)
+
+
 # --- calibration -----------------------------------------------------------
 
 def _measured_prefactors(cfg=CFG, region=Region.LEFT):
@@ -185,9 +209,8 @@ def test_right_pair_negates_odd_columns():
     alpha, beta = coefficient_rows(ks, ks, CFG)
     right_alpha, right_beta = alpha * sign, beta * sign
     for i, m in enumerate(ks.tolist()):
-        for j, k in enumerate(ks.tolist()):
-            assert abs(right_alpha[i, j] - overlap_oracle(m, k, Region.RIGHT, PP, CFG)) <= 1e-10
-            assert abs(right_beta[i, j] - overlap_oracle(m, k, Region.RIGHT, PM, CFG)) <= 1e-10
+        assert np.all(np.abs(right_alpha[i] - overlap_oracle(m, ks, Region.RIGHT, PP, CFG)) <= 1e-10)
+        assert np.all(np.abs(right_beta[i] - overlap_oracle(m, ks, Region.RIGHT, PM, CFG)) <= 1e-10)
     assert abs(overlap_oracle(1, 3, Region.RIGHT, PP, CFG)
                + overlap_oracle(1, 3, Region.LEFT, PP, CFG)) <= 1e-12
 
@@ -198,12 +221,11 @@ def test_cross_region_magnitudes_coincide():
     ks = cutoff_indices(4)
     alpha, beta = coefficient_rows(ks, ks, cfg)
     for i, m in enumerate(ks.tolist()):
-        for j, k in enumerate(ks.tolist()):
-            for branches, kernel in ((PP, alpha[i, j]), (PM, beta[i, j])):
-                left = abs(overlap_oracle(m, k, Region.LEFT, branches, cfg))
-                right = abs(overlap_oracle(m, k, Region.RIGHT, branches, cfg))
-                assert abs(left - right) <= 1e-10
-                assert abs(right - abs(kernel)) <= 1e-10
+        for branches, kernel in ((PP, alpha[i]), (PM, beta[i])):
+            left = np.abs(overlap_oracle(m, ks, Region.LEFT, branches, cfg))
+            right = np.abs(overlap_oracle(m, ks, Region.RIGHT, branches, cfg))
+            assert np.all(np.abs(left - right) <= 1e-10)
+            assert np.all(np.abs(right - np.abs(kernel)) <= 1e-10)
 
 
 def test_magnitudes_independent_of_time():

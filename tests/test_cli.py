@@ -153,6 +153,8 @@ GOLDEN = [
     (["correlation", "--mu-l", "2", "--k-max", "40", "--truncation", "513", "--time", "1.5"],
      0, "507cfb834c225622"),
     (["bogoliubov", "--mu-l", "0.5", "--truncation", "40"], 0, "ebe90da9d5bffad8"),
+    # all 9 criteria: the oracle's row calls keep criterion 1's 2.899e-14
+    (["verify"], 2, "93568266149c4617"),
 ]
 
 

@@ -77,11 +77,31 @@ def test_left_and_right_magnitudes_equal(mu_l, time, m):
     cfg = FieldConfig.from_mu_l(mu_l, time=time)
     js = cutoff_indices(17)
     alpha, beta = coefficients(m, js, cfg)
-    for j, a, b in zip(js.tolist(), alpha, beta):
-        a_right = overlap_oracle(m, j, Region.RIGHT, (Branch.POSITIVE, Branch.POSITIVE), cfg)
-        b_right = overlap_oracle(m, j, Region.RIGHT, (Branch.POSITIVE, Branch.NEGATIVE), cfg)
-        assert abs(abs(a) - abs(a_right)) <= 1e-10
-        assert abs(abs(b) - abs(b_right)) <= 1e-10
+    a_right = overlap_oracle(m, js, Region.RIGHT, (Branch.POSITIVE, Branch.POSITIVE), cfg)
+    b_right = overlap_oracle(m, js, Region.RIGHT, (Branch.POSITIVE, Branch.NEGATIVE), cfg)
+    assert np.all(np.abs(np.abs(alpha) - np.abs(a_right)) <= 1e-10)
+    assert np.all(np.abs(np.abs(beta) - np.abs(b_right)) <= 1e-10)
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in map(complex, values)]
+
+
+BRANCH_PAIRS = [(b1, b2) for b1 in Branch for b2 in Branch]
+
+
+@DRAWS
+@given(mu_l=mu_ls, time=times, m=st.integers(-10, 10),
+       ks=st.lists(st.integers(-24, 24), min_size=1, max_size=12),
+       region=st.sampled_from((Region.LEFT, Region.RIGHT)), branches=st.sampled_from(BRANCH_PAIRS),
+       order=st.sampled_from((None, 96, 160)))
+def test_oracle_row_equals_its_entries_bit_for_bit(mu_l, time, m, ks, region, branches, order):
+    # one call per row groups the entries by order; each entry keeps its bits, signed zeros too
+    cfg = FieldConfig.from_mu_l(mu_l, time=time)
+    row = overlap_oracle(m, np.array(ks), region, branches, cfg, order=order)
+    entries = [overlap_oracle(m, k, region, branches, cfg, order=order) for k in ks]
+    assert row.shape == (len(ks),)
+    assert _bits(row) == _bits(entries)
 
 
 @DRAWS
