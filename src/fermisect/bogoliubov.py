@@ -21,16 +21,17 @@ and the test suite).
 The kernel computes the left half only.  Right-half coefficients equal
 left-half ones times ``(-1)**k`` (translation of the half by L flips the
 sign of every odd full-interval mode); `region_sign` is that column factor,
-and each consumer applies it as ``row * region_sign(ks, region)``.
+applied as ``row * region_sign(ks, region)``.
 
-`iter_coefficients` yields rows ``m`` of both matrices over any set of
-full-interval indices, computing the ``m``-independent column terms once;
-it is the only implementation of these formulas.  `coefficients` is its
-single row and `coefficient_rows` stacks its rows.  `pair_to_csv`, the
-contractions in :mod:`fermisect.spectrum` and `canonicity_residual` read
-their entries from these, and a dump never holds its two ``(2N+1)**2``
-matrices.  `cutoff_indices` is the one place that turns a cutoff ``N`` into
-the index set ``|k| <= N`` and rejects ``N < 1``.
+`iter_odd_factors` yields each row's real odd-column factors, computing the
+``m``-independent column terms once; it is the only implementation of these
+formulas.  `iter_coefficients` builds from them the complex rows of both
+matrices over any set of full-interval indices (`coefficients` is one row),
+which `pair_to_csv` and `canonicity_residual` read; a dump never holds its
+two ``(2N+1)**2`` matrices.  The contractions in :mod:`fermisect.spectrum`,
+where the row phases cancel, read the real factors.  `cutoff_indices` is the
+one place that turns a cutoff ``N`` into the index set ``|k| <= N`` and
+rejects ``N < 1``.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ __all__ = [
     "build_pair",
     "canonicity_residual",
     "coeff_w",
-    "coefficient_rows",
     "coefficients",
     "cutoff_indices",
     "iter_coefficients",
+    "iter_odd_factors",
     "overlap_oracle",
     "pair_to_csv",
     "region_sign",
@@ -117,61 +118,55 @@ def region_sign(ks, region: Region) -> np.ndarray:
     return np.ones_like(np.asarray(ks, dtype=float))
 
 
-def iter_coefficients(ms, ks, cfg: FieldConfig):
-    """Left-half rows ``m`` in ``ms`` of ``(alpha, beta)`` over the full-interval indices ``ks``.
+def iter_odd_factors(ms, ks, cfg: FieldConfig):
+    """Per row ``m`` in ``ms``, ``(m, s_plus, s_cross, den_a, den_b)`` over the odd ``j`` in ``ks``.
 
-    Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order.  The column terms, which do
-    not depend on ``m`` (momenta, energies and the odd columns), are computed once per call.
+    ``spinor_overlaps(q_m, p_j)`` and the resonance denominators ``(j -+ 2m)/2`` give the odd
+    entries ``KAPPA_ALPHA * s_plus * ph_a / den_a`` and ``KAPPA_BETA * s_cross * ph_b / den_b``,
+    whose unimodular phases cancel in a contraction up to a ``j``-independent pair phase.
     A phase argument that overflows float64 raises `ValueError` before the first row.
     """
     ks = np.asarray(ks, dtype=int)
     p = section_momentum(ks, cfg)
-    eps_p = energy(p, cfg.mass)
     with np.errstate(over="ignore"):  # 2 * eps * |t| bounds (eps_q +- eps_p) * t and 2 * eps_q * t
         bound = 2.0 * (energy(np.append(subsection_momentum(ms, cfg), p), cfg.mass) * abs(cfg.time))
     if not np.all(np.isfinite(bound)):
         raise ValueError(f"--time {cfg.time!r} overflows the phase arguments (eps_q + eps_p) * t")
-    odd = ks % 2 != 0
-    any_odd = bool(np.any(odd))
-    k_odd, p_odd, eps_odd = ks[odd], p[odd], eps_p[odd]
-
+    k_odd, p_odd = ks[ks % 2 != 0], p[ks % 2 != 0]
     for m in ms:
         m = int(m)
         q = float(subsection_momentum(m, cfg))
-        eps_q = float(energy(q, cfg.mass))
+        s_plus, s_cross = spinor_overlaps(q, p_odd, cfg.mass) if k_odd.size else (p_odd, p_odd)
+        # resonance denominators n -+ m + 1/2 with n = (k-1)/2; no odd column, no spinor evaluated
+        yield m, s_plus, s_cross, (k_odd - 2 * m) / 2.0, (k_odd + 2 * m) / 2.0
 
+
+def iter_coefficients(ms, ks, cfg: FieldConfig):
+    """Left-half rows ``m`` in ``ms`` of ``(alpha, beta)`` over the full-interval indices ``ks``.
+
+    Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order, from the odd-column factors
+    of `iter_odd_factors` and the matched entries ``1/sqrt(2)`` and ``W_m``.
+    """
+    ks = np.asarray(ks, dtype=int)
+    odd = ks % 2 != 0
+    eps_odd = energy(section_momentum(ks[odd], cfg), cfg.mass)
+    for m, s_plus, s_cross, den_a, den_b in iter_odd_factors(ms, ks, cfg):
+        eps_q = float(energy(subsection_momentum(m, cfg), cfg.mass))
         alpha = np.zeros(ks.shape, dtype=complex)
         beta = np.zeros(ks.shape, dtype=complex)
-
         alpha[ks == 2 * m] = SQRT_HALF
         beta[ks == -2 * m] = coeff_w(m, cfg)
 
-        if any_odd:
-            s_plus, s_cross = spinor_overlaps(q, p_odd, cfg.mass)
-            # resonance denominators n -+ m + 1/2 with n = (k-1)/2
-            den_a = (k_odd - 2 * m) / 2.0
-            den_b = (k_odd + 2 * m) / 2.0
-            ph_a = np.exp(1j * (eps_q - eps_odd) * cfg.time)
-            ph_b = np.exp(-1j * (eps_q + eps_odd) * cfg.time)
-            alpha[odd] = KAPPA_ALPHA * s_plus * ph_a / den_a
-            beta[odd] = KAPPA_BETA * s_cross * ph_b / den_b
-
+        ph_a = np.exp(1j * (eps_q - eps_odd) * cfg.time)
+        ph_b = np.exp(-1j * (eps_q + eps_odd) * cfg.time)
+        alpha[odd] = KAPPA_ALPHA * s_plus * ph_a / den_a
+        beta[odd] = KAPPA_BETA * s_cross * ph_b / den_b
         yield alpha, beta
 
 
 def coefficients(m: int, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
     """Left-half row ``m`` of ``(alpha, beta)`` over the full-interval indices ``ks``."""
     return next(iter_coefficients((m,), ks, cfg))
-
-
-def coefficient_rows(ms, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Left-half rows ``ms`` of ``(alpha, beta)`` over ``ks``, stacked from `iter_coefficients`."""
-    ks = np.asarray(ks, dtype=int)
-    alpha = np.empty((len(ms), ks.size), dtype=complex)
-    beta = np.empty_like(alpha)
-    for i, (a, b) in enumerate(iter_coefficients(ms, ks, cfg)):
-        alpha[i], beta[i] = a, b
-    return alpha, beta
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,8 @@
 The full-interval vacuum is not a vacuum for the half-interval
 quasi-particles, so each half-interval mode carries a nonzero mean filling
 number, and the filling numbers of the left and the right half are
-correlated.  Both quantities reduce to contractions of the Bogoliubov
-coefficient rows that :func:`fermisect.bogoliubov.iter_coefficients` yields,
-once per mode (right-half rows are the left ones times
-:func:`fermisect.bogoliubov.region_sign`):
+correlated.  Both are contractions of the Bogoliubov coefficient rows, the
+right-half rows being the left ones times ``(-1)**j``:
 
 * ``occupation(k) = sum_j |beta[k, j]|^2`` (identical for particles and
   antiparticles and for the two halves);
@@ -14,14 +12,15 @@ once per mode (right-half rows are the left ones times
   * (sum_j alphaL[k,j] * conj(alphaR[m,j]))`` -- the connected part of the
   joint filling-number expectation, already minus the product of singles.
 
-`occupation_spectrum` and `correlation_matrix` return plain arrays.  Every
-sum runs over ``|j| <= n_max`` for a cutoff ``n_max`` that the caller
-passes, and with ``tail=True`` they add the `tail_sums` past it.  The CSV
-writers take the configuration, the one cutoff and the ``tail`` flag of
-their table, so a table's header states how every column was summed.
-
-The contraction form is validated end to end against the exact Fock-space
-engine in the test suite.
+On the odd columns the row phases cancel up to the pair phase
+``exp(-+i (eps_k - eps_m) t)``, so each sum is the matched term (``|W_k|^2``
+or ``1/2``, if the cutoff holds its column) plus a real sum over the odd
+columns of the factors that :func:`fermisect.bogoliubov.iter_odd_factors`
+yields, over ``|j| <= n_max`` for a cutoff ``n_max`` that the caller passes;
+with ``tail=True`` the `tail_sums` past it join the odd sum.  The CSV writers
+take the configuration, the one cutoff and the ``tail`` flag of their table,
+so a table's header states how every column was summed.  Tests check the
+contractions against the exact Fock-space engine and the complex rows.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ import numpy as np
 from scipy.special import digamma, zeta
 
 from ._textio import write_table
-from .bogoliubov import SERIES_PREFACTOR, coefficient_rows, cutoff_indices, iter_coefficients
-from .bogoliubov import region_sign
-from .field import FieldConfig, Region, energy, subsection_momentum
+from .bogoliubov import SERIES_PREFACTOR, coeff_w, cutoff_indices, iter_odd_factors
+from .field import FieldConfig, energy, subsection_momentum
 
 __all__ = [
     "converged_cutoff",
@@ -94,14 +92,19 @@ def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = F
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     ks = np.arange(1, k_max + 1)
-    values = np.array(_occupations(ks, cfg, n_max))
-    return values + tail_sums(ks, ks, cfg, n_max)[1] if tail else values
+    tails = tail_sums(ks, ks, cfg, n_max)[1] if tail else 0.0
+    return np.array(_occupations(ks, cfg, n_max)) + tails
 
 
 def _occupations(ks, cfg: FieldConfig, n_max: int) -> list[float]:
-    """``sum_j |beta[k, j]|^2`` for each mode in ``ks``, one kernel row at a time."""
-    rows = iter_coefficients(ks, cutoff_indices(n_max), cfg)
-    return [float(np.sum(np.abs(beta) ** 2)) for _, beta in rows]
+    """``sum_j |beta[k, j]|^2`` for each mode in ``ks``, one real odd-column row at a time."""
+    return [_matched_w2(k, cfg, n_max) + SERIES_PREFACTOR**2 * float(np.sum((s_cross / den_b) ** 2))
+            for k, _, s_cross, _, den_b in iter_odd_factors(ks, cutoff_indices(n_max), cfg)]
+
+
+def _matched_w2(k: int, cfg: FieldConfig, n_max: int) -> float:
+    """``|W_k|^2`` if the cutoff holds the matched column ``-2k``, else 0 (a raw sum omits it)."""
+    return abs(coeff_w(k, cfg)) ** 2 if 2 * k <= n_max else 0.0
 
 
 def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:
@@ -111,30 +114,32 @@ def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:
     required): the Wick expansion of the four-point function leaves exactly
     the product of the beta-beta and alpha-alpha cross contractions.
     """
-    beta_c = np.asarray(beta_c)
-    beta_f = np.asarray(beta_f)
-    alpha_c = np.asarray(alpha_c)
-    alpha_f = np.asarray(alpha_f)
     return complex(np.sum(beta_c * np.conj(beta_f)) * np.sum(alpha_c * np.conj(alpha_f)))
 
 
 def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = False) -> np.ndarray:
     """Correlation over 1 <= k, m <= k_max at cutoff ``n_max``, entry ``[k - 1, m - 1]``.
 
-    The kernel runs once per mode: the right-half rows are the left rows times `region_sign`.
-    A ``tail`` enters with the odd-column sign -1 and its phase ``exp(-+i (eps_k - eps_m) t)``.
+    Each cross sum is its matched diagonal minus the pair phase times the real odd-column sum
+    and its ``tail`` (right-half rows carry -1 there); only two real odd-column blocks are held.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     js, ks = cutoff_indices(n_max), np.arange(1, k_max + 1)
-    alpha, beta = coefficient_rows(ks, js, cfg)
-    sign = region_sign(js, Region.RIGHT)
-    beta_sum, alpha_sum = beta @ (beta * sign).conj().T, alpha @ (alpha * sign).conj().T
-    if tail:
-        eps = energy(subsection_momentum(ks, cfg), cfg.mass)
-        phase = np.exp(-1j * (eps[:, None] - eps[None, :]) * cfg.time)
-        alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], cfg, n_max)
-        beta_sum, alpha_sum = beta_sum - beta_tail * phase, alpha_sum - alpha_tail * phase.conj()
+    a, b = np.empty((2, k_max, np.count_nonzero(js % 2)))
+    for i, (_, s_plus, s_cross, den_a, den_b) in enumerate(iter_odd_factors(ks, js, cfg)):
+        a[i], b[i] = s_plus / den_a, s_cross / den_b
+    alpha_odd, beta_odd = a @ a.T, b @ b.T
+    # the diagonals cancel against the matched terms: sum them pairwise, as the occupation does
+    np.fill_diagonal(alpha_odd, [np.sum(row**2) for row in a])
+    np.fill_diagonal(beta_odd, [np.sum(row**2) for row in b])
+    alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], cfg, n_max) if tail else (0.0, 0.0)
+    eps = energy(subsection_momentum(ks, cfg), cfg.mass)
+    phase = np.exp(-1j * (eps[:, None] - eps[None, :]) * cfg.time)
+    beta_sum = (np.diag([_matched_w2(k, cfg, n_max) for k in ks])
+                - phase * (SERIES_PREFACTOR**2 * beta_odd + beta_tail))
+    alpha_sum = (np.diag(np.where(2 * ks <= n_max, 0.5, 0.0))
+                 - phase.conj() * (SERIES_PREFACTOR**2 * alpha_odd + alpha_tail))
     return beta_sum * alpha_sum
 
 

@@ -13,7 +13,6 @@ from fermisect.bogoliubov import (
     build_pair,
     canonicity_residual,
     coeff_w,
-    coefficient_rows,
     coefficients,
     cutoff_indices,
     iter_coefficients,
@@ -32,6 +31,7 @@ from fermisect.field import (
     spinor_overlaps,
     subsection_momentum,
 )
+from kernel_rows import coefficient_rows
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
 PP = (Branch.POSITIVE, Branch.POSITIVE)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from fermisect import cli
-from fermisect.bogoliubov import coefficient_rows, cutoff_indices, region_sign
+from fermisect.bogoliubov import cutoff_indices, region_sign
 from fermisect.cli import main
 from fermisect.field import FieldConfig, Region
 from fermisect.spectrum import occupation, occupation_spectrum
+from kernel_rows import coefficient_rows
 
 
 def _run(capsys, argv):
@@ -119,13 +120,13 @@ def test_outputs_byte_identical_across_runs(capsys, tmp_path):
 
 #: sha256 prefixes of stdout, pinned so refactors keep the output bytes.
 GOLDEN = [
-    (["spectrum", "--k-max", "16", "--truncation", "257"], 0, "e3c7e36fedd87b47"),
+    (["spectrum", "--k-max", "16", "--truncation", "257"], 0, "2b4e7670dc8b3834"),
     (["spectrum", "--mu-l", "0.5,2", "--k-max", "8", "--truncation", "129", "--time", "0.5",
-      "--format", "json"], 0, "cca7f6a3782ca140"),
+      "--format", "json"], 0, "e1e03d86949c9b42"),
     (["correlation", "--mu-l", "1", "--k-max", "8", "--truncation", "129", "--time", "0.5"],
-     0, "f0701a37a31461fa"),
+     0, "5392346750269fd5"),
     (["correlation", "--mu-l", "3", "--k-max", "4", "--truncation", "65", "--format", "json"],
-     0, "1db8b36eff7127d0"),
+     0, "64169fa3365e79fe"),
     (["bogoliubov", "--mu-l", "1", "--truncation", "16"], 0, "f934984937b773c7"),
     (["bogoliubov", "--mu-l", "3", "--truncation", "16", "--region", "right", "--time", "0.25"],
      0, "e11288d5ca4fe4e5"),
@@ -137,21 +138,21 @@ GOLDEN = [
     (["povm", "--product", "0.3", "0.6", "--format", "csv"], 0, "80681a536571df58"),
     (["povm", "--entangled", "0.25", "--with-conditionals"], 0, "fbc9d926c91a0921"),
     # no --truncation: the converged cutoff plus the closed-form tail
-    (["spectrum", "--mu-l", "1", "--k-max", "20"], 0, "ed108a284a6da688"),
-    (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "c30b91ef82e26ed8"),
+    (["spectrum", "--mu-l", "1", "--k-max", "20"], 0, "5b0340e95c863f7b"),
+    (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "d44746fd7158c317"),
     # larger cutoffs; the time-0 right dump writes signed zeros
     (["bogoliubov", "--mu-l", "10", "--truncation", "64", "--time", "0.5"], 0, "897edd0595be5eb0"),
     (["bogoliubov", "--mu-l", "0.1", "--truncation", "48", "--region", "right"],
      0, "4188536ad4928a83"),
     (["spectrum", "--mu-l", "0.3,10", "--k-max", "32", "--truncation", "4097", "--time", "0.3"],
-     0, "1f49b391eb1b5977"),
+     0, "afa3e65bf9b90832"),
     (["correlation", "--mu-l", "10", "--k-max", "24", "--truncation", "1025", "--time", "0.7"],
-     0, "323143a4501204bb"),
+     0, "64ba84ffdd8e8d54"),
     # correlations from one kernel pass; the time-0 left dump writes 1220 signed zeros
     (["correlation", "--mu-l", "0.1", "--k-max", "16", "--truncation", "4097"],
-     0, "72d6dea2ec7cdb4e"),
+     0, "f740fe149aa664e1"),
     (["correlation", "--mu-l", "2", "--k-max", "40", "--truncation", "513", "--time", "1.5"],
-     0, "507cfb834c225622"),
+     0, "af1a7bbf9b9376b1"),
     (["bogoliubov", "--mu-l", "0.5", "--truncation", "40"], 0, "ebe90da9d5bffad8"),
     # all 9 criteria: the oracle's row calls keep criterion 1's 2.899e-14
     (["verify"], 2, "93568266149c4617"),
@@ -313,6 +314,31 @@ def test_default_correlation_is_the_converged_sum(capsys):
     # relative to the largest entry: the limit's own O(1/N**2) residual, 2e-12, is 1.3e-8
     # of the smallest entry
     assert np.max(np.abs(printed - limit)) <= 1e-8 * np.max(np.abs(limit))
+
+
+def test_raw_spectrum_leaves_out_matched_columns_past_the_cutoff(capsys):
+    # at N = 9 the matched column -2k of the modes k >= 5 lies outside |j| <= 9, so their
+    # raw sums hold the odd columns alone; adding |W_k|^2 there would print 0.739... at k = 5
+    rc, out, _ = _run(capsys, ["spectrum", "--mu-l", "1", "--k-max", "8", "--truncation", "9"])
+    assert rc == 0
+    printed = [float(line.split(",")[1]) for line in out.splitlines()[2:]]
+    _, beta = coefficient_rows(range(1, 9), cutoff_indices(9), FieldConfig.from_mu_l(1.0))
+    assert printed == pytest.approx(np.sum(np.abs(beta) ** 2, axis=1), rel=2e-15, abs=0.0)
+    assert printed[4] == pytest.approx(0.23956321904191455, rel=2e-15)
+
+
+def test_raw_correlation_leaves_out_matched_columns_past_the_cutoff(capsys):
+    # 2 * k_max = 12 > N = 7: modes k >= 4 have neither matched column in |j| <= 7
+    rc, out, _ = _run(capsys, ["correlation", "--mu-l", "2", "--k-max", "6", "--truncation", "7",
+                               "--time", "0.4"])
+    assert rc == 0
+    printed = np.array([complex(float(line.split(",")[2]), float(line.split(",")[3]))
+                        for line in out.splitlines()[2:]]).reshape(6, 6)
+    js = cutoff_indices(7)
+    alpha, beta = coefficient_rows(range(1, 7), js, FieldConfig.from_mu_l(2.0, time=0.4))
+    sign = region_sign(js, Region.RIGHT)
+    rows = (beta @ (beta * sign).conj().T) * (alpha @ (alpha * sign).conj().T)
+    assert np.max(np.abs(printed - rows)) <= 2e-13 * np.max(np.abs(rows))
 
 
 def test_out_of_memory_exits_1_with_message(capsys, monkeypatch):

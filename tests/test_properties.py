@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from fermisect.bogoliubov import (
     build_pair,
-    coefficient_rows,
     coefficients,
     cutoff_indices,
     overlap_oracle,
@@ -22,13 +21,15 @@ from fermisect.bogoliubov import (
     region_sign,
 )
 from fermisect.detector import DetectorMode, PhasePoint, gram_matrix
-from fermisect.field import Branch, FieldConfig, Region
+from fermisect.field import Branch, FieldConfig, Region, energy, subsection_momentum
 from fermisect.spectrum import (
     converged_cutoff,
     correlation_matrix,
     occupation,
     occupation_spectrum,
+    tail_sums,
 )
+from kernel_rows import coefficient_rows
 
 N = 65
 DRAWS = settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -62,6 +63,41 @@ def test_tail_corrected_sums_do_not_depend_on_the_cutoff(mu_l, half_length, time
     assert np.max(np.abs(corr - correlation_matrix(k_max, cfg, 4097, tail=True))) <= 1e-11
     still = correlation_matrix(k_max, FieldConfig.from_mu_l(mu_l), n, tail=True)
     assert np.max(np.abs(np.abs(corr) - np.abs(still))) <= 1e-14
+
+
+def _row_contractions(k_max, cfg, n_max, tail):
+    """Occupations and correlation from the complex kernel rows, the right half by `region_sign`."""
+    js, ks = cutoff_indices(n_max), np.arange(1, k_max + 1)
+    alpha, beta = coefficient_rows(ks, js, cfg)
+    sign = region_sign(js, Region.RIGHT)
+    occupations = np.sum(np.abs(beta) ** 2, axis=1)
+    beta_sum, alpha_sum = beta @ (beta * sign).conj().T, alpha @ (alpha * sign).conj().T
+    if tail:
+        eps = energy(subsection_momentum(ks, cfg), cfg.mass)
+        phase = np.exp(-1j * (eps[:, None] - eps[None, :]) * cfg.time)
+        alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], cfg, n_max)
+        occupations = occupations + np.diag(beta_tail)
+        beta_sum, alpha_sum = beta_sum - beta_tail * phase, alpha_sum - alpha_tail * phase.conj()
+    return occupations, beta_sum * alpha_sum
+
+
+@DRAWS
+@given(mu_l=st.floats(0.01, 5.0), half_length=st.floats(0.5, 4.0),
+       time=st.floats(-1.0, 1.0).filter(lambda t: t != 0.0), k_max=st.integers(1, 24),
+       n=st.integers(1, 100), tail=st.booleans())
+def test_real_contractions_equal_the_complex_rows(mu_l, half_length, time, k_max, n, tail):
+    # the real odd-column sums times the pair phase are the contractions of the kernel's rows,
+    # cutoffs below 2 * k_max (no matched column) and the converged cutoff's tail included.
+    # The rows' phase arguments (eps_q + eps_j) * t round by about |arg| * 1e-16, so the draws
+    # keep mu*t small: against 40 digits at mu*L = 35, t = 1, N = 23, k_max = 7 the rows are off
+    # by 2.0e-13 of the largest entry and the real sums by 1.9e-14.
+    cfg = FieldConfig.from_mu_l(mu_l, half_length=half_length, time=time)
+    n = converged_cutoff(k_max, cfg) if tail else n
+    occupations, corr = _row_contractions(k_max, cfg, n, tail)
+    spectrum = occupation_spectrum(k_max, cfg, n, tail)
+    assert spectrum == pytest.approx(occupations, rel=2e-15, abs=0.0)
+    gap = np.max(np.abs(correlation_matrix(k_max, cfg, n, tail) - corr))
+    assert gap <= 2e-13 * np.max(np.abs(corr))
 
 
 @DRAWS

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fermisect.bogoliubov import (
+    SERIES_PREFACTOR,
     build_pair,
     canonicity_residual,
     coefficients,
@@ -13,7 +14,7 @@ from fermisect.bogoliubov import (
     overlap_oracle,
     region_sign,
 )
-from fermisect.field import Branch, FieldConfig, Region
+from fermisect.field import Branch, FieldConfig, Region, section_momentum, subsection_momentum
 from fermisect.fock import QuasiOperator, build_space, random_canonical_transform, vacuum_expectation
 from fermisect.spectrum import (
     converged_cutoff,
@@ -218,6 +219,55 @@ def test_correlation_evaluates_each_row_once():
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * block
+
+
+def test_correlation_holds_two_real_odd_blocks():
+    # the contraction keeps two real (16, 16386) odd-column blocks; four of them, 8.39 MB, are
+    # one complex row block, and the complex-row contraction peaked at 34.1 MB
+    block = 16 * 16386 * 8
+    tracemalloc.start()
+    try:
+        correlation_matrix(16, FieldConfig.from_mu_l(1.0), 16385)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * block
+
+
+def _longdouble_sums(k_max, cfg, n_max):
+    """Raw occupations and correlation diagonals at cutoff ``n_max`` in ``np.longdouble``.
+
+    Written from the closed forms, starting from the same float64 momenta, so the gap to the
+    float64 contractions is their rounding alone.
+    """
+    ld = np.longdouble
+    js = cutoff_indices(n_max)
+    j, ks = js[js % 2 != 0], np.arange(1, k_max + 1)
+    mu = ld(cfg.mass)
+    p = section_momentum(j, cfg).astype(ld)
+    q = subsection_momentum(ks, cfg).astype(ld)[:, None]
+    eps_p, eps_q = np.sqrt(p * p + mu * mu), np.sqrt(q * q + mu * mu)
+    d = 2 * np.sqrt(eps_p * eps_q * (eps_p + mu) * (eps_q + mu))
+    plus = ((eps_p + mu) * (eps_q + mu) + p * q) / d / ((j - 2 * ks[:, None]) / ld(2))
+    cross = (p * (eps_q + mu) - q * (eps_p + mu)) / d / ((j + 2 * ks[:, None]) / ld(2))
+    kappa2 = ld(SERIES_PREFACTOR) ** 2
+    matched = 2 * ks <= n_max
+    w2 = np.where(matched, (q * q / (2 * eps_q * eps_q))[:, 0], ld(0))
+    alpha_odd, beta_odd = kappa2 * np.sum(plus**2, axis=1), kappa2 * np.sum(cross**2, axis=1)
+    return w2 + beta_odd, (w2 - beta_odd) * (np.where(matched, ld(0.5), ld(0)) - alpha_odd)
+
+
+@pytest.mark.parametrize("mu_l,k_max,n_max",
+                         [(0.1, 128, 1025), (10.0, 128, 1025), (1.0, 16, 16385)])
+def test_contractions_round_like_the_exact_sums(mu_l, k_max, n_max):
+    # measured: occupations 4.9e-16 (complex rows 6.4e-16), diagonals 8.2e-13 (rows 9.1e-13);
+    # the diagonals cancel the matched terms, so a GEMM-summed diagonal reached 2.4e-12
+    cfg = FieldConfig.from_mu_l(mu_l, time=0.3)
+    occupations, diagonals = _longdouble_sums(k_max, cfg, n_max)
+    spectrum = occupation_spectrum(k_max, cfg, n_max)
+    assert np.max(np.abs(spectrum - occupations) / occupations) <= 1e-15
+    diag = np.diag(correlation_matrix(k_max, cfg, n_max))
+    assert np.max(np.abs(diag - diagonals) / np.abs(diagonals)) <= 2e-12
 
 
 def test_near_diagonality_ratio_snapshot():
