@@ -23,15 +23,11 @@ left-half ones times ``(-1)**k`` (translation of the half by L flips the
 sign of every odd full-interval mode); `region_sign` is that column factor,
 applied as ``row * region_sign(ks, region)``.
 
-`iter_odd_factors` yields each row's real odd-column factors, computing the
-``m``-independent column terms once; it is the only implementation of these
-formulas.  `iter_coefficients` builds from them the complex rows of both
-matrices over any set of full-interval indices (`coefficients` is one row),
-which `pair_to_csv` and `canonicity_residual` read; a dump never holds its
-two ``(2N+1)**2`` matrices.  The contractions in :mod:`fermisect.spectrum`,
-where the row phases cancel, read the real factors.  `cutoff_indices` is the
-one place that turns a cutoff ``N`` into the index set ``|k| <= N`` and
-rejects ``N < 1``.
+`iter_coefficients` streams the rows of both matrices over any indices
+(`coefficients` is one row), so a dump never holds its ``(2N+1)**2`` matrices;
+the contractions of :mod:`fermisect.spectrum` build no row.  `check_domain` is
+the one float64 range check of both, and `cutoff_indices` turns a cutoff ``N``
+into the index set ``|k| <= N`` and rejects ``N < 1``.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._textio import text_buffer, write_table
+from ._textio import write_table
 from .field import (
     Branch,
     DegenerateDispersion,
@@ -64,11 +60,11 @@ __all__ = [
     "SERIES_PREFACTOR",
     "build_pair",
     "canonicity_residual",
+    "check_domain",
     "coeff_w",
     "coefficients",
     "cutoff_indices",
     "iter_coefficients",
-    "iter_odd_factors",
     "overlap_oracle",
     "pair_to_csv",
     "region_sign",
@@ -118,49 +114,53 @@ def region_sign(ks, region: Region) -> np.ndarray:
     return np.ones_like(np.asarray(ks, dtype=float))
 
 
-def iter_odd_factors(ms, ks, cfg: FieldConfig):
-    """Per row ``m`` in ``ms``, ``(m, s_plus, s_cross, den_a, den_b)`` over the odd ``j`` in ``ks``.
+def check_domain(ms, ks, cfg: FieldConfig) -> None:
+    """Raise `ValueError` before the first row if rows ``ms`` over indices ``ks`` leave float64.
 
-    ``spinor_overlaps(q_m, p_j)`` and the resonance denominators ``(j -+ 2m)/2`` give the odd
-    entries ``KAPPA_ALPHA * s_plus * ph_a / den_a`` and ``KAPPA_BETA * s_cross * ph_b / den_b``,
-    whose unimodular phases cancel in a contraction up to a ``j``-independent pair phase.
-    A phase argument that overflows float64 raises `ValueError` before the first row.
+    A phase argument ``(eps_q +- eps_p) * t`` may overflow, and so may, from ``mu`` or a momentum
+    about 1e77 on, the odd columns' spinor-overlap denominator, largest at the largest ``|m|``.
     """
     ks = np.asarray(ks, dtype=int)
     p = section_momentum(ks, cfg)
+    m_top = max(map(abs, np.asarray(ms, dtype=int).tolist()), default=0)
+    eps_q = float(energy(subsection_momentum(m_top, cfg), cfg.mass))
+    eps_p = energy(p[ks % 2 != 0], cfg.mass)
     with np.errstate(over="ignore"):  # 2 * eps * |t| bounds (eps_q +- eps_p) * t and 2 * eps_q * t
         bound = 2.0 * (energy(np.append(subsection_momentum(ms, cfg), p), cfg.mass) * abs(cfg.time))
+        den = 2.0 * np.sqrt(eps_p * eps_q * (eps_p + cfg.mass) * (eps_q + cfg.mass))
     if not np.all(np.isfinite(bound)):
         raise ValueError(f"--time {cfg.time!r} overflows the phase arguments (eps_q + eps_p) * t")
-    k_odd, p_odd = ks[ks % 2 != 0], p[ks % 2 != 0]
-    for m in ms:
-        m = int(m)
-        q = float(subsection_momentum(m, cfg))
-        s_plus, s_cross = spinor_overlaps(q, p_odd, cfg.mass) if k_odd.size else (p_odd, p_odd)
-        # resonance denominators n -+ m + 1/2 with n = (k-1)/2; no odd column, no spinor evaluated
-        yield m, s_plus, s_cross, (k_odd - 2 * m) / 2.0, (k_odd + 2 * m) / 2.0
+    if not np.all(np.isfinite(den)):
+        raise ValueError(f"spinor overlap overflows float64 at mass {cfg.mass!r}"
+                         " (mass or momentum beyond about 1e77)")
 
 
 def iter_coefficients(ms, ks, cfg: FieldConfig):
     """Left-half rows ``m`` in ``ms`` of ``(alpha, beta)`` over the full-interval indices ``ks``.
 
-    Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order, from the odd-column factors
-    of `iter_odd_factors` and the matched entries ``1/sqrt(2)`` and ``W_m``.
+    Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order, after `check_domain`; the
+    ``m``-independent column terms are computed once per call.
     """
     ks = np.asarray(ks, dtype=int)
+    check_domain(ms, ks, cfg)
     odd = ks % 2 != 0
-    eps_odd = energy(section_momentum(ks[odd], cfg), cfg.mass)
-    for m, s_plus, s_cross, den_a, den_b in iter_odd_factors(ms, ks, cfg):
-        eps_q = float(energy(subsection_momentum(m, cfg), cfg.mass))
+    k_odd = ks[odd]
+    p_odd = section_momentum(k_odd, cfg)
+    eps_odd = energy(p_odd, cfg.mass)
+    for m in ms:
+        m = int(m)
+        q = float(subsection_momentum(m, cfg))
+        eps_q = float(energy(q, cfg.mass))
+        s_plus, s_cross = spinor_overlaps(q, p_odd, cfg.mass) if k_odd.size else (p_odd, p_odd)
         alpha = np.zeros(ks.shape, dtype=complex)
         beta = np.zeros(ks.shape, dtype=complex)
         alpha[ks == 2 * m] = SQRT_HALF
         beta[ks == -2 * m] = coeff_w(m, cfg)
-
         ph_a = np.exp(1j * (eps_q - eps_odd) * cfg.time)
         ph_b = np.exp(-1j * (eps_q + eps_odd) * cfg.time)
-        alpha[odd] = KAPPA_ALPHA * s_plus * ph_a / den_a
-        beta[odd] = KAPPA_BETA * s_cross * ph_b / den_b
+        # resonance denominators n -+ m + 1/2 with n = (j-1)/2; no odd column, no spinor evaluated
+        alpha[odd] = KAPPA_ALPHA * s_plus * ph_a / ((k_odd - 2 * m) / 2.0)
+        beta[odd] = KAPPA_BETA * s_cross * ph_b / ((k_odd + 2 * m) / 2.0)
         yield alpha, beta
 
 
@@ -319,18 +319,3 @@ def _pair_rows(pair: BogoliubovPair):
         cells = repr(list(zip(ks[nz].tolist(), a.real[nz].tolist(), a.imag[nz].tolist(),
                               b.real[nz].tolist(), b.imag[nz].tolist())))
         yield f"{m}," + cells[2:-2].replace("), (", f"\n{m},").replace(", ", ",") + "\n"
-
-
-def pair_from_csv(path_or_buf) -> dict[tuple[int, int], tuple[complex, complex]]:
-    """Read rows written by `pair_to_csv` into a sparse ``{(m, k): (alpha, beta)}`` map."""
-    entries: dict[tuple[int, int], tuple[complex, complex]] = {}
-    with text_buffer(path_or_buf, "r") as buf:
-        for line in buf:
-            if line.startswith("#") or line.startswith("m,"):
-                continue
-            m_s, k_s, ra, ia, rb, ib = line.strip().split(",")
-            entries[(int(m_s), int(k_s))] = (
-                complex(float(ra), float(ia)),
-                complex(float(rb), float(ib)),
-            )
-    return entries

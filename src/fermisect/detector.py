@@ -156,8 +156,8 @@ def joint_correlation(a: PhasePoint, b: PhasePoint) -> float:
     Wick expansion over the nonorthogonal mode algebra leaves the product of
     the two cross contractions: the occupied-span part of <a|b> times its
     complement, which vanishes identically when either detector sits at the
-    origin.  Real on the evaluated (real-label) domains; the real part is
-    returned.
+    origin.  It returns the real part and drops ``Im C = <[n_b, n_a]>/(2i)``,
+    nonzero off the real labels, where overlapping detector modes do not commute.
     """
     _check_widths(a, b)
     g1, g2 = _state_modes(a.sigma)

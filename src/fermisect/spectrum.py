@@ -1,26 +1,17 @@
 """Vacuum noise spectra of the half-interval representations.
 
 The full-interval vacuum is not a vacuum for the half-interval
-quasi-particles, so each half-interval mode carries a nonzero mean filling
-number, and the filling numbers of the left and the right half are
-correlated.  Both are contractions of the Bogoliubov coefficient rows, the
-right-half rows being the left ones times ``(-1)**j``:
-
-* ``occupation(k) = sum_j |beta[k, j]|^2`` (identical for particles and
-  antiparticles and for the two halves);
-* ``correlation[k, m] = (sum_j betaL[k,j] * conj(betaR[m,j]))
-  * (sum_j alphaL[k,j] * conj(alphaR[m,j]))`` -- the connected part of the
-  joint filling-number expectation, already minus the product of singles.
-
-On the odd columns the row phases cancel up to the pair phase
-``exp(-+i (eps_k - eps_m) t)``, so each sum is the matched term (``|W_k|^2``
-or ``1/2``, if the cutoff holds its column) plus a real sum over the odd
-columns of the factors that :func:`fermisect.bogoliubov.iter_odd_factors`
-yields, over ``|j| <= n_max`` for a cutoff ``n_max`` that the caller passes;
-with ``tail=True`` the `tail_sums` past it join the odd sum.  The CSV writers
-take the configuration, the one cutoff and the ``tail`` flag of their table,
-so a table's header states how every column was summed.  Tests check the
-contractions against the exact Fock-space engine and the complex rows.
+quasi-particles: mode ``k`` of either half, particle or antiparticle, has the
+mean filling number ``occupation(k) = sum_j |beta[k, j]|^2``, and the halves'
+filling numbers have the connected correlation ``(sum_j betaL[k,j] *
+conj(betaR[m,j])) * (sum_j alphaL[k,j] * conj(alphaR[m,j]))``, right-half rows
+being the left ones times ``(-1)**j``.  On the odd columns the row phases
+cancel up to the pair phase ``exp(-+i (eps_k - eps_m) t)``, so each sum is the
+matched term (``|W_k|^2`` or ``1/2``, if the cutoff ``n_max`` holds its column)
+plus a real odd-column sum, formed by `_odd_sums` from one table of
+column-weight sums per mode; ``tail=True`` adds `tail_sums`, the same form
+past the cutoff.  A CSV header states the configuration, the one cutoff and
+the ``tail`` flag.
 """
 
 from __future__ import annotations
@@ -31,8 +22,8 @@ import numpy as np
 from scipy.special import digamma, zeta
 
 from ._textio import write_table
-from .bogoliubov import SERIES_PREFACTOR, coeff_w, cutoff_indices, iter_odd_factors
-from .field import FieldConfig, energy, subsection_momentum
+from .bogoliubov import SERIES_PREFACTOR, check_domain, coeff_w, cutoff_indices
+from .field import Branch, FieldConfig, energy, section_momentum, spinor, subsection_momentum
 
 __all__ = [
     "converged_cutoff",
@@ -54,37 +45,72 @@ def converged_cutoff(k_max: int, cfg: FieldConfig) -> int:
     return max(513, 4 * k_max + 1, int(np.ceil(32.0 * mu_l))) | 1
 
 
+def _weight_sums(ks, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, S)``, each ``(3, len(ks))``: the sums of ``X_j/d_kj`` and ``X_j/d_kj^2`` over odd j.
+
+    ``|j| <= n_max``, ``d_kj = (j + 2k)/2``; ``u+(p) = (U, V)`` gives ``UU = (eps+mu)/(2 eps)``,
+    ``UV = p/(2 eps)`` and ``VV = p^2/(2 eps (eps+mu))``, as ``1/2 - mu/(2 eps)`` would cancel.
+    """
+    js = cutoff_indices(n_max)
+    check_domain(ks, js, cfg)
+    j = js[js % 2 != 0]
+    p = section_momentum(j, cfg)
+    eps = energy(p, cfg.mass)
+    weights = np.stack(((eps + cfg.mass) / (2.0 * eps), p / (2.0 * eps),
+                        p * p / (2.0 * eps * (eps + cfg.mass))))
+    t, s = np.empty((2, 3, len(ks)))
+    for i, k in enumerate(ks):
+        r = 1.0 / ((j + 2 * k) / 2.0)
+        w_r = weights * r
+        # pairwise sums along each contiguous row: a BLAS product would round past 1e-15
+        t[:, i], s[:, i] = np.sum(w_r, axis=1), np.sum(w_r * r, axis=1)
+    return t, s
+
+
+def _odd_sums(ks, ms, cfg: FieldConfig, t_k, t_m, s_k) -> tuple[np.ndarray, np.ndarray]:
+    """``(alpha, beta)``: ``|kappa|^2`` times the odd-column sums of mode pairs ``(k, m)``.
+
+    From weight sums ``(UU, UV, VV)`` along the first axis: ``s_cross(k) s_cross(m) = U_k U_m VV
+    - (U_k V_m + V_k U_m) UV + V_k V_m UU``, ``1/(d_k d_m) = (1/d_k - 1/d_m)/(m - k)``, and
+    ``j -> -j`` swaps ``UU`` and ``VV`` in the alpha sums.
+    """
+    same = ks == ms
+    pair = np.where(same, s_k, (t_k - t_m) / np.where(same, 1, ms - ks))
+    u_k, u_m = (spinor(subsection_momentum(n, cfg), cfg.mass, Branch.POSITIVE) for n in (ks, ms))
+    coeff = (u_k.lower * u_m.lower, -(u_k.upper * u_m.lower + u_k.lower * u_m.upper),
+             u_k.upper * u_m.upper)
+    return (SERIES_PREFACTOR**2 * (coeff[0] * pair[2] + coeff[1] * pair[1] + coeff[2] * pair[0]),
+            SERIES_PREFACTOR**2 * (coeff[0] * pair[0] + coeff[1] * pair[1] + coeff[2] * pair[2]))
+
+
 def tail_sums(ks, ms, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(alpha_tail, beta_tail)``: sums over odd ``|j| > n_max`` of the cross terms, no phases.
 
-    Terms ``|kappa|^2 s_k s_m / (((j -+ 2k)/2) ((j -+ 2m)/2))`` with ``s_k s_m`` to first order
-    in ``mu/|p|`` sum to digamma differences and trigammas (DLMF 5.7, 5.15).  Integer arrays
-    ``ks``, ``ms`` broadcast: ``ks[:, None], ks[None, :]`` gives matrices, ``ks, ks`` diagonals.
+    `_odd_sums` of the weight limits ``1/2 +- mu/(2|p|)`` and ``+-1/2`` to first order in
+    ``mu/|p|``, summed over ``x = |j|/2 >= x0`` by digammas and trigammas (DLMF 5.7, 5.15), ``T``
+    up to a ``k``-independent constant.  ``ks``, ``ms`` broadcast (``ks[:, None], ks[None, :]``).
     """
-    # sums of 1/((x+a)(x+b)) and 1/(x(x+a)(x+b)) over x = |j|/2 >= x0 at (a, b) = +-(k, m)
     x0 = (n_max + 1 + n_max % 2) / 2.0
-    a, b = np.stack((ks, -ks)), np.stack((ms, -ms))
-    psi0, psi_a, psi_b = digamma(x0), digamma(x0 + a), digamma(x0 + b)
-    tri_a, d_a, d_b = zeta(2.0, x0 + a), (psi_a - psi0) / a, (psi_b - psi0) / b  # psi' = zeta(2, .)
-    same, step = a == b, np.where(a == b, 1, b - a)
-    s1 = np.where(same, tri_a, (psi_b - psi_a) / step)
-    s2 = np.where(same, (d_a - tri_a) / a, (d_a - d_b) / step)
-    # s_k s_m -> lo_k lo_m (a = +k) or hi_k hi_m (a = -k), -+ mu (lo_k hi_m + hi_k lo_m) / (2|p|)
-    q = subsection_momentum(np.stack(np.broadcast_arrays(ks, ms)), cfg)
-    eps = energy(q, cfg.mass)
-    c = 2.0 * np.sqrt(eps * (eps + cfg.mass))
-    lo, hi = (eps + cfg.mass - q) / c, (eps + cfg.mass + q) / c  # |s| as p -> +oo and -oo
-    lead = lo[0] * lo[1] * s1[0] + hi[0] * hi[1] * s1[1]
-    first = (cfg.mass * cfg.half_length / (4 * np.pi) * (lo[0] * hi[1] + hi[0] * lo[1])
-             * (s2[0] + s2[1]))
-    return SERIES_PREFACTOR**2 * (lead + first), SERIES_PREFACTOR**2 * (lead - first)
+    c, psi0 = cfg.mass * cfg.half_length / (4 * np.pi), digamma(x0)  # mu/(2|p|) = c/x
+
+    def sums(n):  # over d = x + a, a = n and -n: 1/d (less a constant), 1/d^2, 1/(x d), 1/(x d^2)
+        a = np.stack((n, -n)).astype(float)
+        psi, tri = digamma(x0 + a), zeta(2.0, x0 + a)
+        g = (psi - psi0) / a
+        t, t_mu = 0.5 * (psi[1] - psi[0]), c * (g[0] - g[1])
+        s, s_mu = 0.5 * (tri[0] + tri[1]), c * ((g - tri) / a).sum(axis=0)
+        return (np.stack((t + t_mu, -0.5 * (psi[0] + psi[1]), t - t_mu)),
+                np.stack((s + s_mu, 0.5 * (tri[0] - tri[1]), s - s_mu)))
+
+    (t_k, s_k), (t_m, _) = sums(np.asarray(ks)), sums(np.asarray(ms))
+    return _odd_sums(ks, ms, cfg, t_k, t_m, s_k)
 
 
 def occupation(k: int, cfg: FieldConfig, n_max: int) -> float:
     """Vacuum mean filling number of half-interval mode ``k >= 1`` at cutoff ``n_max``."""
     if k < 1:
         raise ValueError("mode number must be >= 1")
-    return _occupations((k,), cfg, n_max)[0]
+    return float(_occupations(np.array([k]), cfg, n_max)[0])
 
 
 def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = False) -> np.ndarray:
@@ -92,19 +118,18 @@ def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = F
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     ks = np.arange(1, k_max + 1)
-    tails = tail_sums(ks, ks, cfg, n_max)[1] if tail else 0.0
-    return np.array(_occupations(ks, cfg, n_max)) + tails
+    return _occupations(ks, cfg, n_max) + (tail_sums(ks, ks, cfg, n_max)[1] if tail else 0.0)
 
 
-def _occupations(ks, cfg: FieldConfig, n_max: int) -> list[float]:
-    """``sum_j |beta[k, j]|^2`` for each mode in ``ks``, one real odd-column row at a time."""
-    return [_matched_w2(k, cfg, n_max) + SERIES_PREFACTOR**2 * float(np.sum((s_cross / den_b) ** 2))
-            for k, _, s_cross, _, den_b in iter_odd_factors(ks, cutoff_indices(n_max), cfg)]
+def _occupations(ks, cfg: FieldConfig, n_max: int) -> np.ndarray:
+    """``sum_j |beta[k, j]|^2`` for each mode in ``ks``: ``|W_k|^2`` plus the odd diagonal."""
+    t, s = _weight_sums(ks, cfg, n_max)
+    return _matched_w2(ks, cfg, n_max) + _odd_sums(ks, ks, cfg, t, t, s)[1]
 
 
-def _matched_w2(k: int, cfg: FieldConfig, n_max: int) -> float:
-    """``|W_k|^2`` if the cutoff holds the matched column ``-2k``, else 0 (a raw sum omits it)."""
-    return abs(coeff_w(k, cfg)) ** 2 if 2 * k <= n_max else 0.0
+def _matched_w2(ks, cfg: FieldConfig, n_max: int) -> np.ndarray:
+    """``|W_k|^2`` where the cutoff holds the matched column ``-2k``, else 0 (raw sums omit it)."""
+    return np.array([abs(coeff_w(k, cfg)) ** 2 if 2 * k <= n_max else 0.0 for k in ks.tolist()])
 
 
 def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:
@@ -121,25 +146,20 @@ def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = Fa
     """Correlation over 1 <= k, m <= k_max at cutoff ``n_max``, entry ``[k - 1, m - 1]``.
 
     Each cross sum is its matched diagonal minus the pair phase times the real odd-column sum
-    and its ``tail`` (right-half rows carry -1 there); only two real odd-column blocks are held.
+    and its ``tail`` (right-half rows carry -1 there), all from one table of weight sums.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    js, ks = cutoff_indices(n_max), np.arange(1, k_max + 1)
-    a, b = np.empty((2, k_max, np.count_nonzero(js % 2)))
-    for i, (_, s_plus, s_cross, den_a, den_b) in enumerate(iter_odd_factors(ks, js, cfg)):
-        a[i], b[i] = s_plus / den_a, s_cross / den_b
-    alpha_odd, beta_odd = a @ a.T, b @ b.T
-    # the diagonals cancel against the matched terms: sum them pairwise, as the occupation does
-    np.fill_diagonal(alpha_odd, [np.sum(row**2) for row in a])
-    np.fill_diagonal(beta_odd, [np.sum(row**2) for row in b])
+    ks = np.arange(1, k_max + 1)
+    t, s = _weight_sums(ks, cfg, n_max)
+    alpha_odd, beta_odd = _odd_sums(ks[:, None], ks[None, :], cfg, t[:, :, None], t[:, None, :],
+                                    s[:, :, None])
     alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], cfg, n_max) if tail else (0.0, 0.0)
     eps = energy(subsection_momentum(ks, cfg), cfg.mass)
     phase = np.exp(-1j * (eps[:, None] - eps[None, :]) * cfg.time)
-    beta_sum = (np.diag([_matched_w2(k, cfg, n_max) for k in ks])
-                - phase * (SERIES_PREFACTOR**2 * beta_odd + beta_tail))
+    beta_sum = np.diag(_matched_w2(ks, cfg, n_max)) - phase * (beta_odd + beta_tail)
     alpha_sum = (np.diag(np.where(2 * ks <= n_max, 0.5, 0.0))
-                 - phase.conj() * (SERIES_PREFACTOR**2 * alpha_odd + alpha_tail))
+                 - phase.conj() * (alpha_odd + alpha_tail))
     return beta_sum * alpha_sum
 
 

@@ -17,7 +17,6 @@ from fermisect.bogoliubov import (
     cutoff_indices,
     iter_coefficients,
     overlap_oracle,
-    pair_from_csv,
     pair_to_csv,
     QuadratureUnresolved,
     region_sign,
@@ -31,7 +30,7 @@ from fermisect.field import (
     spinor_overlaps,
     subsection_momentum,
 )
-from kernel_rows import coefficient_rows
+from kernel_rows import coefficient_rows, pair_from_csv
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
 PP = (Branch.POSITIVE, Branch.POSITIVE)
@@ -271,6 +270,17 @@ def test_csv_round_trip():
                 ra, rb = entries[(int(m), int(k))]
                 assert ra == pytest.approx(a)
                 assert rb == pytest.approx(b)
+
+
+def test_domain_check_runs_before_the_first_row():
+    # at L = 1e-74 row 1 over k = +-1 is in range, and row 10**6 (q about 6e80) overflows the
+    # overlap denominator: a stream holding both raises before it yields row 1
+    cfg = FieldConfig(mass=1.0, half_length=1e-74)
+    assert np.all(np.isfinite(next(iter_coefficients([1], [-1, 1], cfg))[1]))
+    with pytest.raises(ValueError, match="spinor overlap overflows float64"):
+        next(iter_coefficients([1, 10**6], [-1, 1], cfg))
+    with pytest.raises(ValueError, match="--time 1e"):
+        next(iter_coefficients([1], [-1, 1], FieldConfig(mass=1.0, half_length=1.0, time=1e308)))
 
 
 def test_streamed_rows_equal_single_rows():

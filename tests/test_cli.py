@@ -120,13 +120,13 @@ def test_outputs_byte_identical_across_runs(capsys, tmp_path):
 
 #: sha256 prefixes of stdout, pinned so refactors keep the output bytes.
 GOLDEN = [
-    (["spectrum", "--k-max", "16", "--truncation", "257"], 0, "2b4e7670dc8b3834"),
+    (["spectrum", "--k-max", "16", "--truncation", "257"], 0, "b1ee7c216f9765d5"),
     (["spectrum", "--mu-l", "0.5,2", "--k-max", "8", "--truncation", "129", "--time", "0.5",
-      "--format", "json"], 0, "e1e03d86949c9b42"),
+      "--format", "json"], 0, "2f9a3749117db6be"),
     (["correlation", "--mu-l", "1", "--k-max", "8", "--truncation", "129", "--time", "0.5"],
-     0, "5392346750269fd5"),
+     0, "285e9e4eabe3dc90"),
     (["correlation", "--mu-l", "3", "--k-max", "4", "--truncation", "65", "--format", "json"],
-     0, "64169fa3365e79fe"),
+     0, "f29f4faba4e55c23"),
     (["bogoliubov", "--mu-l", "1", "--truncation", "16"], 0, "f934984937b773c7"),
     (["bogoliubov", "--mu-l", "3", "--truncation", "16", "--region", "right", "--time", "0.25"],
      0, "e11288d5ca4fe4e5"),
@@ -138,21 +138,21 @@ GOLDEN = [
     (["povm", "--product", "0.3", "0.6", "--format", "csv"], 0, "80681a536571df58"),
     (["povm", "--entangled", "0.25", "--with-conditionals"], 0, "fbc9d926c91a0921"),
     # no --truncation: the converged cutoff plus the closed-form tail
-    (["spectrum", "--mu-l", "1", "--k-max", "20"], 0, "5b0340e95c863f7b"),
-    (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "d44746fd7158c317"),
+    (["spectrum", "--mu-l", "1", "--k-max", "20"], 0, "f28d9de490730ad4"),
+    (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "687754643e1c33f9"),
     # larger cutoffs; the time-0 right dump writes signed zeros
     (["bogoliubov", "--mu-l", "10", "--truncation", "64", "--time", "0.5"], 0, "897edd0595be5eb0"),
     (["bogoliubov", "--mu-l", "0.1", "--truncation", "48", "--region", "right"],
      0, "4188536ad4928a83"),
     (["spectrum", "--mu-l", "0.3,10", "--k-max", "32", "--truncation", "4097", "--time", "0.3"],
-     0, "afa3e65bf9b90832"),
+     0, "6d54fd6aa817a410"),
     (["correlation", "--mu-l", "10", "--k-max", "24", "--truncation", "1025", "--time", "0.7"],
-     0, "64ba84ffdd8e8d54"),
+     0, "f6d4ca9a2e9669f6"),
     # correlations from one kernel pass; the time-0 left dump writes 1220 signed zeros
     (["correlation", "--mu-l", "0.1", "--k-max", "16", "--truncation", "4097"],
-     0, "f740fe149aa664e1"),
+     0, "9fb07890d718f8d2"),
     (["correlation", "--mu-l", "2", "--k-max", "40", "--truncation", "513", "--time", "1.5"],
-     0, "af1a7bbf9b9376b1"),
+     0, "5da752440f1a15ca"),
     (["bogoliubov", "--mu-l", "0.5", "--truncation", "40"], 0, "ebe90da9d5bffad8"),
     # all 9 criteria: the oracle's row calls keep criterion 1's 2.899e-14
     (["verify"], 2, "93568266149c4617"),

@@ -16,7 +16,6 @@ from fermisect.bogoliubov import (
     coefficients,
     cutoff_indices,
     overlap_oracle,
-    pair_from_csv,
     pair_to_csv,
     region_sign,
 )
@@ -29,7 +28,7 @@ from fermisect.spectrum import (
     occupation_spectrum,
     tail_sums,
 )
-from kernel_rows import coefficient_rows
+from kernel_rows import coefficient_rows, pair_from_csv
 
 N = 65
 DRAWS = settings(max_examples=30, derandomize=True, deadline=None, database=None)

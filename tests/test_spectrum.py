@@ -91,6 +91,16 @@ def test_overflowing_spinor_overlap_raises():
             compute(FieldConfig.from_mu_l(1e77))
 
 
+def test_heavy_field_keeps_the_small_weight():
+    # at mu*L = 1e76 the weight VV = p^2/(2 eps (eps+mu)) is about 1e-152, and the spectra keep it:
+    # written as 1/2 - mu/(2 eps) it rounds to 0 and the occupation reads 3.352e-151.  The check
+    # in test_overflowing_spinor_overlap_raises passes any value, through approx's default abs
+    cfg = FieldConfig.from_mu_l(1e76)
+    assert occupation(1, cfg, 9) == pytest.approx(4.2840317518699e-151, rel=1e-12, abs=0.0)
+    corr = correlation_matrix(2, cfg, 9)
+    assert corr[0, 0].real == pytest.approx(-7.06827149e-154, rel=1e-8, abs=0.0)
+
+
 def test_left_right_spectra_coincide():
     # the right-half occupation the oracle integrates equals the kernel's (left) one
     n = 17
@@ -222,8 +232,8 @@ def test_correlation_evaluates_each_row_once():
 
 
 def test_correlation_holds_two_real_odd_blocks():
-    # the contraction keeps two real (16, 16386) odd-column blocks; four of them, 8.39 MB, are
-    # one complex row block, and the complex-row contraction peaked at 34.1 MB
+    # four real (16, 16386) odd-column blocks, 8.39 MB, are one complex row block; the complex-row
+    # contraction peaked at 34.1 MB, and the weight sums, one mode at a time, peak at 2.0 MB
     block = 16 * 16386 * 8
     tracemalloc.start()
     try:
@@ -234,8 +244,20 @@ def test_correlation_holds_two_real_odd_blocks():
     assert peak < 4 * block
 
 
+def test_occupation_streams_its_modes():
+    # one dense (128, 8193) float64 block over the odd columns is 8.39 MB, and dense weight
+    # blocks read 52 MB; the weight sums, one mode at a time, peak at 2.0 MB
+    tracemalloc.start()
+    try:
+        occupation_spectrum(128, FieldConfig.from_mu_l(1.0), 16385)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 8193 * 8
+
+
 def _longdouble_sums(k_max, cfg, n_max):
-    """Raw occupations and correlation diagonals at cutoff ``n_max`` in ``np.longdouble``.
+    """Raw occupations and correlation matrix at cutoff ``n_max`` in ``np.longdouble``.
 
     Written from the closed forms, starting from the same float64 momenta, so the gap to the
     float64 contractions is their rounding alone.
@@ -253,21 +275,28 @@ def _longdouble_sums(k_max, cfg, n_max):
     kappa2 = ld(SERIES_PREFACTOR) ** 2
     matched = 2 * ks <= n_max
     w2 = np.where(matched, (q * q / (2 * eps_q * eps_q))[:, 0], ld(0))
-    alpha_odd, beta_odd = kappa2 * np.sum(plus**2, axis=1), kappa2 * np.sum(cross**2, axis=1)
-    return w2 + beta_odd, (w2 - beta_odd) * (np.where(matched, ld(0.5), ld(0)) - alpha_odd)
+    alpha_odd, beta_odd = kappa2 * (plus @ plus.T), kappa2 * (cross @ cross.T)
+    phase = np.exp(-1j * (eps_q - eps_q.T) * ld(cfg.time))
+    correlation = ((np.diag(w2) - phase * beta_odd)
+                   * (np.diag(np.where(matched, ld(0.5), ld(0))) - phase.conj() * alpha_odd))
+    return w2 + np.diag(beta_odd), correlation
 
 
 @pytest.mark.parametrize("mu_l,k_max,n_max",
                          [(0.1, 128, 1025), (10.0, 128, 1025), (1.0, 16, 16385)])
 def test_contractions_round_like_the_exact_sums(mu_l, k_max, n_max):
-    # measured: occupations 4.9e-16 (complex rows 6.4e-16), diagonals 8.2e-13 (rows 9.1e-13);
-    # the diagonals cancel the matched terms, so a GEMM-summed diagonal reached 2.4e-12
+    # measured: occupations 5.4e-16, diagonals 9.1e-13, off-diagonal entries 2.8e-15 of the
+    # largest.  The diagonals cancel the matched terms, so a GEMM-summed diagonal reached
+    # 2.4e-12; off the diagonal the weight sums meet as differences (T(k) - T(m))/(m - k)
     cfg = FieldConfig.from_mu_l(mu_l, time=0.3)
-    occupations, diagonals = _longdouble_sums(k_max, cfg, n_max)
+    occupations, exact = _longdouble_sums(k_max, cfg, n_max)
     spectrum = occupation_spectrum(k_max, cfg, n_max)
     assert np.max(np.abs(spectrum - occupations) / occupations) <= 1e-15
-    diag = np.diag(correlation_matrix(k_max, cfg, n_max))
-    assert np.max(np.abs(diag - diagonals) / np.abs(diagonals)) <= 2e-12
+    corr = correlation_matrix(k_max, cfg, n_max)
+    diagonals = np.diag(exact)
+    assert np.max(np.abs(np.diag(corr) - diagonals) / np.abs(diagonals)) <= 2e-12
+    off = ~np.eye(k_max, dtype=bool)
+    assert np.max(np.abs(corr - exact)[off]) <= 4e-15 * np.max(np.abs(exact))
 
 
 def test_near_diagonality_ratio_snapshot():
