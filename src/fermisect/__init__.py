@@ -25,6 +25,7 @@ from .detector import (
     gram_matrix,
     joint_correlation,
     joint_correlation_exact,
+    joint_correlation_surface,
     mode_overlap,
     registration_prob_one,
     registration_prob_two,

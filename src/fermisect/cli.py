@@ -25,7 +25,7 @@ from ._textio import text_buffer, write_table
 from .bogoliubov import QuadratureUnresolved, build_pair, pair_to_csv
 from .detector import (
     PhasePoint,
-    joint_correlation,
+    joint_correlation_surface,
     registration_prob_one,
     registration_prob_two,
 )
@@ -179,10 +179,10 @@ def _cmd_detector(args) -> int:
 def _cmd_joint_correlation(args) -> int:
     grid, real = _detectors(args)
     _, imag = _detectors(args, imaginary=True)
-    rows = [(parametrization, a, b, joint_correlation(point_a, point_b))
+    rows = [(parametrization, a, b, c)
             for parametrization, points_b in (("real_real", real), ("real_imag", imag))
-            for a, point_a in zip(grid, real)
-            for b, point_b in zip(grid, points_b)]
+            for a, surface_row in zip(grid, joint_correlation_surface(real, points_b).tolist())
+            for b, c in zip(grid, surface_row)]
     _emit_rows(args, ("parametrization", "a", "b", "c"), rows,
                (f"{s},{a!r},{b!r},{c!r}\n" for s, a, b, c in rows))
     return 0

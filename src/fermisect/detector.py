@@ -34,6 +34,7 @@ __all__ = [
     "gram_matrix",
     "joint_correlation",
     "joint_correlation_exact",
+    "joint_correlation_surface",
     "mode_overlap",
     "registration_prob_one",
     "registration_prob_two",
@@ -158,17 +159,40 @@ def joint_correlation(a: PhasePoint, b: PhasePoint) -> float:
     complement, which vanishes identically when either detector sits at the
     origin.  It returns the real part and drops ``Im C = <[n_b, n_a]>/(2i)``,
     nonzero off the real labels, where overlapping detector modes do not commute.
+    This is the 1x1 case of `joint_correlation_surface`.
     """
-    _check_widths(a, b)
-    g1, g2 = _state_modes(a.sigma)
-    mode_a = DetectorMode(a, 0)
-    mode_b = DetectorMode(b, 0)
-    # <f_a, P f_b> over the occupied span P = |g1><g1| + |g2><g2|
-    occupied = sum(mode_overlap(mode_a, g) * mode_overlap(g, mode_b) for g in (g1, g2))
-    remainder = mode_overlap(mode_b, mode_a) - sum(
-        mode_overlap(mode_b, g) * mode_overlap(g, mode_a) for g in (g1, g2)
-    )
-    return float((occupied * remainder).real)
+    return float(joint_correlation_surface([a], [b])[0, 0])
+
+
+def joint_correlation_surface(points_a, points_b) -> np.ndarray:
+    """`joint_correlation` of every pair, shape ``(len(points_a), len(points_b))``.
+
+    All points must share one width, else `WidthMismatch`.  The overlaps of
+    each detector with the two state modes are computed once per detector, so
+    a pair costs one overlap, ``<b|a>``, instead of eight, with the sums and
+    products of the one-pair formula in the same order.
+    """
+    points_a, points_b = list(points_a), list(points_b)
+    points = points_a + points_b
+    for point in points[1:]:
+        _check_widths(points[0], point)
+    surface = np.empty((len(points_a), len(points_b)))
+    if not points:
+        return surface
+    states = _state_modes(points[0].sigma)
+    modes_a = [DetectorMode(a, 0) for a in points_a]
+    modes_b = [DetectorMode(b, 0) for b in points_b]
+    a_g = [[mode_overlap(mode_a, g) for g in states] for mode_a in modes_a]
+    g_a = [[mode_overlap(g, mode_a) for g in states] for mode_a in modes_a]
+    g_b = [[mode_overlap(g, mode_b) for g in states] for mode_b in modes_b]
+    b_g = [[mode_overlap(mode_b, g) for g in states] for mode_b in modes_b]
+    for i, mode_a in enumerate(modes_a):
+        for j, mode_b in enumerate(modes_b):
+            # <f_a, P f_b> over the occupied span P = |g1><g1| + |g2><g2|
+            occupied = sum(x * y for x, y in zip(a_g[i], g_b[j]))
+            remainder = mode_overlap(mode_b, mode_a) - sum(x * y for x, y in zip(b_g[j], g_a[i]))
+            surface[i, j] = (occupied * remainder).real
+    return surface
 
 
 def _orthonormal_coefficients(modes) -> np.ndarray:
@@ -198,15 +222,10 @@ def joint_correlation_exact(a: PhasePoint, b: PhasePoint) -> float:
     g1, g2 = _state_modes(a.sigma)
     modes = [g1, g2, DetectorMode(a, 0), DetectorMode(b, 0)]
     coeffs = _orthonormal_coefficients(modes)
-    n_basis = coeffs.shape[1]
-    space = fock.build_space(n_basis, 0)
+    space = fock.build_space(coeffs.shape[1], 0)
 
     def annihilator(row: int):
-        out = None
-        for j in range(n_basis):
-            term = np.conj(coeffs[row, j]) * space.annihilate_particle(j)
-            out = term if out is None else out + term
-        return out
+        return fock.QuasiOperator(np.conj(coeffs[row]), np.zeros(0)).matrix(space)
 
     create_g1 = annihilator(0).conj().T
     create_g2 = annihilator(1).conj().T

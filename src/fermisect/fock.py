@@ -6,6 +6,11 @@ built by the Jordan-Wigner construction over a fixed global mode ordering:
 particle modes first, then antiparticle modes, each with a full sign string,
 so all operators anticommute across species exactly.
 
+The operators of each mode count are built once and cached read-only.
+Operators of distinct modes share no nonzero entry, so a quasi-operator
+matrix is one sparse constructor over a cached pattern: each entry is a
+single signed coefficient.
+
 Limited to 12 modes total (dimension 4096); the engine exists for
 correctness, not scale.
 """
@@ -54,8 +59,39 @@ def _jordan_wigner(nmodes: int) -> tuple:
                 factor = z
             mat = sparse.kron(mat, factor, format="csr")
         mat.eliminate_zeros()
-        ops.append(mat)
+        ops.append(_read_only(mat))
     return tuple(ops)
+
+
+@lru_cache(maxsize=8)
+def _annihilators(nmodes: int) -> tuple:
+    """Adjoints of `_jordan_wigner`, CSR sparse."""
+    return tuple(_read_only(op.conj().T.tocsr()) for op in _jordan_wigner(nmodes))
+
+
+@lru_cache(maxsize=8)
+def _quasi_pattern(n_particle: int, n_anti: int) -> tuple:
+    """Row, column, sign and mode of every entry of a quasi-operator matrix.
+
+    The entries of the particle annihilators and antiparticle creators, in
+    CSR order.  Distinct modes share no entry, so the sum coding mode ``j``
+    as ``+-(j + 1)`` is exact.
+    """
+    n = n_particle + n_anti
+    ops = _annihilators(n)[:n_particle] + _jordan_wigner(n)[n_particle:]
+    code = sparse.csr_matrix((2**n, 2**n))
+    for j, op in enumerate(ops):
+        code = code + (j + 1) * op
+    code = code.tocoo()
+    mode = np.abs(code.data).astype(np.intp) - 1
+    return tuple(_read_only(arr) for arr in (code.row, code.col, np.sign(code.data), mode))
+
+
+def _read_only(obj):
+    """Freeze a cached array, or the arrays of a cached CSR matrix, against in-place edits."""
+    for arr in (obj.data, obj.indices, obj.indptr) if sparse.issparse(obj) else (obj,):
+        arr.flags.writeable = False
+    return obj
 
 
 @dataclass(frozen=True)
@@ -81,10 +117,10 @@ class FockSpace:
         return vac
 
     def annihilate_particle(self, j: int):
-        return self.create_particle[j].conj().T.tocsr()
+        return _annihilators(self.n_modes)[j]
 
     def annihilate_anti(self, j: int):
-        return self.create_anti[j].conj().T.tocsr()
+        return _annihilators(self.n_modes)[self.n_particle + j]
 
 
 def build_space(n_particle: int, n_anti: int = 0) -> FockSpace:
@@ -116,14 +152,14 @@ class QuasiOperator:
     def matrix(self, space: FockSpace):
         if len(self.alpha) != space.n_particle or len(self.beta) != space.n_anti:
             raise ValueError("coefficient lengths do not match the space")
-        out = sparse.csr_matrix((space.dimension, space.dimension), dtype=complex)
-        for j, a in enumerate(self.alpha):
-            if a != 0:
-                out = out + a * space.annihilate_particle(j)
-        for j, b in enumerate(self.beta):
-            if b != 0:
-                out = out + np.conj(b) * space.create_anti[j]
-        return out
+        row, col, sign, mode = _quasi_pattern(space.n_particle, space.n_anti)
+        coeff = np.concatenate([self.alpha, np.conj(self.beta)]).astype(complex)[mode]
+        keep = coeff != 0
+        # + 0.0 turns the -0.0 parts of the exact terms sign * coeff into 0.0,
+        # as adding the terms up one by one does
+        data = sign[keep] * coeff[keep] + 0.0
+        return sparse.csr_matrix((data, (row[keep], col[keep])),
+                                 shape=(space.dimension, space.dimension))
 
     def dagger_matrix(self, space: FockSpace):
         return self.matrix(space).conj().T.tocsr()

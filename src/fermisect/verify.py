@@ -28,8 +28,8 @@ from .detector import (
     DetectorMode,
     PhasePoint,
     gram_matrix,
-    joint_correlation,
     joint_correlation_exact,
+    joint_correlation_surface,
     mode_overlap,
     registration_prob_one,
     registration_prob_two,
@@ -198,18 +198,13 @@ def criterion_joint_correlation() -> CriterionResult:
     """Origin detector decorrelates exactly; surface matches the Fock twin."""
     tol = 1e-10
     origin = PhasePoint(1.0)
-    worst_origin = max(
-        abs(joint_correlation(origin, PhasePoint(1.0, x=x, p=p)))
-        for x in np.linspace(-5, 5, 9)
-        for p in np.linspace(-5, 5, 9)
-        if abs(PhasePoint(1.0, x=x, p=p).label) <= 5.0
-    )
-    grid = np.linspace(0.0, 3.0, 5)
-    worst_surface = max(
-        abs(joint_correlation(PhasePoint(1.0, x=a), PhasePoint(1.0, x=b))
-            - joint_correlation_exact(PhasePoint(1.0, x=a), PhasePoint(1.0, x=b)))
-        for a in grid for b in grid
-    )
+    axis = np.linspace(-5, 5, 9)
+    sweep = [PhasePoint(1.0, x=x, p=p) for x in axis for p in axis]
+    sweep = [point for point in sweep if abs(point.label) <= 5.0]
+    worst_origin = float(np.max(np.abs(joint_correlation_surface([origin], sweep))))
+    grid = [PhasePoint(1.0, x=a) for a in np.linspace(0.0, 3.0, 5)]
+    exact = [[joint_correlation_exact(a, b) for b in grid] for a in grid]
+    worst_surface = float(np.max(np.abs(joint_correlation_surface(grid, grid) - exact)))
     ok = worst_origin <= tol and worst_surface <= tol
     return CriterionResult(8, "joint-registration correlation", ok,
                            f"max |C(origin, b)| = {worst_origin:.3e};"

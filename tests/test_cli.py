@@ -135,6 +135,8 @@ GOLDEN = [
     (["detector", "--grid", "0,0.5,2.25", "--format", "json"], 0, "2f7293e6252d7e27"),
     (["joint-correlation", "--sigma", "2.0", "--grid", "0:2.5:4"], 0, "64895c6e3e3451fc"),
     (["joint-correlation", "--grid", "0:3:3", "--format", "json"], 0, "b1c2d9a70e7e5528"),
+    # the bench's largest grid: one surface per parametrization
+    (["joint-correlation", "--sigma", "1.0", "--grid", "0:3.0:28"], 0, "3b978f0806893be0"),
     (["povm", "--product", "0.3", "0.6", "--format", "csv"], 0, "80681a536571df58"),
     (["povm", "--entangled", "0.25", "--with-conditionals"], 0, "fbc9d926c91a0921"),
     # no --truncation: the converged cutoff plus the closed-form tail

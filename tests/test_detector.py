@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from fermisect.detector import (
@@ -12,10 +14,12 @@ from fermisect.detector import (
     gram_matrix,
     joint_correlation,
     joint_correlation_exact,
+    joint_correlation_surface,
     mode_overlap,
     registration_prob_one,
     registration_prob_two,
 )
+from oracle_reference import joint_correlation_by_overlaps
 
 
 def _wavefunction(mode: DetectorMode, p) -> np.ndarray:
@@ -282,3 +286,43 @@ def test_surface_snapshot():
 def test_joint_correlation_width_mismatch():
     with pytest.raises(WidthMismatch):
         joint_correlation(PhasePoint(1.0), PhasePoint(2.0, x=1.0))
+
+
+def _assert_surface_by_overlaps(points_a, points_b):
+    surface = joint_correlation_surface(points_a, points_b)
+    assert surface.shape == (len(points_a), len(points_b))
+    want = [[joint_correlation_by_overlaps(a, b).hex() for b in points_b] for a in points_a]
+    assert [[c.hex() for c in row] for row in surface.tolist()] == want
+
+
+_coordinate = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(sigma=st.floats(0.2, 3.0), data=st.data())
+def test_surface_equals_eight_overlap_formula(sigma, data):
+    # rows and columns on the real axis, the imaginary axis, off axis and at the origin
+    def points():
+        coords = data.draw(st.lists(st.tuples(_coordinate, _coordinate), max_size=5))
+        return [PhasePoint(sigma, x=x, p=p) for x, p in coords]
+
+    _assert_surface_by_overlaps(points(), points())
+
+
+def test_surface_equals_eight_overlap_formula_on_a_cli_sized_grid():
+    sigma = 0.7
+    grid = np.linspace(0.0, 3.5, 60).tolist()
+    real = [PhasePoint(sigma, x=g / sigma) for g in grid]
+    imag = [PhasePoint(sigma, p=2.0 * sigma * g) for g in grid]
+    _assert_surface_by_overlaps(real, real)
+    _assert_surface_by_overlaps(real, imag)
+
+
+def test_surface_width_mismatch_anywhere_in_a_grid():
+    good = [PhasePoint(1.0, x=x) for x in (0.0, 0.5, 1.0)]
+    odd = PhasePoint(2.0, x=0.5)
+    for i in range(len(good) + 1):
+        with pytest.raises(WidthMismatch):
+            joint_correlation_surface(good[:i] + [odd] + good[i:], good)
+        with pytest.raises(WidthMismatch):
+            joint_correlation_surface(good, good[:i] + [odd] + good[i:])

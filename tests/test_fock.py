@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from fermisect.fock import (
@@ -9,6 +11,9 @@ from fermisect.fock import (
     random_canonical_transform,
     vacuum_expectation,
 )
+from oracle_reference import matrix_by_terms
+
+DRAWS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
 
 def _anticommutator(a, b):
@@ -136,3 +141,64 @@ def test_zero_generator_identity_transform():
 def test_transform_mode_cap():
     with pytest.raises(DimensionTooLarge):
         random_canonical_transform(7, 0)
+
+
+def _assert_same_csr(got, want):
+    assert type(got) is type(want) and got.shape == want.shape
+    assert got.has_sorted_indices
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+_coefficient = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@DRAWS
+@given(n_particle=st.integers(0, 6), n_anti=st.integers(0, 6), data=st.data())
+def test_quasi_operator_matrix_equals_term_sum_by_bytes(n_particle, n_anti, data):
+    op = QuasiOperator(
+        alpha=np.array(data.draw(st.lists(_coefficient, min_size=n_particle, max_size=n_particle)),
+                       dtype=complex),
+        beta=np.array(data.draw(st.lists(_coefficient, min_size=n_anti, max_size=n_anti)),
+                      dtype=complex),
+    )
+    space = build_space(n_particle, n_anti)
+    _assert_same_csr(op.matrix(space), matrix_by_terms(op, space))
+
+
+@pytest.mark.parametrize("n_particle,n_anti", [(0, 0), (1, 0), (0, 2), (3, 3), (6, 6)])
+def test_zero_quasi_operator_matrix_equals_term_sum(n_particle, n_anti):
+    op = QuasiOperator(alpha=np.zeros(n_particle), beta=np.zeros(n_anti, dtype=complex))
+    space = build_space(n_particle, n_anti)
+    mat = op.matrix(space)
+    assert mat.nnz == 0
+    _assert_same_csr(mat, matrix_by_terms(op, space))
+
+
+def test_canonical_transform_matrices_equal_term_sum():
+    for seed in range(0, 100, 7):
+        n_modes = 2 + seed % 3
+        space = build_space(n_modes, n_modes)
+        for op in random_canonical_transform(n_modes, seed):
+            _assert_same_csr(op.matrix(space), matrix_by_terms(op, space))
+
+
+def test_cached_operators_are_read_only():
+    space = build_space(2, 1)
+    ops = space.create_particle + space.create_anti
+    before = [op.toarray() for op in ops]
+    edited = (space.create_particle[0], space.create_anti[0],
+              space.annihilate_particle(1), space.annihilate_anti(0))
+    for op in edited:
+        for arr in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2
+    fresh = build_space(2, 1)
+    for op, want in zip(fresh.create_particle + fresh.create_anti, before):
+        assert np.array_equal(op.toarray(), want)
+    for j, op in enumerate(fresh.create_particle):
+        assert np.array_equal(fresh.annihilate_particle(j).toarray(), op.toarray().T)
