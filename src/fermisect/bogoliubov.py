@@ -218,29 +218,38 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gauss_legendre_values(m, ks, region, branches, cfg, order):
-    """Mode overlap integrals of row ``m`` over the indices ``ks`` at one quadrature order."""
+def _gauss_legendre_block(out, ms, ks, in_group, region, branches, cfg, order):
+    """Write the mode overlap integrals of the block entries ``in_group`` at one order into ``out``.
+
+    One node set, one half-mode call over the rows and one whole-interval call over the columns
+    that hold an entry of the group; each row is reduced over its own entries, so a row of the
+    block is the row alone, bit for bit.
+    """
     lo, hi = region.interval(cfg)
     nodes, weights = _leggauss(order)
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
-    f_half = np.conj(mode_function(m, region, x, cfg))
-    f_full = mode_function(ks[:, None], Region.WHOLE, x, cfg)
+    rows = np.flatnonzero(in_group.any(axis=1))
+    cols = np.flatnonzero(in_group.any(axis=0))
+    f_half = np.conj(mode_function(ms[rows, None], region, x, cfg))
+    f_full = mode_function(ks[cols, None], Region.WHOLE, x, cfg)
     if branches[0] is not branches[1]:
         # mixed-branch overlaps pair the half mode with the conjugate full mode
         f_full = np.conj(f_full)
-    return np.sum(w * f_half * f_full, axis=-1)
+    for r, f_row in zip(rows.tolist(), f_half):
+        g = np.flatnonzero(in_group[r, cols])
+        out[r, cols[g]] = np.sum(w * f_row * f_full[g], axis=-1)
 
 
 def overlap_oracle(
-    m: int,
+    m,
     k,
     region: Region,
     branches: tuple[Branch, Branch],
     cfg: FieldConfig,
     order: int | None = None,
 ):
-    """Numerical-quadrature estimate of Bogoliubov coefficients in row ``m``.
+    """Numerical-quadrature estimate of the Bogoliubov coefficients of rows ``m`` over ``k``.
 
     Integrates ``[u^{b1}(q_m) . u^{b2}(p_k)] * conj(phi_m_half) * phi_k`` over
     the half interval (the full-interval mode is conjugated when ``b2`` is the
@@ -253,43 +262,46 @@ def overlap_oracle(
     (-, +)      beta[m, k]   (integral estimates -conj(beta))
     ==========  =========================================
 
-    ``k`` is an int, which gives a complex, or a 1-D integer array, which
-    gives a complex array of its length.  The entries of a row are grouped
-    by their quadrature order; each group fetches its node set once and
-    integrates all its modes as one ``(n_k, order)`` array, and every entry
-    equals the one-entry call bit for bit.  Each integral is evaluated at two orders
-    (``order`` and ``2*order``); the first entry whose two values disagree
-    beyond 1e-8 raises `QuadratureUnresolved` naming its ``(m, k)``.
+    ``m`` and ``k`` are each an int or a 1-D integer array; the result has shape
+    ``np.shape(m) + np.shape(k)``: a complex, a row over ``k``, or a ``(len(m), len(k))``
+    block.  The entries are grouped by their quadrature order; each group fetches
+    its node set once and evaluates every half mode and every full-interval mode
+    of the group once, and every entry equals the one-entry call bit for bit.
+    Each integral is evaluated at two orders (``order`` and ``2*order``); the
+    first entry in row-major order whose two values disagree beyond 1e-8 raises
+    `QuadratureUnresolved` naming its ``(m, k)``.
     """
+    ms = np.atleast_1d(np.asarray(m, dtype=int))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     if order is None:
         # >= 8 nodes per oscillation wavelength of the integrand, rounded up
         # to a multiple of 32 so cached node sets are reused across the grid
-        cycles = (abs(2 * m) + np.abs(ks)) / 2.0
+        cycles = (np.abs(2 * ms)[:, None] + np.abs(ks)) / 2.0
         orders = np.maximum(64, 32 * np.ceil((8 * cycles + 16) / 32).astype(int))
     else:
-        orders = np.full(ks.shape, order)
+        orders = np.full((ms.size, ks.size), order)
     b1, b2 = branches
-    spin = spinor(subsection_momentum(m, cfg), cfg.mass, b1).dot(
+    spin = spinor(subsection_momentum(ms[:, None], cfg), cfg.mass, b1).dot(
         spinor(section_momentum(ks, cfg), cfg.mass, b2))
-    coarse = np.empty(ks.shape, dtype=complex)
+    coarse = np.empty(orders.shape, dtype=complex)
     fine = np.empty_like(coarse)
     for group_order in np.unique(orders).tolist():
-        group = np.flatnonzero(orders == group_order)
-        args = (m, ks[group], region, branches, cfg)
-        coarse[group] = spin[group] * _gauss_legendre_values(*args, group_order)
-        fine[group] = spin[group] * _gauss_legendre_values(*args, 2 * group_order)
+        in_group = orders == group_order
+        args = (ms, ks, in_group, region, branches, cfg)
+        _gauss_legendre_block(coarse, *args, group_order)
+        _gauss_legendre_block(fine, *args, 2 * group_order)
+    coarse, fine = spin * coarse, spin * fine
     gap = np.abs(fine - coarse)
-    unresolved = np.flatnonzero(gap > 1e-8)
+    unresolved = np.argwhere(gap > 1e-8)  # in row-major order
     if unresolved.size:
-        i = unresolved[0]
+        r, c = unresolved[0]
         raise QuadratureUnresolved(
-            f"entry (m={m}, k={ks[i]}): orders {orders[i]} and {2 * orders[i]}"
-            f" disagree by {gap[i]:.3e}"
+            f"entry (m={ms[r]}, k={ks[c]}): orders {orders[r, c]} and {2 * orders[r, c]}"
+            f" disagree by {gap[r, c]:.3e}"
         )
     if b1 is not b2:
         fine = np.conj(fine) if b1 is Branch.POSITIVE else -np.conj(fine)
-    return fine[0] if np.ndim(k) == 0 else fine
+    return fine.reshape(np.shape(m) + np.shape(k))[()]
 
 
 # ---------------------------------------------------------------------------

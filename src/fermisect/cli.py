@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -221,7 +222,12 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing reads the tree and never writes it: each call fills a new namespace.
+    """
     parser = _Parser(prog="fermisect", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -285,9 +291,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import povm
-from .bogoliubov import canonicity_residual, coefficients, overlap_oracle, region_sign
+from .bogoliubov import canonicity_residual, iter_coefficients, overlap_oracle, region_sign
 from .detector import (
     DetectorMode,
     PhasePoint,
@@ -36,7 +36,7 @@ from .detector import (
 )
 from .field import Branch, FieldConfig, Region
 from .fock import build_space, random_canonical_transform, vacuum_expectation
-from .spectrum import correlation_matrix, cross_correlation_from_rows, occupation
+from .spectrum import correlation_matrix, cross_correlation_from_rows, occupation_spectrum
 
 __all__ = ["CriterionResult", "run", "CRITERIA"]
 
@@ -59,17 +59,16 @@ def criterion_oracle_agreement() -> CriterionResult:
     """Closed-form alpha/beta match quadrature overlaps to 1e-6, on both halves."""
     tol = 1e-6
     worst = 0.0
-    ks = np.arange(-17, 18)
+    ms, ks = np.arange(-8, 9), np.arange(-17, 18)
     signs = {region: region_sign(ks, region) for region in (Region.LEFT, Region.RIGHT)}
     for mu_l in (0.1, 1.0, 10.0):
         cfg = FieldConfig.from_mu_l(mu_l, time=0.0)
-        for m in range(-8, 9):
-            left = coefficients(m, ks, cfg)
-            for region, sign in signs.items():
-                alpha, beta = left[0] * sign, left[1] * sign
-                a_or = overlap_oracle(m, ks, region, (Branch.POSITIVE, Branch.POSITIVE), cfg)
-                b_or = overlap_oracle(m, ks, region, (Branch.POSITIVE, Branch.NEGATIVE), cfg)
-                worst = max(worst, np.max(np.abs(a_or - alpha)), np.max(np.abs(b_or - beta)))
+        left_alpha, left_beta = map(np.array, zip(*iter_coefficients(ms, ks, cfg)))
+        for region, sign in signs.items():
+            a_or = overlap_oracle(ms, ks, region, (Branch.POSITIVE, Branch.POSITIVE), cfg)
+            b_or = overlap_oracle(ms, ks, region, (Branch.POSITIVE, Branch.NEGATIVE), cfg)
+            worst = max(worst, np.max(np.abs(a_or - left_alpha * sign)),
+                        np.max(np.abs(b_or - left_beta * sign)))
     return CriterionResult(1, "quadrature-oracle agreement", worst <= tol,
                            f"max |closed form - oracle| = {worst:.3e} (tol {tol:.0e})")
 
@@ -99,10 +98,10 @@ def criterion_saturation() -> CriterionResult:
     n_trunc = 4097
     cfg_small = FieldConfig.from_mu_l(0.1)
     k_min = max(1, math.ceil(50 * cfg_small.mass * cfg_small.half_length / (2.0 * math.pi)))
-    occ_small = [occupation(k, cfg_small, n_trunc) for k in range(k_min, k_min + 16)]
+    occ_small = occupation_spectrum(k_min + 15, cfg_small, n_trunc)[k_min - 1:]
     window_ok = all(abs(v - 0.5) <= 0.05 for v in occ_small)
 
-    curves = {mu_l: [occupation(k, FieldConfig.from_mu_l(mu_l), n_trunc) for k in range(1, 5)]
+    curves = {mu_l: occupation_spectrum(4, FieldConfig.from_mu_l(mu_l), n_trunc)
               for mu_l in (0.1, 1.0, 10.0)}
     ordering_ok = all(
         curves[0.1][i] > curves[1.0][i] > curves[10.0][i] for i in range(4)

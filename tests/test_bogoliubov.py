@@ -125,7 +125,7 @@ def test_quadrature_unresolved():
 
 
 def test_row_keeps_the_entry_checks():
-    # at order 16 row m = 1 resolves k in [-7, 11] and no k from 12 on
+    # at order 16 row m = 1 resolves k in [-8, 11] and no k from 12 on
     resolved = [0, 1, 2, 3, 4, 5]
     row = overlap_oracle(1, np.array(resolved), Region.LEFT, PP, CFG, order=16)
     assert row.tolist() == [overlap_oracle(1, k, Region.LEFT, PP, CFG, order=16) for k in resolved]
@@ -138,6 +138,26 @@ def test_row_keeps_the_entry_checks():
     for region, branches in ((Region.LEFT, PP), (Region.RIGHT, PM)):
         with pytest.raises(DegenerateDispersion):
             overlap_oracle(1, np.arange(-3, 4), region, branches, massless)
+
+
+def test_block_keeps_the_entry_checks_in_row_major_order():
+    # at order 16 rows 2, 1 and -1 resolve k in [-6, 13], [-8, 11] and [-11, 8]
+    ms = np.array([2, 1, -1])
+    block = overlap_oracle(ms, np.array([0, 5, -6, 8]), Region.LEFT, PP, CFG, order=16)
+    assert block.shape == (3, 4)
+    assert [row.tolist() for row in block] == [
+        overlap_oracle(m, np.array([0, 5, -6, 8]), Region.LEFT, PP, CFG, order=16).tolist()
+        for m in ms.tolist()]
+    # (1, 12) comes first by columns, (2, -12) by rows
+    with pytest.raises(QuadratureUnresolved, match=r"\(m=2, k=-12\)"):
+        overlap_oracle(ms, np.array([0, 12, 13, -12]), Region.LEFT, PP, CFG, order=16)
+    with pytest.raises(QuadratureUnresolved, match=r"\(m=1, k=12\)"):
+        overlap_oracle(np.array([1, 2]), np.array([12, -12]), Region.LEFT, PP, CFG, order=16)
+    massless = FieldConfig(mass=0.0, half_length=1.0)
+    odd = np.array([-3, -1, 1, 3])
+    assert np.all(np.isfinite(overlap_oracle(np.array([1, -2]), odd, Region.LEFT, PP, massless)))
+    with pytest.raises(DegenerateDispersion):
+        overlap_oracle(np.array([1, 0]), odd, Region.LEFT, PP, massless)
 
 
 # --- calibration -----------------------------------------------------------
@@ -184,8 +204,8 @@ def test_build_pair_n1_hand_enumeration():
             if k % 2 == 0:
                 assert alpha == pytest.approx(1 / math.sqrt(2) if k == 2 * m else 0.0)
                 assert beta == pytest.approx(coeff_w(m, CFG) if k == -2 * m else 0.0)
-            assert abs(alpha - overlap_oracle(m, k, Region.LEFT, PP, CFG)) <= 1e-10
-            assert abs(beta - overlap_oracle(m, k, Region.LEFT, PM, CFG)) <= 1e-10
+    assert np.all(np.abs(pair_alpha - overlap_oracle(ks, ks, Region.LEFT, PP, CFG)) <= 1e-10)
+    assert np.all(np.abs(pair_beta - overlap_oracle(ks, ks, Region.LEFT, PM, CFG)) <= 1e-10)
 
 
 def test_even_columns_sparsity():
@@ -207,9 +227,8 @@ def test_right_pair_negates_odd_columns():
     assert np.array_equal(sign, np.where(ks % 2 == 0, 1.0, -1.0))
     alpha, beta = coefficient_rows(ks, ks, CFG)
     right_alpha, right_beta = alpha * sign, beta * sign
-    for i, m in enumerate(ks.tolist()):
-        assert np.all(np.abs(right_alpha[i] - overlap_oracle(m, ks, Region.RIGHT, PP, CFG)) <= 1e-10)
-        assert np.all(np.abs(right_beta[i] - overlap_oracle(m, ks, Region.RIGHT, PM, CFG)) <= 1e-10)
+    assert np.all(np.abs(right_alpha - overlap_oracle(ks, ks, Region.RIGHT, PP, CFG)) <= 1e-10)
+    assert np.all(np.abs(right_beta - overlap_oracle(ks, ks, Region.RIGHT, PM, CFG)) <= 1e-10)
     assert abs(overlap_oracle(1, 3, Region.RIGHT, PP, CFG)
                + overlap_oracle(1, 3, Region.LEFT, PP, CFG)) <= 1e-12
 
@@ -219,12 +238,11 @@ def test_cross_region_magnitudes_coincide():
     cfg = FieldConfig.from_mu_l(3.0, time=0.4)
     ks = cutoff_indices(4)
     alpha, beta = coefficient_rows(ks, ks, cfg)
-    for i, m in enumerate(ks.tolist()):
-        for branches, kernel in ((PP, alpha[i]), (PM, beta[i])):
-            left = np.abs(overlap_oracle(m, ks, Region.LEFT, branches, cfg))
-            right = np.abs(overlap_oracle(m, ks, Region.RIGHT, branches, cfg))
-            assert np.all(np.abs(left - right) <= 1e-10)
-            assert np.all(np.abs(right - np.abs(kernel)) <= 1e-10)
+    for branches, kernel in ((PP, alpha), (PM, beta)):
+        left = np.abs(overlap_oracle(ks, ks, Region.LEFT, branches, cfg))
+        right = np.abs(overlap_oracle(ks, ks, Region.RIGHT, branches, cfg))
+        assert np.all(np.abs(left - right) <= 1e-10)
+        assert np.all(np.abs(right - np.abs(kernel)) <= 1e-10)
 
 
 def test_magnitudes_independent_of_time():

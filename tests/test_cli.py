@@ -71,6 +71,19 @@ def test_unknown_flag_exit_code(capsys):
     assert "unrecognized" in err
 
 
+def test_parser_keeps_no_state_between_calls(capsys):
+    # one parser serves every call; a flag given once does not become the next call's default
+    assert cli._parser() is cli._parser()
+    rc, out, _ = _run(capsys, ["spectrum", "--k-max", "2", "--truncation", "65", "--format", "json"])
+    assert rc == 0 and json.loads(out)["k"] == [1, 2]
+    rc, out, _ = _run(capsys, ["spectrum", "--k-max", "2", "--truncation", "65"])
+    assert rc == 0 and out.splitlines()[1] == "k,n_muL_0.1,n_muL_1.0,n_muL_10.0"
+    rc, out, _ = _run(capsys, ["bogoliubov", "--truncation", "1", "--region", "right"])
+    assert rc == 0 and "region=right" in out.splitlines()[0]
+    rc, out, _ = _run(capsys, ["bogoliubov", "--truncation", "1"])
+    assert rc == 0 and "region=left" in out.splitlines()[0]
+
+
 def test_bogoliubov_dump(capsys):
     rc, out, _ = _run(capsys, ["bogoliubov", "--mu-l", "1", "--truncation", "2",
                                "--region", "right"])

@@ -5,6 +5,7 @@ Draws are derandomized and few, so the suite stays deterministic and fast.
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermisect.bogoliubov import (
+    QuadratureUnresolved,
     build_pair,
     coefficients,
     cutoff_indices,
@@ -29,6 +31,7 @@ from fermisect.spectrum import (
     tail_sums,
 )
 from kernel_rows import coefficient_rows, pair_from_csv
+from oracle_reference import row_oracle
 
 N = 65
 DRAWS = settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -137,6 +140,26 @@ def test_oracle_row_equals_its_entries_bit_for_bit(mu_l, time, m, ks, region, br
     entries = [overlap_oracle(m, k, region, branches, cfg, order=order) for k in ks]
     assert row.shape == (len(ks),)
     assert _bits(row) == _bits(entries)
+
+
+@DRAWS
+@given(mu_l=mu_ls, time=times, ms=st.lists(st.integers(-10, 10), min_size=1, max_size=6),
+       ks=st.lists(st.integers(-24, 24), min_size=1, max_size=12),
+       region=st.sampled_from((Region.LEFT, Region.RIGHT)), branches=st.sampled_from(BRANCH_PAIRS),
+       order=st.sampled_from((None, 96, 160)))
+def test_oracle_block_equals_its_rows_bit_for_bit(mu_l, time, ms, ks, region, branches, order):
+    # one call per block groups its entries by order across rows; each row keeps its bits
+    cfg = FieldConfig.from_mu_l(mu_l, time=time)
+    args = (np.array(ks), region, branches, cfg)
+    try:
+        rows = [row_oracle(m, *args, order=order) for m in ms]
+    except QuadratureUnresolved as exc:  # the block names the same first entry
+        with pytest.raises(QuadratureUnresolved, match=re.escape(str(exc))):
+            overlap_oracle(np.array(ms), *args, order=order)
+        return
+    block = overlap_oracle(np.array(ms), *args, order=order)
+    assert block.shape == (len(ms), len(ks))
+    assert [_bits(row) for row in block] == [_bits(row) for row in rows]
 
 
 @DRAWS

@@ -209,13 +209,14 @@ def test_correlation_matrix_matches_oracle_rows():
     mat = correlation_matrix(3, cfg, 7)
     js = cutoff_indices(7)
 
-    def oracle_rows(k, region):
-        return overlap_oracle(k, js, region, PP, cfg), overlap_oracle(k, js, region, PM, cfg)
-
+    modes = np.array([1, 2, 3])
+    (a_left, b_left), (a_right, b_right) = (
+        (overlap_oracle(modes, js, region, PP, cfg), overlap_oracle(modes, js, region, PM, cfg))
+        for region in (Region.LEFT, Region.RIGHT))
     for k in (1, 2, 3):
         for m in (1, 2, 3):
-            oracle = cross_correlation_from_rows(*oracle_rows(k, Region.LEFT),
-                                                 *oracle_rows(m, Region.RIGHT))
+            oracle = cross_correlation_from_rows(a_left[k - 1], b_left[k - 1],
+                                                 a_right[m - 1], b_right[m - 1])
             assert abs(mat[k - 1, m - 1] - oracle) <= 1e-10
 
 
