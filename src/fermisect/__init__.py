@@ -8,12 +8,9 @@ model.
 """
 
 from .bogoliubov import (
-    BogoliubovPair,
     QuadratureUnresolved,
-    build_pair,
     canonicity_residual,
     coeff_w,
-    coefficients,
     overlap_oracle,
     region_sign,
 )
@@ -23,7 +20,6 @@ from .detector import (
     PhasePoint,
     WidthMismatch,
     gram_matrix,
-    joint_correlation,
     joint_correlation_exact,
     joint_correlation_surface,
     mode_overlap,
@@ -59,7 +55,6 @@ from .povm import (
 )
 from .spectrum import (
     correlation_matrix,
-    occupation,
     occupation_spectrum,
 )
 

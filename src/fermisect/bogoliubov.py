@@ -23,9 +23,9 @@ left-half ones times ``(-1)**k`` (translation of the half by L flips the
 sign of every odd full-interval mode); `region_sign` is that column factor,
 applied as ``row * region_sign(ks, region)``.
 
-`iter_coefficients` streams the rows of both matrices over any indices
-(`coefficients` is one row), so a dump never holds its ``(2N+1)**2`` matrices;
-the contractions of :mod:`fermisect.spectrum` build no row.  `check_domain` is
+`iter_coefficients` streams the rows of both matrices over any indices, so
+`pair_to_csv` never holds a dump's ``(2N+1)**2`` matrices; the contractions
+of :mod:`fermisect.spectrum` build no row.  `check_domain` is
 the one float64 range check of both, and `cutoff_indices` turns a cutoff ``N``
 into the index set ``|k| <= N`` and rejects ``N < 1``.
 """
@@ -33,7 +33,7 @@ into the index set ``|k| <= N`` and rejects ``N < 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -53,16 +53,13 @@ from .field import (
 )
 
 __all__ = [
-    "BogoliubovPair",
     "KAPPA_ALPHA",
     "KAPPA_BETA",
     "QuadratureUnresolved",
     "SERIES_PREFACTOR",
-    "build_pair",
     "canonicity_residual",
     "check_domain",
     "coeff_w",
-    "coefficients",
     "cutoff_indices",
     "iter_coefficients",
     "overlap_oracle",
@@ -164,39 +161,6 @@ def iter_coefficients(ms, ks, cfg: FieldConfig):
         yield alpha, beta
 
 
-def coefficients(m: int, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Left-half row ``m`` of ``(alpha, beta)`` over the full-interval indices ``ks``."""
-    return next(iter_coefficients((m,), ks, cfg))
-
-
-@dataclass(frozen=True)
-class BogoliubovPair:
-    """Coefficients over ``|m|, |k| <= n_max`` for one half.
-
-    The pair holds only its configuration; `pair_to_csv` streams its rows
-    from `iter_coefficients`.
-    """
-
-    region: Region
-    cfg: FieldConfig
-    n_max: int
-
-    @property
-    def indices(self) -> np.ndarray:
-        return cutoff_indices(self.n_max)
-
-
-def build_pair(region: Region, cfg: FieldConfig, n_max: int) -> BogoliubovPair:
-    """The coefficient pair over ``|m|, |k| <= n_max`` for one half; rejects ``n_max < 1``.
-
-    Also rejects mass 0 before any row is written: every pair holds the row
-    ``m = 0``, whose spinor overlaps are undefined there.
-    """
-    if cfg.mass == 0:
-        raise DegenerateDispersion("spinor overlap undefined at p = mass = 0 (the m = 0 row)")
-    return BogoliubovPair(region=region, cfg=cfg, n_max=int(cutoff_indices(n_max)[-1]))
-
-
 def canonicity_residual(m: int, n_max: int, cfg: FieldConfig) -> float:
     """``| sum_{|k|<=n_max} (|alpha[m,k]|^2 + |beta[m,k]|^2) - 1 |``.
 
@@ -205,7 +169,7 @@ def canonicity_residual(m: int, n_max: int, cfg: FieldConfig) -> float:
     (see package docs), so the number is reported rather than assumed small.
     Both halves give the same residual, since ``|region_sign| = 1``.
     """
-    a, b = coefficients(m, cutoff_indices(n_max), cfg)
+    a, b = next(iter_coefficients((m,), cutoff_indices(n_max), cfg))
     return float(abs(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2) - 1.0))
 
 
@@ -308,26 +272,29 @@ def overlap_oracle(
 # serialization
 
 
-def pair_to_csv(pair: BogoliubovPair, path_or_buf) -> None:
-    """Write a pair's nonzero entries as ``m,k,re_alpha,im_alpha,re_beta,im_beta`` rows."""
-    write_table(path_or_buf, {"region": pair.region.value, **asdict(pair.cfg), "n_max": pair.n_max},
-                ("m", "k", "re_alpha", "im_alpha", "re_beta", "im_beta"), _pair_rows(pair))
+def pair_to_csv(region: Region, path_or_buf, cfg: FieldConfig, n_max: int) -> None:
+    """Write one half's nonzero entries over ``|m|, |k| <= n_max`` as ``m,k,re_alpha,...`` rows.
 
-
-def _pair_rows(pair: BogoliubovPair):
-    """The rows' text, one chunk of ``m,k,...`` lines per row ``m`` with a nonzero entry.
-
+    Rejects mass 0, then ``n_max < 1``, before the target is opened: every dump
+    holds the row ``m = 0``, whose spinor overlaps are undefined at mass 0.
     Each row is formatted in one pass: the tuple ``repr`` of Python floats is
     their shortest round-trip ``repr`` (``-0.0`` included), and the two
     replacements turn ``[(k, ...), (k, ...)]`` into CSV lines.
     """
-    ks = pair.indices
-    sign = region_sign(ks, pair.region)
-    for m, (a, b) in zip(ks.tolist(), iter_coefficients(ks, ks, pair.cfg)):
-        a, b = a * sign, b * sign
-        nz = np.flatnonzero((a != 0) | (b != 0))
-        if nz.size == 0:
-            continue
-        cells = repr(list(zip(ks[nz].tolist(), a.real[nz].tolist(), a.imag[nz].tolist(),
-                              b.real[nz].tolist(), b.imag[nz].tolist())))
-        yield f"{m}," + cells[2:-2].replace("), (", f"\n{m},").replace(", ", ",") + "\n"
+    if cfg.mass == 0:
+        raise DegenerateDispersion("spinor overlap undefined at p = mass = 0 (the m = 0 row)")
+    ks = cutoff_indices(n_max)
+    sign = region_sign(ks, region)
+
+    def rows():
+        for m, (a, b) in zip(ks.tolist(), iter_coefficients(ks, ks, cfg)):
+            a, b = a * sign, b * sign
+            nz = np.flatnonzero((a != 0) | (b != 0))
+            if nz.size == 0:
+                continue
+            cells = repr(list(zip(ks[nz].tolist(), a.real[nz].tolist(), a.imag[nz].tolist(),
+                                  b.real[nz].tolist(), b.imag[nz].tolist())))
+            yield f"{m}," + cells[2:-2].replace("), (", f"\n{m},").replace(", ", ",") + "\n"
+
+    write_table(path_or_buf, {"region": region.value, **asdict(cfg), "n_max": int(ks[-1])},
+                ("m", "k", "re_alpha", "im_alpha", "re_beta", "im_beta"), rows())

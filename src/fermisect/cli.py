@@ -8,13 +8,14 @@ suite.  Output is deterministic for a fixed command line (floats are written
 with shortest round-trip repr) and every CSV but the POVM table carries a
 ``#`` header echoing the configuration that produced it.
 
-Exit codes: 0 success, 1 configuration or compute error, 2 verification
+Exit codes: 0 success, 1 configuration, output or compute error, 2 verification
 failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from ._textio import text_buffer, write_table
-from .bogoliubov import QuadratureUnresolved, build_pair, pair_to_csv
+from .bogoliubov import QuadratureUnresolved, pair_to_csv
 from .detector import (
     PhasePoint,
     joint_correlation_surface,
@@ -99,6 +100,16 @@ def _detectors(args, imaginary: bool = False) -> tuple[list[float], list[PhasePo
     return grid, points
 
 
+@contextlib.contextmanager
+def _grid_overflow(args):
+    """Report an `OverflowError` of the detector arithmetic against ``--grid`` and ``--sigma``."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ConfigError(f"--grid {args.grid} at --sigma {args.sigma!r} overflows float64"
+                          " in the detector arithmetic") from exc
+
+
 def _single_mu_l(text: str) -> float:
     mu_ls = _parse_floats(text)
     if len(mu_ls) != 1:
@@ -164,14 +175,15 @@ def _cmd_bogoliubov(args) -> int:
     mu_l = _single_mu_l(args.mu_l)
     cfg = FieldConfig.from_mu_l(mu_l, time=args.time)
     region = Region.LEFT if args.region == "left" else Region.RIGHT
-    pair_to_csv(build_pair(region, cfg, args.truncation), _target(args.out))
+    pair_to_csv(region, _target(args.out), cfg, args.truncation)
     return 0
 
 
 def _cmd_detector(args) -> int:
     grid, points = _detectors(args)
-    rows = [(r, registration_prob_one(point), registration_prob_two(point))
-            for r, point in zip(grid, points)]
+    with _grid_overflow(args):
+        rows = [(r, registration_prob_one(point), registration_prob_two(point))
+                for r, point in zip(grid, points)]
     _emit_rows(args, ("beta", "p1", "p2"), rows,
                (f"{b!r},{p1!r},{p2!r}\n" for b, p1, p2 in rows))
     return 0
@@ -180,10 +192,11 @@ def _cmd_detector(args) -> int:
 def _cmd_joint_correlation(args) -> int:
     grid, real = _detectors(args)
     _, imag = _detectors(args, imaginary=True)
-    rows = [(parametrization, a, b, c)
-            for parametrization, points_b in (("real_real", real), ("real_imag", imag))
-            for a, surface_row in zip(grid, joint_correlation_surface(real, points_b).tolist())
-            for b, c in zip(grid, surface_row)]
+    with _grid_overflow(args):
+        rows = [(parametrization, a, b, c)
+                for parametrization, points_b in (("real_real", real), ("real_imag", imag))
+                for a, surface_row in zip(grid, joint_correlation_surface(real, points_b).tolist())
+                for b, c in zip(grid, surface_row)]
     _emit_rows(args, ("parametrization", "a", "b", "c"), rows,
                (f"{s},{a!r},{b!r},{c!r}\n" for s, a, b, c in rows))
     return 0
@@ -213,7 +226,11 @@ def _cmd_povm(args) -> int:
 def _cmd_verify(args) -> int:
     numbers = None
     if args.only:
-        numbers = [int(tok) for tok in args.only.split(",") if tok]
+        try:
+            numbers = [int(tok) for tok in args.only.split(",") if tok]
+        except ValueError as exc:
+            raise ConfigError(f"--only needs a comma list of criterion numbers,"
+                              f" got {args.only!r}") from exc
         unknown = set(numbers) - set(verify_mod.CRITERIA)
         if unknown:
             raise ConfigError(f"unknown criteria: {sorted(unknown)}")
@@ -294,7 +311,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QuadratureUnresolved as exc:

@@ -32,7 +32,6 @@ __all__ = [
     "PhasePoint",
     "WidthMismatch",
     "gram_matrix",
-    "joint_correlation",
     "joint_correlation_exact",
     "joint_correlation_surface",
     "mode_overlap",
@@ -150,22 +149,16 @@ def _state_modes(sigma: float) -> tuple[DetectorMode, DetectorMode]:
     return DetectorMode(origin, 0), DetectorMode(origin, 1)
 
 
-def joint_correlation(a: PhasePoint, b: PhasePoint) -> float:
-    """Connected joint-registration correlation of detectors at ``a`` and ``b``.
-
-    The probed state has one particle in each of the origin levels 0 and 1.
-    Wick expansion over the nonorthogonal mode algebra leaves the product of
-    the two cross contractions: the occupied-span part of <a|b> times its
-    complement, which vanishes identically when either detector sits at the
-    origin.  It returns the real part and drops ``Im C = <[n_b, n_a]>/(2i)``,
-    nonzero off the real labels, where overlapping detector modes do not commute.
-    This is the 1x1 case of `joint_correlation_surface`.
-    """
-    return float(joint_correlation_surface([a], [b])[0, 0])
-
-
 def joint_correlation_surface(points_a, points_b) -> np.ndarray:
-    """`joint_correlation` of every pair, shape ``(len(points_a), len(points_b))``.
+    """Connected joint-registration correlation of detectors at every pair of points.
+
+    The result has shape ``(len(points_a), len(points_b))``.  The probed state
+    has one particle in each of the origin levels 0 and 1.  Wick expansion
+    over the nonorthogonal mode algebra leaves the product of the two cross
+    contractions: the occupied-span part of <a|b> times its complement, which
+    vanishes identically when either detector sits at the origin.  It returns
+    the real part and drops ``Im C = <[n_b, n_a]>/(2i)``, nonzero off the real
+    labels, where overlapping detector modes do not commute.
 
     All points must share one width, else `WidthMismatch`.  The overlaps of
     each detector with the two state modes are computed once per detector, so
@@ -211,7 +204,7 @@ def _orthonormal_coefficients(modes) -> np.ndarray:
 
 
 def joint_correlation_exact(a: PhasePoint, b: PhasePoint) -> float:
-    """Brute-force twin of `joint_correlation` on an explicit Fock space.
+    """Brute-force twin of a `joint_correlation_surface` entry on an explicit Fock space.
 
     Orthonormalizes the span of the two state modes and the two detector
     modes, represents every annihilator as a matrix there, and evaluates the

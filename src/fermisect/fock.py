@@ -146,9 +146,6 @@ class QuasiOperator:
     alpha: np.ndarray
     beta: np.ndarray
 
-    def canonicity(self) -> float:
-        return float(np.sum(np.abs(self.alpha) ** 2) + np.sum(np.abs(self.beta) ** 2))
-
     def matrix(self, space: FockSpace):
         if len(self.alpha) != space.n_particle or len(self.beta) != space.n_anti:
             raise ValueError("coefficient lengths do not match the space")
@@ -160,9 +157,6 @@ class QuasiOperator:
         data = sign[keep] * coeff[keep] + 0.0
         return sparse.csr_matrix((data, (row[keep], col[keep])),
                                  shape=(space.dimension, space.dimension))
-
-    def dagger_matrix(self, space: FockSpace):
-        return self.matrix(space).conj().T.tocsr()
 
 
 def vacuum_expectation(space: FockSpace, operators) -> complex:

@@ -2,7 +2,7 @@
 
 The full-interval vacuum is not a vacuum for the half-interval
 quasi-particles: mode ``k`` of either half, particle or antiparticle, has the
-mean filling number ``occupation(k) = sum_j |beta[k, j]|^2``, and the halves'
+mean filling number ``n(k) = sum_j |beta[k, j]|^2``, and the halves'
 filling numbers have the connected correlation ``(sum_j betaL[k,j] *
 conj(betaR[m,j])) * (sum_j alphaL[k,j] * conj(alphaR[m,j]))``, right-half rows
 being the left ones times ``(-1)**j``.  On the odd columns the row phases
@@ -29,7 +29,6 @@ __all__ = [
     "converged_cutoff",
     "correlation_matrix",
     "cross_correlation_from_rows",
-    "occupation",
     "occupation_spectrum",
     "tail_sums",
     "write_correlation_csv",
@@ -106,25 +105,17 @@ def tail_sums(ks, ms, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndar
     return _odd_sums(ks, ms, cfg, t_k, t_m, s_k)
 
 
-def occupation(k: int, cfg: FieldConfig, n_max: int) -> float:
-    """Vacuum mean filling number of half-interval mode ``k >= 1`` at cutoff ``n_max``."""
-    if k < 1:
-        raise ValueError("mode number must be >= 1")
-    return float(_occupations(np.array([k]), cfg, n_max)[0])
-
-
 def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = False) -> np.ndarray:
-    """Occupation of modes 1..k_max, entry ``k - 1``, at cutoff ``n_max`` (and tail if ``tail``)."""
+    """``sum_j |beta[k, j]|^2`` of modes 1..k_max, entry ``k - 1``, at cutoff ``n_max``.
+
+    ``|W_k|^2`` plus the odd diagonal, and `tail_sums` if ``tail``.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     ks = np.arange(1, k_max + 1)
-    return _occupations(ks, cfg, n_max) + (tail_sums(ks, ks, cfg, n_max)[1] if tail else 0.0)
-
-
-def _occupations(ks, cfg: FieldConfig, n_max: int) -> np.ndarray:
-    """``sum_j |beta[k, j]|^2`` for each mode in ``ks``: ``|W_k|^2`` plus the odd diagonal."""
     t, s = _weight_sums(ks, cfg, n_max)
-    return _matched_w2(ks, cfg, n_max) + _odd_sums(ks, ks, cfg, t, t, s)[1]
+    occupations = _matched_w2(ks, cfg, n_max) + _odd_sums(ks, ks, cfg, t, t, s)[1]
+    return occupations + (tail_sums(ks, ks, cfg, n_max)[1] if tail else 0.0)
 
 
 def _matched_w2(ks, cfg: FieldConfig, n_max: int) -> np.ndarray:

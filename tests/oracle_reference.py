@@ -24,7 +24,7 @@ def matrix_by_terms(op, space):
 
 
 def joint_correlation_by_overlaps(a, b) -> float:
-    """`joint_correlation` from its eight scalar mode overlaps."""
+    """One `joint_correlation_surface` entry from its eight scalar mode overlaps."""
     _check_widths(a, b)
     g1, g2 = _state_modes(a.sigma)
     mode_a = DetectorMode(a, 0)

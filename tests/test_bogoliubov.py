@@ -10,10 +10,8 @@ from fermisect.bogoliubov import (
     KAPPA_ALPHA,
     KAPPA_BETA,
     SERIES_PREFACTOR,
-    build_pair,
     canonicity_residual,
     coeff_w,
-    coefficients,
     cutoff_indices,
     iter_coefficients,
     overlap_oracle,
@@ -70,7 +68,7 @@ def test_w_time_phase():
 def _entry(m, k, region=Region.LEFT, cfg=CFG):
     """``(alpha[m, k], beta[m, k])`` from the coefficient kernel, signed for ``region``."""
     sign = region_sign([k], region)
-    alpha, beta = coefficients(m, [k], cfg)
+    alpha, beta = next(iter_coefficients((m,), [k], cfg))
     return complex((alpha * sign)[0]), complex((beta * sign)[0])
 
 
@@ -209,11 +207,11 @@ def test_build_pair_n1_hand_enumeration():
 
 
 def test_even_columns_sparsity():
-    pair = build_pair(Region.LEFT, CFG, 8)
-    n = pair.n_max
-    alpha, beta = coefficient_rows(pair.indices, pair.indices, CFG)
-    for m in pair.indices:
-        for k in pair.indices:
+    n = 8
+    ks = cutoff_indices(n)
+    alpha, beta = coefficient_rows(ks, ks, CFG)
+    for m in ks:
+        for k in ks:
             if k % 2 == 0 and k != 2 * m:
                 assert alpha[m + n, k + n] == 0
             if k % 2 == 0 and k != -2 * m:
@@ -248,8 +246,8 @@ def test_cross_region_magnitudes_coincide():
 def test_magnitudes_independent_of_time():
     cfg_t = FieldConfig(mass=1.0, half_length=1.0, time=1.3)
     ks = np.arange(-30, 31)
-    a0, b0 = np.abs(coefficients(2, ks, CFG))
-    at, bt = np.abs(coefficients(2, ks, cfg_t))
+    a0, b0 = np.abs(next(iter_coefficients((2,), ks, CFG)))
+    at, bt = np.abs(next(iter_coefficients((2,), ks, cfg_t)))
     assert np.allclose(a0, at, atol=1e-14)
     assert np.allclose(b0, bt, atol=1e-14)
 
@@ -271,15 +269,15 @@ def test_canonicity_residual_snapshot_nonzero_modes():
 # --- serialization ---------------------------------------------------------
 
 def test_csv_round_trip():
-    pair = build_pair(Region.LEFT, CFG, 3)
+    n = 3
+    ks = cutoff_indices(n)
     buf = io.StringIO()
-    pair_to_csv(pair, buf)
+    pair_to_csv(Region.LEFT, buf, CFG, n)
     buf.seek(0)
     entries = pair_from_csv(buf)
-    n = pair.n_max
-    alpha, beta = coefficient_rows(pair.indices, pair.indices, CFG)
-    for m in pair.indices:
-        for k in pair.indices:
+    alpha, beta = coefficient_rows(ks, ks, CFG)
+    for m in ks:
+        for k in ks:
             a = alpha[m + n, k + n]
             b = beta[m + n, k + n]
             if a == 0 and b == 0:
@@ -308,7 +306,7 @@ def test_streamed_rows_equal_single_rows():
     cfg = FieldConfig.from_mu_l(2.0, time=0.7)
     alpha, beta = coefficient_rows(ms, ks, cfg)
     for i, (a, b) in enumerate(iter_coefficients(ms, ks, cfg)):
-        single = coefficients(ms[i], ks, cfg)
+        single = next(iter_coefficients((ms[i],), ks, cfg))
         assert np.array_equal(a, single[0]) and np.array_equal(b, single[1])
         assert np.array_equal(alpha[i], a) and np.array_equal(beta[i], b)
 
@@ -317,17 +315,31 @@ def test_dump_streams_without_its_matrices():
     # one (2N+1)^2 complex matrix at N=128 alone is 1.06 MB
     tracemalloc.start()
     try:
-        pair_to_csv(build_pair(Region.LEFT, FieldConfig.from_mu_l(1.0, time=0.5), 128), os.devnull)
+        pair_to_csv(Region.LEFT, os.devnull, FieldConfig.from_mu_l(1.0, time=0.5), 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.5e6
 
 
+def test_dump_rejects_mass_0_then_the_cutoff_before_writing():
+    # every dump holds the row m = 0, whose spinor overlaps are undefined at mass 0;
+    # mass 0 is named first, even with a cutoff below 1
+    massless = FieldConfig.from_mu_l(0.0)
+    cases = ((massless, 2, DegenerateDispersion, "undefined at p = mass = 0"),
+             (massless, 0, DegenerateDispersion, "undefined at p = mass = 0"),
+             (CFG, 0, ValueError, "truncation must be >= 1, got 0"),
+             (CFG, -2, ValueError, "truncation must be >= 1, got -2"))
+    for cfg, n, error, message in cases:
+        buf = io.StringIO()
+        with pytest.raises(error, match=message):
+            pair_to_csv(Region.LEFT, buf, cfg, n)
+        assert buf.getvalue() == ""
+
+
 def test_csv_header_echoes_config():
-    pair = build_pair(Region.RIGHT, CFG, 2)
     buf = io.StringIO()
-    pair_to_csv(pair, buf)
+    pair_to_csv(Region.RIGHT, buf, CFG, 2)
     header = buf.getvalue().splitlines()[0]
     assert header.startswith("#")
     assert "region=right" in header and "mass=1.0" in header

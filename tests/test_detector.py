@@ -12,7 +12,6 @@ from fermisect.detector import (
     PhasePoint,
     WidthMismatch,
     gram_matrix,
-    joint_correlation,
     joint_correlation_exact,
     joint_correlation_surface,
     mode_overlap,
@@ -244,13 +243,13 @@ def test_origin_detector_decorrelates():
     origin = PhasePoint(1.0)
     for x in (-3.0, 0.5, 2.0, 5.0):
         for p in (-2.0, 0.0, 3.0):
-            assert joint_correlation(origin, PhasePoint(1.0, x=x, p=p)) == 0.0
+            assert joint_correlation_surface([origin], [PhasePoint(1.0, x=x, p=p)])[0, 0] == 0.0
 
 
 def test_equal_points_give_occupation_variance():
     for x in (0.3, 1.2, 2.5):
         a = PhasePoint(1.0, x=x)
-        c = joint_correlation(a, a)
+        c = joint_correlation_surface([a], [a])[0, 0]
         # n(1-n) for the detector-mode occupation n in the two-particle state
         n = registration_prob_two(a)
         assert c == pytest.approx(n * (1.0 - n), abs=1e-12)
@@ -262,7 +261,8 @@ def test_wick_matches_fock_span_computation():
     for _ in range(10):
         a = PhasePoint(1.0, float(rng.uniform(0, 3)), float(rng.uniform(-2, 2)))
         b = PhasePoint(1.0, float(rng.uniform(0, 3)), float(rng.uniform(-2, 2)))
-        assert abs(joint_correlation(a, b) - joint_correlation_exact(a, b)) <= 1e-10
+        surface = joint_correlation_surface([a], [b])
+        assert abs(surface[0, 0] - joint_correlation_exact(a, b)) <= 1e-10
 
 
 def test_fock_span_handles_detector_on_state_mode():
@@ -279,13 +279,13 @@ def test_surface_snapshot():
         (2.5, 1.5): 0.036504797139020356,
     }
     for (a, b), expected in vals.items():
-        got = joint_correlation(PhasePoint(1.0, x=a), PhasePoint(1.0, x=b))
+        got = joint_correlation_surface([PhasePoint(1.0, x=a)], [PhasePoint(1.0, x=b)])[0, 0]
         assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_joint_correlation_width_mismatch():
     with pytest.raises(WidthMismatch):
-        joint_correlation(PhasePoint(1.0), PhasePoint(2.0, x=1.0))
+        joint_correlation_surface([PhasePoint(1.0)], [PhasePoint(2.0, x=1.0)])
 
 
 def _assert_surface_by_overlaps(points_a, points_b):

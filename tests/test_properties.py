@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from fermisect.bogoliubov import (
     QuadratureUnresolved,
-    build_pair,
-    coefficients,
     cutoff_indices,
+    iter_coefficients,
     overlap_oracle,
     pair_to_csv,
     region_sign,
@@ -26,7 +25,6 @@ from fermisect.field import Branch, FieldConfig, Region, energy, subsection_mome
 from fermisect.spectrum import (
     converged_cutoff,
     correlation_matrix,
-    occupation,
     occupation_spectrum,
     tail_sums,
 )
@@ -46,8 +44,9 @@ modes = st.integers(1, 20)
 @given(mu_l=mu_ls, half_length=half_lengths, time=times, k=modes)
 def test_occupation_depends_on_mu_l_alone(mu_l, half_length, time, k):
     # time enters only through phases and L only through mu*L
-    ref = occupation(k, FieldConfig.from_mu_l(mu_l), N)
-    moved = occupation(k, FieldConfig.from_mu_l(mu_l, half_length=half_length, time=time), N)
+    ref = occupation_spectrum(k, FieldConfig.from_mu_l(mu_l), N)[k - 1]
+    moved_cfg = FieldConfig.from_mu_l(mu_l, half_length=half_length, time=time)
+    moved = occupation_spectrum(k, moved_cfg, N)[k - 1]
     assert moved == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -105,7 +104,7 @@ def test_real_contractions_equal_the_complex_rows(mu_l, half_length, time, k_max
 @DRAWS
 @given(mu_l=mu_ls, time=times, k=modes)
 def test_occupation_is_a_filling_fraction(mu_l, time, k):
-    assert 0.0 <= occupation(k, FieldConfig.from_mu_l(mu_l, time=time), N) <= 1.0
+    assert 0.0 <= occupation_spectrum(k, FieldConfig.from_mu_l(mu_l, time=time), N)[k - 1] <= 1.0
 
 
 @DRAWS
@@ -114,7 +113,7 @@ def test_left_and_right_magnitudes_equal(mu_l, time, m):
     # the kernel's (left) magnitudes are those the oracle integrates on the right half
     cfg = FieldConfig.from_mu_l(mu_l, time=time)
     js = cutoff_indices(17)
-    alpha, beta = coefficients(m, js, cfg)
+    alpha, beta = next(iter_coefficients((m,), js, cfg))
     a_right = overlap_oracle(m, js, Region.RIGHT, (Branch.POSITIVE, Branch.POSITIVE), cfg)
     b_right = overlap_oracle(m, js, Region.RIGHT, (Branch.POSITIVE, Branch.NEGATIVE), cfg)
     assert np.all(np.abs(np.abs(alpha) - np.abs(a_right)) <= 1e-10)
@@ -169,7 +168,7 @@ def test_csv_round_trip_is_exact(mu_l, time, region, n):
     # the dump holds every nonzero entry of the kernel, bit for bit, and nothing else
     cfg = FieldConfig.from_mu_l(mu_l, time=time)
     buf = io.StringIO()
-    pair_to_csv(build_pair(region, cfg, n), buf)
+    pair_to_csv(region, buf, cfg, n)
     buf.seek(0)
     ks = cutoff_indices(n)
     sign = region_sign(ks, region)

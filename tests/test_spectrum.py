@@ -7,11 +7,11 @@ import pytest
 
 from fermisect.bogoliubov import (
     SERIES_PREFACTOR,
-    build_pair,
     canonicity_residual,
-    coefficients,
     cutoff_indices,
+    iter_coefficients,
     overlap_oracle,
+    pair_to_csv,
     region_sign,
 )
 from fermisect.field import Branch, FieldConfig, Region, section_momentum, subsection_momentum
@@ -20,11 +20,11 @@ from fermisect.spectrum import (
     converged_cutoff,
     correlation_matrix,
     cross_correlation_from_rows,
-    occupation,
     occupation_spectrum,
     write_correlation_csv,
     write_spectrum_csv,
 )
+from kernel_rows import coefficient_rows
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
 PP = (Branch.POSITIVE, Branch.POSITIVE)
@@ -39,16 +39,17 @@ def test_occupation_matches_fock_engine_on_truncated_rows():
     n_window = 2
     space = build_space(2 * n_window + 1, 2 * n_window + 1)
     for k in (1, 2):
-        alpha, beta = coefficients(k, np.arange(-n_window, n_window + 1), CFG)
+        alpha, beta = next(iter_coefficients((k,), np.arange(-n_window, n_window + 1), CFG))
         c = QuasiOperator(alpha=alpha, beta=beta)
-        fock_val = vacuum_expectation(space, [c.dagger_matrix(space), c.matrix(space)])
+        mat = c.matrix(space)
+        fock_val = vacuum_expectation(space, [mat.conj().T, mat])
         row_sum = float(np.sum(np.abs(c.beta) ** 2))
         assert fock_val.real == pytest.approx(row_sum, rel=1e-12)
         assert abs(fock_val.imag) <= 1e-14
 
 
 def test_occupation_regression_value():
-    assert occupation(1, CFG, 1025) == pytest.approx(0.9255953514567797, abs=1e-12)
+    assert occupation_spectrum(1, CFG, 1025)[0] == pytest.approx(0.9255953514567797, abs=1e-12)
 
 
 def test_antiparticle_occupation_identical():
@@ -58,7 +59,7 @@ def test_antiparticle_occupation_identical():
     n_window = 2
     space = build_space(2 * n_window + 1, 2 * n_window + 1)
     k = 1
-    alpha, beta = coefficients(k, np.arange(-n_window, n_window + 1), CFG)
+    alpha, beta = next(iter_coefficients((k,), np.arange(-n_window, n_window + 1), CFG))
     d_mat = None
     for j in range(2 * n_window + 1):
         term = alpha[j] * space.annihilate_anti(j) - np.conj(beta[j]) * space.create_particle[j]
@@ -77,14 +78,15 @@ def test_fermionic_bound():
 
 def test_occupation_vanishes_deep_nonrelativistic():
     cfg = FieldConfig.from_mu_l(1e4)
-    assert occupation(1, cfg, 513) <= 1e-3
+    assert occupation_spectrum(1, cfg, 513)[0] <= 1e-3
 
 
 def test_overflowing_spinor_overlap_raises():
     # from mu*L about 1e77 on the overlap denominator leaves float64; 1e76 still has
     # the series value 4.284e-151, and 1e77 would print 1.974e-153 instead of 4.284e-153
-    assert occupation(1, FieldConfig.from_mu_l(1e76), 9) == pytest.approx(4.284e-151, rel=1e-3)
-    for compute in (lambda cfg: occupation(1, cfg, 9),
+    assert occupation_spectrum(1, FieldConfig.from_mu_l(1e76), 9)[0] == pytest.approx(4.284e-151,
+                                                                                      rel=1e-3)
+    for compute in (lambda cfg: occupation_spectrum(1, cfg, 9)[0],
                     lambda cfg: correlation_matrix(2, cfg, 9),
                     lambda cfg: canonicity_residual(1, 9, cfg)):
         with pytest.raises(ValueError, match="overflows float64"):
@@ -96,7 +98,8 @@ def test_heavy_field_keeps_the_small_weight():
     # written as 1/2 - mu/(2 eps) it rounds to 0 and the occupation reads 3.352e-151.  The check
     # in test_overflowing_spinor_overlap_raises passes any value, through approx's default abs
     cfg = FieldConfig.from_mu_l(1e76)
-    assert occupation(1, cfg, 9) == pytest.approx(4.2840317518699e-151, rel=1e-12, abs=0.0)
+    assert occupation_spectrum(1, cfg, 9)[0] == pytest.approx(4.2840317518699e-151, rel=1e-12,
+                                                              abs=0.0)
     corr = correlation_matrix(2, cfg, 9)
     assert corr[0, 0].real == pytest.approx(-7.06827149e-154, rel=1e-8, abs=0.0)
 
@@ -106,11 +109,11 @@ def test_left_right_spectra_coincide():
     n = 17
     for k in (1, 3, 5):
         right = np.sum(np.abs(overlap_oracle(k, cutoff_indices(n), Region.RIGHT, PM, CFG)) ** 2)
-        assert abs(occupation(k, CFG, n) - right) <= 1e-10
+        assert abs(occupation_spectrum(k, CFG, n)[k - 1] - right) <= 1e-10
 
 
 def test_truncation_cauchy_and_shrinking_increments():
-    vals = [occupation(2, CFG, n) for n in (64, 128, 256, 512, 1024)]
+    vals = [occupation_spectrum(2, CFG, n)[1] for n in (64, 128, 256, 512, 1024)]
     increments = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
     for i in range(len(increments) - 1):
         assert increments[i + 1] <= increments[i] / 2.0 * 1.05  # factor-2 shrink per doubling
@@ -126,21 +129,18 @@ def test_mu_l_ordering_near_origin():
 
 
 def test_occupation_input_validation():
-    with pytest.raises(ValueError):
-        occupation(0, CFG, 65)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
         occupation_spectrum(0, CFG, 65)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            occupation(1, FieldConfig.from_mu_l(bad), 65)
+            occupation_spectrum(1, FieldConfig.from_mu_l(bad), 65)[0]
         with pytest.raises(ValueError, match="finite"):
-            occupation(1, FieldConfig.from_mu_l(1.0, time=bad), 65)
+            occupation_spectrum(1, FieldConfig.from_mu_l(1.0, time=bad), 65)[0]
     # every truncated sum rejects a cutoff below 1
     for n_bad in (0, -3):
-        for compute in (lambda n: occupation(1, CFG, n),
-                        lambda n: occupation_spectrum(2, CFG, n),
+        for compute in (lambda n: occupation_spectrum(2, CFG, n),
                         lambda n: correlation_matrix(2, CFG, n),
-                        lambda n: build_pair(Region.LEFT, CFG, n),
+                        lambda n: pair_to_csv(Region.LEFT, io.StringIO(), CFG, n),
                         lambda n: canonicity_residual(0, n, CFG)):
             with pytest.raises(ValueError, match=f"truncation must be >= 1, got {n_bad}"):
                 compute(n_bad)
@@ -198,8 +198,8 @@ def test_correlation_matrix_matches_scalar_entries():
     sign = region_sign(js, Region.RIGHT)
     for k in (1, 3):
         for m in (2, 4):
-            scalar = cross_correlation_from_rows(*coefficients(k, js, CFG),
-                                                 *(row * sign for row in coefficients(m, js, CFG)))
+            alpha, beta = coefficient_rows((k, m), js, CFG)
+            scalar = cross_correlation_from_rows(alpha[0], beta[0], alpha[1] * sign, beta[1] * sign)
             assert mat[k - 1, m - 1] == pytest.approx(scalar)
 
 
