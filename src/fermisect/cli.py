@@ -182,8 +182,8 @@ def _cmd_bogoliubov(args) -> int:
 def _cmd_detector(args) -> int:
     grid, points = _detectors(args)
     with _grid_overflow(args):
-        rows = [(r, registration_prob_one(point), registration_prob_two(point))
-                for r, point in zip(grid, points)]
+        rows = list(zip(grid, registration_prob_one(points).tolist(),
+                        registration_prob_two(points).tolist()))
     _emit_rows(args, ("beta", "p1", "p2"), rows,
                (f"{b!r},{p1!r},{p2!r}\n" for b, p1, p2 in rows))
     return 0
@@ -193,10 +193,12 @@ def _cmd_joint_correlation(args) -> int:
     grid, real = _detectors(args)
     _, imag = _detectors(args, imaginary=True)
     with _grid_overflow(args):
-        rows = [(parametrization, a, b, c)
-                for parametrization, points_b in (("real_real", real), ("real_imag", imag))
-                for a, surface_row in zip(grid, joint_correlation_surface(real, points_b).tolist())
-                for b, c in zip(grid, surface_row)]
+        # one surface over both column sets: each real detector's state overlaps once
+        surface = joint_correlation_surface(real, real + imag)
+    n = len(grid)
+    blocks = (("real_real", surface[:, :n]), ("real_imag", surface[:, n:]))
+    rows = [(parametrization, a, b, c) for parametrization, block in blocks
+            for a, surface_row in zip(grid, block.tolist()) for b, c in zip(grid, surface_row)]
     _emit_rows(args, ("parametrization", "a", "b", "c"), rows,
                (f"{s},{a!r},{b!r},{c!r}\n" for s, a, b, c in rows))
     return 0
@@ -225,12 +227,14 @@ def _cmd_povm(args) -> int:
 
 def _cmd_verify(args) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
+        message = f"--only needs a comma list of criterion numbers, got {args.only!r}"
         try:
             numbers = [int(tok) for tok in args.only.split(",") if tok]
         except ValueError as exc:
-            raise ConfigError(f"--only needs a comma list of criterion numbers,"
-                              f" got {args.only!r}") from exc
+            raise ConfigError(message) from exc
+        if not numbers:
+            raise ConfigError(message)
         unknown = set(numbers) - set(verify_mod.CRITERIA)
         if unknown:
             raise ConfigError(f"unknown criteria: {sorted(unknown)}")

@@ -35,6 +35,7 @@ __all__ = [
     "joint_correlation_exact",
     "joint_correlation_surface",
     "mode_overlap",
+    "overlap_matrix",
     "registration_prob_one",
     "registration_prob_two",
 ]
@@ -84,64 +85,131 @@ class DetectorMode:
             raise LevelTooHigh(f"level {self.level} exceeds the stability bound {MAX_LEVEL}")
 
 
-def _check_widths(a: PhasePoint, b: PhasePoint) -> None:
-    if a.sigma != b.sigma:
-        raise WidthMismatch(f"widths differ: {a.sigma} vs {b.sigma}")
+def _check_widths(points) -> None:
+    """Raise `WidthMismatch` unless every point has the width of the first."""
+    for point in points[1:]:
+        if point.sigma != points[0].sigma:
+            raise WidthMismatch(f"widths differ: {points[0].sigma} vs {point.sigma}")
 
 
-def _displaced_number_overlap(n: int, m: int, gamma: complex) -> complex:
-    """``<n| D(gamma) |m>`` for the oscillator displacement operator."""
-    if n < m:
-        return complex(np.conj(_displaced_number_overlap(m, n, -gamma)))
-    x = abs(gamma) ** 2
-    amp = math.exp(0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1)) - 0.5 * x)
-    return complex(amp * gamma ** (n - m) * eval_genlaguerre(m, n - m, x))
+_LOG_FACTORIAL = np.array([math.lgamma(n + 1) for n in range(MAX_LEVEL + 1)])
+
+
+def _cmul(ar, ai, br, bi):
+    """``(ar + i*ai) * (br + i*bi)`` from its real parts, rounded like a CPython or numpy scalar.
+
+    numpy's complex array multiply may fuse multiply-adds and round apart from both.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
+    """``<a, n_a | b, n_b>`` over broadcast arrays of complex labels and integer levels.
+
+    The ladder factor is ``<n|D(gamma)|m>`` with ``n >= m`` (a swapped pair is
+    ``conj(<m|D(-gamma)|n>)``): ``sqrt(m!/n!) exp(-|gamma|^2/2) gamma^(n-m)
+    L_m^(n-m)(|gamma|^2)``.  Every complex product goes through `_cmul`, and
+    ``abs(gamma) ** 2``, ``math.exp`` and ``gamma ** (n - m)`` run per entry on
+    Python floats and complexes, which keeps each entry's bits those of the
+    one-pair scalar formula and raises its `OverflowError`.
+    """
+    ar, ai, br, bi = label_a.real, label_a.imag, label_b.real, label_b.imag
+    # the label pairs with the oscillator ladder as D(-i*(b - a)), -1j being
+    # complex(-0.0, -1.0): its real part generates the momentum-space phase,
+    # its imaginary part the translation
+    gr, gi = _cmul(-0.0, -1.0, br - ar, bi - ai)
+    swap = level_a < level_b
+    gr, gi, swap, lo, hi = np.broadcast_arrays(np.where(swap, -gr, gr), np.where(swap, -gi, gi),
+                                               swap, np.minimum(level_a, level_b),
+                                               np.maximum(level_a, level_b))
+    shape, k = gr.shape, hi - lo
+    gammas = list(map(complex, gr.ravel().tolist(), gi.ravel().tolist()))
+    x = np.array([abs(g) ** 2 for g in gammas]).reshape(shape)
+    exponent = 0.5 * (_LOG_FACTORIAL[lo] - _LOG_FACTORIAL[hi]) - 0.5 * x
+    amp = np.array([math.exp(v) for v in exponent.ravel().tolist()]).reshape(shape)
+    power = np.array([g ** n for g, n in zip(gammas, k.ravel().tolist())],
+                     dtype=complex).reshape(shape)
+    ur, ui = _cmul(*_cmul(amp, 0.0, power.real, power.imag), eval_genlaguerre(lo, k, x), 0.0)
+    ui = np.where(swap, -ui, ui)
+    # exp((conj(a)*b - a*conj(b))/2), the phase of the ground overlap
+    c1r, c1i = _cmul(ar, -ai, br, bi)
+    c2r, c2i = _cmul(ar, ai, br, -bi)
+    arg = np.empty(shape, dtype=complex)
+    arg.real, arg.imag = _cmul(0.5, 0.0, c1r - c2r, c1i - c2i)
+    phase = np.exp(arg)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = _cmul(phase.real, phase.imag, ur, ui)
+    return out
+
+
+def _ladder(modes) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and levels of ``modes`` as arrays."""
+    return (np.array([mode.point.label for mode in modes], dtype=complex),
+            np.array([mode.level for mode in modes], dtype=np.int64))
+
+
+def overlap_matrix(modes_a, modes_b) -> np.ndarray:
+    """Gram block ``<a, n_a | b, n_b>`` of shape ``(len(modes_a), len(modes_b))``.
+
+    The one implementation of the mode overlap.  It reduces to
+    ``exp(-|a-b|^2/2 + (conj(a)*b - a*conj(b))/2)`` on the labels at levels
+    (0, 0) and to ``delta_{n_a, n_b}`` at equal points; an entry is also the
+    anticommutator of the mode-a annihilator with the mode-b creator.  Every
+    mode on both sides must share one width, else `WidthMismatch`.
+    """
+    modes_a, modes_b = list(modes_a), list(modes_b)
+    _check_widths([mode.point for mode in modes_a + modes_b])
+    label_a, level_a = _ladder(modes_a)
+    label_b, level_b = _ladder(modes_b)
+    return _overlap_entries(label_a[:, None], level_a[:, None], label_b, level_b)
 
 
 def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
-    """Gram entry ``<a, n_a | b, n_b>`` between two detector modes.
-
-    Reduces to ``exp(-|a-b|^2/2 + (conj(a)*b - a*conj(b))/2)`` on the labels
-    at levels (0, 0) and to ``delta_{n_a, n_b}`` at equal points.  This is
-    also the anticommutator of the mode-a annihilator with the mode-b creator.
-    """
-    _check_widths(a.point, b.point)
-    al, bl = a.point.label, b.point.label
-    phase = np.exp(0.5 * (np.conj(al) * bl - al * np.conj(bl)))
-    # the label pairs with the oscillator ladder as D(-i*label): its real part
-    # generates the momentum-space phase, its imaginary part the translation
-    return complex(phase * _displaced_number_overlap(a.level, b.level, -1j * (bl - al)))
+    """Gram entry ``<a, n_a | b, n_b>`` between two detector modes: the 1x1 `overlap_matrix`."""
+    return complex(overlap_matrix([a], [b])[0, 0])
 
 
 def gram_matrix(modes) -> np.ndarray:
-    """Hermitian PSD matrix of pairwise mode overlaps, unit diagonal."""
+    """Hermitian PSD matrix of pairwise mode overlaps, unit diagonal.
+
+    The upper triangle comes from the `overlap_matrix` kernel, one entry per
+    pair, and the lower triangle is its exact conjugate.  The kernel writes
+    each complex product from its real parts, runs `np.exp` on arrays and
+    keeps ``abs(gamma) ** 2``, `math.exp` and ``gamma ** (n - m)`` per entry
+    on Python numbers, so every entry has the bits of the one-pair formula.
+    """
     modes = list(modes)
-    n = len(modes)
-    gram = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        gram[i, i] = 1.0
-        for j in range(i + 1, n):
-            gram[i, j] = mode_overlap(modes[i], modes[j])
-            gram[j, i] = np.conj(gram[i, j])
+    _check_widths([mode.point for mode in modes])
+    labels, levels = _ladder(modes)
+    rows, cols = np.triu_indices(len(modes), 1)
+    upper = _overlap_entries(labels[rows], levels[rows], labels[cols], levels[cols])
+    gram = np.eye(len(modes), dtype=complex)
+    gram[rows, cols] = upper
+    gram[cols, rows] = np.conj(upper)
     return gram
 
 
-def registration_prob_one(b: PhasePoint) -> float:
-    """Registration probability of the origin one-particle state at ``b``.
+def _label_norms(points) -> np.ndarray:
+    """``|label|^2`` per point, squared per entry: ``x ** 2`` can round apart from ``x * x``."""
+    return np.array([abs(point.label) ** 2 for point in points], dtype=float)
+
+
+def registration_prob_one(points) -> np.ndarray:
+    """Registration probabilities of the origin one-particle state at each of ``points``.
 
     ``exp(-|b|^2)``: the squared ground-mode overlap with the state mode.
     """
-    return float(np.exp(-abs(b.label) ** 2))
+    return np.exp(-_label_norms(points))
 
 
-def registration_prob_two(b: PhasePoint) -> float:
-    """Registration probability of the origin two-particle state at ``b``.
+def registration_prob_two(points) -> np.ndarray:
+    """Registration probabilities of the origin two-particle state at each of ``points``.
 
     ``(1 + |b|^2) * exp(-|b|^2)``: the detector mode has weight on both
     occupied levels, so the two-particle state looks more extensive.
     """
-    r = abs(b.label) ** 2
-    return float((1.0 + r) * np.exp(-r))
+    r = _label_norms(points)
+    return (1.0 + r) * np.exp(-r)
 
 
 def _state_modes(sigma: float) -> tuple[DetectorMode, DetectorMode]:
@@ -160,32 +228,41 @@ def joint_correlation_surface(points_a, points_b) -> np.ndarray:
     the real part and drops ``Im C = <[n_b, n_a]>/(2i)``, nonzero off the real
     labels, where overlapping detector modes do not commute.
 
-    All points must share one width, else `WidthMismatch`.  The overlaps of
-    each detector with the two state modes are computed once per detector, so
-    a pair costs one overlap, ``<b|a>``, instead of eight, with the sums and
-    products of the one-pair formula in the same order.
+    All points must share one width, else `WidthMismatch`.  Every overlap
+    comes from the `overlap_matrix` kernel: two blocks between the detectors
+    and the state modes, computed once per detector, and one block of the
+    pair overlaps ``<b|a>``.  The kernel and the surface arithmetic write
+    each complex product from its real parts (numpy's complex array multiply
+    may fuse multiply-adds), run `np.exp` on arrays, keep ``abs(gamma) ** 2``,
+    `math.exp` and ``gamma ** (n - m)`` per entry on Python numbers, and sum
+    from 0 in the order of the one-pair formula, so every entry has the bits
+    of that formula on Python scalars.
     """
-    points_a, points_b = list(points_a), list(points_b)
-    points = points_a + points_b
-    for point in points[1:]:
-        _check_widths(points[0], point)
-    surface = np.empty((len(points_a), len(points_b)))
-    if not points:
-        return surface
-    states = _state_modes(points[0].sigma)
     modes_a = [DetectorMode(a, 0) for a in points_a]
     modes_b = [DetectorMode(b, 0) for b in points_b]
-    a_g = [[mode_overlap(mode_a, g) for g in states] for mode_a in modes_a]
-    g_a = [[mode_overlap(g, mode_a) for g in states] for mode_a in modes_a]
-    g_b = [[mode_overlap(g, mode_b) for g in states] for mode_b in modes_b]
-    b_g = [[mode_overlap(mode_b, g) for g in states] for mode_b in modes_b]
-    for i, mode_a in enumerate(modes_a):
-        for j, mode_b in enumerate(modes_b):
-            # <f_a, P f_b> over the occupied span P = |g1><g1| + |g2><g2|
-            occupied = sum(x * y for x, y in zip(a_g[i], g_b[j]))
-            remainder = mode_overlap(mode_b, mode_a) - sum(x * y for x, y in zip(b_g[j], g_a[i]))
-            surface[i, j] = (occupied * remainder).real
-    return surface
+    detectors = modes_a + modes_b
+    if not detectors:
+        return np.empty((0, 0))
+    states = _state_modes(detectors[0].point.sigma)
+    to_states = overlap_matrix(detectors, states)  # <d|g>
+    from_states = overlap_matrix(states, detectors)  # <g|d>
+    pair = overlap_matrix(modes_b, modes_a).T  # <b|a>
+    n = len(modes_a)
+    a_g, b_g = to_states[:n], to_states[n:]
+    g_a, g_b = from_states[:, :n], from_states[:, n:]
+
+    def contract(left, right):
+        """``sum(x * y for x, y in zip(left, right))`` from 0 over the two state modes."""
+        total_r = total_i = 0.0
+        for x, y in zip(left, right):
+            xr, xi = _cmul(x.real, x.imag, y.real, y.imag)
+            total_r, total_i = total_r + xr, total_i + xi
+        return total_r, total_i
+
+    # <f_a, P f_b> over the occupied span P = |g1><g1| + |g2><g2|, times <f_b, (1 - P) f_a>
+    occupied_r, occupied_i = contract(a_g.T[:, :, None], g_b[:, None, :])
+    spanned_r, spanned_i = contract(b_g.T[:, None, :], g_a[:, :, None])
+    return occupied_r * (pair.real - spanned_r) - occupied_i * (pair.imag - spanned_i)
 
 
 def _orthonormal_coefficients(modes) -> np.ndarray:
@@ -211,7 +288,7 @@ def joint_correlation_exact(a: PhasePoint, b: PhasePoint) -> float:
     four-point expectation minus the product of singles exactly.  All modes
     outside the span contract to zero, so the restriction is lossless.
     """
-    _check_widths(a, b)
+    _check_widths([a, b])
     g1, g2 = _state_modes(a.sigma)
     modes = [g1, g2, DetectorMode(a, 0), DetectorMode(b, 0)]
     coeffs = _orthonormal_coefficients(modes)

@@ -30,7 +30,7 @@ from .detector import (
     gram_matrix,
     joint_correlation_exact,
     joint_correlation_surface,
-    mode_overlap,
+    overlap_matrix,
     registration_prob_one,
     registration_prob_two,
 )
@@ -151,17 +151,16 @@ def criterion_detector_closed_forms() -> CriterionResult:
     radii = np.linspace(0.0, 4.0, 50)
     sigma = 1.0
     origin = PhasePoint(sigma)
+    points = [PhasePoint(sigma, x=r / sigma) for r in radii]  # label = r on the real axis
+    p1s = registration_prob_one(points).tolist()
+    p2s = registration_prob_two(points).tolist()
+    block = overlap_matrix([DetectorMode(origin, m) for m in (0, 1)],
+                           [DetectorMode(b, 0) for b in points]).T.tolist()
     worst = 0.0
-    p1s, p2s = [], []
-    for r in radii:
-        b = PhasePoint(sigma, x=r / sigma)  # label = r on the real axis
-        p1 = registration_prob_one(b)
-        p2 = registration_prob_two(b)
-        g1 = abs(mode_overlap(DetectorMode(origin, 0), DetectorMode(b, 0))) ** 2
-        g2 = sum(abs(mode_overlap(DetectorMode(origin, m), DetectorMode(b, 0))) ** 2 for m in (0, 1))
+    for p1, p2, overlaps in zip(p1s, p2s, block):
+        g1 = abs(overlaps[0]) ** 2
+        g2 = sum(abs(overlap) ** 2 for overlap in overlaps)
         worst = max(worst, abs(p1 - g1), abs(p2 - g2))
-        p1s.append(p1)
-        p2s.append(p2)
     ordered = all(p2 >= p1 for p1, p2 in zip(p1s, p2s))
     decreasing = all(p1s[i + 1] < p1s[i] for i in range(len(p1s) - 1)) and all(
         p2s[i + 1] < p2s[i] for i in range(len(p2s) - 1)

@@ -1,13 +1,16 @@
-"""Term-by-term and row-by-row forms of the oracle engines.
+"""Term-by-term, row-by-row and pair-by-pair forms of the oracle engines.
 
 They are the references that the fast forms must equal bit for bit.
 """
 
+import math
+
 import numpy as np
 from scipy import sparse
+from scipy.special import eval_genlaguerre
 
 from fermisect.bogoliubov import QuadratureUnresolved
-from fermisect.detector import DetectorMode, _check_widths, _state_modes, mode_overlap
+from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch, _state_modes
 from fermisect.field import Branch, Region, mode_function, section_momentum, spinor, subsection_momentum
 
 
@@ -21,6 +24,47 @@ def matrix_by_terms(op, space):
         if b != 0:
             out = out + np.conj(b) * space.create_anti[j]
     return out
+
+
+def _check_widths(a: PhasePoint, b: PhasePoint) -> None:
+    if a.sigma != b.sigma:
+        raise WidthMismatch(f"widths differ: {a.sigma} vs {b.sigma}")
+
+
+def _displaced_number_overlap(n: int, m: int, gamma: complex) -> complex:
+    """``<n| D(gamma) |m>`` for the oscillator displacement operator."""
+    if n < m:
+        return complex(np.conj(_displaced_number_overlap(m, n, -gamma)))
+    x = abs(gamma) ** 2
+    amp = math.exp(0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1)) - 0.5 * x)
+    return complex(amp * gamma ** (n - m) * eval_genlaguerre(m, n - m, x))
+
+
+def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
+    """`detector.overlap_matrix` one pair at a time, on Python and numpy scalars."""
+    _check_widths(a.point, b.point)
+    al, bl = a.point.label, b.point.label
+    phase = np.exp(0.5 * (np.conj(al) * bl - al * np.conj(bl)))
+    return complex(phase * _displaced_number_overlap(a.level, b.level, -1j * (bl - al)))
+
+
+def gram_by_pairs(modes) -> np.ndarray:
+    """`detector.gram_matrix` from one scalar `mode_overlap` per upper-triangle pair."""
+    modes = list(modes)
+    n = len(modes)
+    gram = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        gram[i, i] = 1.0
+        for j in range(i + 1, n):
+            gram[i, j] = mode_overlap(modes[i], modes[j])
+            gram[j, i] = np.conj(gram[i, j])
+    return gram
+
+
+def registration_by_points(b: PhasePoint) -> tuple[float, float]:
+    """`detector.registration_prob_one` and `_two` at one point, on numpy scalars."""
+    r = abs(b.label) ** 2
+    return float(np.exp(-abs(b.label) ** 2)), float((1.0 + r) * np.exp(-r))
 
 
 def joint_correlation_by_overlaps(a, b) -> float:

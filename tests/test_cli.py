@@ -150,6 +150,9 @@ GOLDEN = [
     (["joint-correlation", "--grid", "0:3:3", "--format", "json"], 0, "b1c2d9a70e7e5528"),
     # the bench's largest grid: one surface per parametrization
     (["joint-correlation", "--sigma", "1.0", "--grid", "0:3.0:28"], 0, "3b978f0806893be0"),
+    # the largest bench requests of each detector command, hashed before the overlap kernel
+    (["joint-correlation", "--sigma", "0.5", "--grid", "0:3.5:28"], 0, "50a605b7e60efbff"),
+    (["detector", "--sigma", "2.0", "--grid", "0:3.0:2000"], 0, "db2f8c29d098663d"),
     (["povm", "--product", "0.3", "0.6", "--format", "csv"], 0, "80681a536571df58"),
     (["povm", "--entangled", "0.25", "--with-conditionals"], 0, "fbc9d926c91a0921"),
     # no --truncation: the converged cutoff plus the closed-form tail
@@ -240,6 +243,9 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
     (["joint-correlation", "--grid=-1.3e154:1.3e154:2", "--out", "{tmp}/x.csv"],
      "--grid -1.3e154:1.3e154:2 at --sigma 1.0"),
     (["verify", "--only", "abc", "--out", "{tmp}/x.csv"], "--only needs a comma list"),
+    # an --only that names no criterion would run none, or all nine
+    (["verify", "--only", ",", "--out", "{tmp}/x.csv"], "--only needs a comma list"),
+    (["verify", "--only", "", "--out", "{tmp}/x.csv"], "--only needs a comma list"),
 ], ids=_argv_id)
 def test_bad_input_exits_1_with_message(capsys, tmp_path, argv, message):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from fermisect.detector import (
+    MAX_LEVEL,
     DetectorMode,
     LevelTooHigh,
     PhasePoint,
@@ -15,10 +16,11 @@ from fermisect.detector import (
     joint_correlation_exact,
     joint_correlation_surface,
     mode_overlap,
+    overlap_matrix,
     registration_prob_one,
     registration_prob_two,
 )
-from oracle_reference import joint_correlation_by_overlaps
+import oracle_reference as reference
 
 
 def _wavefunction(mode: DetectorMode, p) -> np.ndarray:
@@ -171,15 +173,17 @@ def test_excited_to_ground_overlap_modulus():
 # --- registration probabilities ----------------------------------------------
 
 def test_prob_one_closed_form():
-    assert registration_prob_one(PhasePoint(1.0)) == 1.0
     b_unit = PhasePoint(1.0, x=1.0)  # |label| = 1
-    assert registration_prob_one(b_unit) == pytest.approx(math.exp(-1.0))
+    p1 = registration_prob_one([PhasePoint(1.0), b_unit])
+    assert p1[0] == 1.0
+    assert p1[1] == pytest.approx(math.exp(-1.0))
 
 
 def test_prob_two_closed_form():
-    assert registration_prob_two(PhasePoint(1.0)) == 1.0
     b_unit = PhasePoint(1.0, x=1.0)
-    assert registration_prob_two(b_unit) == pytest.approx(2.0 * math.exp(-1.0))
+    p2 = registration_prob_two([PhasePoint(1.0), b_unit])
+    assert p2[0] == 1.0
+    assert p2[1] == pytest.approx(2.0 * math.exp(-1.0))
 
 
 def test_probs_match_gram_evaluation():
@@ -192,14 +196,15 @@ def test_probs_match_gram_evaluation():
             abs(mode_overlap(DetectorMode(origin, m), DetectorMode(b, 0))) ** 2
             for m in (0, 1)
         )
-        assert abs(p1_gram - registration_prob_one(b)) <= 1e-12
-        assert abs(p2_gram - registration_prob_two(b)) <= 1e-12
+        assert abs(p1_gram - registration_prob_one([b])[0]) <= 1e-12
+        assert abs(p2_gram - registration_prob_two([b])[0]) <= 1e-12
 
 
 def test_two_particle_curve_dominates_and_decreases():
     radii = np.linspace(0.0, 4.0, 60)
-    p1 = [registration_prob_one(PhasePoint(1.0, x=r)) for r in radii]
-    p2 = [registration_prob_two(PhasePoint(1.0, x=r)) for r in radii]
+    points = [PhasePoint(1.0, x=r) for r in radii]
+    p1 = registration_prob_one(points).tolist()
+    p2 = registration_prob_two(points).tolist()
     assert all(b >= a for a, b in zip(p1, p2))
     assert all(p1[i + 1] < p1[i] for i in range(len(p1) - 1))
     assert all(p2[i + 1] < p2[i] for i in range(len(p2) - 1))
@@ -219,7 +224,7 @@ def test_vacuum_registers_nothing():
         ann = sum(np.conj(c) * space.annihilate_particle(j) for j, c in enumerate(coeffs))
         assert vacuum_expectation(space, [ann.conj().T, ann]) == 0
     # and far from the state, registration of the particle state dies off too
-    assert registration_prob_one(PhasePoint(1.0, x=40.0)) <= 1e-300
+    assert registration_prob_one([PhasePoint(1.0, x=40.0)])[0] <= 1e-300
 
 
 # --- gram matrices -----------------------------------------------------------
@@ -251,7 +256,7 @@ def test_equal_points_give_occupation_variance():
         a = PhasePoint(1.0, x=x)
         c = joint_correlation_surface([a], [a])[0, 0]
         # n(1-n) for the detector-mode occupation n in the two-particle state
-        n = registration_prob_two(a)
+        n = registration_prob_two([a])[0]
         assert c == pytest.approx(n * (1.0 - n), abs=1e-12)
         assert -0.25 <= c <= 0.25
 
@@ -291,7 +296,8 @@ def test_joint_correlation_width_mismatch():
 def _assert_surface_by_overlaps(points_a, points_b):
     surface = joint_correlation_surface(points_a, points_b)
     assert surface.shape == (len(points_a), len(points_b))
-    want = [[joint_correlation_by_overlaps(a, b).hex() for b in points_b] for a in points_a]
+    want = [[reference.joint_correlation_by_overlaps(a, b).hex() for b in points_b]
+            for a in points_a]
     assert [[c.hex() for c in row] for row in surface.tolist()] == want
 
 
@@ -326,3 +332,101 @@ def test_surface_width_mismatch_anywhere_in_a_grid():
             joint_correlation_surface(good[:i] + [odd] + good[i:], good)
         with pytest.raises(WidthMismatch):
             joint_correlation_surface(good, good[:i] + [odd] + good[i:])
+
+
+# --- the overlap kernel against the one-pair scalar formula ---------------------
+
+def _hexes(values):
+    """``float.hex`` of the real and imaginary part of every entry, signed zeros included."""
+    return [[(z.real.hex(), z.imag.hex()) for z in row] for row in np.asarray(values).tolist()]
+
+
+def _assert_block_by_pairs(modes_a, modes_b):
+    block = overlap_matrix(modes_a, modes_b)
+    assert block.shape == (len(modes_a), len(modes_b))
+    want = [[reference.mode_overlap(a, b) for b in modes_b] for a in modes_a]
+    assert _hexes(block) == _hexes(want)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(sigma=st.floats(0.2, 3.0), data=st.data())
+def test_overlap_matrix_equals_scalar_overlaps(sigma, data):
+    # labels at the origin, on either axis and off axis; side b reuses side-a
+    # points, and both orientations run, so equal points meet at equal and swapped levels
+    fresh = st.builds(lambda x, p: PhasePoint(sigma, x=x, p=p), _coordinate, _coordinate)
+    points_a = data.draw(st.lists(fresh, max_size=5))
+    reused = st.one_of(fresh, st.sampled_from(points_a)) if points_a else fresh
+    points_b = data.draw(st.lists(reused, max_size=5))
+    level = st.integers(0, MAX_LEVEL)
+    modes_a = [DetectorMode(point, data.draw(level)) for point in points_a]
+    modes_b = [DetectorMode(point, data.draw(level)) for point in points_b]
+    _assert_block_by_pairs(modes_a, modes_b)
+    _assert_block_by_pairs(modes_b, modes_a)
+
+
+def test_overlap_matrix_empty_sides():
+    modes = [DetectorMode(PhasePoint(1.0, x=0.5), 2)]
+    assert overlap_matrix([], modes).shape == (0, 1)
+    assert overlap_matrix(modes, []).shape == (1, 0)
+    assert overlap_matrix([], []).shape == (0, 0)
+    assert gram_matrix([]).shape == (0, 0)
+
+
+def _criterion_7_sets(seed):
+    """The 50 mode sets that criterion 7 draws from ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n = int(rng.integers(2, 21))
+        sigma = float(rng.uniform(0.3, 2.0))
+        yield [
+            DetectorMode(PhasePoint(sigma, float(rng.normal()), float(rng.normal())),
+                         int(rng.integers(0, 6)))
+            for _ in range(n)
+        ]
+
+
+@pytest.mark.parametrize("seed", [20240811, 1, 2, 3])
+def test_gram_matrix_equals_pair_loop_on_criterion_7_sets(seed):
+    for modes in _criterion_7_sets(seed):
+        assert _hexes(gram_matrix(modes)) == _hexes(reference.gram_by_pairs(modes))
+
+
+@pytest.mark.parametrize("count", [250, 500, 750, 1000, 1250, 1500, 1750, 2000])
+def test_registration_curves_equal_scalar_reference(count):
+    # the bench's detector grid sizes, built as the CLI builds them
+    for sigma in (0.5, 1.0, 2.0):
+        for stop in (3.0, 4.0, 5.0):
+            grid = np.linspace(0.0, stop, count).tolist()
+            points = [PhasePoint(sigma, x=g / sigma) for g in grid]
+            p1, p2 = registration_prob_one(points).tolist(), registration_prob_two(points).tolist()
+            want = [tuple(v.hex() for v in reference.registration_by_points(b)) for b in points]
+            assert [(a.hex(), b.hex()) for a, b in zip(p1, p2)] == want
+
+
+def test_overlap_overflow_raises_like_the_scalar():
+    # |gamma|^2 overflows between labels -1.3e154 and 1.3e154, though each label squares finitely
+    left = DetectorMode(PhasePoint(1.0, x=-1.3e154), 0)
+    right = DetectorMode(PhasePoint(1.0, x=1.3e154), 1)
+    # gamma ** 30 overflows where |gamma|^2 = 1e22 does not
+    low = DetectorMode(PhasePoint(1.0), 0)
+    high = DetectorMode(PhasePoint(1.0, x=1e11), MAX_LEVEL)
+    origin = DetectorMode(PhasePoint(1.0), 0)
+    for a, b in ((left, right), (right, left), (low, high), (high, low)):
+        with pytest.raises(OverflowError):
+            reference.mode_overlap(a, b)
+        with pytest.raises(OverflowError):
+            overlap_matrix([origin, a], [b, origin])
+        with pytest.raises(OverflowError):
+            gram_matrix([origin, a, b])
+
+
+def test_overlap_width_mismatch_anywhere_on_either_side():
+    good = [DetectorMode(PhasePoint(1.0, x=x), n) for x, n in ((0.0, 0), (0.5, 1), (1.0, 2))]
+    odd = DetectorMode(PhasePoint(2.0, x=0.5), 0)
+    for i in range(len(good) + 1):
+        mixed = good[:i] + [odd] + good[i:]
+        for a, b in ((mixed, good), (good, mixed), (mixed, []), ([], mixed)):
+            with pytest.raises(WidthMismatch):
+                overlap_matrix(a, b)
+        with pytest.raises(WidthMismatch):
+            gram_matrix(mixed)
