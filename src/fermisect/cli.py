@@ -81,23 +81,36 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def _detectors(args, imaginary: bool = False) -> tuple[list[float], list[PhasePoint]]:
-    """``--grid`` values ``g`` and detectors of width ``--sigma`` at label ``g`` (or ``i*g``).
+def _grid_labels(args, imaginary: bool = False) -> tuple[list[float], np.ndarray]:
+    """``--grid`` values ``g`` and the labels of width-``--sigma`` detectors at ``g``.
 
-    The label ``g`` sits at ``x = g/sigma`` and ``i*g`` at ``p = 2*sigma*g``;
-    a position that overflows is reported against the flags that produced it.
+    With ``imaginary`` the labels of the detectors at ``i*g`` follow.  This is
+    where a detector grid is validated, once and as an array: ``g`` sits at
+    ``x = g/sigma`` and ``i*g`` at ``p = 2*sigma*g``, and the first coordinate
+    that is not finite is reported against the flags that produced it.  Each
+    label has the bits of ``PhasePoint(sigma, x=x).label`` or
+    ``PhasePoint(sigma, p=p).label``, signed zeros included.
     """
     sigma = PhasePoint(args.sigma).sigma  # finite and > 0 before dividing by it
-    grid = _parse_grid(args.grid).tolist()
-    try:
+    grid = _parse_grid(args.grid)
+    n = len(grid)
+
+    def finite(name: str, values: np.ndarray) -> np.ndarray:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ConfigError(f"--grid {args.grid} at --sigma {sigma!r} puts a detector at a"
+                              f" non-finite position ({name} must be finite,"
+                              f" got {float(values[bad[0]])})")
+        return values
+
+    # sigma*x + 0.5j*p/sigma as CPython's complex arithmetic rounds it: its sums add 0.0
+    # to each part, which turns a -0.0 into 0.0
+    labels = np.zeros(2 * n if imaginary else n, dtype=complex)
+    with np.errstate(all="ignore"):  # a coordinate that is not finite is reported by `finite`
+        labels.real[:n] = sigma * finite("x", grid / sigma) + 0.0
         if imaginary:
-            points = [PhasePoint(sigma, p=2.0 * sigma * g) for g in grid]
-        else:
-            points = [PhasePoint(sigma, x=g / sigma) for g in grid]
-    except ValueError as exc:  # sigma is valid, so a coordinate overflowed
-        raise ConfigError(f"--grid {args.grid} at --sigma {sigma!r} puts a detector at a"
-                          f" non-finite position ({exc})") from exc
-    return grid, points
+            labels.imag[n:] = (0.5 * finite("p", 2.0 * sigma * grid) + 0.0) / sigma
+    return grid.tolist(), labels
 
 
 @contextlib.contextmanager
@@ -127,7 +140,7 @@ def _emit(path, text: str) -> None:
         buf.write(text)
 
 
-def _emit_rows(args, columns: tuple[str, ...], rows: list[tuple], lines) -> None:
+def _emit_rows(args, columns: tuple[str, ...], rows, lines) -> None:
     """``rows`` as JSON objects, or their CSV ``lines`` under a ``--sigma``/``--grid`` header."""
     if args.format == "json":
         _emit(args.out, json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n")
@@ -180,27 +193,28 @@ def _cmd_bogoliubov(args) -> int:
 
 
 def _cmd_detector(args) -> int:
-    grid, points = _detectors(args)
+    grid, labels = _grid_labels(args)
     with _grid_overflow(args):
-        rows = list(zip(grid, registration_prob_one(points).tolist(),
-                        registration_prob_two(points).tolist()))
+        rows = list(zip(grid, registration_prob_one(labels).tolist(),
+                        registration_prob_two(labels).tolist()))
     _emit_rows(args, ("beta", "p1", "p2"), rows,
                (f"{b!r},{p1!r},{p2!r}\n" for b, p1, p2 in rows))
     return 0
 
 
 def _cmd_joint_correlation(args) -> int:
-    grid, real = _detectors(args)
-    _, imag = _detectors(args, imaginary=True)
+    grid, labels = _grid_labels(args, imaginary=True)
+    n = len(grid)
     with _grid_overflow(args):
         # one surface over both column sets: each real detector's state overlaps once
-        surface = joint_correlation_surface(real, real + imag)
-    n = len(grid)
-    blocks = (("real_real", surface[:, :n]), ("real_imag", surface[:, n:]))
-    rows = [(parametrization, a, b, c) for parametrization, block in blocks
-            for a, surface_row in zip(grid, block.tolist()) for b, c in zip(grid, surface_row)]
-    _emit_rows(args, ("parametrization", "a", "b", "c"), rows,
-               (f"{s},{a!r},{b!r},{c!r}\n" for s, a, b, c in rows))
+        surface = joint_correlation_surface(labels[:n], labels)
+    blocks = (("real_real", surface[:, :n].tolist()), ("real_imag", surface[:, n:].tolist()))
+    names = [repr(g) for g in grid]
+    _emit_rows(args, ("parametrization", "a", "b", "c"),
+               ((tag, a, b, c) for tag, block in blocks
+                for a, row in zip(grid, block) for b, c in zip(grid, row)),
+               (f"{tag},{a},{b},{c!r}\n" for tag, block in blocks
+                for a, row in zip(names, block) for b, c in zip(names, row)))
     return 0
 
 

@@ -111,7 +111,9 @@ def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
     L_m^(n-m)(|gamma|^2)``.  Every complex product goes through `_cmul`, and
     ``abs(gamma) ** 2``, ``math.exp`` and ``gamma ** (n - m)`` run per entry on
     Python floats and complexes, which keeps each entry's bits those of the
-    one-pair scalar formula and raises its `OverflowError`.
+    one-pair scalar formula and raises its `OverflowError`.  Where ``math.exp``
+    underflows to 0.0 the entry is an exact zero: the Laguerre factor, which
+    may overflow there, is not evaluated.
     """
     ar, ai, br, bi = label_a.real, label_a.imag, label_b.real, label_b.imag
     # the label pairs with the oscillator ladder as D(-i*(b - a)), -1j being
@@ -129,7 +131,16 @@ def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
     amp = np.array([math.exp(v) for v in exponent.ravel().tolist()]).reshape(shape)
     power = np.array([g ** n for g, n in zip(gammas, k.ravel().tolist())],
                      dtype=complex).reshape(shape)
-    ur, ui = _cmul(*_cmul(amp, 0.0, power.real, power.imag), eval_genlaguerre(lo, k, x), 0.0)
+    # amp is 0.0 only above x = 1400, where gamma ** (n - m) may be NaN and the Laguerre factor
+    # may overflow.  Such an entry is a zero with the signs that the scalar formula gives
+    # wherever it is finite: each factor enters by its sign alone, the Laguerre factor's
+    # being (-1)^m past its largest root (below 200 up to MAX_LEVEL)
+    live = amp != 0.0
+    pr = np.where(live, power.real, np.copysign(1.0, power.real))
+    pi = np.where(live, power.imag, np.copysign(1.0, power.imag))
+    laguerre = np.where(lo % 2 == 1, -1.0, 1.0)
+    laguerre[live] = eval_genlaguerre(lo[live], k[live], x[live])
+    ur, ui = _cmul(*_cmul(amp, 0.0, pr, pi), laguerre, 0.0)
     ui = np.where(swap, -ui, ui)
     # exp((conj(a)*b - a*conj(b))/2), the phase of the ground overlap
     c1r, c1i = _cmul(ar, -ai, br, bi)
@@ -189,26 +200,31 @@ def gram_matrix(modes) -> np.ndarray:
     return gram
 
 
-def _label_norms(points) -> np.ndarray:
-    """``|label|^2`` per point, squared per entry: ``x ** 2`` can round apart from ``x * x``."""
-    return np.array([abs(point.label) ** 2 for point in points], dtype=float)
+def _label_norms(labels) -> np.ndarray:
+    """``abs(b) ** 2`` per label on Python numbers: numpy's ``np.abs(b) ** 2`` rounds apart."""
+    return np.array([abs(b) ** 2 for b in np.asarray(labels, dtype=complex).tolist()],
+                    dtype=float)
 
 
-def registration_prob_one(points) -> np.ndarray:
-    """Registration probabilities of the origin one-particle state at each of ``points``.
+def registration_prob_one(labels) -> np.ndarray:
+    """Registration probabilities of the origin one-particle state at each detector label.
 
     ``exp(-|b|^2)``: the squared ground-mode overlap with the state mode.
+    ``labels`` is an array of complex labels ``b``, the `PhasePoint.label` of
+    each detector; a label carries no width, since none enters the formula.
+    An ``|b|^2`` that overflows raises `OverflowError`.
     """
-    return np.exp(-_label_norms(points))
+    return np.exp(-_label_norms(labels))
 
 
-def registration_prob_two(points) -> np.ndarray:
-    """Registration probabilities of the origin two-particle state at each of ``points``.
+def registration_prob_two(labels) -> np.ndarray:
+    """Registration probabilities of the origin two-particle state at each detector label.
 
     ``(1 + |b|^2) * exp(-|b|^2)``: the detector mode has weight on both
     occupied levels, so the two-particle state looks more extensive.
+    ``labels`` is taken as by `registration_prob_one`.
     """
-    r = _label_norms(points)
+    r = _label_norms(labels)
     return (1.0 + r) * np.exp(-r)
 
 
@@ -217,10 +233,13 @@ def _state_modes(sigma: float) -> tuple[DetectorMode, DetectorMode]:
     return DetectorMode(origin, 0), DetectorMode(origin, 1)
 
 
-def joint_correlation_surface(points_a, points_b) -> np.ndarray:
-    """Connected joint-registration correlation of detectors at every pair of points.
+def joint_correlation_surface(labels_a, labels_b) -> np.ndarray:
+    """Connected joint-registration correlation of detectors at every pair of labels.
 
-    The result has shape ``(len(points_a), len(points_b))``.  The probed state
+    ``labels_a`` and ``labels_b`` are arrays of complex detector labels, the
+    `PhasePoint.label` of each detector, and the result has shape
+    ``(len(labels_a), len(labels_b))``.  No width enters: the state modes sit
+    at the origin label, so the surface takes none.  The probed state
     has one particle in each of the origin levels 0 and 1.  Wick expansion
     over the nonorthogonal mode algebra leaves the product of the two cross
     contractions: the occupied-span part of <a|b> times its complement, which
@@ -228,26 +247,24 @@ def joint_correlation_surface(points_a, points_b) -> np.ndarray:
     the real part and drops ``Im C = <[n_b, n_a]>/(2i)``, nonzero off the real
     labels, where overlapping detector modes do not commute.
 
-    All points must share one width, else `WidthMismatch`.  Every overlap
-    comes from the `overlap_matrix` kernel: two blocks between the detectors
-    and the state modes, computed once per detector, and one block of the
-    pair overlaps ``<b|a>``.  The kernel and the surface arithmetic write
+    Every overlap comes from the kernel behind `overlap_matrix`, at level 0:
+    two blocks between the detectors and the state modes, computed once per
+    detector, and one block of the pair overlaps ``<b|a>``.  An ``|gamma|^2``
+    that overflows raises `OverflowError`.  The kernel and the surface arithmetic write
     each complex product from its real parts (numpy's complex array multiply
     may fuse multiply-adds), run `np.exp` on arrays, keep ``abs(gamma) ** 2``,
     `math.exp` and ``gamma ** (n - m)`` per entry on Python numbers, and sum
     from 0 in the order of the one-pair formula, so every entry has the bits
     of that formula on Python scalars.
     """
-    modes_a = [DetectorMode(a, 0) for a in points_a]
-    modes_b = [DetectorMode(b, 0) for b in points_b]
-    detectors = modes_a + modes_b
-    if not detectors:
-        return np.empty((0, 0))
-    states = _state_modes(detectors[0].point.sigma)
-    to_states = overlap_matrix(detectors, states)  # <d|g>
-    from_states = overlap_matrix(states, detectors)  # <g|d>
-    pair = overlap_matrix(modes_b, modes_a).T  # <b|a>
-    n = len(modes_a)
+    labels_a = np.asarray(labels_a, dtype=complex)
+    labels_b = np.asarray(labels_b, dtype=complex)
+    detectors = np.concatenate([labels_a, labels_b])
+    origin, levels = np.zeros(2, dtype=complex), np.arange(2)  # the state modes' labels, levels
+    to_states = _overlap_entries(detectors[:, None], 0, origin, levels)  # <d|g>
+    from_states = _overlap_entries(origin[:, None], levels[:, None], detectors, 0)  # <g|d>
+    pair = _overlap_entries(labels_b[:, None], 0, labels_a, 0).T  # <b|a>
+    n = len(labels_a)
     a_g, b_g = to_states[:n], to_states[n:]
     g_a, g_b = from_states[:, :n], from_states[:, n:]
 

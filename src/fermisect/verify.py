@@ -152,8 +152,9 @@ def criterion_detector_closed_forms() -> CriterionResult:
     sigma = 1.0
     origin = PhasePoint(sigma)
     points = [PhasePoint(sigma, x=r / sigma) for r in radii]  # label = r on the real axis
-    p1s = registration_prob_one(points).tolist()
-    p2s = registration_prob_two(points).tolist()
+    labels = [b.label for b in points]
+    p1s = registration_prob_one(labels).tolist()
+    p2s = registration_prob_two(labels).tolist()
     block = overlap_matrix([DetectorMode(origin, m) for m in (0, 1)],
                            [DetectorMode(b, 0) for b in points]).T.tolist()
     worst = 0.0
@@ -198,11 +199,12 @@ def criterion_joint_correlation() -> CriterionResult:
     origin = PhasePoint(1.0)
     axis = np.linspace(-5, 5, 9)
     sweep = [PhasePoint(1.0, x=x, p=p) for x in axis for p in axis]
-    sweep = [point for point in sweep if abs(point.label) <= 5.0]
-    worst_origin = float(np.max(np.abs(joint_correlation_surface([origin], sweep))))
+    sweep = [point.label for point in sweep if abs(point.label) <= 5.0]
+    worst_origin = float(np.max(np.abs(joint_correlation_surface([origin.label], sweep))))
     grid = [PhasePoint(1.0, x=a) for a in np.linspace(0.0, 3.0, 5)]
     exact = [[joint_correlation_exact(a, b) for b in grid] for a in grid]
-    worst_surface = float(np.max(np.abs(joint_correlation_surface(grid, grid) - exact)))
+    labels = [a.label for a in grid]
+    worst_surface = float(np.max(np.abs(joint_correlation_surface(labels, labels) - exact)))
     ok = worst_origin <= tol and worst_surface <= tol
     return CriterionResult(8, "joint-registration correlation", ok,
                            f"max |C(origin, b)| = {worst_origin:.3e};"

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 from fermisect import cli
 from fermisect.bogoliubov import cutoff_indices, region_sign
 from fermisect.cli import main
+from fermisect.detector import PhasePoint
 from fermisect.field import FieldConfig, Region
 from fermisect.spectrum import occupation_spectrum
 from kernel_rows import coefficient_rows
@@ -152,6 +154,8 @@ GOLDEN = [
     (["joint-correlation", "--sigma", "1.0", "--grid", "0:3.0:28"], 0, "3b978f0806893be0"),
     # the largest bench requests of each detector command, hashed before the overlap kernel
     (["joint-correlation", "--sigma", "0.5", "--grid", "0:3.5:28"], 0, "50a605b7e60efbff"),
+    # negatives and signed zeros on both axes, hashed before the labels were formed as arrays
+    (["joint-correlation", "--grid=-0.0,-1.5,0.0,2.0"], 0, "cefbed58d0597ef8"),
     (["detector", "--sigma", "2.0", "--grid", "0:3.0:2000"], 0, "db2f8c29d098663d"),
     (["povm", "--product", "0.3", "0.6", "--format", "csv"], 0, "80681a536571df58"),
     (["povm", "--entangled", "0.25", "--with-conditionals"], 0, "fbc9d926c91a0921"),
@@ -255,6 +259,59 @@ def test_bad_input_exits_1_with_message(capsys, tmp_path, argv, message):
     assert err.startswith("error:") and message.replace("{tmp}", str(tmp_path)) in err
     assert err.count("\n") == 1  # one line, no traceback
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 1e-3])
+def test_grid_labels_equal_the_phase_point_labels(sigma):
+    # negatives, both signed zeros and subnormals; the naive sigma*x and 0.5*p/sigma give
+    # -0.0 parts at a -0.0 grid value
+    text = "-2.5,-0.0,0.0,5e-324,-5e-324,-1e-310,0.3,-1e-3,3.0"
+    grid, labels = cli._grid_labels(argparse.Namespace(sigma=sigma, grid=text), imaginary=True)
+    assert [g.hex() for g in grid] == [float(tok).hex() for tok in text.split(",")]
+    want = ([PhasePoint(sigma, x=g / sigma).label for g in grid]
+            + [PhasePoint(sigma, p=2.0 * sigma * g).label for g in grid])
+    assert [(z.real.hex(), z.imag.hex()) for z in labels.tolist()] == [
+        (z.real.hex(), z.imag.hex()) for z in want]
+    _, real = cli._grid_labels(argparse.Namespace(sigma=sigma, grid=text))
+    assert real.tolist() == labels[:len(grid)].tolist()
+
+
+@pytest.mark.parametrize("command,count", [("detector", 2000), ("joint-correlation", 200)])
+def test_detector_requests_build_no_phase_point_per_grid_value(capsys, monkeypatch, command,
+                                                               count):
+    # the grid is validated as an array; a PhasePoint per value would make the counts differ
+    calls = []
+    validate = PhasePoint.__post_init__
+    monkeypatch.setattr(PhasePoint, "__post_init__", lambda point: calls.append(validate(point)))
+    counts = []
+    for points in (2, count):
+        calls.clear()
+        assert _run(capsys, [command, "--grid", f"0:3:{points}"])[0] == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("argv,line", [
+    # the grid divided by a subnormal width overflows x; 2 * 1e308 overflows, times 0 gives p nan
+    (["detector", "--sigma", "1e-320", "--grid", "0:1:2"],
+     "--grid 0:1:2 at --sigma 1e-320 puts a detector at a non-finite position"
+     " (x must be finite, got inf)"),
+    (["joint-correlation", "--sigma", "1e-320", "--grid", "0,-1"],
+     "--grid 0,-1 at --sigma 1e-320 puts a detector at a non-finite position"
+     " (x must be finite, got -inf)"),
+    (["joint-correlation", "--sigma", "1e308", "--grid", "0:3:3"],
+     "--grid 0:3:3 at --sigma 1e+308 puts a detector at a non-finite position"
+     " (p must be finite, got nan)"),
+    (["detector", "--grid", "1e200"],
+     "--grid 1e200 at --sigma 1.0 overflows float64 in the detector arithmetic"),
+    (["joint-correlation", "--grid", "1e200"],
+     "--grid 1e200 at --sigma 1.0 overflows float64 in the detector arithmetic"),
+    (["joint-correlation", "--grid=-1.3e154:1.3e154:2"],
+     "--grid -1.3e154:1.3e154:2 at --sigma 1.0 overflows float64 in the detector arithmetic"),
+], ids=_argv_id)
+def test_detector_grid_errors_print_the_whole_line(capsys, argv, line):
+    # the whole line, recorded before the grid was validated as an array
+    assert _run(capsys, argv) == (1, "", f"error: {line}\n")
 
 
 def test_verify_selected_criteria_pass(capsys):
