@@ -23,8 +23,7 @@ from .detector import (
     joint_correlation_exact,
     joint_correlation_surface,
     mode_overlap,
-    registration_prob_one,
-    registration_prob_two,
+    registration_probabilities,
 )
 from .field import (
     Branch,

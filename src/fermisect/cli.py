@@ -28,8 +28,7 @@ from .bogoliubov import QuadratureUnresolved, pair_to_csv
 from .detector import (
     PhasePoint,
     joint_correlation_surface,
-    registration_prob_one,
-    registration_prob_two,
+    registration_probabilities,
 )
 from .field import FieldConfig, Region
 from .povm import conditionals, entangled_table, product_table
@@ -195,8 +194,7 @@ def _cmd_bogoliubov(args) -> int:
 def _cmd_detector(args) -> int:
     grid, labels = _grid_labels(args)
     with _grid_overflow(args):
-        rows = list(zip(grid, registration_prob_one(labels).tolist(),
-                        registration_prob_two(labels).tolist()))
+        rows = list(zip(grid, *(p.tolist() for p in registration_probabilities(labels))))
     _emit_rows(args, ("beta", "p1", "p2"), rows,
                (f"{b!r},{p1!r},{p2!r}\n" for b, p1, p2 in rows))
     return 0

@@ -36,8 +36,7 @@ __all__ = [
     "joint_correlation_surface",
     "mode_overlap",
     "overlap_matrix",
-    "registration_prob_one",
-    "registration_prob_two",
+    "registration_probabilities",
 ]
 
 MAX_LEVEL = 30
@@ -108,7 +107,8 @@ def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
 
     The ladder factor is ``<n|D(gamma)|m>`` with ``n >= m`` (a swapped pair is
     ``conj(<m|D(-gamma)|n>)``): ``sqrt(m!/n!) exp(-|gamma|^2/2) gamma^(n-m)
-    L_m^(n-m)(|gamma|^2)``.  Every complex product goes through `_cmul`, and
+    L_m^(n-m)(|gamma|^2)``.  Every complex product goes through `_cmul`, the
+    phase takes one cross product of the labels, and
     ``abs(gamma) ** 2``, ``math.exp`` and ``gamma ** (n - m)`` run per entry on
     Python floats and complexes, which keeps each entry's bits those of the
     one-pair scalar formula and raises its `OverflowError`.  Where ``math.exp``
@@ -142,11 +142,10 @@ def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
     laguerre[live] = eval_genlaguerre(lo[live], k[live], x[live])
     ur, ui = _cmul(*_cmul(amp, 0.0, pr, pi), laguerre, 0.0)
     ui = np.where(swap, -ui, ui)
-    # exp((conj(a)*b - a*conj(b))/2), the phase of the ground overlap
-    c1r, c1i = _cmul(ar, -ai, br, bi)
-    c2r, c2i = _cmul(ar, ai, br, -bi)
+    # exp((conj(a)*b - a*conj(b))/2) = exp(i*Im(conj(a)*b)), the phase of the ground overlap,
+    # from one cross product; + 0.0 turns its -0.0 into the 0.0 of the scalar formula
     arg = np.empty(shape, dtype=complex)
-    arg.real, arg.imag = _cmul(0.5, 0.0, c1r - c2r, c1i - c2i)
+    arg.real, arg.imag = 0.0, (ar * bi - ai * br) + 0.0
     phase = np.exp(arg)
     out = np.empty(shape, dtype=complex)
     out.real, out.imag = _cmul(phase.real, phase.imag, ur, ui)
@@ -200,37 +199,21 @@ def gram_matrix(modes) -> np.ndarray:
     return gram
 
 
-def _label_norms(labels) -> np.ndarray:
-    """``abs(b) ** 2`` per label on Python numbers: numpy's ``np.abs(b) ** 2`` rounds apart."""
-    return np.array([abs(b) ** 2 for b in np.asarray(labels, dtype=complex).tolist()],
-                    dtype=float)
+def registration_probabilities(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Registration probabilities of the origin one- and two-particle states at each label.
 
-
-def registration_prob_one(labels) -> np.ndarray:
-    """Registration probabilities of the origin one-particle state at each detector label.
-
-    ``exp(-|b|^2)``: the squared ground-mode overlap with the state mode.
     ``labels`` is an array of complex labels ``b``, the `PhasePoint.label` of
-    each detector; a label carries no width, since none enters the formula.
-    An ``|b|^2`` that overflows raises `OverflowError`.
+    each detector; a label carries no width, since none enters the formulas.
+    Returns ``(p1, p2)``: ``p1 = exp(-|b|^2)``, the squared ground-mode
+    overlap with the state mode, and ``p2 = (1 + |b|^2) * exp(-|b|^2)``, which
+    is larger because the detector mode has weight on both occupied levels.
+    ``|b|^2`` is ``abs(b) ** 2`` per label on Python numbers (numpy's
+    ``np.abs(b) ** 2`` rounds apart), and one that overflows raises
+    `OverflowError`.
     """
-    return np.exp(-_label_norms(labels))
-
-
-def registration_prob_two(labels) -> np.ndarray:
-    """Registration probabilities of the origin two-particle state at each detector label.
-
-    ``(1 + |b|^2) * exp(-|b|^2)``: the detector mode has weight on both
-    occupied levels, so the two-particle state looks more extensive.
-    ``labels`` is taken as by `registration_prob_one`.
-    """
-    r = _label_norms(labels)
-    return (1.0 + r) * np.exp(-r)
-
-
-def _state_modes(sigma: float) -> tuple[DetectorMode, DetectorMode]:
-    origin = PhasePoint(sigma=sigma)
-    return DetectorMode(origin, 0), DetectorMode(origin, 1)
+    r = np.array([abs(b) ** 2 for b in np.asarray(labels, dtype=complex).tolist()], dtype=float)
+    e = np.exp(-r)
+    return e, (1.0 + r) * e
 
 
 def joint_correlation_surface(labels_a, labels_b) -> np.ndarray:
@@ -248,8 +231,9 @@ def joint_correlation_surface(labels_a, labels_b) -> np.ndarray:
     labels, where overlapping detector modes do not commute.
 
     Every overlap comes from the kernel behind `overlap_matrix`, at level 0:
-    two blocks between the detectors and the state modes, computed once per
-    detector, and one block of the pair overlaps ``<b|a>``.  An ``|gamma|^2``
+    one block ``<d|g>`` between the detectors and the state modes, computed
+    once per detector, whose exact conjugate transpose is ``<g|d>``, and one
+    block of the pair overlaps ``<b|a>``.  An ``|gamma|^2``
     that overflows raises `OverflowError`.  The kernel and the surface arithmetic write
     each complex product from its real parts (numpy's complex array multiply
     may fuse multiply-adds), run `np.exp` on arrays, keep ``abs(gamma) ** 2``,
@@ -262,7 +246,7 @@ def joint_correlation_surface(labels_a, labels_b) -> np.ndarray:
     detectors = np.concatenate([labels_a, labels_b])
     origin, levels = np.zeros(2, dtype=complex), np.arange(2)  # the state modes' labels, levels
     to_states = _overlap_entries(detectors[:, None], 0, origin, levels)  # <d|g>
-    from_states = _overlap_entries(origin[:, None], levels[:, None], detectors, 0)  # <g|d>
+    from_states = np.conj(to_states).T  # <g|d>
     pair = _overlap_entries(labels_b[:, None], 0, labels_a, 0).T  # <b|a>
     n = len(labels_a)
     a_g, b_g = to_states[:n], to_states[n:]
@@ -304,10 +288,11 @@ def joint_correlation_exact(a: PhasePoint, b: PhasePoint) -> float:
     modes, represents every annihilator as a matrix there, and evaluates the
     four-point expectation minus the product of singles exactly.  All modes
     outside the span contract to zero, so the restriction is lossless.
+    Points of different widths raise `WidthMismatch` from `gram_matrix`.
     """
-    _check_widths([a, b])
-    g1, g2 = _state_modes(a.sigma)
-    modes = [g1, g2, DetectorMode(a, 0), DetectorMode(b, 0)]
+    origin = PhasePoint(sigma=a.sigma)
+    modes = [DetectorMode(origin, 0), DetectorMode(origin, 1),
+             DetectorMode(a, 0), DetectorMode(b, 0)]
     coeffs = _orthonormal_coefficients(modes)
     space = fock.build_space(coeffs.shape[1], 0)
 

@@ -31,8 +31,7 @@ from .detector import (
     joint_correlation_exact,
     joint_correlation_surface,
     overlap_matrix,
-    registration_prob_one,
-    registration_prob_two,
+    registration_probabilities,
 )
 from .field import Branch, FieldConfig, Region
 from .fock import build_space, random_canonical_transform, vacuum_expectation
@@ -153,8 +152,7 @@ def criterion_detector_closed_forms() -> CriterionResult:
     origin = PhasePoint(sigma)
     points = [PhasePoint(sigma, x=r / sigma) for r in radii]  # label = r on the real axis
     labels = [b.label for b in points]
-    p1s = registration_prob_one(labels).tolist()
-    p2s = registration_prob_two(labels).tolist()
+    p1s, p2s = (p.tolist() for p in registration_probabilities(labels))
     block = overlap_matrix([DetectorMode(origin, m) for m in (0, 1)],
                            [DetectorMode(b, 0) for b in points]).T.tolist()
     worst = 0.0

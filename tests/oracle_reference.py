@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.special import eval_genlaguerre
 
 from fermisect.bogoliubov import QuadratureUnresolved
-from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch, _state_modes
+from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch
 from fermisect.field import Branch, Region, mode_function, section_momentum, spinor, subsection_momentum
 
 
@@ -62,9 +62,14 @@ def gram_by_pairs(modes) -> np.ndarray:
 
 
 def registration_by_points(b: PhasePoint) -> tuple[float, float]:
-    """`detector.registration_prob_one` and `_two` at one point, on numpy scalars."""
+    """`detector.registration_probabilities` at one point, on numpy scalars."""
     r = abs(b.label) ** 2
     return float(np.exp(-abs(b.label) ** 2)), float((1.0 + r) * np.exp(-r))
+
+
+def _state_modes(sigma: float) -> tuple[DetectorMode, DetectorMode]:
+    origin = PhasePoint(sigma=sigma)
+    return DetectorMode(origin, 0), DetectorMode(origin, 1)
 
 
 def joint_correlation_by_overlaps(a, b) -> float:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ from fermisect.detector import (
     joint_correlation_surface,
     mode_overlap,
     overlap_matrix,
-    registration_prob_one,
-    registration_prob_two,
+    registration_probabilities,
 )
 import oracle_reference as reference
 
@@ -175,14 +175,14 @@ def test_excited_to_ground_overlap_modulus():
 
 def test_prob_one_closed_form():
     b_unit = PhasePoint(1.0, x=1.0)  # |label| = 1
-    p1 = registration_prob_one([PhasePoint(1.0).label, b_unit.label])
+    p1, _ = registration_probabilities([PhasePoint(1.0).label, b_unit.label])
     assert p1[0] == 1.0
     assert p1[1] == pytest.approx(math.exp(-1.0))
 
 
 def test_prob_two_closed_form():
     b_unit = PhasePoint(1.0, x=1.0)
-    p2 = registration_prob_two([PhasePoint(1.0).label, b_unit.label])
+    _, p2 = registration_probabilities([PhasePoint(1.0).label, b_unit.label])
     assert p2[0] == 1.0
     assert p2[1] == pytest.approx(2.0 * math.exp(-1.0))
 
@@ -197,15 +197,15 @@ def test_probs_match_gram_evaluation():
             abs(mode_overlap(DetectorMode(origin, m), DetectorMode(b, 0))) ** 2
             for m in (0, 1)
         )
-        assert abs(p1_gram - registration_prob_one([b.label])[0]) <= 1e-12
-        assert abs(p2_gram - registration_prob_two([b.label])[0]) <= 1e-12
+        p1, p2 = registration_probabilities([b.label])
+        assert abs(p1_gram - p1[0]) <= 1e-12
+        assert abs(p2_gram - p2[0]) <= 1e-12
 
 
 def test_two_particle_curve_dominates_and_decreases():
     radii = np.linspace(0.0, 4.0, 60)
     labels = [PhasePoint(1.0, x=r).label for r in radii]
-    p1 = registration_prob_one(labels).tolist()
-    p2 = registration_prob_two(labels).tolist()
+    p1, p2 = (p.tolist() for p in registration_probabilities(labels))
     assert all(b >= a for a, b in zip(p1, p2))
     assert all(p1[i + 1] < p1[i] for i in range(len(p1) - 1))
     assert all(p2[i + 1] < p2[i] for i in range(len(p2) - 1))
@@ -217,7 +217,7 @@ def test_registration_squares_the_label_per_entry(g):
     # from abs(b) ** 2 by enough to move a printed probability
     b = complex(2.0 * (g / 2.0))
     r = abs(b) ** 2
-    p1, p2 = registration_prob_one([b])[0], registration_prob_two([b])[0]
+    (p1,), (p2,) = registration_probabilities([b])
     assert (p1.hex(), p2.hex()) == (math.exp(-r).hex(), ((1.0 + r) * math.exp(-r)).hex())
 
 
@@ -235,7 +235,7 @@ def test_vacuum_registers_nothing():
         ann = sum(np.conj(c) * space.annihilate_particle(j) for j, c in enumerate(coeffs))
         assert vacuum_expectation(space, [ann.conj().T, ann]) == 0
     # and far from the state, registration of the particle state dies off too
-    assert registration_prob_one([PhasePoint(1.0, x=40.0).label])[0] <= 1e-300
+    assert registration_probabilities([PhasePoint(1.0, x=40.0).label])[0][0] <= 1e-300
 
 
 # --- gram matrices -----------------------------------------------------------
@@ -268,7 +268,7 @@ def test_equal_points_give_occupation_variance():
         a = PhasePoint(1.0, x=x)
         c = joint_correlation_surface([a.label], [a.label])[0, 0]
         # n(1-n) for the detector-mode occupation n in the two-particle state
-        n = registration_prob_two([a.label])[0]
+        n = registration_probabilities([a.label])[1][0]
         assert c == pytest.approx(n * (1.0 - n), abs=1e-12)
         assert -0.25 <= c <= 0.25
 
@@ -315,7 +315,7 @@ def _assert_surface_by_overlaps(points_a, points_b):
     assert [[c.hex() for c in row] for row in surface.tolist()] == want
 
 
-_coordinate = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+_coordinate = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -404,7 +404,7 @@ def test_registration_curves_equal_scalar_reference(count):
             grid = np.linspace(0.0, stop, count).tolist()
             points = [PhasePoint(sigma, x=g / sigma) for g in grid]
             labels = [b.label for b in points]
-            p1, p2 = registration_prob_one(labels).tolist(), registration_prob_two(labels).tolist()
+            p1, p2 = (p.tolist() for p in registration_probabilities(labels))
             want = [tuple(v.hex() for v in reference.registration_by_points(b)) for b in points]
             assert [(a.hex(), b.hex()) for a, b in zip(p1, p2)] == want
 
@@ -434,19 +434,37 @@ def test_far_apart_overlap_is_an_exact_zero():
     assert np.isfinite(np.linalg.eigvalsh(gram_matrix([near, far]))).all()
 
 
+@pytest.mark.parametrize("far", [1e160, -1e160, 1e300, -1e300])
+@pytest.mark.parametrize("axis", ["x", "p"])
+def test_far_on_axis_overlap_with_itself_is_exactly_one(far, axis):
+    # the label products of conj(a)*b overflow here, the cross product of the phase does not
+    point = PhasePoint(1.0, **{axis: far})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ground = mode_overlap(DetectorMode(point, 0), DetectorMode(point, 0))
+        gram = gram_matrix([DetectorMode(point, 0), DetectorMode(point, 1)])
+    assert ground == 1
+    assert (gram == np.eye(2)).all()
+
+
 _far_coordinate = st.one_of(_coordinate, st.floats(-1e3, 1e3), st.floats(-1e150, 1e150))
+_on_axis = st.one_of(st.tuples(st.just(0.0), st.floats(-1e300, 1e300)),
+                     st.tuples(st.floats(-1e300, 1e300), st.just(0.0)))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(sigma=st.floats(0.2, 3.0), data=st.data())
 def test_overlap_is_never_nan_and_keeps_the_scalar_bits(sigma, data):
-    # up to |coordinate| 1e150 the label products stay finite; gamma ** (n - m) or |gamma|^2
-    # may overflow, and then both forms raise
-    mode = st.builds(lambda x, p, n: DetectorMode(PhasePoint(sigma, x=x, p=p), n),
-                     _far_coordinate, _far_coordinate, st.integers(0, MAX_LEVEL))
+    # off axis, up to |coordinate| 1e150, the label products stay finite; on an axis they reach
+    # 1e300, where only the reference's conj(a)*b overflows (to NaN, silenced here).
+    # gamma ** (n - m) or |gamma|^2 may overflow, and then both forms raise
+    coords = st.one_of(st.tuples(_far_coordinate, _far_coordinate), _on_axis)
+    mode = st.builds(lambda xp, n: DetectorMode(PhasePoint(sigma, x=xp[0], p=xp[1]), n),
+                     coords, st.integers(0, MAX_LEVEL))
     a, b = data.draw(mode), data.draw(mode)
     try:
-        want = reference.mode_overlap(a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference.mode_overlap(a, b)
     except OverflowError:
         with pytest.raises(OverflowError):
             mode_overlap(a, b)
