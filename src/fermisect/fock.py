@@ -1,15 +1,17 @@
 """Exact finite-dimensional fermionic Fock-space engine.
 
 Ground truth for every vacuum expectation and Wick-contraction identity in
-this package.  Creation/annihilation operators are explicit sparse matrices
-built by the Jordan-Wigner construction over a fixed global mode ordering:
-particle modes first, then antiparticle modes, each with a full sign string,
-so all operators anticommute across species exactly.
+this package.  Every operator is the sparse matrix of a quasi-operator
+``c = sum_j alpha[j] a_j + conj(beta[j]) bdag_j`` (`QuasiOperator`) under
+the Jordan-Wigner construction over a fixed global mode ordering: particle
+modes first, then antiparticle modes, each with a full sign string, so all
+operators anticommute across species exactly.  A unit row gives ``a_j`` or
+``bdag_j``; their adjoints give ``adag_j`` and ``b_j``.
 
-The operators of each mode count are built once and cached read-only.
-Operators of distinct modes share no nonzero entry, so a quasi-operator
-matrix is one sparse constructor over a cached pattern: each entry is a
-single signed coefficient.
+The construction is one pattern per mode count, computed by bit arithmetic
+on the basis indices and cached read-only.  Ladder operators of distinct
+modes share no nonzero entry, so a quasi-operator matrix is one sparse
+constructor over that pattern: each entry is a single signed coefficient.
 
 Limited to 12 modes total (dimension 4096); the engine exists for
 correctness, not scale.
@@ -42,66 +44,45 @@ class DimensionTooLarge(ValueError):
 
 
 @lru_cache(maxsize=8)
-def _jordan_wigner(nmodes: int) -> tuple:
-    """Creation operators for an `nmodes` chain, CSR sparse."""
-    id2 = sparse.identity(2, format="csr")
-    z = sparse.csr_matrix(np.diag([1.0, -1.0]))
-    up = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    ops = []
-    for i in range(nmodes):
-        mat = sparse.identity(1, format="csr")
-        for j in range(nmodes):
-            if j < i:
-                factor = id2
-            elif j == i:
-                factor = up
-            else:
-                factor = z
-            mat = sparse.kron(mat, factor, format="csr")
-        mat.eliminate_zeros()
-        ops.append(_read_only(mat))
-    return tuple(ops)
-
-
-@lru_cache(maxsize=8)
-def _annihilators(nmodes: int) -> tuple:
-    """Adjoints of `_jordan_wigner`, CSR sparse."""
-    return tuple(_read_only(op.conj().T.tocsr()) for op in _jordan_wigner(nmodes))
-
-
-@lru_cache(maxsize=8)
 def _quasi_pattern(n_particle: int, n_anti: int) -> tuple:
     """Row, column, sign and mode of every entry of a quasi-operator matrix.
 
-    The entries of the particle annihilators and antiparticle creators, in
-    CSR order.  Distinct modes share no entry, so the sum coding mode ``j``
-    as ``+-(j + 1)`` is exact.
+    Mode ``j`` of ``n`` owns bit ``1 << (n - 1 - j)`` of a basis index, so
+    mode 0 is the most significant.  A particle mode annihilates and an
+    antiparticle mode creates: it flips its bit on every column where that
+    is possible, with the Jordan-Wigner sign ``(-1)**`` (occupation of the
+    modes after ``j``).  Distinct modes share no entry.  The entries are
+    sorted by row, then column, once here, so that the sparse constructor
+    finds them in CSR order on every call.
     """
     n = n_particle + n_anti
-    ops = _annihilators(n)[:n_particle] + _jordan_wigner(n)[n_particle:]
-    code = sparse.csr_matrix((2**n, 2**n))
-    for j, op in enumerate(ops):
-        code = code + (j + 1) * op
-    code = code.tocoo()
-    mode = np.abs(code.data).astype(np.intp) - 1
-    return tuple(_read_only(arr) for arr in (code.row, code.col, np.sign(code.data), mode))
-
-
-def _read_only(obj):
-    """Freeze a cached array, or the arrays of a cached CSR matrix, against in-place edits."""
-    for arr in (obj.data, obj.indices, obj.indptr) if sparse.issparse(obj) else (obj,):
+    index = np.arange(2**n)
+    # int32, the index dtype that the sparse constructor keeps without a copy
+    row, col = np.empty((2, n, 2**n // 2), dtype=np.int32)
+    sign = np.empty((n, 2**n // 2))
+    odd = np.zeros(2**n, dtype=bool)  # parity of the modes after j
+    for j in reversed(range(n)):
+        bit = 1 << (n - 1 - j)
+        occupied = index & bit != 0
+        col[j] = np.flatnonzero(occupied if j < n_particle else ~occupied)
+        row[j] = col[j] ^ bit
+        sign[j] = np.where(odd[col[j]], -1.0, 1.0)
+        odd ^= occupied
+    mode = np.repeat(np.arange(n), 2**n // 2)
+    order = np.lexsort((col.reshape(-1), row.reshape(-1)))
+    pattern = tuple(arr.reshape(-1)[order] for arr in (row, col, sign, mode))
+    for arr in pattern:
+        # cached: an in-place edit would corrupt every later matrix
         arr.flags.writeable = False
-    return obj
+    return pattern
 
 
 @dataclass(frozen=True)
 class FockSpace:
-    """CAR algebra on ``n_particle + n_anti`` modes as explicit matrices."""
+    """Fock space of ``n_particle + n_anti`` modes; its operators are `QuasiOperator` matrices."""
 
     n_particle: int
     n_anti: int
-    create_particle: tuple
-    create_anti: tuple
 
     @property
     def n_modes(self) -> int:
@@ -116,27 +97,15 @@ class FockSpace:
         vac[0] = 1.0
         return vac
 
-    def annihilate_particle(self, j: int):
-        return _annihilators(self.n_modes)[j]
-
-    def annihilate_anti(self, j: int):
-        return _annihilators(self.n_modes)[self.n_particle + j]
-
 
 def build_space(n_particle: int, n_anti: int = 0) -> FockSpace:
-    """Build the operator set; raises `DimensionTooLarge` above 12 modes."""
+    """The space of the given mode counts; raises `DimensionTooLarge` above 12 modes."""
     if n_particle < 0 or n_anti < 0:
         raise ValueError("mode counts must be nonnegative")
     total = n_particle + n_anti
     if total > MAX_MODES:
         raise DimensionTooLarge(f"{total} modes exceeds the {MAX_MODES}-mode cap")
-    ops = _jordan_wigner(total)
-    return FockSpace(
-        n_particle=n_particle,
-        n_anti=n_anti,
-        create_particle=ops[:n_particle],
-        create_anti=ops[n_particle:],
-    )
+    return FockSpace(n_particle=n_particle, n_anti=n_anti)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ They are the references that the fast forms must equal bit for bit.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -14,15 +15,37 @@ from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch
 from fermisect.field import Branch, Region, mode_function, section_momentum, spinor, subsection_momentum
 
 
+@lru_cache(maxsize=8)
+def jordan_wigner(nmodes: int) -> tuple:
+    """Creation operators of an `nmodes` chain as Kronecker products, CSR sparse.
+
+    Mode ``i`` is ``1 x ... x 1 x up x Z x ... x Z``, mode 0 the leftmost
+    factor; the annihilators are their adjoints.
+    """
+    id2 = sparse.identity(2, format="csr")
+    z = sparse.csr_matrix(np.diag([1.0, -1.0]))
+    up = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    ops = []
+    for i in range(nmodes):
+        mat = sparse.identity(1, format="csr")
+        for j in range(nmodes):
+            factor = id2 if j < i else up if j == i else z
+            mat = sparse.kron(mat, factor, format="csr")
+        mat.eliminate_zeros()
+        ops.append(mat)
+    return tuple(ops)
+
+
 def matrix_by_terms(op, space):
-    """`QuasiOperator.matrix` as a sum of one sparse matrix per nonzero coefficient."""
+    """`QuasiOperator.matrix` as a sum of one Kronecker-built sparse matrix per nonzero coefficient."""
+    create = jordan_wigner(space.n_modes)
     out = sparse.csr_matrix((space.dimension, space.dimension), dtype=complex)
     for j, a in enumerate(op.alpha):
         if a != 0:
-            out = out + a * space.create_particle[j].conj().T.tocsr()
+            out = out + a * create[j].conj().T.tocsr()
     for j, b in enumerate(op.beta):
         if b != 0:
-            out = out + np.conj(b) * space.create_anti[j]
+            out = out + np.conj(b) * create[space.n_particle + j]
     return out
 
 

@@ -25,6 +25,9 @@ from fermisect.field import (
     FieldConfig,
     Region,
     energy,
+    mode_function,
+    section_momentum,
+    spinor,
     spinor_overlaps,
     subsection_momentum,
 )
@@ -264,6 +267,55 @@ def test_canonicity_residual_snapshot_nonzero_modes():
     # the matched-momentum W term keeps the sum above 1 for m != 0
     assert canonicity_residual(1, 512, CFG) == pytest.approx(0.878, abs=2e-3)
     assert canonicity_residual(4, 512, CFG) == pytest.approx(0.973, abs=2e-3)
+
+
+# --- the oracle's reference basis (README, Known deviations) ----------------
+
+def _reference_gram(ks_a, branch_a, ks_b, branch_b):
+    """400-node quadrature Gram ``<(branch_a, k_a)|(branch_b, k_b)>`` of the oracle's full-interval modes.
+
+    A mode is ``spinor(p_k, branch)`` times `mode_function` on the whole interval, the plane
+    wave conjugated on the negative branch as in the oracle.
+    """
+    lo, hi = Region.WHOLE.interval(CFG)
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * weights
+
+    def modes(ks, branch):
+        wave = mode_function(ks[:, None], Region.WHOLE, x, CFG)
+        if branch is Branch.NEGATIVE:
+            wave = np.conj(wave)
+        spin = spinor(section_momentum(ks, CFG), CFG.mass, branch)
+        return np.stack([spin.upper[:, None] * wave, spin.lower[:, None] * wave])
+
+    return np.einsum("n,cin,cjn->ij", w, np.conj(modes(ks_a, branch_a)), modes(ks_b, branch_b))
+
+
+def test_reference_basis_overlaps_across_branches_by_p_over_e():
+    # the negative-branch mode u-(p_k) exp(-i p_k x) has momentum -p_k but the
+    # spinor of +p_k, so it overlaps the positive mode of -k by u+(p).u-(-p) = p/E
+    ks = np.array([1, 2, 5])
+    p = section_momentum(ks, CFG)
+    cross = np.diag(_reference_gram(ks, Branch.POSITIVE, -ks, Branch.NEGATIVE))
+    assert np.max(np.abs(cross - p / energy(p, CFG.mass))) <= 1e-14
+    assert cross.real == pytest.approx([0.95289, 0.98757, 0.99798], abs=5e-6)
+    same_k = np.diag(_reference_gram(ks, Branch.POSITIVE, ks, Branch.NEGATIVE))
+    assert np.max(np.abs(same_k)) <= 1e-15
+    for branch in Branch:
+        norms = np.diag(_reference_gram(ks, branch, ks, branch))
+        assert np.max(np.abs(norms - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("m,total", [(1, 1.87400), (2, 1.93893)])
+def test_oracle_parseval_sum_is_one_plus_canonicity_residual(m, total):
+    # the oracle's own rows carry the same excess over 1 as the closed form
+    ks = cutoff_indices(48)
+    alpha = overlap_oracle(m, ks, Region.LEFT, PP, CFG)
+    beta = overlap_oracle(m, ks, Region.LEFT, PM, CFG)
+    parseval = np.sum(np.abs(alpha) ** 2) + np.sum(np.abs(beta) ** 2)
+    assert abs(parseval - (1.0 + canonicity_residual(m, 48, CFG))) <= 1e-13
+    assert parseval == pytest.approx(total, abs=5e-6)
 
 
 # --- serialization ---------------------------------------------------------

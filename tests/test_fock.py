@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import expm
 
 from fermisect.fock import (
+    MAX_MODES,
     DimensionTooLarge,
     QuasiOperator,
+    _quasi_pattern,
     build_space,
     random_canonical_transform,
     vacuum_expectation,
@@ -20,17 +23,40 @@ def _anticommutator(a, b):
     return (a @ b + b @ a).toarray()
 
 
+def _ladder(space):
+    """``a_j`` and ``bdag_j`` of every mode, each a `QuasiOperator` unit row."""
+    a = [QuasiOperator(e, np.zeros(space.n_anti)).matrix(space) for e in np.eye(space.n_particle)]
+    bdag = [QuasiOperator(np.zeros(space.n_particle), e).matrix(space) for e in np.eye(space.n_anti)]
+    return a, bdag
+
+
 def test_dimensions():
     assert build_space(1, 1).dimension == 4
     assert build_space(2, 2).dimension == 16
-    with pytest.raises(DimensionTooLarge):
-        build_space(7, 6)
+    assert build_space(12, 0).dimension == 4096
+    for n_particle, n_anti in [(7, 6), (13, 0), (0, 13)]:
+        with pytest.raises(DimensionTooLarge, match="13 modes"):
+            build_space(n_particle, n_anti)
+
+
+@pytest.mark.parametrize("n_particle,n_anti", [(-1, 0), (0, -1)])
+def test_negative_mode_count_raises(n_particle, n_anti):
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_space(n_particle, n_anti)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 2), (3, 1), (0, 0)])
+def test_coefficient_lengths_must_match_the_space(alpha, beta):
+    op = QuasiOperator(alpha=np.ones(alpha), beta=np.ones(beta))
+    with pytest.raises(ValueError, match="coefficient lengths"):
+        op.matrix(build_space(2, 1))
 
 
 def test_car_identities_exact():
     space = build_space(2, 2)
     eye = np.eye(space.dimension)
-    ops = list(space.create_particle) + list(space.create_anti)
+    a, bdag = _ladder(space)
+    ops = [op.conj().T for op in a] + bdag
     for i, ci in enumerate(ops):
         ai = ci.conj().T
         for j, cj in enumerate(ops):
@@ -44,18 +70,17 @@ def test_car_identities_exact():
 def test_vacuum_is_annihilated():
     space = build_space(2, 1)
     vac = space.vacuum()
+    a, bdag = _ladder(space)
     for j in range(2):
-        assert np.linalg.norm(space.annihilate_particle(j) @ vac) == 0
-    assert np.linalg.norm(space.annihilate_anti(0) @ vac) == 0
+        assert np.linalg.norm(a[j] @ vac) == 0
+    assert np.linalg.norm(bdag[0].conj().T @ vac) == 0
 
 
 def test_vacuum_uniqueness():
     # the joint kernel of all annihilators is one-dimensional
     space = build_space(2, 1)
-    stack = sparse.vstack(
-        [space.create_particle[j].conj().T for j in range(2)]
-        + [space.create_anti[0].conj().T]
-    ).toarray()
+    a, bdag = _ladder(space)
+    stack = sparse.vstack(a + [bdag[0].conj().T]).toarray()
     _, s, vh = np.linalg.svd(stack)
     null_dim = np.sum(s < 1e-12) + (vh.shape[0] - len(s))
     assert null_dim == 1
@@ -63,8 +88,9 @@ def test_vacuum_uniqueness():
 
 def test_number_conservation_in_vacuum():
     space = build_space(3, 3)
+    a, _ = _ladder(space)
     for j in range(3):
-        n_op = space.create_particle[j] @ space.annihilate_particle(j)
+        n_op = a[j].conj().T @ a[j]
         assert vacuum_expectation(space, [n_op]) == 0
 
 
@@ -134,9 +160,11 @@ def test_random_canonical_transform_reproducible():
 
 def test_zero_generator_identity_transform():
     # expm(0) = 1: directly check the identity rows satisfy the convention
-    c = QuasiOperator(alpha=np.array([1.0, 0.0]), beta=np.zeros(2))
+    u = expm(np.zeros((4, 4), dtype=complex))
+    c = QuasiOperator(alpha=u[0, :2], beta=np.conj(u[0, 2:]))
     space = build_space(2, 2)
-    diff = (c.matrix(space) - space.annihilate_particle(0)).toarray()
+    a, _ = _ladder(space)
+    diff = (c.matrix(space) - a[0]).toarray()
     assert np.max(np.abs(diff)) == 0
 
 
@@ -189,18 +217,28 @@ def test_canonical_transform_matrices_equal_term_sum():
             _assert_same_csr(op.matrix(space), matrix_by_terms(op, space))
 
 
+def test_matrix_equals_kron_term_sum_for_every_mode_count():
+    # unit rows (each ladder operator alone) and one random row for every
+    # split of up to MAX_MODES modes, against the Kronecker-built reference
+    rng = np.random.default_rng(19)
+    for n in range(MAX_MODES + 1):
+        for n_particle in range(n + 1):
+            space = build_space(n_particle, n - n_particle)
+            rows = list(np.eye(n)) + [rng.normal(size=n) + 1j * rng.normal(size=n)]
+            for row in rows:
+                op = QuasiOperator(alpha=row[:n_particle], beta=row[n_particle:])
+                _assert_same_csr(op.matrix(space), matrix_by_terms(op, space))
+
+
 def test_cached_operators_are_read_only():
     space = build_space(2, 1)
-    ops = space.create_particle + space.create_anti
-    before = [op.toarray() for op in ops]
-    edited = (space.create_particle[0], space.create_anti[0],
-              space.annihilate_particle(1), space.annihilate_anti(0))
-    for op in edited:
-        for arr in (op.data, op.indices, op.indptr):
-            with pytest.raises(ValueError, match="read-only"):
-                arr *= 2
-    fresh = build_space(2, 1)
-    for op, want in zip(fresh.create_particle + fresh.create_anti, before):
-        assert np.array_equal(op.toarray(), want)
-    for j, op in enumerate(fresh.create_particle):
-        assert np.array_equal(fresh.annihilate_particle(j).toarray(), op.toarray().T)
+    for arr in _quasi_pattern(2, 1):
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2
+    op = QuasiOperator(alpha=np.array([0.5, 2.0j]), beta=np.array([-1.5 + 1j]))
+    mat = op.matrix(space)
+    want = op.matrix(space)
+    mat.data *= 2
+    mat.indices[:] = 0
+    mat.indptr[:] = 0
+    _assert_same_csr(op.matrix(space), want)

@@ -60,9 +60,12 @@ def test_antiparticle_occupation_identical():
     space = build_space(2 * n_window + 1, 2 * n_window + 1)
     k = 1
     alpha, beta = next(iter_coefficients((k,), np.arange(-n_window, n_window + 1), CFG))
+    zero, eye = np.zeros(2 * n_window + 1), np.eye(2 * n_window + 1)
     d_mat = None
     for j in range(2 * n_window + 1):
-        term = alpha[j] * space.annihilate_anti(j) - np.conj(beta[j]) * space.create_particle[j]
+        b_j = QuasiOperator(alpha=zero, beta=eye[j]).matrix(space).conj().T
+        adag_j = QuasiOperator(alpha=eye[j], beta=zero).matrix(space).conj().T
+        term = alpha[j] * b_j - np.conj(beta[j]) * adag_j
         d_mat = term if d_mat is None else d_mat + term
     val = vacuum_expectation(space, [d_mat.conj().T, d_mat])
     assert val.real == pytest.approx(float(np.sum(np.abs(beta) ** 2)), rel=1e-12)
