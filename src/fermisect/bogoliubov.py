@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -277,9 +278,11 @@ def pair_to_csv(region: Region, path_or_buf, cfg: FieldConfig, n_max: int) -> No
 
     Rejects mass 0, then ``n_max < 1``, before the target is opened: every dump
     holds the row ``m = 0``, whose spinor overlaps are undefined at mass 0.
-    Each row is formatted in one pass: the tuple ``repr`` of Python floats is
-    their shortest round-trip ``repr`` (``-0.0`` included), and the two
-    replacements turn ``[(k, ...), (k, ...)]`` into CSV lines.
+    Each row ``m`` is formatted by one ``%`` call of the template
+    ``"m,%d,%r,%r,%r,%r\n"``, repeated once per nonzero column, over the
+    flat cells ``k, re_alpha, im_alpha, re_beta, im_beta``: float ``repr``
+    is the only float formatter, so every value is its shortest round-trip
+    form, ``-0.0`` included.
     """
     if cfg.mass == 0:
         raise DegenerateDispersion("spinor overlap undefined at p = mass = 0 (the m = 0 row)")
@@ -292,9 +295,10 @@ def pair_to_csv(region: Region, path_or_buf, cfg: FieldConfig, n_max: int) -> No
             nz = np.flatnonzero((a != 0) | (b != 0))
             if nz.size == 0:
                 continue
-            cells = repr(list(zip(ks[nz].tolist(), a.real[nz].tolist(), a.imag[nz].tolist(),
-                                  b.real[nz].tolist(), b.imag[nz].tolist())))
-            yield f"{m}," + cells[2:-2].replace("), (", f"\n{m},").replace(", ", ",") + "\n"
+            a, b = a[nz], b[nz]
+            cells = chain.from_iterable(zip(ks[nz].tolist(), a.real.tolist(), a.imag.tolist(),
+                                            b.real.tolist(), b.imag.tolist()))
+            yield (f"{m},%d,%r,%r,%r,%r\n" * nz.size) % tuple(cells)
 
     write_table(path_or_buf, {"region": region.value, **asdict(cfg), "n_max": int(ks[-1])},
                 ("m", "k", "re_alpha", "im_alpha", "re_beta", "im_beta"), rows())

@@ -250,6 +250,8 @@ def _cmd_verify(args) -> int:
         unknown = set(numbers) - set(verify_mod.CRITERIA)
         if unknown:
             raise ConfigError(f"unknown criteria: {sorted(unknown)}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     results = verify_mod.run(numbers, seed=args.seed)
     _emit(args.out, "".join(result.line() + "\n" for result in results))
     return 0 if all(r.passed for r in results) else 2

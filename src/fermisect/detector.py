@@ -143,9 +143,14 @@ def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
     ur, ui = _cmul(*_cmul(amp, 0.0, pr, pi), laguerre, 0.0)
     ui = np.where(swap, -ui, ui)
     # exp((conj(a)*b - a*conj(b))/2) = exp(i*Im(conj(a)*b)), the phase of the ground overlap,
-    # from one cross product; + 0.0 turns its -0.0 into the 0.0 of the scalar formula
+    # from one cross product; + 0.0 turns its -0.0 into the 0.0 of the scalar formula.  Off
+    # axis beyond about 1e154 the products may give inf - inf: there, and only there, the equal
+    # form ar*(bi - ai) - ai*(br - ar) multiplies by the label gaps instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = ar * bi - ai * br
+        cross = np.where(np.isfinite(cross), cross, ar * (bi - ai) - ai * (br - ar))
     arg = np.empty(shape, dtype=complex)
-    arg.real, arg.imag = 0.0, (ar * bi - ai * br) + 0.0
+    arg.real, arg.imag = 0.0, cross + 0.0
     phase = np.exp(arg)
     out = np.empty(shape, dtype=complex)
     out.real, out.imag = _cmul(phase.real, phase.imag, ur, ui)

@@ -241,12 +241,12 @@ CRITERIA = {
 
 
 def run(numbers=None, seed: int | None = None) -> list[CriterionResult]:
-    """Run the selected criteria (all by default) in order.
+    """Run the selected criteria (all by default) in order, each once.
 
     ``seed`` redraws the randomized Gram-positivity sets; every other check
     is deterministic by construction.
     """
-    selected = sorted(CRITERIA) if numbers is None else sorted(numbers)
+    selected = sorted(CRITERIA) if numbers is None else sorted(set(numbers))
     results = []
     for n in selected:
         if n == 7 and seed is not None:

@@ -1,10 +1,15 @@
+import importlib.util
 import io
 import math
 import os
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermisect.bogoliubov import (
     KAPPA_ALPHA,
@@ -31,7 +36,7 @@ from fermisect.field import (
     spinor_overlaps,
     subsection_momentum,
 )
-from kernel_rows import coefficient_rows, pair_from_csv
+from kernel_rows import coefficient_rows, pair_from_csv, reference_pair_csv
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
 PP = (Branch.POSITIVE, Branch.POSITIVE)
@@ -338,6 +343,56 @@ def test_csv_round_trip():
                 ra, rb = entries[(int(m), int(k))]
                 assert ra == pytest.approx(a)
                 assert rb == pytest.approx(b)
+
+
+def _dump_pair(region, cfg, n):
+    """The text of `pair_to_csv` and of its byte reference, the earlier tuple-list formatter.
+
+    Each is split at its newlines, so that a failure names the first line that differs rather
+    than diffing two texts of up to a megabyte.
+    """
+    got, want = io.StringIO(), io.StringIO()
+    pair_to_csv(region, got, cfg, n)
+    reference_pair_csv(region, want, cfg, n)
+    return got.getvalue().split("\n"), want.getvalue().split("\n")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(mu_l=st.floats(1e-3, 100.0),
+       time=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+       region=st.sampled_from((Region.LEFT, Region.RIGHT)),
+       n=st.integers(1, 48))
+# time 0 writes signed zeros; at mu*L = 0.1 beta cells print in e-0x notation
+@example(mu_l=0.1, time=0.0, region=Region.RIGHT, n=48)
+@example(mu_l=0.1, time=-0.7, region=Region.LEFT, n=48)
+@example(mu_l=1.0, time=0.0, region=Region.LEFT, n=1)
+def test_dump_bytes_equal_the_tuple_list_formatter(mu_l, time, region, n):
+    got, want = _dump_pair(region, FieldConfig.from_mu_l(mu_l, time=time), n)
+    assert got == want
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1]
+                                                  / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # the bench's request streams import make_reference by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dump_bytes_equal_the_tuple_list_formatter_on_the_bench_configs():
+    grid, times = _bench_module("make_reference").GRID, _bench_module("streams").DUMP_TIMES
+    signed_zeros = exponents = 0
+    for mu_l in grid:
+        for time in times:
+            for region in (Region.LEFT, Region.RIGHT):
+                got, want = _dump_pair(region, FieldConfig.from_mu_l(mu_l, time=time), 64)
+                assert got == want, (mu_l, time, region)
+                text = "\n".join(got)
+                signed_zeros += text.count(",-0.0")
+                exponents += text.count("e-0")
+    # the sweep reaches both cell forms that a formatter other than float repr would change
+    assert signed_zeros > 0 and exponents > 0
 
 
 def test_domain_check_runs_before_the_first_row():

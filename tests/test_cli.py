@@ -176,6 +176,9 @@ GOLDEN = [
     (["correlation", "--mu-l", "2", "--k-max", "40", "--truncation", "513", "--time", "1.5"],
      0, "5da752440f1a15ca"),
     (["bogoliubov", "--mu-l", "0.5", "--truncation", "40"], 0, "ebe90da9d5bffad8"),
+    # a negative time and the e-0x beta cells of mu*L = 0.1, hashed before the row template
+    (["bogoliubov", "--mu-l", "0.1", "--truncation", "96", "--region", "right", "--time", "-0.7"],
+     0, "1d6e9da42d86b201"),
     # all 9 criteria: the oracle's row calls keep criterion 1's 2.899e-14
     (["verify"], 2, "93568266149c4617"),
 ]
@@ -250,6 +253,8 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
     # an --only that names no criterion would run none, or all nine
     (["verify", "--only", ",", "--out", "{tmp}/x.csv"], "--only needs a comma list"),
     (["verify", "--only", "", "--out", "{tmp}/x.csv"], "--only needs a comma list"),
+    # numpy's own message for a negative seed names no flag
+    (["verify", "--seed", "-1", "--out", "{tmp}/x.csv"], "--seed must be a non-negative integer"),
 ], ids=_argv_id)
 def test_bad_input_exits_1_with_message(capsys, tmp_path, argv, message):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -332,6 +337,14 @@ def test_verify_known_deviation_exit_code(capsys):
 def test_verify_rejects_unknown_criterion(capsys):
     rc, _, err = _run(capsys, ["verify", "--only", "12"])
     assert rc == 1 and "unknown criteria" in err
+
+
+def test_verify_runs_a_repeated_criterion_once(capsys):
+    rc, once, _ = _run(capsys, ["verify", "--only", "7"])
+    assert (rc, once.count("\n")) == (0, 1)
+    assert _run(capsys, ["verify", "--only", "7,7,7"]) == (0, once, "")
+    both = _run(capsys, ["verify", "--only", "6,7"])
+    assert _run(capsys, ["verify", "--only", "7,6,7,6"]) == both
 
 
 def test_verify_seed_changes_draws_deterministically(capsys):

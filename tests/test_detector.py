@@ -448,7 +448,22 @@ def test_far_on_axis_overlap_with_itself_is_exactly_one(far, axis):
     assert (gram == np.eye(2)).all()
 
 
-_far_coordinate = st.one_of(_coordinate, st.floats(-1e3, 1e3), st.floats(-1e150, 1e150))
+@pytest.mark.parametrize("x,p", [(1e160, 2e160), (-1e160, 2e160), (1e300, -1e300),
+                                 (-3e200, -1e155)])
+def test_far_off_axis_overlap_with_itself_is_exactly_one(x, p):
+    # both label products of the phase's cross product overflow, to inf - inf
+    point = PhasePoint(1.0, x=x, p=p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ground = mode_overlap(DetectorMode(point, 0), DetectorMode(point, 0))
+        gram = gram_matrix([DetectorMode(point, 0), DetectorMode(point, 1)])
+    assert ground == 1
+    assert (gram == np.eye(2)).all()
+
+
+_far_coordinate = st.one_of(_coordinate, st.floats(-1e3, 1e3), st.floats(-1e300, 1e300))
+# both coordinates past 1e154, where the phase's label products overflow
+_beyond = st.one_of(st.floats(-1e300, -1e154), st.floats(1e154, 1e300))
 _on_axis = st.one_of(st.tuples(st.just(0.0), st.floats(-1e300, 1e300)),
                      st.tuples(st.floats(-1e300, 1e300), st.just(0.0)))
 
@@ -456,13 +471,17 @@ _on_axis = st.one_of(st.tuples(st.just(0.0), st.floats(-1e300, 1e300)),
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(sigma=st.floats(0.2, 3.0), data=st.data())
 def test_overlap_is_never_nan_and_keeps_the_scalar_bits(sigma, data):
-    # off axis, up to |coordinate| 1e150, the label products stay finite; on an axis they reach
-    # 1e300, where only the reference's conj(a)*b overflows (to NaN, silenced here).
+    # coordinates reach 1e300: off axis the phase's label products may overflow, on an axis
+    # only the reference's conj(a)*b does (to NaN, silenced here).
     # gamma ** (n - m) or |gamma|^2 may overflow, and then both forms raise
-    coords = st.one_of(st.tuples(_far_coordinate, _far_coordinate), _on_axis)
+    coords = st.one_of(st.tuples(_far_coordinate, _far_coordinate), _on_axis,
+                       st.tuples(_beyond, _beyond))
     mode = st.builds(lambda xp, n: DetectorMode(PhasePoint(sigma, x=xp[0], p=xp[1]), n),
                      coords, st.integers(0, MAX_LEVEL))
-    a, b = data.draw(mode), data.draw(mode)
+    a = data.draw(mode)
+    # a second mode at the same point reaches the phase's largest label products
+    b = data.draw(st.one_of(mode, st.builds(lambda n: DetectorMode(a.point, n),
+                                            st.integers(0, MAX_LEVEL))))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             want = reference.mode_overlap(a, b)
