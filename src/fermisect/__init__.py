@@ -34,7 +34,6 @@ from .field import (
     energy,
     mode_function,
     spinor,
-    spinor_overlaps,
 )
 from .fock import (
     DimensionTooLarge,

@@ -25,9 +25,10 @@ applied as ``row * region_sign(ks, region)``.
 
 `iter_coefficients` streams the rows of both matrices over any indices, so
 `pair_to_csv` never holds a dump's ``(2N+1)**2`` matrices; the contractions
-of :mod:`fermisect.spectrum` build no row.  `check_domain` is
-the one float64 range check of both, and `cutoff_indices` turns a cutoff ``N``
-into the index set ``|k| <= N`` and rejects ``N < 1``.
+of :mod:`fermisect.spectrum` build no row.  `check_domain` is the one domain
+check of both, and it returns the odd columns' momenta and energies both use.
+`cutoff_indices` turns a cutoff ``N`` into the index set ``|k| <= N`` and
+rejects ``N < 1``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .field import (
     mode_function,
     section_momentum,
     spinor,
-    spinor_overlaps,
     subsection_momentum,
 )
 
@@ -112,51 +112,64 @@ def region_sign(ks, region: Region) -> np.ndarray:
     return np.ones_like(np.asarray(ks, dtype=float))
 
 
-def check_domain(ms, ks, cfg: FieldConfig) -> None:
-    """Raise `ValueError` before the first row if rows ``ms`` over indices ``ks`` leave float64.
+def check_domain(ms, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Momenta and energies ``(p, eps)`` of the odd columns in ``ks``, after the domain checks.
 
-    A phase argument ``(eps_q +- eps_p) * t`` may overflow, and so may, from ``mu`` or a momentum
-    about 1e77 on, the odd columns' spinor-overlap denominator, largest at the largest ``|m|``.
+    Raises before the first row of rows ``ms`` over ``ks``: `ValueError` where a phase argument
+    ``(eps_q +- eps_p) * t`` may overflow, and where, from ``mu`` or a momentum about 1e77 on,
+    the odd columns' spinor-overlap denominator does, largest at the largest ``|m|``;
+    `DegenerateDispersion` at mass 0 when a row ``m = 0`` meets an odd column.
     """
     ks = np.asarray(ks, dtype=int)
+    ms = np.asarray(ms, dtype=int)
+    odd = ks % 2 != 0
     p = section_momentum(ks, cfg)
-    m_top = max(map(abs, np.asarray(ms, dtype=int).tolist()), default=0)
+    m_top = max(map(abs, ms.tolist()), default=0)
     eps_q = float(energy(subsection_momentum(m_top, cfg), cfg.mass))
-    eps_p = energy(p[ks % 2 != 0], cfg.mass)
     with np.errstate(over="ignore"):  # 2 * eps * |t| bounds (eps_q +- eps_p) * t and 2 * eps_q * t
-        bound = 2.0 * (energy(np.append(subsection_momentum(ms, cfg), p), cfg.mass) * abs(cfg.time))
-        den = 2.0 * np.sqrt(eps_p * eps_q * (eps_p + cfg.mass) * (eps_q + cfg.mass))
+        eps = energy(p, cfg.mass)
+        bound = 2.0 * (np.append(energy(subsection_momentum(ms, cfg), cfg.mass), eps)
+                       * abs(cfg.time))
+        p, eps = p[odd], eps[odd]
+        den = 2.0 * np.sqrt(eps * eps_q * (eps + cfg.mass) * (eps_q + cfg.mass))
     if not np.all(np.isfinite(bound)):
         raise ValueError(f"--time {cfg.time!r} overflows the phase arguments (eps_q + eps_p) * t")
     if not np.all(np.isfinite(den)):
         raise ValueError(f"spinor overlap overflows float64 at mass {cfg.mass!r}"
                          " (mass or momentum beyond about 1e77)")
+    if cfg.mass == 0 and odd.any() and np.any(ms == 0):
+        raise DegenerateDispersion("spinor overlap undefined at p = mass = 0")
+    return p, eps
 
 
 def iter_coefficients(ms, ks, cfg: FieldConfig):
     """Left-half rows ``m`` in ``ms`` of ``(alpha, beta)`` over the full-interval indices ``ks``.
 
-    Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order, after `check_domain`; the
-    ``m``-independent column terms are computed once per call.
+    Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order, after `check_domain`, whose odd
+    column terms serve every row.  On the odd columns each row forms the spinor overlaps
+    ``u+(q) . u+(p)`` and ``u-(q) . u+(p)``: with ``d = 2*sqrt(eps_p*eps_q*(eps_p+mu)*(eps_q+mu))``
+    they are ``[(eps_p+mu)(eps_q+mu) + p*q] / d`` and ``[p*(eps_q+mu) - q*(eps_p+mu)] / d``.
     """
     ks = np.asarray(ks, dtype=int)
-    check_domain(ms, ks, cfg)
+    p, eps_p = check_domain(ms, ks, cfg)
+    mu = cfg.mass
+    eps_mu = eps_p + mu
     odd = ks % 2 != 0
     k_odd = ks[odd]
-    p_odd = section_momentum(k_odd, cfg)
-    eps_odd = energy(p_odd, cfg.mass)
     for m in ms:
         m = int(m)
         q = float(subsection_momentum(m, cfg))
-        eps_q = float(energy(q, cfg.mass))
-        s_plus, s_cross = spinor_overlaps(q, p_odd, cfg.mass) if k_odd.size else (p_odd, p_odd)
+        eps_q = float(energy(q, mu))
+        den = 2.0 * np.sqrt(eps_p * eps_q * eps_mu * (eps_q + mu))
+        s_plus = (eps_mu * (eps_q + mu) + p * q) / den
+        s_cross = (p * (eps_q + mu) - q * eps_mu) / den
         alpha = np.zeros(ks.shape, dtype=complex)
         beta = np.zeros(ks.shape, dtype=complex)
         alpha[ks == 2 * m] = SQRT_HALF
         beta[ks == -2 * m] = coeff_w(m, cfg)
-        ph_a = np.exp(1j * (eps_q - eps_odd) * cfg.time)
-        ph_b = np.exp(-1j * (eps_q + eps_odd) * cfg.time)
-        # resonance denominators n -+ m + 1/2 with n = (j-1)/2; no odd column, no spinor evaluated
+        ph_a = np.exp(1j * (eps_q - eps_p) * cfg.time)
+        ph_b = np.exp(-1j * (eps_q + eps_p) * cfg.time)
+        # resonance denominators n -+ m + 1/2 with n = (j-1)/2
         alpha[odd] = KAPPA_ALPHA * s_plus * ph_a / ((k_odd - 2 * m) / 2.0)
         beta[odd] = KAPPA_BETA * s_cross * ph_b / ((k_odd + 2 * m) / 2.0)
         yield alpha, beta

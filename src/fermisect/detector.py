@@ -145,10 +145,12 @@ def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
     # exp((conj(a)*b - a*conj(b))/2) = exp(i*Im(conj(a)*b)), the phase of the ground overlap,
     # from one cross product; + 0.0 turns its -0.0 into the 0.0 of the scalar formula.  Off
     # axis beyond about 1e154 the products may give inf - inf: there, and only there, the equal
-    # form ar*(bi - ai) - ai*(br - ar) multiplies by the label gaps instead
+    # form ar*(bi - ai) - ai*(br - ar) multiplies by the label gaps instead.  Where that overflows
+    # too and amp is 0.0, the phase only supplies signs, so it is 1 there
     with np.errstate(over="ignore", invalid="ignore"):
         cross = ar * bi - ai * br
         cross = np.where(np.isfinite(cross), cross, ar * (bi - ai) - ai * (br - ar))
+    cross = np.where(live | np.isfinite(cross), cross, 0.0)
     arg = np.empty(shape, dtype=complex)
     arg.real, arg.imag = 0.0, cross + 0.0
     phase = np.exp(arg)

@@ -10,7 +10,8 @@ Every mode is normalized to unit L2 norm on its own interval (``1/sqrt(2L)``
 on the full interval, ``1/sqrt(L)`` on a half), which is the normalization
 under which the half-to-full expansion coefficients come out canonical in
 their leading diagonal entry.  Positive/negative frequency content is carried
-by two-component spinors; everything here is a pure function.
+by two-component spinors; everything here is a pure function.  The kernel of
+:mod:`fermisect.bogoliubov` forms the spinor overlaps between the ladders.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "mode_function",
     "section_momentum",
     "spinor",
-    "spinor_overlaps",
     "subsection_momentum",
 ]
 
@@ -144,32 +144,6 @@ def spinor(p, mass: float, branch: Branch) -> Spinor:
     if branch is Branch.POSITIVE:
         return Spinor((eps + mass) / norm, p / norm)
     return Spinor(-p / norm, (eps + mass) / norm)
-
-
-def spinor_overlaps(q, p, mass):
-    """Positive-branch overlap ``u+(q) . u+(p)`` and cross-branch factor ``u-(q) . u+(p)``.
-
-    With the shared denominator ``d = 2*sqrt(eps_p*eps_q*(eps_p+mu)*(eps_q+mu))``
-    they are ``[(eps_p+mu)(eps_q+mu) + p*q] / d``, symmetric in (q, p) and
-    exactly 1 at q = p, and ``[p*(eps_q+mu) - q*(eps_p+mu)] / d``,
-    antisymmetric under q <-> p and zero at q = p.  Accepts arrays.  ``d`` leaves
-    float64 from ``mass`` or ``|p|`` about 1e77 on, which the kernel rejects first.
-
-    Raises
-    ------
-    DegenerateDispersion
-        If either momentum sits at ``p = mass = 0``.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    eps_q = energy(q, mass)
-    eps_p = energy(p, mass)
-    if np.any(eps_q == 0.0) or np.any(eps_p == 0.0):
-        raise DegenerateDispersion("spinor overlap undefined at p = mass = 0")
-    den = 2.0 * np.sqrt(eps_p * eps_q * (eps_p + mass) * (eps_q + mass))
-    plus = ((eps_p + mass) * (eps_q + mass) + p * q) / den
-    cross = (p * (eps_q + mass) - q * (eps_p + mass)) / den
-    return plus, cross
 
 
 def mode_function(index, region: Region, x, cfg: FieldConfig):

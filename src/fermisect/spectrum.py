@@ -23,7 +23,7 @@ from scipy.special import digamma, zeta
 
 from ._textio import write_table
 from .bogoliubov import SERIES_PREFACTOR, check_domain, coeff_w, cutoff_indices
-from .field import Branch, FieldConfig, energy, section_momentum, spinor, subsection_momentum
+from .field import Branch, FieldConfig, energy, spinor, subsection_momentum
 
 __all__ = [
     "converged_cutoff",
@@ -51,10 +51,8 @@ def _weight_sums(ks, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarr
     ``UV = p/(2 eps)`` and ``VV = p^2/(2 eps (eps+mu))``, as ``1/2 - mu/(2 eps)`` would cancel.
     """
     js = cutoff_indices(n_max)
-    check_domain(ks, js, cfg)
+    p, eps = check_domain(ks, js, cfg)
     j = js[js % 2 != 0]
-    p = section_momentum(j, cfg)
-    eps = energy(p, cfg.mass)
     weights = np.stack(((eps + cfg.mass) / (2.0 * eps), p / (2.0 * eps),
                         p * p / (2.0 * eps * (eps + cfg.mass))))
     t, s = np.empty((2, 3, len(ks)))

@@ -1,4 +1,4 @@
-"""Term-by-term, row-by-row and pair-by-pair forms of the oracle engines.
+"""Term-by-term, row-by-row and pair-by-pair forms of the oracle engines and of the kernel.
 
 They are the references that the fast forms must equal bit for bit.
 """
@@ -10,9 +10,10 @@ import numpy as np
 from scipy import sparse
 from scipy.special import eval_genlaguerre
 
-from fermisect.bogoliubov import QuadratureUnresolved
+from fermisect.bogoliubov import KAPPA_ALPHA, KAPPA_BETA, QuadratureUnresolved, coeff_w
 from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch
-from fermisect.field import Branch, Region, mode_function, section_momentum, spinor, subsection_momentum
+from fermisect.field import (Branch, Region, energy, mode_function, section_momentum, spinor,
+                             subsection_momentum)
 
 
 @lru_cache(maxsize=8)
@@ -148,3 +149,36 @@ def row_oracle(m, k, region, branches, cfg, order=None):
     if b1 is not b2:
         fine = np.conj(fine) if b1 is Branch.POSITIVE else -np.conj(fine)
     return fine[0] if np.ndim(k) == 0 else fine
+
+
+def spinor_overlaps(q, p, mass):
+    """``u+(q) . u+(p)`` and ``u-(q) . u+(p)`` over one shared denominator, for arrays."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    eps_q = energy(q, mass)
+    eps_p = energy(p, mass)
+    den = 2.0 * np.sqrt(eps_p * eps_q * (eps_p + mass) * (eps_q + mass))
+    plus = ((eps_p + mass) * (eps_q + mass) + p * q) / den
+    cross = (p * (eps_q + mass) - q * (eps_p + mass)) / den
+    return plus, cross
+
+
+def kernel_row(m, ks, cfg):
+    """One `iter_coefficients` row ``(alpha, beta)`` alone, its column terms and overlaps its own."""
+    ks = np.asarray(ks, dtype=int)
+    odd = ks % 2 != 0
+    k_odd = ks[odd]
+    p_odd = section_momentum(k_odd, cfg)
+    eps_odd = energy(p_odd, cfg.mass)
+    q = float(subsection_momentum(m, cfg))
+    eps_q = float(energy(q, cfg.mass))
+    s_plus, s_cross = spinor_overlaps(q, p_odd, cfg.mass) if k_odd.size else (p_odd, p_odd)
+    alpha = np.zeros(ks.shape, dtype=complex)
+    beta = np.zeros(ks.shape, dtype=complex)
+    alpha[ks == 2 * m] = 1.0 / math.sqrt(2.0)
+    beta[ks == -2 * m] = coeff_w(m, cfg)
+    ph_a = np.exp(1j * (eps_q - eps_odd) * cfg.time)
+    ph_b = np.exp(-1j * (eps_q + eps_odd) * cfg.time)
+    alpha[odd] = KAPPA_ALPHA * s_plus * ph_a / ((k_odd - 2 * m) / 2.0)
+    beta[odd] = KAPPA_BETA * s_cross * ph_b / ((k_odd + 2 * m) / 2.0)
+    return alpha, beta

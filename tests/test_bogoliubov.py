@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fermisect import bogoliubov, spectrum
 from fermisect.bogoliubov import (
     KAPPA_ALPHA,
     KAPPA_BETA,
@@ -33,10 +34,10 @@ from fermisect.field import (
     mode_function,
     section_momentum,
     spinor,
-    spinor_overlaps,
     subsection_momentum,
 )
 from kernel_rows import coefficient_rows, pair_from_csv, reference_pair_csv
+from oracle_reference import kernel_row
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
 PP = (Branch.POSITIVE, Branch.POSITIVE)
@@ -121,8 +122,8 @@ def test_oracle_even_off_delta_columns_vanish():
 def test_oracle_matched_column_value():
     # k = 2m: constant-phase integral over the half interval gives 1/sqrt(2)
     val = overlap_oracle(2, 4, Region.LEFT, PP, CFG)
-    assert val == pytest.approx(1 / math.sqrt(2) * float(spinor_overlaps(
-        subsection_momentum(2, CFG), subsection_momentum(2, CFG), CFG.mass)[0]))
+    u = spinor(subsection_momentum(2, CFG), CFG.mass, Branch.POSITIVE)
+    assert val == pytest.approx(1 / math.sqrt(2) * float(u.dot(u)))
 
 
 def test_quadrature_unresolved():
@@ -404,6 +405,50 @@ def test_domain_check_runs_before_the_first_row():
         next(iter_coefficients([1, 10**6], [-1, 1], cfg))
     with pytest.raises(ValueError, match="--time 1e"):
         next(iter_coefficients([1], [-1, 1], FieldConfig(mass=1.0, half_length=1.0, time=1e308)))
+
+
+def _hex(row):
+    return [(z.real.hex(), z.imag.hex()) for z in row.tolist()]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(mu_l=st.one_of(st.floats(1e-3, 100.0), st.just(1e76)),
+       time=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+       ms=st.lists(st.integers(-40, 40), min_size=1, max_size=5),
+       ks=st.one_of(st.integers(1, 48).map(cutoff_indices),
+                    st.lists(st.integers(-24, 24), min_size=1, max_size=8).map(
+                        lambda h: 2 * np.array(h))))
+# mu*L near 1e76 keeps the overlap denominator just inside float64; all-even ks have no odd column
+@example(mu_l=1e76, time=0.0, ms=[0, 40, -3], ks=cutoff_indices(48))
+@example(mu_l=1e76, time=-0.7, ms=[2, 0], ks=cutoff_indices(5))
+@example(mu_l=1.0, time=0.0, ms=[0, 1, -2], ks=np.array([-4, 0, 2, 8]))
+def test_rows_equal_the_per_row_kernel_by_float_hex(mu_l, time, ms, ks):
+    # each row's overlaps, formed from the column terms of the whole call, keep every bit of the
+    # row computed alone with its own columns
+    cfg = FieldConfig.from_mu_l(mu_l, time=time)
+    rows = list(iter_coefficients(ms, ks, cfg))
+    assert len(rows) == len(ms)
+    for m, (alpha, beta) in zip(ms, rows):
+        want_alpha, want_beta = kernel_row(m, ks, cfg)
+        assert _hex(alpha) == _hex(want_alpha) and _hex(beta) == _hex(want_beta)
+
+
+def test_odd_column_energies_evaluated_once_per_call(monkeypatch):
+    # the domain check evaluates the column energies, and the rows and weight sums reuse them
+    ks = cutoff_indices(50)
+    sizes = []
+
+    def counted(p, mass):
+        sizes.append(np.size(p))
+        return energy(p, mass)
+
+    monkeypatch.setattr(bogoliubov, "energy", counted)
+    monkeypatch.setattr(spectrum, "energy", counted)
+    list(iter_coefficients([3, 0, -1, 7], ks, CFG))
+    assert sum(size >= 50 for size in sizes) == 1
+    sizes.clear()
+    spectrum.correlation_matrix(4, CFG, 49)
+    assert sum(size >= 50 for size in sizes) == 1
 
 
 def test_streamed_rows_equal_single_rows():

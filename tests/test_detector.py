@@ -461,6 +461,22 @@ def test_far_off_axis_overlap_with_itself_is_exactly_one(x, p):
     assert (gram == np.eye(2)).all()
 
 
+@pytest.mark.parametrize("a,b", [((1e165, 1e165), (1e165 + 1e151, 1e165)),
+                                 ((1e165, 1e165), (1e165, 1e165 + 1e151)),
+                                 ((-3e160, 2e160), (-3e160 - 1e152, 2e160)),
+                                 ((5e168, -4e168), (5e168, -4e168 + 2e153))])
+def test_far_off_axis_overlap_of_distinct_labels_is_exactly_zero(a, b):
+    # the amplitude underflows, and both forms of the phase's cross product overflow; a gap
+    # past about 1.3e154 would overflow |gamma|^2, which raises instead
+    a, b = (PhasePoint(1.0, x=x, p=p) for x, p in (a, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ground = mode_overlap(DetectorMode(a, 0), DetectorMode(b, 0))
+        gram = gram_matrix([DetectorMode(a, 0), DetectorMode(b, 0), DetectorMode(b, 2)])
+    assert ground == 0
+    assert (gram == np.eye(3)).all()
+
+
 _far_coordinate = st.one_of(_coordinate, st.floats(-1e3, 1e3), st.floats(-1e300, 1e300))
 # both coordinates past 1e154, where the phase's label products overflow
 _beyond = st.one_of(st.floats(-1e300, -1e154), st.floats(1e154, 1e300))

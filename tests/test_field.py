@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fermisect.bogoliubov import cutoff_indices
+from fermisect.bogoliubov import KAPPA_ALPHA, KAPPA_BETA, cutoff_indices, iter_coefficients
 from fermisect.field import (
     Branch,
     DegenerateDispersion,
@@ -14,7 +14,6 @@ from fermisect.field import (
     mode_function,
     section_momentum,
     spinor,
-    spinor_overlaps,
     subsection_momentum,
 )
 
@@ -85,23 +84,40 @@ def test_spinor_norm_and_orthogonality_on_log_grid():
 def test_degenerate_point_raises():
     with pytest.raises(DegenerateDispersion):
         spinor(0.0, 0.0, Branch.POSITIVE)
-    with pytest.raises(DegenerateDispersion):
-        spinor_overlaps(0.0, 1.0, 0.0)
+    # at mass 0 a row m = 0 over an odd column raises before the stream yields its first row
+    massless = FieldConfig(mass=0.0, half_length=1.0)
+    rows = iter_coefficients([1, 0], [-1, 1], massless)
+    with pytest.raises(DegenerateDispersion, match="spinor overlap undefined at p = mass = 0"):
+        next(rows)
+    # with no odd column the row m = 0 needs no spinor overlap
+    alpha, beta = next(iter_coefficients([0], [-2, 0, 2], massless))
+    assert alpha.tolist() == [0.0, 1.0 / math.sqrt(2.0), 0.0] and not beta.any()
 
 
 def test_spinor_overlap_against_explicit_dot_product():
-    # independent route: build both spinors and take the 2-vector dot product
-    for q, p, mu in [(1.0, 2.0, 1.0), (-3.0, 0.5, 0.2), (4.0, -4.0, 2.0), (0.0, 7.0, 1.5)]:
-        plus, cross = spinor_overlaps(q, p, mu)
-        direct = spinor(q, mu, Branch.POSITIVE).dot(spinor(p, mu, Branch.POSITIVE))
-        assert abs(float(plus) - direct) <= 1e-12
-        direct = spinor(q, mu, Branch.NEGATIVE).dot(spinor(p, mu, Branch.POSITIVE))
-        assert abs(float(cross) - direct) <= 1e-12
+    # independent route: build both spinors and take the 2-vector dot product; at t = 0 an odd
+    # kernel entry is the overlap times its series prefactor over its resonance denominator
+    ks = np.arange(-9, 10, 2)
+    for mu_l, half_length, ms in [(1.0, 1.0, [-3, 0, 1, 4]), (0.2, 0.5, [-1, 0, 2]),
+                                  (2.0, np.pi, [0, -4, 3]), (0.0, 1.0, [-2, 1, 3])]:
+        cfg = FieldConfig.from_mu_l(mu_l, half_length)
+        u_p = spinor(section_momentum(ks, cfg), cfg.mass, Branch.POSITIVE)
+        for m, (alpha, beta) in zip(ms, iter_coefficients(ms, ks, cfg)):
+            q = subsection_momentum(m, cfg)
+            plus = alpha * ((ks - 2 * m) / 2.0) / KAPPA_ALPHA
+            cross = beta * ((ks + 2 * m) / 2.0) / KAPPA_BETA
+            direct = spinor(q, cfg.mass, Branch.POSITIVE).dot(u_p)
+            assert np.max(np.abs(plus - direct)) <= 1e-12
+            direct = spinor(q, cfg.mass, Branch.NEGATIVE).dot(u_p)
+            assert np.max(np.abs(cross - direct)) <= 1e-12
 
 
 def test_spinor_overlap_structure():
     def plus(q, p, mu):
-        return float(spinor_overlaps(q, p, mu)[0])
+        return float(spinor(q, mu, Branch.POSITIVE).dot(spinor(p, mu, Branch.POSITIVE)))
+
+    def cross(q, p, mu):
+        return float(spinor(q, mu, Branch.NEGATIVE).dot(spinor(p, mu, Branch.POSITIVE)))
 
     assert plus(2.0, 2.0, 0.7) == pytest.approx(1.0, abs=1e-12)
     assert plus(1.0, 2.0, 1.0) == plus(2.0, 1.0, 1.0)
@@ -109,8 +125,8 @@ def test_spinor_overlap_structure():
     # massless opposite momenta are orthogonal helicities
     assert abs(plus(-2.0, 2.0, 0.0)) <= 1e-12
     # cross overlap vanishes at equal momenta and flips sign under q <-> p
-    assert abs(float(spinor_overlaps(3.0, 3.0, 1.0)[1])) <= 1e-12
-    assert float(spinor_overlaps(1.0, 2.0, 1.0)[1]) == -float(spinor_overlaps(2.0, 1.0, 1.0)[1])
+    assert abs(cross(3.0, 3.0, 1.0)) <= 1e-12
+    assert cross(1.0, 2.0, 1.0) == -cross(2.0, 1.0, 1.0)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(400)
