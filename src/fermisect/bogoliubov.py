@@ -92,13 +92,18 @@ def cutoff_indices(n_max: int) -> np.ndarray:
     return np.arange(-n, n + 1)
 
 
-def coeff_w(m: int, cfg: FieldConfig) -> complex:
-    """Matched-momentum beta coefficient ``W_m``; ``W_0 = 0`` by continuity."""
-    if m == 0:
-        return 0.0 + 0.0j
-    q = float(subsection_momentum(m, cfg))
-    eps = float(energy(q, cfg.mass))
-    return q * np.exp(-2j * eps * cfg.time) / (math.sqrt(2.0) * eps)
+def coeff_w(m, cfg: FieldConfig):
+    """Matched-momentum beta coefficient ``W_m``; ``W_0 = 0`` by continuity.
+
+    ``m`` is an int or an integer array, as in `overlap_oracle`; the result has its shape, and
+    each entry is the one-entry call's bit for bit.
+    """
+    m = np.asarray(m, dtype=int)
+    q = subsection_momentum(m, cfg)
+    eps = energy(q, cfg.mass)
+    with np.errstate(invalid="ignore"):  # 0/0 at m = mass = 0, replaced below
+        w = q * np.exp(-2j * eps * cfg.time) / (math.sqrt(2.0) * eps)
+    return np.where(m == 0, 0j, w)[()]
 
 
 def region_sign(ks, region: Region) -> np.ndarray:
@@ -146,8 +151,8 @@ def iter_coefficients(ms, ks, cfg: FieldConfig):
     """Left-half rows ``m`` in ``ms`` of ``(alpha, beta)`` over the full-interval indices ``ks``.
 
     Yields one ``(alpha_row, beta_row)`` pair per ``m``, in order, after `check_domain`, whose odd
-    column terms serve every row.  On the odd columns each row forms the spinor overlaps
-    ``u+(q) . u+(p)`` and ``u-(q) . u+(p)``: with ``d = 2*sqrt(eps_p*eps_q*(eps_p+mu)*(eps_q+mu))``
+    column terms serve every row, and one `coeff_w` call over ``ms``.  On the odd columns each row
+    forms the spinor overlaps ``u+(q) . u+(p)`` and ``u-(q) . u+(p)``: with ``d = 2*sqrt(eps_p*eps_q*(eps_p+mu)*(eps_q+mu))``
     they are ``[(eps_p+mu)(eps_q+mu) + p*q] / d`` and ``[p*(eps_q+mu) - q*(eps_p+mu)] / d``.
     """
     ks = np.asarray(ks, dtype=int)
@@ -156,7 +161,7 @@ def iter_coefficients(ms, ks, cfg: FieldConfig):
     eps_mu = eps_p + mu
     odd = ks % 2 != 0
     k_odd = ks[odd]
-    for m in ms:
+    for m, w_m in zip(ms, coeff_w(ms, cfg).tolist()):
         m = int(m)
         q = float(subsection_momentum(m, cfg))
         eps_q = float(energy(q, mu))
@@ -166,7 +171,7 @@ def iter_coefficients(ms, ks, cfg: FieldConfig):
         alpha = np.zeros(ks.shape, dtype=complex)
         beta = np.zeros(ks.shape, dtype=complex)
         alpha[ks == 2 * m] = SQRT_HALF
-        beta[ks == -2 * m] = coeff_w(m, cfg)
+        beta[ks == -2 * m] = w_m
         ph_a = np.exp(1j * (eps_q - eps_p) * cfg.time)
         ph_b = np.exp(-1j * (eps_q + eps_p) * cfg.time)
         # resonance denominators n -+ m + 1/2 with n = (j-1)/2

@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -48,7 +49,16 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports flag errors via exit code 1."""
+    """argparse that reports flag errors via exit code 1.
+
+    A token after a flag that starts with ``-`` and a digit, ``.digit``, ``inf`` or ``nan`` is the
+    flag's value (``--grid -1:1:3``, ``--time -1e5``, ``--time -inf``), as with ``=``; argparse's
+    own pattern takes only ``-N`` and ``-N.N``.  The subparsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)

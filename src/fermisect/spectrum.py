@@ -9,16 +9,19 @@ being the left ones times ``(-1)**j``.  On the odd columns the row phases
 cancel up to the pair phase ``exp(-+i (eps_k - eps_m) t)``, so each sum is the
 matched term (``|W_k|^2`` or ``1/2``, if the cutoff ``n_max`` holds its column)
 plus a real odd-column sum, formed by `_odd_sums` from one table of
-column-weight sums per mode; ``tail=True`` adds `tail_sums`, the same form
-past the cutoff.  A CSV header states the configuration, the one cutoff and
+column-weight sums per mode; `_weight_sums` fills it in blocks of modes, each
+mode's reciprocal denominators a window of one vector over the odd integers.
+``tail=True`` adds `tail_sums`, the same form past the cutoff.  A CSV header states the configuration, the one cutoff and
 the ``tail`` flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma, zeta
 
 from ._textio import write_table
@@ -36,6 +39,11 @@ __all__ = [
 ]
 
 
+#: Largest ``(mode, column)`` count of one block of `_weight_sums`: its ``(3, modes, columns)``
+#: temporaries stay within a single mode's at the largest default cutoff, 16385.
+_BLOCK_ENTRIES = 8193
+
+
 def converged_cutoff(k_max: int, cfg: FieldConfig) -> int:
     """Smallest odd ``N >= max(513, 4*k_max + 1, 32*mu*L)``, from which `tail_sums` holds."""
     mu_l = cfg.mass * cfg.half_length
@@ -49,18 +57,26 @@ def _weight_sums(ks, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarr
 
     ``|j| <= n_max``, ``d_kj = (j + 2k)/2``; ``u+(p) = (U, V)`` gives ``UU = (eps+mu)/(2 eps)``,
     ``UV = p/(2 eps)`` and ``VV = p^2/(2 eps (eps+mu))``, as ``1/2 - mu/(2 eps)`` would cancel.
+    The modes ``ks`` are consecutive.  The reciprocals ``2/n`` are formed once over the odd
+    ``n = j + 2k`` of all modes (equal to ``1/d_kj``, as halving is exact), mode ``k`` reading
+    the window at offset ``k - ks[0]``.  Modes go in blocks of at most `_BLOCK_ENTRIES`
+    ``(mode, column)`` entries, at least one mode each.
     """
     js = cutoff_indices(n_max)
     p, eps = check_domain(ks, js, cfg)
     j = js[js % 2 != 0]
     weights = np.stack(((eps + cfg.mass) / (2.0 * eps), p / (2.0 * eps),
-                        p * p / (2.0 * eps * (eps + cfg.mass))))
+                        p * p / (2.0 * eps * (eps + cfg.mass))))[:, None, :]
+    r = sliding_window_view(2.0 / np.arange(j[0] + 2 * ks[0], j[-1] + 2 * ks[-1] + 1, 2), j.size)
+    step = max(1, _BLOCK_ENTRIES // j.size)
     t, s = np.empty((2, 3, len(ks)))
-    for i, k in enumerate(ks):
-        r = 1.0 / ((j + 2 * k) / 2.0)
-        w_r = weights * r
+    for lo in range(0, len(ks), step):
+        r_block = r[lo:lo + step]
+        w_r = weights * r_block
         # pairwise sums along each contiguous row: a BLAS product would round past 1e-15
-        t[:, i], s[:, i] = np.sum(w_r, axis=1), np.sum(w_r * r, axis=1)
+        t[:, lo:lo + step] = np.add.reduce(w_r, axis=-1)
+        w_r *= r_block
+        s[:, lo:lo + step] = np.add.reduce(w_r, axis=-1)
     return t, s
 
 
@@ -117,8 +133,14 @@ def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = F
 
 
 def _matched_w2(ks, cfg: FieldConfig, n_max: int) -> np.ndarray:
-    """``|W_k|^2`` where the cutoff holds the matched column ``-2k``, else 0 (raw sums omit it)."""
-    return np.array([abs(coeff_w(k, cfg)) ** 2 if 2 * k <= n_max else 0.0 for k in ks.tolist()])
+    """``|W_k|^2`` where the cutoff holds the matched column ``-2k``, else 0 (raw sums omit it).
+
+    One `coeff_w` call; ``abs`` of its Python complexes, as ``np.abs`` rounds apart.
+    """
+    held = 2 * ks <= n_max
+    w2 = np.zeros(ks.shape)
+    w2[held] = [abs(w) ** 2 for w in coeff_w(ks[held], cfg).tolist()]
+    return w2
 
 
 def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:
@@ -168,8 +190,14 @@ def write_spectrum_csv(path_or_buf, spectra: dict[float, np.ndarray], cfg: Field
 
 def write_correlation_csv(path_or_buf, entries: np.ndarray, cfg: FieldConfig, n_max: int,
                           tail: bool = False) -> None:
-    """Rows ``k,m,re_d,im_d`` of ``entries`` at cutoff ``n_max``, with a config header."""
-    lines = (f"{k},{m},{d.real!r},{d.imag!r}\n"
-             for k, row in enumerate(entries.tolist(), 1) for m, d in enumerate(row, 1))
+    """Rows ``k,m,re_d,im_d`` of the complex ``entries`` at cutoff ``n_max``, with a config header.
+
+    Each row ``k`` is one ``%`` call of ``"k,%d,%r,%r\n"``, repeated once per entry, over the flat
+    cells ``m, re_d, im_d``: float ``repr`` is the one float formatter.
+    """
+    ms = range(1, entries.shape[1] + 1)
+    rows = zip(entries.real.tolist(), entries.imag.tolist())
+    lines = ((f"{k},%d,%r,%r\n" * len(ms)) % tuple(chain.from_iterable(zip(ms, re, im)))
+             for k, (re, im) in enumerate(rows, 1))
     header = {**asdict(cfg), "truncation": n_max, **({"tail": "digamma"} if tail else {})}
     write_table(path_or_buf, header, ("k", "m", "re_d", "im_d"), lines)

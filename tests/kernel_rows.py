@@ -1,12 +1,15 @@
-"""Stacked kernel rows, the dump reader and the dump's byte reference, for the tests that compare
-whole coefficient blocks."""
+"""Stacked kernel rows, the dump reader, and the per-item references of the dump bytes, the
+correlation bytes, the contractions' weight table and ``W``, for the tests that compare whole
+blocks."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
 
 from fermisect._textio import write_table
-from fermisect.bogoliubov import cutoff_indices, iter_coefficients, region_sign
+from fermisect.bogoliubov import check_domain, cutoff_indices, iter_coefficients, region_sign
+from fermisect.field import energy, subsection_momentum
 
 
 def coefficient_rows(ms, ks, cfg):
@@ -48,3 +51,35 @@ def reference_pair_csv(region, buf, cfg, n_max) -> None:
 
     write_table(buf, {"region": region.value, **asdict(cfg), "n_max": int(ks[-1])},
                 ("m", "k", "re_alpha", "im_alpha", "re_beta", "im_beta"), rows())
+
+
+def reference_weight_sums(ks, cfg, n_max):
+    """`spectrum._weight_sums` by its former loop: one mode at a time, ``1/((j + 2k)/2)``."""
+    js = cutoff_indices(n_max)
+    p, eps = check_domain(ks, js, cfg)
+    j = js[js % 2 != 0]
+    weights = np.stack(((eps + cfg.mass) / (2.0 * eps), p / (2.0 * eps),
+                        p * p / (2.0 * eps * (eps + cfg.mass))))
+    t, s = np.empty((2, 3, len(ks)))
+    for i, k in enumerate(ks):
+        r = 1.0 / ((j + 2 * k) / 2.0)
+        w_r = weights * r
+        t[:, i], s[:, i] = np.sum(w_r, axis=1), np.sum(w_r * r, axis=1)
+    return t, s
+
+
+def reference_coeff_w(m, cfg):
+    """`bogoliubov.coeff_w` of one int ``m`` by its former scalar form."""
+    if m == 0:
+        return 0.0 + 0.0j
+    q = float(subsection_momentum(m, cfg))
+    eps = float(energy(q, cfg.mass))
+    return q * np.exp(-2j * eps * cfg.time) / (math.sqrt(2.0) * eps)
+
+
+def reference_correlation_csv(buf, entries, cfg, n_max, tail=False):
+    """`spectrum.write_correlation_csv`'s bytes by its former per-entry f-string."""
+    lines = (f"{k},{m},{d.real!r},{d.imag!r}\n"
+             for k, row in enumerate(entries.tolist(), 1) for m, d in enumerate(row, 1))
+    header = {**asdict(cfg), "truncation": n_max, **({"tail": "digamma"} if tail else {})}
+    write_table(buf, header, ("k", "m", "re_d", "im_d"), lines)

@@ -36,7 +36,7 @@ from fermisect.field import (
     spinor,
     subsection_momentum,
 )
-from kernel_rows import coefficient_rows, pair_from_csv, reference_pair_csv
+from kernel_rows import coefficient_rows, pair_from_csv, reference_coeff_w, reference_pair_csv
 from oracle_reference import kernel_row
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
@@ -72,6 +72,24 @@ def test_w_time_phase():
     assert coeff_w(2, cfg) == pytest.approx(
         q / (math.sqrt(2) * eps) * np.exp(-2j * eps * 0.4)
     )
+
+
+@pytest.mark.parametrize("time", [0.0, -0.0, 0.25, -3.1, 1e5])
+def test_w_array_equals_the_scalar_form_by_float_hex(time):
+    # the bench's mu*L grid, 0.37, 100 and 1e-3; m = 0 gives 0 by continuity
+    ms = np.concatenate((np.arange(-40, 41), [-5000, 129, 4096, 65537]))
+    for mu_l in [*np.logspace(-1.0, 1.0, 9).tolist(), 0.37, 100.0, 1e-3]:
+        cfg = FieldConfig.from_mu_l(mu_l, time=time)
+        block = coeff_w(ms, cfg)
+        assert block.shape == ms.shape
+        for m, w in zip(ms.tolist(), block.tolist()):
+            want = complex(reference_coeff_w(m, cfg))
+            assert (w.real.hex(), w.imag.hex()) == (want.real.hex(), want.imag.hex()), (mu_l, m)
+            one = complex(coeff_w(m, cfg))
+            assert (one.real.hex(), one.imag.hex()) == (want.real.hex(), want.imag.hex()), (mu_l, m)
+    # at mass 0 the formula reads 0/0 there
+    zero = coeff_w(np.arange(-2, 3), FieldConfig(mass=0.0, half_length=1.0, time=time)).tolist()[2]
+    assert (zero.real.hex(), zero.imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
 
 
 def _entry(m, k, region=Region.LEFT, cfg=CFG):

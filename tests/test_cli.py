@@ -266,6 +266,23 @@ def test_bad_input_exits_1_with_message(capsys, tmp_path, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,rc,message", [
+    (["detector", "--grid", "-1:1:3"], 0, ""),
+    (["joint-correlation", "--grid", "-1,0,1"], 0, ""),
+    (["spectrum", "--k-max", "4", "--truncation", "65", "--time", "-1e5"], 0, ""),
+    (["spectrum", "--time", "-inf"], 1, "error: time must be finite, got -inf\n"),
+    (["correlation", "--time", "-NaN"], 1, "error: time must be finite, got nan\n"),
+    (["spectrum", "--mu-l", "-0.5,1"], 1, "error: mass must be >= 0, got -0.5\n"),
+    (["correlation", "--mu-l", "-.5"], 1, "error: mass must be >= 0, got -0.5\n"),
+], ids=_argv_id)
+def test_negative_value_after_a_flag_reads_as_its_equals_form(capsys, argv, rc, message):
+    # argparse's own pattern takes only -N and -N.N as a value, so these read as an unknown flag
+    # and exited 1 with "argument ...: expected one argument"
+    spaced = _run(capsys, argv)
+    assert spaced == _run(capsys, argv[:-2] + [f"{argv[-2]}={argv[-1]}"])
+    assert spaced[0] == rc and spaced[2] == message
+
+
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 1e-3])
 def test_grid_labels_equal_the_phase_point_labels(sigma):
     # negatives, both signed zeros and subnormals; the naive sigma*x and 0.5*p/sigma give

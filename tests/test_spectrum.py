@@ -4,10 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fermisect import spectrum
 from fermisect.bogoliubov import (
     SERIES_PREFACTOR,
     canonicity_residual,
+    coeff_w,
     cutoff_indices,
     iter_coefficients,
     overlap_oracle,
@@ -24,7 +28,7 @@ from fermisect.spectrum import (
     write_correlation_csv,
     write_spectrum_csv,
 )
-from kernel_rows import coefficient_rows
+from kernel_rows import coefficient_rows, reference_correlation_csv, reference_weight_sums
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
 PP = (Branch.POSITIVE, Branch.POSITIVE)
@@ -237,7 +241,7 @@ def test_correlation_evaluates_each_row_once():
 
 def test_correlation_holds_two_real_odd_blocks():
     # four real (16, 16386) odd-column blocks, 8.39 MB, are one complex row block; the complex-row
-    # contraction peaked at 34.1 MB, and the weight sums, one mode at a time, peak at 2.0 MB
+    # contraction peaked at 34.1 MB, and the weight sums, one mode per block here, peak at 2.0 MB
     block = 16 * 16386 * 8
     tracemalloc.start()
     try:
@@ -250,7 +254,7 @@ def test_correlation_holds_two_real_odd_blocks():
 
 def test_occupation_streams_its_modes():
     # one dense (128, 8193) float64 block over the odd columns is 8.39 MB, and dense weight
-    # blocks read 52 MB; the weight sums, one mode at a time, peak at 2.0 MB
+    # blocks read 52 MB; the weight sums, one mode per block at this cutoff, peak at 2.0 MB
     tracemalloc.start()
     try:
         occupation_spectrum(128, FieldConfig.from_mu_l(1.0), 16385)
@@ -258,6 +262,53 @@ def test_occupation_streams_its_modes():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 8193 * 8
+
+
+def test_occupation_sums_its_modes_in_bounded_blocks():
+    # all 128 modes in one block would hold (3, 128, 1026) float64 temporaries, over the bound
+    # of a whole (3, 128, 513) block; blocks of 7 modes read about 0.55 MB
+    tracemalloc.start()
+    try:
+        occupation_spectrum(128, FieldConfig.from_mu_l(1.0), 1025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 128 * 513 * 8
+
+
+def _assert_weight_sums_equal_the_per_mode_loop(k_max, mu_l, n_max):
+    ks = np.arange(1, k_max + 1)
+    cfg = FieldConfig.from_mu_l(mu_l)
+    for got, want in zip(spectrum._weight_sums(ks, cfg, n_max),
+                         reference_weight_sums(ks, cfg, n_max)):
+        assert got.shape == (3, k_max)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 9, 513, 1025, 4097, 16385])
+def test_weight_sums_equal_the_per_mode_loop_bit_for_bit(n_max):
+    # k_max 7, 128 and 200 leave a partial last block at the larger cutoffs
+    for k_max in (1, 2, 7, 16, 128, 200):
+        for mu_l in (0.0, 1e-320, 0.1, 1.0, 10.0, 512.0):
+            _assert_weight_sums_equal_the_per_mode_loop(k_max, mu_l, n_max)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(k_max=st.integers(1, 300), mu_l=st.floats(0.0, 512.0), n_max=st.integers(1, 20000))
+def test_weight_sums_equal_the_per_mode_loop_on_draws(k_max, mu_l, n_max):
+    _assert_weight_sums_equal_the_per_mode_loop(k_max, mu_l, n_max)
+
+
+def test_occupation_calls_coeff_w_once(monkeypatch):
+    calls = []
+
+    def counted(m, cfg):
+        calls.append(np.size(m))
+        return coeff_w(m, cfg)
+
+    monkeypatch.setattr(spectrum, "coeff_w", counted)
+    occupation_spectrum(128, FieldConfig.from_mu_l(1.0), 1025)
+    assert calls == [128]
 
 
 def _longdouble_sums(k_max, cfg, n_max):
@@ -339,6 +390,23 @@ def test_spectrum_csv_format():
     assert len(lines) == 5
     k, v1, v2 = lines[2].split(",")
     assert k == "1" and 0 < float(v1) < 1 and 0 < float(v2) < 1
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(k_max=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), tail=st.booleans())
+def test_correlation_csv_equals_the_per_entry_writer(k_max, seed, tail):
+    # half the cells from the edges (signed zeros, subnormals, +-1e308), half over every exponent
+    rng = np.random.default_rng(seed)
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.5e-310, 1e308, -1e308, 0.5])
+    shape = (2, k_max, k_max)
+    parts = np.where(rng.random(shape) < 0.5, rng.choice(edges, shape),
+                     np.ldexp(rng.standard_normal(shape), rng.integers(-1074, 1020, shape)))
+    entries = np.empty(shape[1:], dtype=complex)  # parts[0] + 1j * parts[1] would lose -0.0
+    entries.real, entries.imag = parts
+    got, want = io.StringIO(), io.StringIO()
+    write_correlation_csv(got, entries, CFG, 65, tail)
+    reference_correlation_csv(want, entries, CFG, 65, tail)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_correlation_csv_format():
