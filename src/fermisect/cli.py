@@ -157,20 +157,21 @@ def _emit_rows(args, columns: tuple[str, ...], rows, lines) -> None:
         write_table(_target(args.out), {"sigma": args.sigma, "grid": args.grid}, columns, lines)
 
 
-def _cutoff(args, cfgs) -> tuple[int, bool]:
+def _cutoff(args, mu_ls) -> tuple[int, bool]:
     """A table's cutoff and tail flag: ``--truncation`` raw, else the largest `converged_cutoff`."""
     if args.truncation is not None:
         return args.truncation, False
-    return max(converged_cutoff(args.k_max, cfg) for cfg in cfgs), True
+    return max(converged_cutoff(args.k_max, mu_l) for mu_l in mu_ls), True
 
 
 def _cmd_spectrum(args) -> int:
     mu_ls = _parse_floats(args.mu_l)
     if not mu_ls:
         raise ConfigError("--mu-l needs at least one value")
-    cfgs = {mu_l: FieldConfig.from_mu_l(mu_l, time=args.time) for mu_l in mu_ls}
-    n, tail = _cutoff(args, cfgs.values())
-    spectra = {mu_l: occupation_spectrum(args.k_max, cfg, n, tail) for mu_l, cfg in cfgs.items()}
+    # header configs; of equal values (-0.0, 0.0) the first names its column and the header
+    cfgs = {mu_l: FieldConfig.from_mu_l(mu_l, time=args.time) for mu_l in dict.fromkeys(mu_ls)}
+    n, tail = _cutoff(args, cfgs)
+    spectra = {mu_l: occupation_spectrum(args.k_max, mu_l, n, tail) for mu_l in cfgs}
     if args.format == "json":
         payload = {repr(mu_l): values.tolist() for mu_l, values in spectra.items()}
         _emit(args.out, json.dumps({"k": list(range(1, args.k_max + 1)), "occupation": payload},
@@ -181,9 +182,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_correlation(args) -> int:
-    cfg = FieldConfig.from_mu_l(_single_mu_l(args.mu_l), time=args.time)
-    n, tail = _cutoff(args, [cfg])
-    entries = correlation_matrix(args.k_max, cfg, n, tail)
+    mu_l = _single_mu_l(args.mu_l)
+    cfg = FieldConfig.from_mu_l(mu_l, time=args.time)  # the header; validates --mu-l and --time
+    n, tail = _cutoff(args, [mu_l])
+    entries = correlation_matrix(args.k_max, mu_l, n, tail)
     if args.format == "json":
         payload = [{"k": k, "m": m, "re": d.real, "im": d.imag}
                    for k, row in enumerate(entries.tolist(), 1) for m, d in enumerate(row, 1)]
@@ -283,7 +285,8 @@ def _parser() -> _Parser:
         p.add_argument("--truncation", type=int, default=truncation_default,
                        help="symmetric mode cutoff N >= 1, summed raw; default: "
                             f"{truncation_default or 'max(513, 4*k_max+1, 32*mu*L) plus a tail'}")
-        p.add_argument("--time", type=float, default=0.0, help="evaluation time")
+        p.add_argument("--time", type=float, default=0.0,
+                       help="evaluation time; inert for spectrum and correlation (mu*L alone)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def add_spectral(p, mu_l_default, k_max_default):

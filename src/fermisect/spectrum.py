@@ -5,14 +5,14 @@ quasi-particles: mode ``k`` of either half, particle or antiparticle, has the
 mean filling number ``n(k) = sum_j |beta[k, j]|^2``, and the halves'
 filling numbers have the connected correlation ``(sum_j betaL[k,j] *
 conj(betaR[m,j])) * (sum_j alphaL[k,j] * conj(alphaR[m,j]))``, right-half rows
-being the left ones times ``(-1)**j``.  On the odd columns the row phases
-cancel up to the pair phase ``exp(-+i (eps_k - eps_m) t)``, so each sum is the
-matched term (``|W_k|^2`` or ``1/2``, if the cutoff ``n_max`` holds its column)
-plus a real odd-column sum, formed by `_odd_sums` from one table of
-column-weight sums per mode; `_weight_sums` fills it in blocks of modes, each
-mode's reciprocal denominators a window of one vector over the odd integers.
-``tail=True`` adds `tail_sums`, the same form past the cutoff.  A CSV header states the configuration, the one cutoff and
-the ``tail`` flag.
+being the left ones times ``(-1)**j``.  Both depend on ``mu*L`` alone, so the functions take
+``mu_l`` and work at ``L = 1``, time 0.  On the odd columns the row phases cancel up to pair
+phases ``exp(-+i (eps_k - eps_m) t)``, which cancel in the product, so each sum is the matched
+term (``|W_k|^2`` or ``1/2``, if the cutoff ``n_max`` holds its column) plus a real odd-column
+sum, formed by `_odd_sums` from one table of column-weight sums per mode; `_weight_sums` fills
+it in blocks of modes, each mode's reciprocal denominators a window of one vector over the odd
+integers.  ``tail=True`` adds `tail_sums`, the same form past the cutoff.  A CSV header states
+the configuration, the one cutoff and the ``tail`` flag.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from scipy.special import digamma, zeta
 
 from ._textio import write_table
 from .bogoliubov import SERIES_PREFACTOR, check_domain, coeff_w, cutoff_indices
-from .field import Branch, FieldConfig, energy, spinor, subsection_momentum
+from .field import Branch, FieldConfig, spinor, subsection_momentum
 
 __all__ = [
     "converged_cutoff",
@@ -44,9 +44,9 @@ __all__ = [
 _BLOCK_ENTRIES = 8193
 
 
-def converged_cutoff(k_max: int, cfg: FieldConfig) -> int:
+def converged_cutoff(k_max: int, mu_l: float) -> int:
     """Smallest odd ``N >= max(513, 4*k_max + 1, 32*mu*L)``, from which `tail_sums` holds."""
-    mu_l = cfg.mass * cfg.half_length
+    mu_l = FieldConfig.from_mu_l(mu_l).mass  # validated; the mass at L = 1
     if mu_l > 512.0:  # compared before 32 * mu_l, which may be inf
         raise ValueError(f"mu*L {mu_l!r} above 512 needs a cutoff past 16385; pass --truncation N")
     return max(513, 4 * k_max + 1, int(np.ceil(32.0 * mu_l))) | 1
@@ -63,8 +63,8 @@ def _weight_sums(ks, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarr
     ``(mode, column)`` entries, at least one mode each.
     """
     js = cutoff_indices(n_max)
-    p, eps = check_domain(ks, js, cfg)
     j = js[js % 2 != 0]
+    p, eps = check_domain(ks, j, cfg)
     weights = np.stack(((eps + cfg.mass) / (2.0 * eps), p / (2.0 * eps),
                         p * p / (2.0 * eps * (eps + cfg.mass))))[:, None, :]
     r = sliding_window_view(2.0 / np.arange(j[0] + 2 * ks[0], j[-1] + 2 * ks[-1] + 1, 2), j.size)
@@ -96,15 +96,16 @@ def _odd_sums(ks, ms, cfg: FieldConfig, t_k, t_m, s_k) -> tuple[np.ndarray, np.n
             SERIES_PREFACTOR**2 * (coeff[0] * pair[0] + coeff[1] * pair[1] + coeff[2] * pair[2]))
 
 
-def tail_sums(ks, ms, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def tail_sums(ks, ms, mu_l: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(alpha_tail, beta_tail)``: sums over odd ``|j| > n_max`` of the cross terms, no phases.
 
     `_odd_sums` of the weight limits ``1/2 +- mu/(2|p|)`` and ``+-1/2`` to first order in
     ``mu/|p|``, summed over ``x = |j|/2 >= x0`` by digammas and trigammas (DLMF 5.7, 5.15), ``T``
     up to a ``k``-independent constant.  ``ks``, ``ms`` broadcast (``ks[:, None], ks[None, :]``).
     """
+    cfg = FieldConfig.from_mu_l(mu_l)
     x0 = (n_max + 1 + n_max % 2) / 2.0
-    c, psi0 = cfg.mass * cfg.half_length / (4 * np.pi), digamma(x0)  # mu/(2|p|) = c/x
+    c, psi0 = cfg.mass / (4 * np.pi), digamma(x0)  # mu/(2|p|) = c/x
 
     def sums(n):  # over d = x + a, a = n and -n: 1/d (less a constant), 1/d^2, 1/(x d), 1/(x d^2)
         a = np.stack((n, -n)).astype(float)
@@ -119,17 +120,18 @@ def tail_sums(ks, ms, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndar
     return _odd_sums(ks, ms, cfg, t_k, t_m, s_k)
 
 
-def occupation_spectrum(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = False) -> np.ndarray:
-    """``sum_j |beta[k, j]|^2`` of modes 1..k_max, entry ``k - 1``, at cutoff ``n_max``.
+def occupation_spectrum(k_max: int, mu_l: float, n_max: int, tail: bool = False) -> np.ndarray:
+    """``sum_j |beta[k, j]|^2`` of modes 1..k_max at ``mu_l`` and cutoff ``n_max``, entry ``k - 1``.
 
     ``|W_k|^2`` plus the odd diagonal, and `tail_sums` if ``tail``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    cfg = FieldConfig.from_mu_l(mu_l)
     ks = np.arange(1, k_max + 1)
     t, s = _weight_sums(ks, cfg, n_max)
     occupations = _matched_w2(ks, cfg, n_max) + _odd_sums(ks, ks, cfg, t, t, s)[1]
-    return occupations + (tail_sums(ks, ks, cfg, n_max)[1] if tail else 0.0)
+    return occupations + (tail_sums(ks, ks, mu_l, n_max)[1] if tail else 0.0)
 
 
 def _matched_w2(ks, cfg: FieldConfig, n_max: int) -> np.ndarray:
@@ -153,24 +155,22 @@ def cross_correlation_from_rows(alpha_c, beta_c, alpha_f, beta_f) -> complex:
     return complex(np.sum(beta_c * np.conj(beta_f)) * np.sum(alpha_c * np.conj(alpha_f)))
 
 
-def correlation_matrix(k_max: int, cfg: FieldConfig, n_max: int, tail: bool = False) -> np.ndarray:
-    """Correlation over 1 <= k, m <= k_max at cutoff ``n_max``, entry ``[k - 1, m - 1]``.
+def correlation_matrix(k_max: int, mu_l: float, n_max: int, tail: bool = False) -> np.ndarray:
+    """Real correlation over 1 <= k, m <= k_max at cutoff ``n_max``, entry ``[k - 1, m - 1]``.
 
-    Each cross sum is its matched diagonal minus the pair phase times the real odd-column sum
-    and its ``tail`` (right-half rows carry -1 there), all from one table of weight sums.
+    Each cross sum is its matched diagonal minus the real odd-column sum and its ``tail``
+    (right-half rows carry -1 there), all from one table of weight sums at ``mu*L = mu_l``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    cfg = FieldConfig.from_mu_l(mu_l)
     ks = np.arange(1, k_max + 1)
     t, s = _weight_sums(ks, cfg, n_max)
     alpha_odd, beta_odd = _odd_sums(ks[:, None], ks[None, :], cfg, t[:, :, None], t[:, None, :],
                                     s[:, :, None])
-    alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], cfg, n_max) if tail else (0.0, 0.0)
-    eps = energy(subsection_momentum(ks, cfg), cfg.mass)
-    phase = np.exp(-1j * (eps[:, None] - eps[None, :]) * cfg.time)
-    beta_sum = np.diag(_matched_w2(ks, cfg, n_max)) - phase * (beta_odd + beta_tail)
-    alpha_sum = (np.diag(np.where(2 * ks <= n_max, 0.5, 0.0))
-                 - phase.conj() * (alpha_odd + alpha_tail))
+    alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], mu_l, n_max) if tail else (0.0, 0.0)
+    beta_sum = np.diag(_matched_w2(ks, cfg, n_max)) - (beta_odd + beta_tail)
+    alpha_sum = np.diag(np.where(2 * ks <= n_max, 0.5, 0.0)) - (alpha_odd + alpha_tail)
     return beta_sum * alpha_sum
 
 
@@ -190,10 +190,10 @@ def write_spectrum_csv(path_or_buf, spectra: dict[float, np.ndarray], cfg: Field
 
 def write_correlation_csv(path_or_buf, entries: np.ndarray, cfg: FieldConfig, n_max: int,
                           tail: bool = False) -> None:
-    """Rows ``k,m,re_d,im_d`` of the complex ``entries`` at cutoff ``n_max``, with a config header.
+    """Rows ``k,m,re_d,im_d`` of ``entries`` at cutoff ``n_max``; ``im_d`` is 0.0 if they are real.
 
-    Each row ``k`` is one ``%`` call of ``"k,%d,%r,%r\n"``, repeated once per entry, over the flat
-    cells ``m, re_d, im_d``: float ``repr`` is the one float formatter.
+    Each row ``k``, under a config header, is one ``%`` call of ``"k,%d,%r,%r\n"``, repeated once
+    per entry, over the flat cells ``m, re_d, im_d``: float ``repr`` is the one float formatter.
     """
     ms = range(1, entries.shape[1] + 1)
     rows = zip(entries.real.tolist(), entries.imag.tolist())

@@ -95,13 +95,11 @@ def criterion_canonicity_convergence() -> CriterionResult:
 def criterion_saturation() -> CriterionResult:
     """Occupation within 0.5 +- 0.05 at q_k >= 50*mu for mu*L = 0.1; ordering in mu*L."""
     n_trunc = 4097
-    cfg_small = FieldConfig.from_mu_l(0.1)
-    k_min = max(1, math.ceil(50 * cfg_small.mass * cfg_small.half_length / (2.0 * math.pi)))
-    occ_small = occupation_spectrum(k_min + 15, cfg_small, n_trunc)[k_min - 1:]
+    k_min = max(1, math.ceil(50 * 0.1 / (2.0 * math.pi)))  # q_k >= 50*mu at mu*L = 0.1
+    occ_small = occupation_spectrum(k_min + 15, 0.1, n_trunc)[k_min - 1:]
     window_ok = all(abs(v - 0.5) <= 0.05 for v in occ_small)
 
-    curves = {mu_l: occupation_spectrum(4, FieldConfig.from_mu_l(mu_l), n_trunc)
-              for mu_l in (0.1, 1.0, 10.0)}
+    curves = {mu_l: occupation_spectrum(4, mu_l, n_trunc) for mu_l in (0.1, 1.0, 10.0)}
     ordering_ok = all(
         curves[0.1][i] > curves[1.0][i] > curves[10.0][i] for i in range(4)
     )
@@ -113,8 +111,7 @@ def criterion_saturation() -> CriterionResult:
 
 def criterion_near_diagonal() -> CriterionResult:
     """Median off-diagonal |D| <= 10% of median diagonal; diagonal real to 1e-8."""
-    cfg = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
-    mat = correlation_matrix(16, cfg, n_max=1025)
+    mat = correlation_matrix(16, 1.0, n_max=1025)
     diag = np.abs(np.diag(mat))
     off = np.abs(mat[~np.eye(16, dtype=bool)])
     ratio = float(np.median(off) / np.median(diag))

@@ -461,11 +461,10 @@ def test_odd_column_energies_evaluated_once_per_call(monkeypatch):
         return energy(p, mass)
 
     monkeypatch.setattr(bogoliubov, "energy", counted)
-    monkeypatch.setattr(spectrum, "energy", counted)
     list(iter_coefficients([3, 0, -1, 7], ks, CFG))
     assert sum(size >= 50 for size in sizes) == 1
     sizes.clear()
-    spectrum.correlation_matrix(4, CFG, 49)
+    spectrum.correlation_matrix(4, 1.0, 49)
     assert sum(size >= 50 for size in sizes) == 1
 
 

@@ -35,35 +35,20 @@ N = 65
 DRAWS = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
 mu_ls = st.floats(0.01, 100.0)
-half_lengths = st.floats(0.1, 10.0)
 times = st.floats(-10.0, 10.0)
 modes = st.integers(1, 20)
 
 
 @DRAWS
-@given(mu_l=mu_ls, half_length=half_lengths, time=times, k=modes)
-def test_occupation_depends_on_mu_l_alone(mu_l, half_length, time, k):
-    # time enters only through phases and L only through mu*L
-    ref = occupation_spectrum(k, FieldConfig.from_mu_l(mu_l), N)[k - 1]
-    moved_cfg = FieldConfig.from_mu_l(mu_l, half_length=half_length, time=time)
-    moved = occupation_spectrum(k, moved_cfg, N)[k - 1]
-    assert moved == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-
-@DRAWS
-@given(mu_l=st.floats(0.0, 100.0), half_length=half_lengths, time=times, k_max=st.integers(1, 24))
-def test_tail_corrected_sums_do_not_depend_on_the_cutoff(mu_l, half_length, time, k_max):
-    # the closed-form tail makes the converged cutoff and a far larger one agree,
-    # and |correlation| still depends on mu*L alone
-    cfg = FieldConfig.from_mu_l(mu_l, half_length=half_length, time=time)
-    n = converged_cutoff(k_max, cfg)
-    spectrum = occupation_spectrum(k_max, cfg, n, tail=True)
-    assert spectrum == pytest.approx(occupation_spectrum(k_max, cfg, 4097, tail=True),
+@given(mu_l=st.floats(0.0, 100.0), k_max=st.integers(1, 24))
+def test_tail_corrected_sums_do_not_depend_on_the_cutoff(mu_l, k_max):
+    # the closed-form tail makes the converged cutoff and a far larger one agree
+    n = converged_cutoff(k_max, mu_l)
+    spectrum = occupation_spectrum(k_max, mu_l, n, tail=True)
+    assert spectrum == pytest.approx(occupation_spectrum(k_max, mu_l, 4097, tail=True),
                                      rel=1e-9, abs=0.0)
-    corr = correlation_matrix(k_max, cfg, n, tail=True)
-    assert np.max(np.abs(corr - correlation_matrix(k_max, cfg, 4097, tail=True))) <= 1e-11
-    still = correlation_matrix(k_max, FieldConfig.from_mu_l(mu_l), n, tail=True)
-    assert np.max(np.abs(np.abs(corr) - np.abs(still))) <= 1e-14
+    corr = correlation_matrix(k_max, mu_l, n, tail=True)
+    assert np.max(np.abs(corr - correlation_matrix(k_max, mu_l, 4097, tail=True))) <= 1e-11
 
 
 def _row_contractions(k_max, cfg, n_max, tail):
@@ -76,7 +61,8 @@ def _row_contractions(k_max, cfg, n_max, tail):
     if tail:
         eps = energy(subsection_momentum(ks, cfg), cfg.mass)
         phase = np.exp(-1j * (eps[:, None] - eps[None, :]) * cfg.time)
-        alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], cfg, n_max)
+        alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], cfg.mass * cfg.half_length,
+                                          n_max)
         occupations = occupations + np.diag(beta_tail)
         beta_sum, alpha_sum = beta_sum - beta_tail * phase, alpha_sum - alpha_tail * phase.conj()
     return occupations, beta_sum * alpha_sum
@@ -87,24 +73,26 @@ def _row_contractions(k_max, cfg, n_max, tail):
        time=st.floats(-1.0, 1.0).filter(lambda t: t != 0.0), k_max=st.integers(1, 24),
        n=st.integers(1, 100), tail=st.booleans())
 def test_real_contractions_equal_the_complex_rows(mu_l, half_length, time, k_max, n, tail):
-    # the real odd-column sums times the pair phase are the contractions of the kernel's rows,
-    # cutoffs below 2 * k_max (no matched column) and the converged cutoff's tail included.
+    # the real odd-column sums at L = 1, time 0 are the contractions of the kernel's rows at L and
+    # t, whose pair phases cancel: cutoffs below 2 * k_max (no matched column) and the converged
+    # cutoff's tail included.
     # The rows' phase arguments (eps_q + eps_j) * t round by about |arg| * 1e-16, so the draws
     # keep mu*t small: against 40 digits at mu*L = 35, t = 1, N = 23, k_max = 7 the rows are off
     # by 2.0e-13 of the largest entry and the real sums by 1.9e-14.
     cfg = FieldConfig.from_mu_l(mu_l, half_length=half_length, time=time)
-    n = converged_cutoff(k_max, cfg) if tail else n
+    n = converged_cutoff(k_max, mu_l) if tail else n
     occupations, corr = _row_contractions(k_max, cfg, n, tail)
-    spectrum = occupation_spectrum(k_max, cfg, n, tail)
+    spectrum = occupation_spectrum(k_max, mu_l, n, tail)
     assert spectrum == pytest.approx(occupations, rel=2e-15, abs=0.0)
-    gap = np.max(np.abs(correlation_matrix(k_max, cfg, n, tail) - corr))
-    assert gap <= 2e-13 * np.max(np.abs(corr))
+    matrix = correlation_matrix(k_max, mu_l, n, tail)
+    assert matrix.dtype == np.float64
+    assert np.max(np.abs(matrix - corr)) <= 2e-13 * np.max(np.abs(corr))
 
 
 @DRAWS
-@given(mu_l=mu_ls, time=times, k=modes)
-def test_occupation_is_a_filling_fraction(mu_l, time, k):
-    assert 0.0 <= occupation_spectrum(k, FieldConfig.from_mu_l(mu_l, time=time), N)[k - 1] <= 1.0
+@given(mu_l=mu_ls, k=modes)
+def test_occupation_is_a_filling_fraction(mu_l, k):
+    assert 0.0 <= occupation_spectrum(k, mu_l, N)[k - 1] <= 1.0
 
 
 @DRAWS

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from fermisect.spectrum import (
     correlation_matrix,
     cross_correlation_from_rows,
     occupation_spectrum,
+    tail_sums,
     write_correlation_csv,
     write_spectrum_csv,
 )
@@ -53,7 +55,7 @@ def test_occupation_matches_fock_engine_on_truncated_rows():
 
 
 def test_occupation_regression_value():
-    assert occupation_spectrum(1, CFG, 1025)[0] == pytest.approx(0.9255953514567797, abs=1e-12)
+    assert occupation_spectrum(1, 1.0, 1025)[0] == pytest.approx(0.9255953514567797, abs=1e-12)
 
 
 def test_antiparticle_occupation_identical():
@@ -77,37 +79,33 @@ def test_antiparticle_occupation_identical():
 
 def test_fermionic_bound():
     for mu_l in (0.1, 1.0, 10.0):
-        cfg = FieldConfig.from_mu_l(mu_l)
-        spec = occupation_spectrum(24, cfg, 1025)
+        spec = occupation_spectrum(24, mu_l, 1025)
         assert np.all(spec >= 0.0)
         assert np.all(spec <= 1.0)
 
 
 def test_occupation_vanishes_deep_nonrelativistic():
-    cfg = FieldConfig.from_mu_l(1e4)
-    assert occupation_spectrum(1, cfg, 513)[0] <= 1e-3
+    assert occupation_spectrum(1, 1e4, 513)[0] <= 1e-3
 
 
 def test_overflowing_spinor_overlap_raises():
     # from mu*L about 1e77 on the overlap denominator leaves float64; 1e76 still has
     # the series value 4.284e-151, and 1e77 would print 1.974e-153 instead of 4.284e-153
-    assert occupation_spectrum(1, FieldConfig.from_mu_l(1e76), 9)[0] == pytest.approx(4.284e-151,
-                                                                                      rel=1e-3)
-    for compute in (lambda cfg: occupation_spectrum(1, cfg, 9)[0],
-                    lambda cfg: correlation_matrix(2, cfg, 9),
-                    lambda cfg: canonicity_residual(1, 9, cfg)):
+    assert occupation_spectrum(1, 1e76, 9)[0] == pytest.approx(4.284e-151, rel=1e-3)
+    for compute in (lambda mu_l: occupation_spectrum(1, mu_l, 9)[0],
+                    lambda mu_l: correlation_matrix(2, mu_l, 9),
+                    lambda mu_l: canonicity_residual(1, 9, FieldConfig.from_mu_l(mu_l))):
         with pytest.raises(ValueError, match="overflows float64"):
-            compute(FieldConfig.from_mu_l(1e77))
+            compute(1e77)
 
 
 def test_heavy_field_keeps_the_small_weight():
     # at mu*L = 1e76 the weight VV = p^2/(2 eps (eps+mu)) is about 1e-152, and the spectra keep it:
     # written as 1/2 - mu/(2 eps) it rounds to 0 and the occupation reads 3.352e-151.  The check
     # in test_overflowing_spinor_overlap_raises passes any value, through approx's default abs
-    cfg = FieldConfig.from_mu_l(1e76)
-    assert occupation_spectrum(1, cfg, 9)[0] == pytest.approx(4.2840317518699e-151, rel=1e-12,
-                                                              abs=0.0)
-    corr = correlation_matrix(2, cfg, 9)
+    assert occupation_spectrum(1, 1e76, 9)[0] == pytest.approx(4.2840317518699e-151, rel=1e-12,
+                                                               abs=0.0)
+    corr = correlation_matrix(2, 1e76, 9)
     assert corr[0, 0].real == pytest.approx(-7.06827149e-154, rel=1e-8, abs=0.0)
 
 
@@ -116,37 +114,40 @@ def test_left_right_spectra_coincide():
     n = 17
     for k in (1, 3, 5):
         right = np.sum(np.abs(overlap_oracle(k, cutoff_indices(n), Region.RIGHT, PM, CFG)) ** 2)
-        assert abs(occupation_spectrum(k, CFG, n)[k - 1] - right) <= 1e-10
+        assert abs(occupation_spectrum(k, 1.0, n)[k - 1] - right) <= 1e-10
 
 
 def test_truncation_cauchy_and_shrinking_increments():
-    vals = [occupation_spectrum(2, CFG, n)[1] for n in (64, 128, 256, 512, 1024)]
+    vals = [occupation_spectrum(2, 1.0, n)[1] for n in (64, 128, 256, 512, 1024)]
     increments = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
     for i in range(len(increments) - 1):
         assert increments[i + 1] <= increments[i] / 2.0 * 1.05  # factor-2 shrink per doubling
 
 
 def test_mu_l_ordering_near_origin():
-    curves = {
-        mu_l: occupation_spectrum(4, FieldConfig.from_mu_l(mu_l), 1025)
-        for mu_l in (0.1, 1.0, 10.0)
-    }
+    curves = {mu_l: occupation_spectrum(4, mu_l, 1025) for mu_l in (0.1, 1.0, 10.0)}
     for i in range(4):
         assert curves[0.1][i] > curves[1.0][i] > curves[10.0][i]
 
 
 def test_occupation_input_validation():
     with pytest.raises(ValueError, match="k_max must be >= 1"):
-        occupation_spectrum(0, CFG, 65)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            occupation_spectrum(1, FieldConfig.from_mu_l(bad), 65)[0]
-        with pytest.raises(ValueError, match="finite"):
-            occupation_spectrum(1, FieldConfig.from_mu_l(1.0, time=bad), 65)[0]
+        occupation_spectrum(0, 1.0, 65)
+    # every function that takes mu*L validates it as FieldConfig.from_mu_l does; converged_cutoff
+    # raised "cannot convert float NaN" at nan, and returned 513 at -1.0
+    for bad, message in ((math.nan, "mass must be finite, got nan"),
+                         (math.inf, "mass must be finite, got inf"),
+                         (-1.0, "mass must be >= 0, got -1.0")):
+        for compute in (lambda mu_l: occupation_spectrum(1, mu_l, 65),
+                        lambda mu_l: correlation_matrix(1, mu_l, 65),
+                        lambda mu_l: tail_sums(np.array([1]), np.array([1]), mu_l, 65),
+                        lambda mu_l: converged_cutoff(4, mu_l)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                compute(bad)
     # every truncated sum rejects a cutoff below 1
     for n_bad in (0, -3):
-        for compute in (lambda n: occupation_spectrum(2, CFG, n),
-                        lambda n: correlation_matrix(2, CFG, n),
+        for compute in (lambda n: occupation_spectrum(2, 1.0, n),
+                        lambda n: correlation_matrix(2, 1.0, n),
                         lambda n: pair_to_csv(Region.LEFT, io.StringIO(), CFG, n),
                         lambda n: canonicity_residual(0, n, CFG)):
             with pytest.raises(ValueError, match=f"truncation must be >= 1, got {n_bad}"):
@@ -181,12 +182,12 @@ def test_contraction_two_mode_hand_value():
 
 
 def test_cross_correlation_hermitian_structure():
-    mat = correlation_matrix(6, CFG, 257)
+    mat = correlation_matrix(6, 1.0, 257)
     assert np.allclose(mat, mat.conj().T, atol=1e-14)
 
 
 def test_cross_correlation_diagonal_real_positive():
-    mat = correlation_matrix(8, CFG, 513)
+    mat = correlation_matrix(8, 1.0, 513)
     diag = np.diag(mat)
     assert np.max(np.abs(np.imag(diag))) <= 1e-12
     assert np.all(np.real(diag) > 0)
@@ -194,13 +195,13 @@ def test_cross_correlation_diagonal_real_positive():
 
 def test_spectrum_monotone_increasing_toward_saturation():
     for mu_l in (0.1, 1.0):
-        values = occupation_spectrum(24, FieldConfig.from_mu_l(mu_l), 1025)
+        values = occupation_spectrum(24, mu_l, 1025)
         assert np.all(np.diff(values) > 0)
 
 
 def test_correlation_matrix_matches_scalar_entries():
     # each entry against the scalar contraction of one left and one right row
-    mat = correlation_matrix(4, CFG, 129)
+    mat = correlation_matrix(4, 1.0, 129)
     js = np.arange(-129, 130)
     sign = region_sign(js, Region.RIGHT)
     for k in (1, 3):
@@ -213,7 +214,7 @@ def test_correlation_matrix_matches_scalar_entries():
 def test_correlation_matrix_matches_oracle_rows():
     # every entry against the contraction of left and right rows integrated by the oracle
     cfg = FieldConfig.from_mu_l(2.0, time=0.3)
-    mat = correlation_matrix(3, cfg, 7)
+    mat = correlation_matrix(3, 2.0, 7)
     js = cutoff_indices(7)
 
     modes = np.array([1, 2, 3])
@@ -232,7 +233,7 @@ def test_correlation_evaluates_each_row_once():
     block = 16 * 32771 * 16
     tracemalloc.start()
     try:
-        correlation_matrix(16, FieldConfig.from_mu_l(1.0), 16385)
+        correlation_matrix(16, 1.0, 16385)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,7 +246,7 @@ def test_correlation_holds_two_real_odd_blocks():
     block = 16 * 16386 * 8
     tracemalloc.start()
     try:
-        correlation_matrix(16, FieldConfig.from_mu_l(1.0), 16385)
+        correlation_matrix(16, 1.0, 16385)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,7 +258,7 @@ def test_occupation_streams_its_modes():
     # blocks read 52 MB; the weight sums, one mode per block at this cutoff, peak at 2.0 MB
     tracemalloc.start()
     try:
-        occupation_spectrum(128, FieldConfig.from_mu_l(1.0), 16385)
+        occupation_spectrum(128, 1.0, 16385)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -269,7 +270,7 @@ def test_occupation_sums_its_modes_in_bounded_blocks():
     # of a whole (3, 128, 513) block; blocks of 7 modes read about 0.55 MB
     tracemalloc.start()
     try:
-        occupation_spectrum(128, FieldConfig.from_mu_l(1.0), 1025)
+        occupation_spectrum(128, 1.0, 1025)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -307,7 +308,7 @@ def test_occupation_calls_coeff_w_once(monkeypatch):
         return coeff_w(m, cfg)
 
     monkeypatch.setattr(spectrum, "coeff_w", counted)
-    occupation_spectrum(128, FieldConfig.from_mu_l(1.0), 1025)
+    occupation_spectrum(128, 1.0, 1025)
     assert calls == [128]
 
 
@@ -345,9 +346,9 @@ def test_contractions_round_like_the_exact_sums(mu_l, k_max, n_max):
     # 2.4e-12; off the diagonal the weight sums meet as differences (T(k) - T(m))/(m - k)
     cfg = FieldConfig.from_mu_l(mu_l, time=0.3)
     occupations, exact = _longdouble_sums(k_max, cfg, n_max)
-    spectrum = occupation_spectrum(k_max, cfg, n_max)
+    spectrum = occupation_spectrum(k_max, mu_l, n_max)
     assert np.max(np.abs(spectrum - occupations) / occupations) <= 1e-15
-    corr = correlation_matrix(k_max, cfg, n_max)
+    corr = correlation_matrix(k_max, mu_l, n_max)
     diagonals = np.diag(exact)
     assert np.max(np.abs(np.diag(corr) - diagonals) / np.abs(diagonals)) <= 2e-12
     off = ~np.eye(k_max, dtype=bool)
@@ -357,7 +358,7 @@ def test_contractions_round_like_the_exact_sums(mu_l, k_max, n_max):
 def test_near_diagonality_ratio_snapshot():
     # measured ratio recorded for regression; the advertised <= 10% diagonal
     # dominance does not hold for the full coefficient rows (see README)
-    mat = correlation_matrix(16, FieldConfig.from_mu_l(1.0), n_max=1025)
+    mat = correlation_matrix(16, 1.0, n_max=1025)
     diag = np.abs(np.diag(mat))
     off = np.abs(mat[~np.eye(16, dtype=bool)])
     ratio = float(np.median(off) / np.median(diag))
@@ -368,22 +369,21 @@ def test_near_diagonality_ratio_snapshot():
 
 def test_converged_cutoff_rule():
     # smallest odd N >= max(513, 4*k_max + 1, 32*mu*L); the k_max term is not capped
-    assert converged_cutoff(128, FieldConfig.from_mu_l(10.0)) == 513
-    assert converged_cutoff(200, CFG) == 801
-    assert converged_cutoff(5000, CFG) == 20001
-    assert converged_cutoff(16, FieldConfig.from_mu_l(100.0)) == 3201
-    assert converged_cutoff(16, FieldConfig.from_mu_l(100.01)) == 3201
-    assert converged_cutoff(16, FieldConfig.from_mu_l(512.0)) == 16385
+    assert converged_cutoff(128, 10.0) == 513
+    assert converged_cutoff(200, 1.0) == 801
+    assert converged_cutoff(5000, 1.0) == 20001
+    assert converged_cutoff(16, 100.0) == 3201
+    assert converged_cutoff(16, 100.01) == 3201
+    assert converged_cutoff(16, 512.0) == 16385
     for mu_l in (512.5, 1e308):
         with pytest.raises(ValueError, match="--truncation"):
-            converged_cutoff(16, FieldConfig.from_mu_l(mu_l))
+            converged_cutoff(16, mu_l)
 
 
 def test_spectrum_csv_format():
-    cfgs = {mu_l: FieldConfig.from_mu_l(mu_l) for mu_l in (0.1, 1.0)}
-    spectra = {mu_l: occupation_spectrum(3, cfg, 65) for mu_l, cfg in cfgs.items()}
+    spectra = {mu_l: occupation_spectrum(3, mu_l, 65) for mu_l in (0.1, 1.0)}
     buf = io.StringIO()
-    write_spectrum_csv(buf, spectra, cfgs[0.1], 65)
+    write_spectrum_csv(buf, spectra, FieldConfig.from_mu_l(0.1), 65)
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "k,n_muL_0.1,n_muL_1.0"
@@ -411,7 +411,7 @@ def test_correlation_csv_equals_the_per_entry_writer(k_max, seed, tail):
 
 def test_correlation_csv_format():
     buf = io.StringIO()
-    write_correlation_csv(buf, correlation_matrix(2, CFG, 65), CFG, 65)
+    write_correlation_csv(buf, correlation_matrix(2, 1.0, 65), CFG, 65)
     lines = buf.getvalue().splitlines()
     assert lines[1] == "k,m,re_d,im_d"
     assert len(lines) == 6
