@@ -169,7 +169,7 @@ def _cmd_spectrum(args) -> int:
     if not mu_ls:
         raise ConfigError("--mu-l needs at least one value")
     # header configs; of equal values (-0.0, 0.0) the first names its column and the header
-    cfgs = {mu_l: FieldConfig.from_mu_l(mu_l, time=args.time) for mu_l in dict.fromkeys(mu_ls)}
+    cfgs = {mu_l: FieldConfig.from_mu_l(mu_l) for mu_l in dict.fromkeys(mu_ls)}
     n, tail = _cutoff(args, cfgs)
     spectra = {mu_l: occupation_spectrum(args.k_max, mu_l, n, tail) for mu_l in cfgs}
     if args.format == "json":
@@ -183,11 +183,11 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_correlation(args) -> int:
     mu_l = _single_mu_l(args.mu_l)
-    cfg = FieldConfig.from_mu_l(mu_l, time=args.time)  # the header; validates --mu-l and --time
+    cfg = FieldConfig.from_mu_l(mu_l)  # the header; validates --mu-l
     n, tail = _cutoff(args, [mu_l])
     entries = correlation_matrix(args.k_max, mu_l, n, tail)
     if args.format == "json":
-        payload = [{"k": k, "m": m, "re": d.real, "im": d.imag}
+        payload = [{"k": k, "m": m, "re": d, "im": 0.0}
                    for k, row in enumerate(entries.tolist(), 1) for m, d in enumerate(row, 1)]
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
     else:
@@ -285,13 +285,17 @@ def _parser() -> _Parser:
         p.add_argument("--truncation", type=int, default=truncation_default,
                        help="symmetric mode cutoff N >= 1, summed raw; default: "
                             f"{truncation_default or 'max(513, 4*k_max+1, 32*mu*L) plus a tail'}")
-        p.add_argument("--time", type=float, default=0.0,
-                       help="evaluation time; inert for spectrum and correlation (mu*L alone)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def add_spectral(p, mu_l_default, k_max_default):
         add_field(p, mu_l_default, None)
         p.add_argument("--k-max", type=int, default=k_max_default, help="largest mode number")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def add_detector(p, grid_default, grid_help):
+        p.add_argument("--sigma", type=float, default=1.0)
+        p.add_argument("--grid", default=grid_default, help=grid_help)
+        p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("spectrum", help="occupation spectrum per mu*L value")
@@ -304,21 +308,16 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("bogoliubov", help="coefficient matrix dump (csv)")
     add_field(p, "1.0", 16)
+    p.add_argument("--time", type=float, default=0.0, help="evaluation time")
     p.add_argument("--region", choices=("left", "right"), default="left")
     p.set_defaults(func=_cmd_bogoliubov)
 
     p = sub.add_parser("detector", help="registration probability curves")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--grid", default="0:4:50", help="|beta| grid start:stop:count")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_detector(p, "0:4:50", "|beta| grid start:stop:count")
     p.set_defaults(func=_cmd_detector)
 
     p = sub.add_parser("joint-correlation", help="joint-registration correlation surface")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--grid", default="0:3:25", help="detector distance grid start:stop:count")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_detector(p, "0:3:25", "detector distance grid start:stop:count")
     p.set_defaults(func=_cmd_joint_correlation)
 
     p = sub.add_parser("povm", help="two-subsystem joint probability table")

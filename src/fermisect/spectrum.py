@@ -49,6 +49,8 @@ def converged_cutoff(k_max: int, mu_l: float) -> int:
     mu_l = FieldConfig.from_mu_l(mu_l).mass  # validated; the mass at L = 1
     if mu_l > 512.0:  # compared before 32 * mu_l, which may be inf
         raise ValueError(f"mu*L {mu_l!r} above 512 needs a cutoff past 16385; pass --truncation N")
+    if k_max > 4096:
+        raise ValueError(f"k_max {k_max} above 4096 needs a cutoff past 16385; pass --truncation N")
     return max(513, 4 * k_max + 1, int(np.ceil(32.0 * mu_l))) | 1
 
 
@@ -190,14 +192,13 @@ def write_spectrum_csv(path_or_buf, spectra: dict[float, np.ndarray], cfg: Field
 
 def write_correlation_csv(path_or_buf, entries: np.ndarray, cfg: FieldConfig, n_max: int,
                           tail: bool = False) -> None:
-    """Rows ``k,m,re_d,im_d`` of ``entries`` at cutoff ``n_max``; ``im_d`` is 0.0 if they are real.
+    """Rows ``k,m,re_d,im_d`` of the real ``entries`` at cutoff ``n_max``; ``im_d`` is 0.0.
 
-    Each row ``k``, under a config header, is one ``%`` call of ``"k,%d,%r,%r\n"``, repeated once
-    per entry, over the flat cells ``m, re_d, im_d``: float ``repr`` is the one float formatter.
+    Each row ``k``, under a config header, is one ``%`` call of ``"k,%d,%r,0.0\n"``, repeated once
+    per entry, over the flat cells ``m, re_d``: float ``repr`` is the one float formatter.
     """
     ms = range(1, entries.shape[1] + 1)
-    rows = zip(entries.real.tolist(), entries.imag.tolist())
-    lines = ((f"{k},%d,%r,%r\n" * len(ms)) % tuple(chain.from_iterable(zip(ms, re, im)))
-             for k, (re, im) in enumerate(rows, 1))
+    lines = ((f"{k},%d,%r,0.0\n" * len(ms)) % tuple(chain.from_iterable(zip(ms, re)))
+             for k, re in enumerate(entries.tolist(), 1))
     header = {**asdict(cfg), "truncation": n_max, **({"tail": "digamma"} if tail else {})}
     write_table(path_or_buf, header, ("k", "m", "re_d", "im_d"), lines)

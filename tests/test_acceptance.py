@@ -5,9 +5,9 @@ meet (canonicity convergence for nonzero modes, the 0.5 saturation window,
 and correlation near-diagonality); they are implemented faithfully at their
 stated tolerances and marked strict-xfail so the failure stays visible
 without drowning the suite.  The clauses of those criteria that do hold
-(zero-mode canonicity, the mu*L ordering, real diagonals) are asserted green
-in the module tests.  Measured numbers and the full analysis live in the
-README's known-deviations section.
+(zero-mode canonicity, the mu*L ordering) are asserted green in the module
+tests; the correlation matrix is real by construction.  Measured numbers and
+the full analysis live in the README's known-deviations section.
 """
 
 import pytest

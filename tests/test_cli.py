@@ -1,14 +1,10 @@
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from fermisect import cli
 from fermisect.bogoliubov import cutoff_indices, region_sign
@@ -90,6 +86,22 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert rc == 0 and "region=left" in out.splitlines()[0]
 
 
+def test_each_subcommand_takes_only_the_flags_that_act():
+    # spectra and correlations depend on mu*L alone: --time is the evaluation time of a dump
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [opt for action in p._actions if not isinstance(action, argparse._HelpAction)
+                    for opt in action.option_strings] for name, p in sub.choices.items()}
+    assert flags == {
+        "spectrum": ["--mu-l", "--truncation", "--out", "--k-max", "--format"],
+        "correlation": ["--mu-l", "--truncation", "--out", "--k-max", "--format"],
+        "bogoliubov": ["--mu-l", "--truncation", "--out", "--time", "--region"],
+        "detector": ["--sigma", "--grid", "--out", "--format"],
+        "joint-correlation": ["--sigma", "--grid", "--out", "--format"],
+        "povm": ["--entangled", "--product", "--with-conditionals", "--out", "--format"],
+        "verify": ["--only", "--out", "--seed"],
+    }
+
+
 def test_bogoliubov_dump(capsys):
     rc, out, _ = _run(capsys, ["bogoliubov", "--mu-l", "1", "--truncation", "2",
                                "--region", "right"])
@@ -140,10 +152,9 @@ def test_outputs_byte_identical_across_runs(capsys, tmp_path):
 #: sha256 prefixes of stdout, pinned so refactors keep the output bytes.
 GOLDEN = [
     (["spectrum", "--k-max", "16", "--truncation", "257"], 0, "b1ee7c216f9765d5"),
-    (["spectrum", "--mu-l", "0.5,2", "--k-max", "8", "--truncation", "129", "--time", "0.5",
-      "--format", "json"], 0, "082e028bcd4f1c23"),
-    (["correlation", "--mu-l", "1", "--k-max", "8", "--truncation", "129", "--time", "0.5"],
-     0, "338b01eb5c7cca4d"),
+    (["spectrum", "--mu-l", "0.5,2", "--k-max", "8", "--truncation", "129", "--format", "json"],
+     0, "082e028bcd4f1c23"),
+    (["correlation", "--mu-l", "1", "--k-max", "8", "--truncation", "129"], 0, "65de666959fc4f35"),
     (["correlation", "--mu-l", "3", "--k-max", "4", "--truncation", "65", "--format", "json"],
      0, "f29f4faba4e55c23"),
     (["bogoliubov", "--mu-l", "1", "--truncation", "16"], 0, "f934984937b773c7"),
@@ -170,21 +181,21 @@ GOLDEN = [
     (["bogoliubov", "--mu-l", "10", "--truncation", "64", "--time", "0.5"], 0, "897edd0595be5eb0"),
     (["bogoliubov", "--mu-l", "0.1", "--truncation", "48", "--region", "right"],
      0, "4188536ad4928a83"),
-    (["spectrum", "--mu-l", "0.3,10", "--k-max", "32", "--truncation", "4097", "--time", "0.3"],
-     0, "67adec6efeec8c4b"),
-    (["correlation", "--mu-l", "10", "--k-max", "24", "--truncation", "1025", "--time", "0.7"],
-     0, "529743c555954134"),
+    (["spectrum", "--mu-l", "0.3,10", "--k-max", "32", "--truncation", "4097"],
+     0, "c8b8e4a0323eb301"),
+    (["correlation", "--mu-l", "10", "--k-max", "24", "--truncation", "1025"],
+     0, "804cf73581a56f27"),
     # correlations from one kernel pass; the time-0 left dump writes 1220 signed zeros
     (["correlation", "--mu-l", "0.1", "--k-max", "16", "--truncation", "4097"],
      0, "9fb07890d718f8d2"),
-    (["correlation", "--mu-l", "2", "--k-max", "40", "--truncation", "513", "--time", "1.5"],
-     0, "f2e52a19187f3ba2"),
+    (["correlation", "--mu-l", "2", "--k-max", "40", "--truncation", "513"],
+     0, "46cd03693a2725f7"),
     (["bogoliubov", "--mu-l", "0.5", "--truncation", "40"], 0, "ebe90da9d5bffad8"),
     # a negative time and the e-0x beta cells of mu*L = 0.1, hashed before the row template
     (["bogoliubov", "--mu-l", "0.1", "--truncation", "96", "--region", "right", "--time", "-0.7"],
      0, "1d6e9da42d86b201"),
     # all 9 criteria: the oracle's row calls keep criterion 1's 2.899e-14
-    (["verify"], 2, "93568266149c4617"),
+    (["verify"], 2, "a1b3f47fc33a20fa"),
 ]
 
 
@@ -208,8 +219,8 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
 @pytest.mark.parametrize("argv,message", [
     (["spectrum", "--mu-l", "nan"], "finite"),
     (["spectrum", "--mu-l", "inf", "--k-max", "4"], "finite"),
-    (["spectrum", "--mu-l", "1", "--time", "nan", "--k-max", "4"], "finite"),
-    (["correlation", "--mu-l", "1", "--time", "inf", "--truncation", "9"], "finite"),
+    (["bogoliubov", "--mu-l", "1", "--time", "nan", "--truncation", "4"], "finite"),
+    (["bogoliubov", "--mu-l", "1", "--time", "inf", "--truncation", "9"], "finite"),
     (["detector", "--sigma", "nan"], "finite"),
     (["correlation", "--mu-l", ","], "exactly one"),
     (["correlation", "--mu-l", "1,2"], "exactly one"),
@@ -237,6 +248,18 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
     (["spectrum", "--mu-l", "1e308"], "pass --truncation"),
     (["correlation", "--mu-l", "1e200"], "pass --truncation"),
     (["spectrum", "--mu-l", "600"], "pass --truncation"),
+    # and above k_max = 4096
+    (["spectrum", "--k-max", "4097"], "k_max 4097 above 4096 needs a cutoff past 16385;"
+                                      " pass --truncation N"),
+    (["correlation", "--k-max", "4097"], "pass --truncation N"),
+    # time moves no spectrum or correlation: only bogoliubov takes --time
+    (["spectrum", "--mu-l", "1", "--time", "nan", "--k-max", "4"],
+     "unrecognized arguments: --time nan"),
+    (["spectrum", "--mu-l", "1", "--time", "1e308", "--k-max", "2", "--truncation", "9"],
+     "unrecognized arguments: --time 1e308"),
+    (["correlation", "--mu-l", "1", "--time", "1e307", "--k-max", "2"],
+     "unrecognized arguments: --time 1e307"),
+    (["correlation", "--time=-0.0", "--truncation", "9"], "unrecognized arguments: --time=-0.0"),
     # an --out that cannot be opened; {tmp} is an empty directory
     (["spectrum", "--k-max", "2", "--truncation", "9", "--out", "{tmp}/missing/x.csv"],
      "No such file or directory: '{tmp}/missing/x.csv'"),
@@ -266,52 +289,6 @@ def test_bad_input_exits_1_with_message(capsys, tmp_path, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
-def _stdout(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = main(argv)
-    return rc, buf.getvalue()
-
-
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
-@given(command=st.sampled_from(("spectrum", "correlation")), fmt=st.sampled_from(("csv", "json")),
-       mu_l=st.floats(0.0, 100.0), k_max=st.integers(1, 12),
-       truncation=st.none() | st.integers(1, 200),
-       time=st.floats(allow_nan=False, allow_infinity=False)
-       | st.sampled_from((1e308, -1e308, -0.0, 5e-324, -1e5)))
-@example(command="correlation", fmt="json", mu_l=0.5, k_max=3, truncation=65, time=-1e308)
-@example(command="spectrum", fmt="json", mu_l=0.3, k_max=4, truncation=None, time=-0.0)
-def test_spectrum_and_correlation_rows_do_not_depend_on_time(command, fmt, mu_l, k_max,
-                                                             truncation, time):
-    # both are properties of the vacuum; --time is validated and echoed in the CSV header only
-    argv = [command, f"--mu-l={mu_l!r}", "--k-max", str(k_max), "--format", fmt]
-    argv += [] if truncation is None else ["--truncation", str(truncation)]
-    rc, out = _stdout(argv + [f"--time={time!r}"])
-    rc0, out0 = _stdout(argv)
-    assert rc == rc0 == 0
-    if fmt == "csv":
-        header, out = out.split("\n", 1)
-        assert f"time={time!r}" in header.split()
-        out0 = out0.split("\n", 1)[1]
-        # a real matrix: every im_d cell is 0.0, never -0.0, also where N < 2 * k_max
-        assert command == "spectrum" or {row[-4:] for row in out.splitlines()[1:]} == {",0.0"}
-    assert out == out0
-
-
-# these exited 1 with "--time 1e+308", when the pair phases exp(-i (eps_k - eps_m) t) overflowed
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--mu-l", "1", "--time", "1e308", "--k-max", "2", "--truncation", "9"],
-    ["correlation", "--mu-l", "1", "--time", "1e307", "--k-max", "2"],
-], ids=_argv_id)
-def test_huge_time_exits_0(capsys, argv):
-    rc, out, err = _run(capsys, argv)
-    assert (rc, err) == (0, "")
-    i = argv.index("--time")
-    rc0, out0, _ = _run(capsys, argv[:i] + argv[i + 2:])
-    assert rc0 == 0
-    assert out.split("\n", 1)[1] == out0.split("\n", 1)[1]
-
-
 @pytest.mark.parametrize("mu_ls,name", [("-0.0,0.0", "-0.0"), ("0.0,-0.0", "0.0")])
 def test_spectrum_header_names_the_signed_zero_of_its_column(capsys, mu_ls, name):
     # equal --mu-l values make one column, named by the first; its header echoed the last one
@@ -325,9 +302,9 @@ def test_spectrum_header_names_the_signed_zero_of_its_column(capsys, mu_ls, name
 @pytest.mark.parametrize("argv,rc,message", [
     (["detector", "--grid", "-1:1:3"], 0, ""),
     (["joint-correlation", "--grid", "-1,0,1"], 0, ""),
-    (["spectrum", "--k-max", "4", "--truncation", "65", "--time", "-1e5"], 0, ""),
-    (["spectrum", "--time", "-inf"], 1, "error: time must be finite, got -inf\n"),
-    (["correlation", "--time", "-NaN"], 1, "error: time must be finite, got nan\n"),
+    (["bogoliubov", "--truncation", "2", "--time", "-1e5"], 0, ""),
+    (["bogoliubov", "--time", "-inf"], 1, "error: time must be finite, got -inf\n"),
+    (["bogoliubov", "--time", "-NaN"], 1, "error: time must be finite, got nan\n"),
     (["spectrum", "--mu-l", "-0.5,1"], 1, "error: mass must be >= 0, got -0.5\n"),
     (["correlation", "--mu-l", "-.5"], 1, "error: mass must be >= 0, got -0.5\n"),
 ], ids=_argv_id)
@@ -508,9 +485,9 @@ def test_raw_spectrum_leaves_out_matched_columns_past_the_cutoff(capsys):
 
 
 def test_raw_correlation_leaves_out_matched_columns_past_the_cutoff(capsys):
-    # 2 * k_max = 12 > N = 7: modes k >= 4 have neither matched column in |j| <= 7
-    rc, out, _ = _run(capsys, ["correlation", "--mu-l", "2", "--k-max", "6", "--truncation", "7",
-                               "--time", "0.4"])
+    # 2 * k_max = 12 > N = 7: modes k >= 4 have neither matched column in |j| <= 7; the rows are
+    # taken at t = 0.4, since their phases cancel in the contractions
+    rc, out, _ = _run(capsys, ["correlation", "--mu-l", "2", "--k-max", "6", "--truncation", "7"])
     assert rc == 0
     printed = np.array([complex(float(line.split(",")[2]), float(line.split(",")[3]))
                         for line in out.splitlines()[2:]]).reshape(6, 6)

@@ -188,9 +188,8 @@ def test_cross_correlation_hermitian_structure():
 
 def test_cross_correlation_diagonal_real_positive():
     mat = correlation_matrix(8, 1.0, 513)
-    diag = np.diag(mat)
-    assert np.max(np.abs(np.imag(diag))) <= 1e-12
-    assert np.all(np.real(diag) > 0)
+    assert mat.dtype == np.float64
+    assert np.all(np.diag(mat) > 0)
 
 
 def test_spectrum_monotone_increasing_toward_saturation():
@@ -368,10 +367,13 @@ def test_near_diagonality_ratio_snapshot():
 # --- plumbing ----------------------------------------------------------------
 
 def test_converged_cutoff_rule():
-    # smallest odd N >= max(513, 4*k_max + 1, 32*mu*L); the k_max term is not capped
+    # smallest odd N >= max(513, 4*k_max + 1, 32*mu*L), up to 16385 from either term
     assert converged_cutoff(128, 10.0) == 513
     assert converged_cutoff(200, 1.0) == 801
-    assert converged_cutoff(5000, 1.0) == 20001
+    assert converged_cutoff(4096, 1.0) == 16385
+    for k_max in (4097, 5000):
+        with pytest.raises(ValueError, match="pass --truncation N$"):
+            converged_cutoff(k_max, 1.0)
     assert converged_cutoff(16, 100.0) == 3201
     assert converged_cutoff(16, 100.01) == 3201
     assert converged_cutoff(16, 512.0) == 16385
@@ -395,14 +397,12 @@ def test_spectrum_csv_format():
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(k_max=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), tail=st.booleans())
 def test_correlation_csv_equals_the_per_entry_writer(k_max, seed, tail):
-    # half the cells from the edges (signed zeros, subnormals, +-1e308), half over every exponent
+    # real cells, half from the edges (signed zeros, subnormals, +-1e308), half over every exponent
     rng = np.random.default_rng(seed)
     edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.5e-310, 1e308, -1e308, 0.5])
-    shape = (2, k_max, k_max)
-    parts = np.where(rng.random(shape) < 0.5, rng.choice(edges, shape),
-                     np.ldexp(rng.standard_normal(shape), rng.integers(-1074, 1020, shape)))
-    entries = np.empty(shape[1:], dtype=complex)  # parts[0] + 1j * parts[1] would lose -0.0
-    entries.real, entries.imag = parts
+    shape = (k_max, k_max)
+    entries = np.where(rng.random(shape) < 0.5, rng.choice(edges, shape),
+                       np.ldexp(rng.standard_normal(shape), rng.integers(-1074, 1020, shape)))
     got, want = io.StringIO(), io.StringIO()
     write_correlation_csv(got, entries, CFG, 65, tail)
     reference_correlation_csv(want, entries, CFG, 65, tail)
