@@ -21,6 +21,7 @@ from .detector import (
     WidthMismatch,
     gram_matrix,
     joint_correlation_exact,
+    joint_correlation_exact_surface,
     joint_correlation_surface,
     mode_overlap,
     registration_probabilities,

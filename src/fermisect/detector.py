@@ -33,6 +33,7 @@ __all__ = [
     "WidthMismatch",
     "gram_matrix",
     "joint_correlation_exact",
+    "joint_correlation_exact_surface",
     "joint_correlation_surface",
     "mode_overlap",
     "overlap_matrix",
@@ -197,12 +198,18 @@ def gram_matrix(modes) -> np.ndarray:
     """
     modes = list(modes)
     _check_widths([mode.point for mode in modes])
-    labels, levels = _ladder(modes)
-    rows, cols = np.triu_indices(len(modes), 1)
-    upper = _overlap_entries(labels[rows], levels[rows], labels[cols], levels[cols])
-    gram = np.eye(len(modes), dtype=complex)
-    gram[rows, cols] = upper
-    gram[cols, rows] = np.conj(upper)
+    return _grams(*_ladder(modes))
+
+
+def _grams(labels, levels) -> np.ndarray:
+    """Gram matrices of the modes at ``labels[..., i]`` with ``levels[i]``, shape ``(..., n, n)``."""
+    n = len(levels)
+    rows, cols = np.triu_indices(n, 1)
+    upper = _overlap_entries(labels[..., rows], levels[rows], labels[..., cols], levels[cols])
+    gram = np.zeros(upper.shape[:-1] + (n, n), dtype=complex)
+    gram[..., range(n), range(n)] = 1.0
+    gram[..., rows, cols] = upper
+    gram[..., cols, rows] = np.conj(upper)
     return gram
 
 
@@ -273,48 +280,77 @@ def joint_correlation_surface(labels_a, labels_b) -> np.ndarray:
     return occupied_r * (pair.real - spanned_r) - occupied_i * (pair.imag - spanned_i)
 
 
-def _orthonormal_coefficients(modes) -> np.ndarray:
-    """Coefficient vectors of ``modes`` on an orthonormal basis of their span.
+def joint_correlation_exact_surface(points_a, points_b) -> np.ndarray:
+    """Brute-force twin of `joint_correlation_surface` on explicit Fock spaces.
 
-    Eigen-decomposes the Gram matrix and keeps directions above a rank
-    tolerance, so nearly coincident modes (e.g. a detector sitting on a state
-    mode) reduce the span instead of breaking the construction.
-    """
-    gram = gram_matrix(modes)
-    evals, evecs = np.linalg.eigh(gram)
-    keep = evals > 1e-12
-    # rows: modes; columns: orthonormal span directions.  The conjugate makes
-    # sum_j conj(v_i[j]) v_l[j] reproduce gram[i, l] rather than its transpose.
-    return np.conj(evecs[:, keep] * np.sqrt(evals[keep]))
-
-
-def joint_correlation_exact(a: PhasePoint, b: PhasePoint) -> float:
-    """Brute-force twin of a `joint_correlation_surface` entry on an explicit Fock space.
-
-    Orthonormalizes the span of the two state modes and the two detector
+    ``points_a`` and ``points_b`` are sequences of `PhasePoint`, and the
+    result has shape ``(len(points_a), len(points_b))``.  For each pair it
+    orthonormalizes the span of the two state modes and the two detector
     modes, represents every annihilator as a matrix there, and evaluates the
     four-point expectation minus the product of singles exactly.  All modes
     outside the span contract to zero, so the restriction is lossless.
-    Points of different widths raise `WidthMismatch` from `gram_matrix`.
+
+    One batched eigendecomposition of the pairs' Gram matrices gives the
+    spans; directions above a rank tolerance are kept, so nearly coincident
+    modes (a detector at the origin, or two coincident detectors) reduce the
+    span instead of breaking the construction.  The pairs of each rank then
+    share one stacked Fock space, one block-diagonal matrix per mode, and
+    each block is normalized by its own norm, so every value has the bits of
+    its pair alone.  Points of mixed widths raise `WidthMismatch`.
     """
-    origin = PhasePoint(sigma=a.sigma)
-    modes = [DetectorMode(origin, 0), DetectorMode(origin, 1),
-             DetectorMode(a, 0), DetectorMode(b, 0)]
-    coeffs = _orthonormal_coefficients(modes)
-    space = fock.build_space(coeffs.shape[1], 0)
+    points_a, points_b = list(points_a), list(points_b)
+    _check_widths(points_a + points_b)
+    out = np.zeros((len(points_a), len(points_b)))
+    if out.size == 0:
+        return out
+    labels = np.empty(out.shape + (4,), dtype=complex)
+    labels[..., :2] = PhasePoint(points_a[0].sigma).label  # the state modes, levels 0 and 1
+    labels[..., 2] = np.array([point.label for point in points_a])[:, None]
+    labels[..., 3] = [point.label for point in points_b]
+    evals, evecs = np.linalg.eigh(_grams(labels.reshape(-1, 4), np.array([0, 1, 0, 0])))
+    keep = evals > 1e-12
+    rank = keep.sum(axis=1)
+    flat = out.reshape(-1)
+    for r in np.unique(rank).tolist():
+        pairs = np.flatnonzero(rank == r)
+        directions = np.swapaxes(evecs[pairs], 1, 2)[keep[pairs]].reshape(len(pairs), r, 4)
+        weights = np.sqrt(evals[pairs][keep[pairs]]).reshape(len(pairs), 1, r)
+        # per pair, rows: modes; columns: orthonormal span directions.  The conjugate makes
+        # sum_j conj(v_i[j]) v_l[j] reproduce gram[i, l] rather than its transpose.
+        flat[pairs] = _span_correlations(np.conj(np.swapaxes(directions, 1, 2) * weights))
+    return out
+
+
+def _span_correlations(coeffs) -> list[float]:
+    """Correlation of each pair from its span coefficients, shape ``(pairs, 4 modes, rank)``."""
+    pairs, _, rank = coeffs.shape
+    space = fock.build_space(rank, 0)
 
     def annihilator(row: int):
-        return fock.QuasiOperator(np.conj(coeffs[row]), np.zeros(0)).matrix(space)
+        return fock.QuasiOperator(np.conj(coeffs[:, row]), np.zeros((pairs, 0))).matrix(space)
+
+    def blocks(vec):
+        return vec.reshape(pairs, space.dimension)
 
     create_g1 = annihilator(0).conj().T
     create_g2 = annihilator(1).conj().T
-    state = create_g1 @ (create_g2 @ space.vacuum())
-    state = state / np.linalg.norm(state)
+    state = create_g1 @ (create_g2 @ np.tile(space.vacuum(), pairs))
+    state = np.concatenate([block / np.linalg.norm(block) for block in blocks(state)])
 
     ann_a = annihilator(2)
     ann_b = annihilator(3)
     n_a = ann_a.conj().T @ ann_a
     n_b = ann_b.conj().T @ ann_b
-    four = complex(state.conj() @ (n_b @ (n_a @ state)))
-    singles = complex(state.conj() @ (n_b @ state)) * complex(state.conj() @ (n_a @ state))
-    return float((four - singles).real)
+    n_a_state = n_a @ state
+    values = []
+    for psi, na_psi, nb_na_psi, nb_psi in zip(blocks(state), blocks(n_a_state),
+                                              blocks(n_b @ n_a_state), blocks(n_b @ state)):
+        four = complex(psi.conj() @ nb_na_psi)
+        singles = complex(psi.conj() @ nb_psi) * complex(psi.conj() @ na_psi)
+        values.append(float((four - singles).real))
+    return values
+
+
+def joint_correlation_exact(a: PhasePoint, b: PhasePoint) -> float:
+    """One pair's `joint_correlation_exact_surface` entry: its 1x1 case."""
+    return float(joint_correlation_exact_surface([a], [b])[0, 0])

@@ -13,12 +13,21 @@ on the basis indices and cached read-only.  Ladder operators of distinct
 modes share no nonzero entry, so a quasi-operator matrix is one sparse
 constructor over that pattern: each entry is a single signed coefficient.
 
+A `QuasiOperator` may hold a stack of B coefficient rows.  Its matrix is
+then block diagonal on B copies of the space, block b being byte for byte
+the matrix of row b alone, and `vacuum_expectation` returns one value per
+block.  Block-diagonal CSR keeps each row's entries in the order of its
+block, so sparse products add the same terms in the same order: a whole
+set of operators costs a few sparse calls, with every value's bits those
+of one block at a time.
+
 Limited to 12 modes total (dimension 4096); the engine exists for
 correctness, not scale.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,10 +107,20 @@ class FockSpace:
         return vac
 
 
+def _mode_count(n) -> int:
+    """``n`` as a Python int; `ValueError` unless it is a nonnegative integer."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"mode counts must be integers, got {n!r}") from None
+    if n < 0:
+        raise ValueError("mode counts must be nonnegative")
+    return n
+
+
 def build_space(n_particle: int, n_anti: int = 0) -> FockSpace:
     """The space of the given mode counts; raises `DimensionTooLarge` above 12 modes."""
-    if n_particle < 0 or n_anti < 0:
-        raise ValueError("mode counts must be nonnegative")
+    n_particle, n_anti = _mode_count(n_particle), _mode_count(n_anti)
     total = n_particle + n_anti
     if total > MAX_MODES:
         raise DimensionTooLarge(f"{total} modes exceeds the {MAX_MODES}-mode cap")
@@ -110,30 +129,57 @@ def build_space(n_particle: int, n_anti: int = 0) -> FockSpace:
 
 @dataclass(frozen=True)
 class QuasiOperator:
-    """Annihilator ``c = sum_j alpha[j] a_j + conj(beta[j]) bdag_j``."""
+    """Annihilator ``c = sum_j alpha[j] a_j + conj(beta[j]) bdag_j``.
+
+    ``alpha`` and ``beta`` are one row each, or stacks of B rows of shapes
+    ``(B, n_particle)`` and ``(B, n_anti)``: B operators at once.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
 
     def matrix(self, space: FockSpace):
-        if len(self.alpha) != space.n_particle or len(self.beta) != space.n_anti:
+        """The CSR matrix on ``space``; for a stack of B rows, block diagonal on B copies of it.
+
+        Block b is byte for byte the matrix of row b alone: its entries keep
+        their order, offset by ``b * space.dimension``.
+        """
+        alpha, beta = np.atleast_2d(self.alpha, self.beta)
+        if (alpha.shape[1:] != (space.n_particle,) or beta.shape[1:] != (space.n_anti,)
+                or len(alpha) != len(beta)):
             raise ValueError("coefficient lengths do not match the space")
         row, col, sign, mode = _quasi_pattern(space.n_particle, space.n_anti)
-        coeff = np.concatenate([self.alpha, np.conj(self.beta)]).astype(complex)[mode]
+        coeff = np.concatenate([alpha, np.conj(beta)], axis=1).astype(complex)[:, mode]
         keep = coeff != 0
+        data = coeff[keep]
+        data *= np.broadcast_to(sign, coeff.shape)[keep]
         # + 0.0 turns the -0.0 parts of the exact terms sign * coeff into 0.0,
         # as adding the terms up one by one does
-        data = sign[keep] * coeff[keep] + 0.0
-        return sparse.csr_matrix((data, (row[keep], col[keep])),
-                                 shape=(space.dimension, space.dimension))
+        data += 0.0
+        # int32 like the pattern, so that the sparse constructor keeps the indices
+        offset = np.arange(len(alpha), dtype=np.int32)[:, None] * np.int32(space.dimension)
+        rows, cols = (row + offset)[keep], (col + offset)[keep]
+        size = len(alpha) * space.dimension
+        # the pattern is in CSR order, so the entries are the CSR arrays as they stand
+        indptr = np.searchsorted(rows, np.arange(size + 1, dtype=np.int32))
+        return sparse.csr_matrix((data, cols, indptr), shape=(size, size))
 
 
-def vacuum_expectation(space: FockSpace, operators) -> complex:
-    """``<0| op_1 op_2 ... op_n |0>`` for sparse operator matrices."""
-    vec = space.vacuum()
-    for op in reversed(list(operators)):
+def vacuum_expectation(space: FockSpace, operators):
+    """``<0| op_1 op_2 ... op_n |0>`` for sparse operator matrices.
+
+    Block-diagonal matrices on B copies of ``space`` (`QuasiOperator.matrix`
+    of a stack) give an array of B values, each ``vac.conj() @ block`` as for
+    a single block; one block gives a ``complex``.
+    """
+    operators = list(operators)
+    vac = space.vacuum()
+    blocks = operators[0].shape[0] // space.dimension if operators else 1
+    vec = np.tile(vac, blocks)
+    for op in reversed(operators):
         vec = op @ vec
-    return complex(space.vacuum().conj() @ vec)
+    values = [complex(vac.conj() @ block) for block in vec.reshape(blocks, space.dimension)]
+    return values[0] if blocks == 1 else np.array(values)
 
 
 def random_canonical_transform(n_modes: int, seed: int) -> list[QuasiOperator]:
@@ -144,6 +190,7 @@ def random_canonical_transform(n_modes: int, seed: int) -> list[QuasiOperator]:
     first n rows of the resulting unitary give quasi-operators satisfying
     the CAR identically (row orthonormality is exact up to rounding).
     """
+    n_modes = _mode_count(n_modes)
     if n_modes > 6:
         raise DimensionTooLarge("random canonical transforms capped at parity 6+6 modes")
     rng = np.random.default_rng(seed)

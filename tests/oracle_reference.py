@@ -11,9 +11,10 @@ from scipy import sparse
 from scipy.special import eval_genlaguerre
 
 from fermisect.bogoliubov import KAPPA_ALPHA, KAPPA_BETA, QuadratureUnresolved, coeff_w
-from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch
+from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch, gram_matrix
 from fermisect.field import (Branch, Region, energy, mode_function, section_momentum, spinor,
                              subsection_momentum)
+from fermisect.fock import QuasiOperator, build_space
 
 
 @lru_cache(maxsize=8)
@@ -107,6 +108,31 @@ def joint_correlation_by_overlaps(a, b) -> float:
         mode_overlap(mode_b, g) * mode_overlap(g, mode_a) for g in (g1, g2)
     )
     return float((occupied * remainder).real)
+
+
+def joint_correlation_by_span(a, b) -> float:
+    """`detector.joint_correlation_exact_surface` one pair at a time, on its own Fock space.
+
+    Orthonormalizes the span of the four modes from the pair's own Gram
+    matrix and builds every annihilator as a one-row `QuasiOperator`.
+    """
+    g1, g2 = _state_modes(a.sigma)
+    gram = gram_matrix([g1, g2, DetectorMode(a, 0), DetectorMode(b, 0)])
+    evals, evecs = np.linalg.eigh(gram)
+    keep = evals > 1e-12
+    coeffs = np.conj(evecs[:, keep] * np.sqrt(evals[keep]))
+    space = build_space(coeffs.shape[1], 0)
+
+    def annihilator(row: int):
+        return QuasiOperator(np.conj(coeffs[row]), np.zeros(0)).matrix(space)
+
+    state = annihilator(0).conj().T @ (annihilator(1).conj().T @ space.vacuum())
+    state = state / np.linalg.norm(state)
+    n_a = annihilator(2).conj().T @ annihilator(2)
+    n_b = annihilator(3).conj().T @ annihilator(3)
+    four = complex(state.conj() @ (n_b @ (n_a @ state)))
+    singles = complex(state.conj() @ (n_b @ state)) * complex(state.conj() @ (n_a @ state))
+    return float((four - singles).real)
 
 
 def _row_values(m, ks, region, branches, cfg, order):

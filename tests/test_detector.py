@@ -16,6 +16,7 @@ from fermisect.detector import (
     WidthMismatch,
     gram_matrix,
     joint_correlation_exact,
+    joint_correlation_exact_surface,
     joint_correlation_surface,
     mode_overlap,
     overlap_matrix,
@@ -290,6 +291,31 @@ def test_fock_span_handles_detector_on_state_mode():
     assert abs(joint_correlation_exact(origin, b)) <= 1e-12
 
 
+def test_exact_surface_equals_the_pair_by_pair_twin_by_bits():
+    rng = np.random.default_rng(26)
+    points = [
+        PhasePoint(1.0),  # on the state modes: rank 3, and rank 2 against itself
+        PhasePoint(1.0, x=1.0),
+        PhasePoint(1.0, x=1.0),  # coincident with the point before: rank 3
+        PhasePoint(1.0, x=1e-7),  # nearly on the state modes
+        PhasePoint(1.0, x=40.0, p=-3.0),  # far apart: overlaps underflow to zero
+        PhasePoint(1.0, x=-7.0, p=25.0),
+    ] + [PhasePoint(1.0, float(x), float(p)) for x, p in rng.normal(scale=2.0, size=(8, 2))]
+    surface = joint_correlation_exact_surface(points, points[::-1])
+    want = np.array([[reference.joint_correlation_by_span(a, b) for b in points[::-1]]
+                     for a in points])
+    assert surface.shape == (len(points), len(points))
+    assert surface.view(np.int64).tolist() == want.view(np.int64).tolist()
+    one = np.array([[joint_correlation_exact(a, b) for b in points[::-1]] for a in points])
+    assert one.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_exact_surface_of_empty_sides_is_empty():
+    points = [PhasePoint(0.5, x=1.0), PhasePoint(0.5)]
+    assert joint_correlation_exact_surface([], points).shape == (0, 2)
+    assert joint_correlation_exact_surface(points, []).shape == (2, 0)
+
+
 def test_surface_snapshot():
     vals = {
         (0.5, 0.5): 0.025796823038266217,
@@ -306,6 +332,10 @@ def test_joint_correlation_width_mismatch():
     # the Fock twin builds modes of both widths; the surface takes labels, which carry none
     with pytest.raises(WidthMismatch):
         joint_correlation_exact(PhasePoint(1.0), PhasePoint(2.0, x=1.0))
+    for points_a, points_b in [([PhasePoint(1.0), PhasePoint(2.0)], [PhasePoint(1.0)]),
+                               ([PhasePoint(1.0)], [PhasePoint(1.0, x=1.0), PhasePoint(0.5)])]:
+        with pytest.raises(WidthMismatch):
+            joint_correlation_exact_surface(points_a, points_b)
 
 
 def _assert_surface_by_overlaps(points_a, points_b):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 
+from fermisect import verify
 from fermisect.fock import (
     MAX_MODES,
     DimensionTooLarge,
@@ -43,6 +46,24 @@ def test_dimensions():
 def test_negative_mode_count_raises(n_particle, n_anti):
     with pytest.raises(ValueError, match="nonnegative"):
         build_space(n_particle, n_anti)
+
+
+@pytest.mark.parametrize("n_particle,n_anti", [(2.5, 0), (0, 1.0), ("2", 0), (None, 1)])
+def test_non_integer_mode_count_raises(n_particle, n_anti):
+    with pytest.raises(ValueError, match="integers"):
+        build_space(n_particle, n_anti)
+
+
+def test_integer_like_mode_counts_are_python_ints():
+    space = build_space(np.int64(2), np.uint8(1))
+    assert space == build_space(2, 1)
+    assert type(space.n_particle) is int and type(space.n_anti) is int
+
+
+@pytest.mark.parametrize("n_modes,message", [(-1, "nonnegative"), (1.5, "integers")])
+def test_bad_transform_mode_count_raises_the_space_message(n_modes, message):
+    with pytest.raises(ValueError, match=message):
+        random_canonical_transform(n_modes, 0)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 2), (3, 1), (0, 0)])
@@ -228,6 +249,65 @@ def test_matrix_equals_kron_term_sum_for_every_mode_count():
             for row in rows:
                 op = QuasiOperator(alpha=row[:n_particle], beta=row[n_particle:])
                 _assert_same_csr(op.matrix(space), matrix_by_terms(op, space))
+
+
+@DRAWS
+@given(n_particle=st.integers(0, 4), n_anti=st.integers(0, 4), blocks=st.integers(1, 5),
+       data=st.data())
+def test_stacked_matrix_is_the_block_diagonal_of_its_rows(n_particle, n_anti, blocks, data):
+    def rows(width):
+        row = st.lists(_coefficient, min_size=width, max_size=width)
+        return np.array(data.draw(st.lists(row, min_size=blocks, max_size=blocks)),
+                        dtype=complex).reshape(blocks, width)
+
+    alpha, beta = rows(n_particle), rows(n_anti)
+    space = build_space(n_particle, n_anti)
+    singles = [QuasiOperator(a, b).matrix(space) for a, b in zip(alpha, beta)]
+    stacked = QuasiOperator(alpha, beta).matrix(space)
+    _assert_same_csr(stacked, sparse.block_diag(singles, format="csr"))
+    if blocks == 1:
+        _assert_same_csr(stacked, singles[0])
+
+
+def test_stacked_vacuum_expectations_equal_the_one_block_calls_by_bits():
+    for n_modes, seeds in [(2, range(0, 12)), (3, range(12, 15)), (4, range(15, 16))]:
+        space = build_space(n_modes, n_modes)
+        ops = [random_canonical_transform(n_modes, seed) for seed in seeds]
+        c_ops, f_ops = [op[0] for op in ops], [op[-1] for op in ops]
+        c_mat, f_mat = (QuasiOperator(np.array([op.alpha for op in stack]),
+                                      np.array([op.beta for op in stack])).matrix(space)
+                        for stack in (c_ops, f_ops))
+        got = vacuum_expectation(space, [c_mat.conj().T, c_mat, f_mat.conj().T, f_mat])
+        want = []
+        for c, f in zip(c_ops, f_ops):
+            c1, f1 = c.matrix(space), f.matrix(space)
+            value = vacuum_expectation(space, [c1.conj().T, c1, f1.conj().T, f1])
+            assert type(value) is complex
+            want.append(value)
+        got = np.atleast_1d(got)
+        assert got.shape == (len(seeds),)
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("alpha_shape,beta_shape", [((2, 2), (3, 1)), ((2, 2), (1,)),
+                                                    ((2, 3), (2, 1)), ((2, 2, 2), (2, 2, 1))])
+def test_stacks_must_match_each_other_and_the_space(alpha_shape, beta_shape):
+    op = QuasiOperator(alpha=np.ones(alpha_shape), beta=np.ones(beta_shape))
+    with pytest.raises(ValueError, match="coefficient lengths"):
+        op.matrix(build_space(2, 1))
+
+
+def test_criterion_5_peak_memory_is_bounded():
+    # the stacks of criterion 5 hold at most verify._STACK_STATES basis states; one stack
+    # per mode count would peak at about 3.5 MB
+    verify.criterion_wick_oracle()  # caches and lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        assert verify.criterion_wick_oracle().passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def test_cached_operators_are_read_only():
