@@ -41,8 +41,8 @@ from .fock import (
     FockSpace,
     QuasiOperator,
     build_space,
+    expectations,
     random_canonical_transform,
-    vacuum_expectation,
 )
 from .povm import (
     JointTable,

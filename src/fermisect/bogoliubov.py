@@ -123,7 +123,8 @@ def check_domain(ms, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
     Raises before the first row of rows ``ms`` over ``ks``: `ValueError` where a phase argument
     ``(eps_q +- eps_p) * t`` may overflow, and where, from ``mu`` or a momentum about 1e77 on,
     the odd columns' spinor-overlap denominator does, largest at the largest ``|m|``;
-    `DegenerateDispersion` at mass 0 when a row ``m = 0`` meets an odd column.
+    `DegenerateDispersion` at mass 0 when a row ``m = 0`` meets an odd column, and `ValueError`
+    there when that row's denominator product is subnormal, below a mass about ``1e-154 / p``.
     """
     ks = np.asarray(ks, dtype=int)
     ms = np.asarray(ms, dtype=int)
@@ -144,6 +145,13 @@ def check_domain(ms, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
                          " (mass or momentum beyond about 1e77)")
     if cfg.mass == 0 and odd.any() and np.any(ms == 0):
         raise DegenerateDispersion("spinor overlap undefined at p = mass = 0")
+    # the m = 0 row's denominator product (eps_q = mu) is smallest at the smallest eps_p; where
+    # it is subnormal its root loses digits
+    tiny = np.finfo(float).tiny
+    low = min(eps.tolist(), default=math.inf) if np.any(ms == 0) else math.inf
+    if low * cfg.mass * (low + cfg.mass) * (2.0 * cfg.mass) < tiny:
+        raise ValueError(f"spinor overlap of the m = 0 row underflows float64 at mass {cfg.mass!r},"
+                         f" below about {math.sqrt(tiny / 2.0) / low:.2g}")
     return p, eps
 
 

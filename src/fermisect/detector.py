@@ -280,11 +280,13 @@ def joint_correlation_surface(labels_a, labels_b) -> np.ndarray:
     return occupied_r * (pair.real - spanned_r) - occupied_i * (pair.imag - spanned_i)
 
 
-def joint_correlation_exact_surface(points_a, points_b) -> np.ndarray:
+def joint_correlation_exact_surface(labels_a, labels_b) -> np.ndarray:
     """Brute-force twin of `joint_correlation_surface` on explicit Fock spaces.
 
-    ``points_a`` and ``points_b`` are sequences of `PhasePoint`, and the
-    result has shape ``(len(points_a), len(points_b))``.  For each pair it
+    ``labels_a`` and ``labels_b`` are arrays of complex detector labels, as
+    the surface takes, and the result has shape ``(len(labels_a),
+    len(labels_b))``.  The state modes sit at the origin label ``0j``, the
+    `PhasePoint.label` of the origin at every width.  For each pair it
     orthonormalizes the span of the two state modes and the two detector
     modes, represents every annihilator as a matrix there, and evaluates the
     four-point expectation minus the product of singles exactly.  All modes
@@ -296,17 +298,16 @@ def joint_correlation_exact_surface(points_a, points_b) -> np.ndarray:
     span instead of breaking the construction.  The pairs of each rank then
     share one stacked Fock space, one block-diagonal matrix per mode, and
     each block is normalized by its own norm, so every value has the bits of
-    its pair alone.  Points of mixed widths raise `WidthMismatch`.
+    its pair alone.
     """
-    points_a, points_b = list(points_a), list(points_b)
-    _check_widths(points_a + points_b)
-    out = np.zeros((len(points_a), len(points_b)))
+    labels_a = np.asarray(labels_a, dtype=complex)
+    labels_b = np.asarray(labels_b, dtype=complex)
+    out = np.zeros((len(labels_a), len(labels_b)))
     if out.size == 0:
         return out
-    labels = np.empty(out.shape + (4,), dtype=complex)
-    labels[..., :2] = PhasePoint(points_a[0].sigma).label  # the state modes, levels 0 and 1
-    labels[..., 2] = np.array([point.label for point in points_a])[:, None]
-    labels[..., 3] = [point.label for point in points_b]
+    labels = np.zeros(out.shape + (4,), dtype=complex)  # the state modes, levels 0 and 1, at 0j
+    labels[..., 2] = labels_a[:, None]
+    labels[..., 3] = labels_b
     evals, evecs = np.linalg.eigh(_grams(labels.reshape(-1, 4), np.array([0, 1, 0, 0])))
     keep = evals > 1e-12
     rank = keep.sum(axis=1)
@@ -329,28 +330,16 @@ def _span_correlations(coeffs) -> list[float]:
     def annihilator(row: int):
         return fock.QuasiOperator(np.conj(coeffs[:, row]), np.zeros((pairs, 0))).matrix(space)
 
-    def blocks(vec):
-        return vec.reshape(pairs, space.dimension)
-
-    create_g1 = annihilator(0).conj().T
-    create_g2 = annihilator(1).conj().T
-    state = create_g1 @ (create_g2 @ np.tile(space.vacuum(), pairs))
-    state = np.concatenate([block / np.linalg.norm(block) for block in blocks(state)])
-
-    ann_a = annihilator(2)
-    ann_b = annihilator(3)
-    n_a = ann_a.conj().T @ ann_a
-    n_b = ann_b.conj().T @ ann_b
-    n_a_state = n_a @ state
-    values = []
-    for psi, na_psi, nb_na_psi, nb_psi in zip(blocks(state), blocks(n_a_state),
-                                              blocks(n_b @ n_a_state), blocks(n_b @ state)):
-        four = complex(psi.conj() @ nb_na_psi)
-        singles = complex(psi.conj() @ nb_psi) * complex(psi.conj() @ na_psi)
-        values.append(float((four - singles).real))
-    return values
+    create_g1, create_g2 = (annihilator(row).conj().T for row in (0, 1))
+    state = (create_g1 @ (create_g2 @ np.tile(space.vacuum(), pairs))).reshape(pairs, -1)
+    state = np.concatenate([block / np.linalg.norm(block) for block in state])
+    n_a, n_b = (ann.conj().T @ ann for ann in map(annihilator, (2, 3)))
+    fours, singles_b, singles_a = (fock.expectations(space, ops, state)
+                                   for ops in ([n_b, n_a], [n_b], [n_a]))
+    return [float((four - b * a).real) for four, b, a in zip(fours, singles_b, singles_a)]
 
 
 def joint_correlation_exact(a: PhasePoint, b: PhasePoint) -> float:
-    """One pair's `joint_correlation_exact_surface` entry: its 1x1 case."""
-    return float(joint_correlation_exact_surface([a], [b])[0, 0])
+    """The 1x1 `joint_correlation_exact_surface` on the labels of two points of one width."""
+    _check_widths([a, b])
+    return float(joint_correlation_exact_surface([a.label], [b.label])[0, 0])

@@ -135,11 +135,16 @@ def spinor(p, mass: float, branch: Branch) -> Spinor:
     ------
     DegenerateDispersion
         If any ``p = mass = 0``, where the normalization is singular.
+    ValueError
+        If ``2*eps*(eps+mass)`` is subnormal, near ``p = 0`` below a mass of about 7e-155.
     """
     p = np.asarray(p, dtype=float)
     eps = energy(p, mass)
-    if np.any(eps == 0.0):
+    low = min(eps.ravel().tolist(), default=math.inf)  # the squared norm grows with eps
+    if low == 0.0:
         raise DegenerateDispersion("spinor undefined at p = mass = 0")
+    if 2.0 * low * (low + mass) < np.finfo(float).tiny:
+        raise ValueError(f"spinor normalization underflows float64 at mass {mass!r}")
     norm = np.sqrt(2.0 * eps * (eps + mass))
     if branch is Branch.POSITIVE:
         return Spinor((eps + mass) / norm, p / norm)

@@ -1,7 +1,7 @@
 """Exact finite-dimensional fermionic Fock-space engine.
 
-Ground truth for every vacuum expectation and Wick-contraction identity in
-this package.  Every operator is the sparse matrix of a quasi-operator
+Ground truth for every expectation, Wick identity and detector correlation
+in this package.  Every operator is the sparse matrix of a quasi-operator
 ``c = sum_j alpha[j] a_j + conj(beta[j]) bdag_j`` (`QuasiOperator`) under
 the Jordan-Wigner construction over a fixed global mode ordering: particle
 modes first, then antiparticle modes, each with a full sign string, so all
@@ -15,11 +15,11 @@ constructor over that pattern: each entry is a single signed coefficient.
 
 A `QuasiOperator` may hold a stack of B coefficient rows.  Its matrix is
 then block diagonal on B copies of the space, block b being byte for byte
-the matrix of row b alone, and `vacuum_expectation` returns one value per
-block.  Block-diagonal CSR keeps each row's entries in the order of its
-block, so sparse products add the same terms in the same order: a whole
-set of operators costs a few sparse calls, with every value's bits those
-of one block at a time.
+the matrix of row b alone, and `expectations` returns one value per block
+of a stacked state, the vacuum by default.  Block-diagonal CSR keeps each
+row's entries in the order of its block, so sparse products add the same
+terms in the same order: a whole set of operators costs a few sparse calls,
+with every value's bits those of one block at a time.
 
 Limited to 12 modes total (dimension 4096); the engine exists for
 correctness, not scale.
@@ -41,8 +41,8 @@ __all__ = [
     "MAX_MODES",
     "QuasiOperator",
     "build_space",
+    "expectations",
     "random_canonical_transform",
-    "vacuum_expectation",
 ]
 
 MAX_MODES = 12
@@ -165,21 +165,22 @@ class QuasiOperator:
         return sparse.csr_matrix((data, cols, indptr), shape=(size, size))
 
 
-def vacuum_expectation(space: FockSpace, operators):
-    """``<0| op_1 op_2 ... op_n |0>`` for sparse operator matrices.
+def expectations(space: FockSpace, operators, state=None) -> list[complex]:
+    """``<s| op_1 op_2 ... op_n |s>`` for each block ``s`` of a stacked ``state``.
 
-    Block-diagonal matrices on B copies of ``space`` (`QuasiOperator.matrix`
-    of a stack) give an array of B values, each ``vac.conj() @ block`` as for
-    a single block; one block gives a ``complex``.
+    ``state`` holds B vectors of ``space`` end to end, B vacua by default, and
+    the operators act on B copies of ``space``, as `QuasiOperator.matrix` of a
+    stack does.  Returns B values ``complex(s.conj() @ block)``, for every B.
     """
     operators = list(operators)
-    vac = space.vacuum()
-    blocks = operators[0].shape[0] // space.dimension if operators else 1
-    vec = np.tile(vac, blocks)
+    if state is None:
+        blocks = operators[0].shape[0] // space.dimension if operators else 1
+        state = np.tile(space.vacuum(), blocks)
+    vec = state
     for op in reversed(operators):
         vec = op @ vec
-    values = [complex(vac.conj() @ block) for block in vec.reshape(blocks, space.dimension)]
-    return values[0] if blocks == 1 else np.array(values)
+    pairs = zip(state.reshape(-1, space.dimension), vec.reshape(-1, space.dimension))
+    return [complex(s.conj() @ block) for s, block in pairs]
 
 
 def random_canonical_transform(n_modes: int, seed: int) -> list[QuasiOperator]:

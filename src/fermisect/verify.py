@@ -34,7 +34,7 @@ from .detector import (
     registration_probabilities,
 )
 from .field import Branch, FieldConfig, Region
-from .fock import QuasiOperator, build_space, random_canonical_transform, vacuum_expectation
+from .fock import QuasiOperator, build_space, expectations, random_canonical_transform
 from .spectrum import correlation_matrix, cross_correlation_from_rows, occupation_spectrum
 
 __all__ = ["CriterionResult", "run", "CRITERIA"]
@@ -152,13 +152,10 @@ def _wick_deviations(space, cs, fs) -> list[float]:
                                   np.array([op.beta for op in ops])).matrix(space)
                     for ops in (cs, fs))
     c_dag, f_dag = c_mat.conj().T, f_mat.conj().T
-
-    def expect(*operators):
-        return np.atleast_1d(vacuum_expectation(space, operators)).tolist()
-
+    values = (expectations(space, ops)
+              for ops in ([c_dag, c_mat, f_dag, f_mat], [c_dag, c_mat], [f_dag, f_mat]))
     deviations = []
-    for c, f, four, c_single, f_single in zip(cs, fs, expect(c_dag, c_mat, f_dag, f_mat),
-                                              expect(c_dag, c_mat), expect(f_dag, f_mat)):
+    for c, f, four, c_single, f_single in zip(cs, fs, *values):
         wick = cross_correlation_from_rows(c.alpha, c.beta, f.alpha, f.beta)
         deviations.append(abs((four - c_single * f_single) - wick))
     return deviations
@@ -219,9 +216,8 @@ def criterion_joint_correlation() -> CriterionResult:
     sweep = [PhasePoint(1.0, x=x, p=p) for x in axis for p in axis]
     sweep = [point.label for point in sweep if abs(point.label) <= 5.0]
     worst_origin = float(np.max(np.abs(joint_correlation_surface([origin.label], sweep))))
-    grid = [PhasePoint(1.0, x=a) for a in np.linspace(0.0, 3.0, 5)]
-    exact = joint_correlation_exact_surface(grid, grid)
-    labels = [a.label for a in grid]
+    labels = [PhasePoint(1.0, x=a).label for a in np.linspace(0.0, 3.0, 5)]
+    exact = joint_correlation_exact_surface(labels, labels)
     worst_surface = float(np.max(np.abs(joint_correlation_surface(labels, labels) - exact)))
     ok = worst_origin <= tol and worst_surface <= tol
     return CriterionResult(8, "joint-registration correlation", ok,

@@ -9,7 +9,8 @@ from fermisect import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 ARGVS = (["bogoliubov", "--truncation", "8"], ["spectrum", "--k-max", "4", "--truncation", "65"],
-         ["correlation", "--k-max", "3"], ["verify", "--only", "1"])
+         ["correlation", "--k-max", "3"], ["verify", "--only", "1"], ["verify", "--only", "5,8"],
+         ["joint-correlation", "--grid", "0:3:4"])
 
 
 def _load_spans():
@@ -35,7 +36,9 @@ def test_traced_output_equals_untraced():
     finally:
         tracer.uninstall()
     assert traced == untraced
-    # the oracle's row calls still book its time to the bogoliubov.oracle layer
+    # the oracle's row calls still book its time to the bogoliubov.oracle layer, and the Fock
+    # oracle's expectations and the detector twin run through their own spans
     for name in ("bogoliubov.iter_coefficients", "spectrum.converged_cutoff", "spectrum.tail_sums",
-                 "bogoliubov.overlap_oracle"):
+                 "bogoliubov.overlap_oracle", "fock.expectations",
+                 "detector.joint_correlation_exact_surface"):
         assert tracer.names.index(name) in tracer.rec.name_id

@@ -425,6 +425,26 @@ def test_domain_check_runs_before_the_first_row():
         next(iter_coefficients([1], [-1, 1], FieldConfig(mass=1.0, half_length=1.0, time=1e308)))
 
 
+def test_row_0_rejects_a_mass_whose_overlap_denominator_underflows():
+    # eps_p*mu*(eps_p+mu)*2mu at p = pi turns subnormal below a mass of about 3.4e-155; rows
+    # m != 0 and a row 0 over even columns need no such product
+    for mass in (1e-200, 1e-160, 3.3e-155):
+        cfg = FieldConfig.from_mu_l(mass)
+        with pytest.raises(ValueError, match=f"m = 0 row underflows float64 at mass {mass!r},"
+                                             " below about 3.4e-155"):
+            next(iter_coefficients([1, 0], [-1, 1], cfg))
+        assert np.all(np.isfinite(next(iter_coefficients([1, -1], [-3, -1, 1, 3], cfg))[0]))
+        assert next(iter_coefficients([0], [-2, 0, 2], cfg))[0][1] == 1.0 / math.sqrt(2.0)
+    # the mass-0 error keeps its place and message
+    with pytest.raises(DegenerateDispersion, match="spinor overlap undefined at p = mass = 0"):
+        next(iter_coefficients([0], [1], FieldConfig.from_mu_l(0.0)))
+    # just above the bound the k = 1 entry keeps its closed limit at q = 0 to rounding
+    for mass in (3.5e-155, 1e-150):
+        alpha, beta = next(iter_coefficients([0], [1], FieldConfig.from_mu_l(mass)))
+        limit = KAPPA_ALPHA * math.sqrt((math.pi + mass) / (2.0 * math.pi)) / 0.5
+        assert abs(alpha[0] - limit) <= 1e-15 * abs(limit) and np.isfinite(beta).all()
+
+
 def _hex(row):
     return [(z.real.hex(), z.imag.hex()) for z in row.tolist()]
 

@@ -244,6 +244,12 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
     (["spectrum", "--mu-l", "1e308", "--truncation", "9"], "overflows float64"),
     (["correlation", "--mu-l", "1e200", "--truncation", "9"], "overflows float64"),
     (["bogoliubov", "--mu-l", "1e200"], "overflows float64"),
+    # and the m = 0 row's overlap denominator underflows below mu*L about 3.4e-155
+    (["bogoliubov", "--mu-l", "1e-200", "--truncation", "2", "--out", "{tmp}/x.csv"],
+     "m = 0 row underflows float64 at mass 1e-200, below about 3.4e-155"),
+    (["bogoliubov", "--mu-l", "3.3e-155", "--truncation", "2", "--out", "{tmp}/x.csv"],
+     "underflows float64 at mass 3.3e-155"),
+    (["bogoliubov", "--mu-l", "1e-160"], "underflows float64 at mass 1e-160"),
     # the converged default cutoff would pass 16385 above mu*L = 512
     (["spectrum", "--mu-l", "1e308"], "pass --truncation"),
     (["correlation", "--mu-l", "1e200"], "pass --truncation"),

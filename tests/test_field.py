@@ -94,6 +94,20 @@ def test_degenerate_point_raises():
     assert alpha.tolist() == [0.0, 1.0 / math.sqrt(2.0), 0.0] and not beta.any()
 
 
+def test_spinor_rejects_a_normalization_below_the_normal_floats():
+    # at p = 0 the squared norm 4*mass**2 turns subnormal below a mass of about 7.5e-155
+    for mass in (1e-200, 7e-155):
+        with pytest.raises(ValueError, match=f"normalization underflows float64 at mass {mass!r}"):
+            spinor(0.0, mass, Branch.POSITIVE)
+    with pytest.raises(DegenerateDispersion, match="spinor undefined at p = mass = 0"):
+        spinor(np.array([0.0, 1.0]), 0.0, Branch.NEGATIVE)
+    up = spinor(np.array([0.0, 1e-200]), 8e-155, Branch.POSITIVE)
+    assert up.upper.tolist() == [1.0, 1.0] and up.lower[0] == 0.0
+    assert spinor(np.array([]), 0.0, Branch.POSITIVE).upper.shape == (0,)
+    # away from p = 0 the same tiny mass is in range
+    assert spinor(1.0, 1e-200, Branch.POSITIVE).upper == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
 def test_spinor_overlap_against_explicit_dot_product():
     # independent route: build both spinors and take the 2-vector dot product; at t = 0 an odd
     # kernel entry is the overlap times its series prefactor over its resonance denominator

@@ -15,7 +15,7 @@ from fermisect.fock import (
     _quasi_pattern,
     build_space,
     random_canonical_transform,
-    vacuum_expectation,
+    expectations,
 )
 from oracle_reference import matrix_by_terms
 
@@ -112,14 +112,14 @@ def test_number_conservation_in_vacuum():
     a, _ = _ladder(space)
     for j in range(3):
         n_op = a[j].conj().T @ a[j]
-        assert vacuum_expectation(space, [n_op]) == 0
+        assert expectations(space, [n_op])[0] == 0
 
 
 def test_pure_particle_quasi_op_preserves_vacuum():
     space = build_space(2, 2)
     c = QuasiOperator(alpha=np.array([0.6, 0.8j]), beta=np.zeros(2))
     mat = c.matrix(space)
-    assert abs(vacuum_expectation(space, [mat.conj().T, mat])) == 0
+    assert abs(expectations(space, [mat.conj().T, mat])[0]) == 0
 
 
 def test_single_mode_mixing_occupation():
@@ -131,7 +131,7 @@ def test_single_mode_mixing_occupation():
             beta=np.array([np.exp(1j * phi) * np.sin(theta)]),
         )
         mat = c.matrix(space)
-        val = vacuum_expectation(space, [mat.conj().T, mat])
+        val = expectations(space, [mat.conj().T, mat])[0]
         assert val.real == pytest.approx(np.sin(theta) ** 2, abs=1e-12)
         assert abs(val.imag) <= 1e-14
         assert np.sum(np.abs(c.alpha) ** 2) + np.sum(np.abs(c.beta) ** 2) == pytest.approx(1.0)
@@ -147,7 +147,7 @@ def test_occupation_equals_beta_row_norm_without_canonicity():
             beta=rng.normal(size=3) + 1j * rng.normal(size=3),
         )
         mat = c.matrix(space)
-        val = vacuum_expectation(space, [mat.conj().T, mat])
+        val = expectations(space, [mat.conj().T, mat])[0]
         assert val.real == pytest.approx(float(np.sum(np.abs(c.beta) ** 2)), rel=1e-12)
 
 
@@ -277,16 +277,39 @@ def test_stacked_vacuum_expectations_equal_the_one_block_calls_by_bits():
         c_mat, f_mat = (QuasiOperator(np.array([op.alpha for op in stack]),
                                       np.array([op.beta for op in stack])).matrix(space)
                         for stack in (c_ops, f_ops))
-        got = vacuum_expectation(space, [c_mat.conj().T, c_mat, f_mat.conj().T, f_mat])
+        got = expectations(space, [c_mat.conj().T, c_mat, f_mat.conj().T, f_mat])
         want = []
         for c, f in zip(c_ops, f_ops):
             c1, f1 = c.matrix(space), f.matrix(space)
-            value = vacuum_expectation(space, [c1.conj().T, c1, f1.conj().T, f1])
-            assert type(value) is complex
+            (value,) = expectations(space, [c1.conj().T, c1, f1.conj().T, f1])
             want.append(value)
-        got = np.atleast_1d(got)
-        assert got.shape == (len(seeds),)
-        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        assert [type(value) for value in got] == [complex] * len(seeds)
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_expectations_of_a_stacked_state_equal_each_block_by_bits(blocks):
+    rng = np.random.default_rng(27)
+    space = build_space(2, 1)
+    c_rows, f_rows = rng.normal(size=(2, blocks, 3)) + 1j * rng.normal(size=(2, blocks, 3))
+    shape = (blocks, space.dimension)
+    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def ops(c_row, f_row):
+        c_mat, f_mat = (QuasiOperator(row[..., :2], row[..., 2:]).matrix(space)
+                        for row in (c_row, f_row))
+        return [c_mat.conj().T, f_mat, c_mat]
+
+    got = expectations(space, ops(c_rows, f_rows), states.reshape(-1))
+    want = []
+    for c_row, f_row, s in zip(c_rows, f_rows, states):
+        vec = s
+        for op in reversed(ops(c_row, f_row)):
+            vec = op @ vec
+        want.append(complex(s.conj() @ vec))
+    assert isinstance(got, list) and len(got) == blocks
+    assert [type(value) for value in got] == [complex] * blocks
+    assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("alpha_shape,beta_shape", [((2, 2), (3, 1)), ((2, 2), (1,)),

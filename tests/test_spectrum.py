@@ -20,7 +20,7 @@ from fermisect.bogoliubov import (
     region_sign,
 )
 from fermisect.field import Branch, FieldConfig, Region, section_momentum, subsection_momentum
-from fermisect.fock import QuasiOperator, build_space, random_canonical_transform, vacuum_expectation
+from fermisect.fock import QuasiOperator, build_space, expectations, random_canonical_transform
 from fermisect.spectrum import (
     converged_cutoff,
     correlation_matrix,
@@ -48,7 +48,7 @@ def test_occupation_matches_fock_engine_on_truncated_rows():
         alpha, beta = next(iter_coefficients((k,), np.arange(-n_window, n_window + 1), CFG))
         c = QuasiOperator(alpha=alpha, beta=beta)
         mat = c.matrix(space)
-        fock_val = vacuum_expectation(space, [mat.conj().T, mat])
+        fock_val = expectations(space, [mat.conj().T, mat])[0]
         row_sum = float(np.sum(np.abs(c.beta) ** 2))
         assert fock_val.real == pytest.approx(row_sum, rel=1e-12)
         assert abs(fock_val.imag) <= 1e-14
@@ -73,7 +73,7 @@ def test_antiparticle_occupation_identical():
         adag_j = QuasiOperator(alpha=eye[j], beta=zero).matrix(space).conj().T
         term = alpha[j] * b_j - np.conj(beta[j]) * adag_j
         d_mat = term if d_mat is None else d_mat + term
-    val = vacuum_expectation(space, [d_mat.conj().T, d_mat])
+    val = expectations(space, [d_mat.conj().T, d_mat])[0]
     assert val.real == pytest.approx(float(np.sum(np.abs(beta) ** 2)), rel=1e-12)
 
 
@@ -162,9 +162,9 @@ def test_contraction_matches_fock_four_point_synthetic():
     c, f = ops
     space = build_space(2, 2)
     c_mat, f_mat = c.matrix(space), f.matrix(space)
-    four = vacuum_expectation(space, [c_mat.conj().T, c_mat, f_mat.conj().T, f_mat])
-    singles = (vacuum_expectation(space, [c_mat.conj().T, c_mat])
-               * vacuum_expectation(space, [f_mat.conj().T, f_mat]))
+    four = expectations(space, [c_mat.conj().T, c_mat, f_mat.conj().T, f_mat])[0]
+    singles = (expectations(space, [c_mat.conj().T, c_mat])[0]
+               * expectations(space, [f_mat.conj().T, f_mat])[0])
     wick = cross_correlation_from_rows(c.alpha, c.beta, f.alpha, f.beta)
     assert abs((four - singles) - wick) <= 1e-12
 
