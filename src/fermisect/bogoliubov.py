@@ -209,27 +209,23 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gauss_legendre_block(out, ms, ks, in_group, region, branches, cfg, order):
-    """Write the mode overlap integrals of the block entries ``in_group`` at one order into ``out``.
+def _gauss_legendre_block(ms, ks, region, branches, cfg, order):
+    """Mode overlap integrals of rows ``ms`` over columns ``ks`` at one quadrature order.
 
-    One node set, one half-mode call over the rows and one whole-interval call over the columns
-    that hold an entry of the group; each row is reduced over its own entries, so a row of the
-    block is the row alone, bit for bit.
+    One node set, one half-mode call over the rows and one whole-interval call over the columns;
+    each row is reduced alone, so a row of the block is the row alone, bit for bit.
     """
     lo, hi = region.interval(cfg)
     nodes, weights = _leggauss(order)
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
-    rows = np.flatnonzero(in_group.any(axis=1))
-    cols = np.flatnonzero(in_group.any(axis=0))
-    f_half = np.conj(mode_function(ms[rows, None], region, x, cfg))
-    f_full = mode_function(ks[cols, None], Region.WHOLE, x, cfg)
+    f_half = np.conj(mode_function(ms[:, None], region, x, cfg))
+    f_full = mode_function(ks[:, None], Region.WHOLE, x, cfg)
     if branches[0] is not branches[1]:
         # mixed-branch overlaps pair the half mode with the conjugate full mode
         f_full = np.conj(f_full)
-    for r, f_row in zip(rows.tolist(), f_half):
-        g = np.flatnonzero(in_group[r, cols])
-        out[r, cols[g]] = np.sum(w * f_row * f_full[g], axis=-1)
+    rows = [np.sum(w * f_row * f_full, axis=-1) for f_row in f_half]
+    return np.array(rows).reshape(ms.size, ks.size)  # 2-D when ms or ks is empty
 
 
 def overlap_oracle(
@@ -255,39 +251,33 @@ def overlap_oracle(
 
     ``m`` and ``k`` are each an int or a 1-D integer array; the result has shape
     ``np.shape(m) + np.shape(k)``: a complex, a row over ``k``, or a ``(len(m), len(k))``
-    block.  The entries are grouped by their quadrature order; each group fetches
-    its node set once and evaluates every half mode and every full-interval mode
-    of the group once, and every entry equals the one-entry call bit for bit.
-    Each integral is evaluated at two orders (``order`` and ``2*order``); the
+    block.  One order serves the call: by default the one that gives its fastest
+    oscillating entry 8 nodes per wavelength, so a one-entry call sets its order
+    alone and a row of a block equals the row called at the block's order, bit for
+    bit.  Each integral is evaluated at two orders (``order`` and ``2*order``); the
     first entry in row-major order whose two values disagree beyond 1e-8 raises
-    `QuadratureUnresolved` naming its ``(m, k)``.
+    `QuadratureUnresolved` naming its ``(m, k)`` and the two orders.
     """
     ms = np.atleast_1d(np.asarray(m, dtype=int))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     if order is None:
-        # >= 8 nodes per oscillation wavelength of the integrand, rounded up
-        # to a multiple of 32 so cached node sets are reused across the grid
-        cycles = (np.abs(2 * ms)[:, None] + np.abs(ks)) / 2.0
-        orders = np.maximum(64, 32 * np.ceil((8 * cycles + 16) / 32).astype(int))
-    else:
-        orders = np.full((ms.size, ks.size), order)
+        # >= 8 nodes per oscillation wavelength of the fastest integrand, rounded up
+        # to a multiple of 32 so cached node sets are reused across calls
+        cycles = (2 * max(map(abs, ms.tolist()), default=0)
+                  + max(map(abs, ks.tolist()), default=0)) / 2.0
+        order = max(64, 32 * math.ceil((8 * cycles + 16) / 32))
     b1, b2 = branches
     spin = spinor(subsection_momentum(ms[:, None], cfg), cfg.mass, b1).dot(
         spinor(section_momentum(ks, cfg), cfg.mass, b2))
-    coarse = np.empty(orders.shape, dtype=complex)
-    fine = np.empty_like(coarse)
-    for group_order in np.unique(orders).tolist():
-        in_group = orders == group_order
-        args = (ms, ks, in_group, region, branches, cfg)
-        _gauss_legendre_block(coarse, *args, group_order)
-        _gauss_legendre_block(fine, *args, 2 * group_order)
-    coarse, fine = spin * coarse, spin * fine
+    args = (ms, ks, region, branches, cfg)
+    coarse = spin * _gauss_legendre_block(*args, order)
+    fine = spin * _gauss_legendre_block(*args, 2 * order)
     gap = np.abs(fine - coarse)
     unresolved = np.argwhere(gap > 1e-8)  # in row-major order
     if unresolved.size:
         r, c = unresolved[0]
         raise QuadratureUnresolved(
-            f"entry (m={ms[r]}, k={ks[c]}): orders {orders[r, c]} and {2 * orders[r, c]}"
+            f"entry (m={ms[r]}, k={ks[c]}): orders {order} and {2 * order}"
             f" disagree by {gap[r, c]:.3e}"
         )
     if b1 is not b2:

@@ -136,15 +136,22 @@ def spinor(p, mass: float, branch: Branch) -> Spinor:
     DegenerateDispersion
         If any ``p = mass = 0``, where the normalization is singular.
     ValueError
-        If ``2*eps*(eps+mass)`` is subnormal, near ``p = 0`` below a mass of about 7e-155.
+        If ``2*eps*(eps+mass)`` is subnormal, near ``p = 0`` below a mass of about 7e-155, or
+        if it overflows, from a momentum or mass of about 1e154 on.
     """
     p = np.asarray(p, dtype=float)
     eps = energy(p, mass)
-    low = min(eps.ravel().tolist(), default=math.inf)  # the squared norm grows with eps
+    eps_list = eps.ravel().tolist()
+    # the squared norm grows with eps: the smallest eps may underflow it, the largest overflow it
+    low = min(eps_list, default=math.inf)
+    high = max(eps_list, default=0.0)
     if low == 0.0:
         raise DegenerateDispersion("spinor undefined at p = mass = 0")
     if 2.0 * low * (low + mass) < np.finfo(float).tiny:
         raise ValueError(f"spinor normalization underflows float64 at mass {mass!r}")
+    if not math.isfinite(2.0 * high * (high + mass)):
+        raise ValueError(f"spinor normalization overflows float64 at mass {mass!r}"
+                         " (momentum or mass beyond about 1e154)")
     norm = np.sqrt(2.0 * eps * (eps + mass))
     if branch is Branch.POSITIVE:
         return Spinor((eps + mass) / norm, p / norm)

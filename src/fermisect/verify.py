@@ -5,14 +5,17 @@ that validates it (numerical quadrature for the Bogoliubov coefficients, the
 exact Fock engine for vacuum expectations, Gram-based evaluation for detector
 probabilities) or asserts a structural invariant at a fixed tolerance.
 
-Three checks probe targets that the coefficient structure provably cannot
-meet: the canonicity sum converges to 1 only for the zero mode, the
-occupation saturates near 1 rather than 0.5 once the odd-index series is
-included, and the left/right correlation matrix carries no diagonal ridge.
-All three would hold if the coefficients consisted of their matched-momentum
-delta terms alone; the quadrature oracle proves the odd-index series is
-really there.  They are still run honestly and report measured numbers; see
-the README section on known deviations.
+Three checks probe targets that the coefficients do not meet in the current
+reference basis: the canonicity sum converges to 1 only for the zero mode,
+the occupation saturates near 1 rather than 0.5 once the odd-index series
+is included, and the left/right correlation matrix carries no diagonal
+ridge.  All three would hold if the coefficients consisted of their
+matched-momentum delta terms alone; the quadrature oracle proves the
+odd-index series is really there.  The measured cause of the first is that
+the reference basis is not orthonormal: its negative-branch mode of ``k``
+overlaps the positive-branch mode of ``-k`` by ``p_k/E_k``.  They are still
+run honestly and report measured numbers; see the README section on known
+deviations.
 """
 
 from __future__ import annotations

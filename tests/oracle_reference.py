@@ -148,30 +148,21 @@ def _row_values(m, ks, region, branches, cfg, order):
     return np.sum(w * f_half * f_full, axis=-1)
 
 
-def row_oracle(m, k, region, branches, cfg, order=None):
-    """`overlap_oracle` one row ``m`` at a time, each row's order groups integrated apart."""
+def row_oracle(m, k, region, branches, cfg, order):
+    """`overlap_oracle` one row ``m`` at a time, at the given order."""
     ks = np.atleast_1d(np.asarray(k, dtype=int))
-    if order is None:
-        cycles = (abs(2 * m) + np.abs(ks)) / 2.0
-        orders = np.maximum(64, 32 * np.ceil((8 * cycles + 16) / 32).astype(int))
-    else:
-        orders = np.full(ks.shape, order)
     b1, b2 = branches
     spin = spinor(subsection_momentum(m, cfg), cfg.mass, b1).dot(
         spinor(section_momentum(ks, cfg), cfg.mass, b2))
-    coarse = np.empty(ks.shape, dtype=complex)
-    fine = np.empty_like(coarse)
-    for group_order in np.unique(orders).tolist():
-        group = np.flatnonzero(orders == group_order)
-        args = (m, ks[group], region, branches, cfg)
-        coarse[group] = spin[group] * _row_values(*args, group_order)
-        fine[group] = spin[group] * _row_values(*args, 2 * group_order)
+    args = (m, ks, region, branches, cfg)
+    coarse = spin * _row_values(*args, order)
+    fine = spin * _row_values(*args, 2 * order)
     gap = np.abs(fine - coarse)
     unresolved = np.flatnonzero(gap > 1e-8)
     if unresolved.size:
         i = unresolved[0]
-        raise QuadratureUnresolved(f"entry (m={m}, k={ks[i]}): orders {orders[i]} and"
-                                   f" {2 * orders[i]} disagree by {gap[i]:.3e}")
+        raise QuadratureUnresolved(f"entry (m={m}, k={ks[i]}): orders {order} and"
+                                   f" {2 * order} disagree by {gap[i]:.3e}")
     if b1 is not b2:
         fine = np.conj(fine) if b1 is Branch.POSITIVE else -np.conj(fine)
     return fine[0] if np.ndim(k) == 0 else fine

@@ -42,3 +42,15 @@ def test_traced_output_equals_untraced():
                  "bogoliubov.overlap_oracle", "fock.expectations",
                  "detector.joint_correlation_exact_surface"):
         assert tracer.names.index(name) in tracer.rec.name_id
+
+
+def test_criterion_1_builds_two_node_sets_per_oracle_call():
+    # 12 calls (3 mu*L, 2 halves, 2 branch pairs) at order 160, each one half-mode and one
+    # whole-interval call on the coarse and the fine node set: 12 * 2 * (160 + 320) nodes
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        _stdout(["verify", "--only", "1"])
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["bogoliubov.oracle.nodes"] == 11520

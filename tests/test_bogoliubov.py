@@ -174,7 +174,7 @@ def test_block_keeps_the_entry_checks_in_row_major_order():
         overlap_oracle(m, np.array([0, 5, -6, 8]), Region.LEFT, PP, CFG, order=16).tolist()
         for m in ms.tolist()]
     # (1, 12) comes first by columns, (2, -12) by rows
-    with pytest.raises(QuadratureUnresolved, match=r"\(m=2, k=-12\)"):
+    with pytest.raises(QuadratureUnresolved, match=r"\(m=2, k=-12\): orders 16 and 32 disagree"):
         overlap_oracle(ms, np.array([0, 12, 13, -12]), Region.LEFT, PP, CFG, order=16)
     with pytest.raises(QuadratureUnresolved, match=r"\(m=1, k=12\)"):
         overlap_oracle(np.array([1, 2]), np.array([12, -12]), Region.LEFT, PP, CFG, order=16)
@@ -183,6 +183,58 @@ def test_block_keeps_the_entry_checks_in_row_major_order():
     assert np.all(np.isfinite(overlap_oracle(np.array([1, -2]), odd, Region.LEFT, PP, massless)))
     with pytest.raises(DegenerateDispersion):
         overlap_oracle(np.array([1, 0]), odd, Region.LEFT, PP, massless)
+
+
+#: One-entry default calls ``(region, branches, m, k) -> (real.hex(), imag.hex())`` at
+#: ``mu*L = 1``, ``t = 0.3``, recorded when every entry of a call took its own order.
+ENTRY_BITS = {
+    (Region.LEFT, PP, 0, 1): ("0x1.d931dd3c842d4p-3", "0x1.1f35cba3978a5p-2"),
+    (Region.LEFT, PP, 3, -7): ("-0x1.69078406ba938p-10", "-0x1.06edfc6c99fe4p-10"),
+    (Region.LEFT, PP, -8, 17): ("0x1.bec0c13612429p-13", "0x1.44b46ee03aa84p-13"),
+    (Region.LEFT, PP, 2, 4): ("0x1.6a09e667f3bcbp-1", "-0x1.33305a1694414p-58"),
+    (Region.LEFT, PM, 0, 1): ("-0x1.05564741f5dbfp-2", "-0x1.2e8bdd6ab7a23p-4"),
+    (Region.LEFT, PM, 3, -7): ("0x1.0f948ba548c49p-3", "-0x1.b7ec6215d7d2cp-2"),
+    (Region.LEFT, PM, -8, 17): ("0x1.17c12eb17a05dp-3", "-0x1.b72300a03efb6p-2"),
+    (Region.LEFT, PM, 2, 4): ("0x0.0p+0", "-0x0.0p+0"),
+    (Region.RIGHT, PP, 0, 1): ("-0x1.d931dd3c842d3p-3", "-0x1.1f35cba3978a3p-2"),
+    (Region.RIGHT, PP, 3, -7): ("0x1.69078406ba8fbp-10", "0x1.06edfc6c99feep-10"),
+    (Region.RIGHT, PP, -8, 17): ("-0x1.bec0c136123b0p-13", "-0x1.44b46ee03aafap-13"),
+    (Region.RIGHT, PP, 2, 4): ("0x1.6a09e667f3bcbp-1", "-0x1.b20de5cca00efp-59"),
+    (Region.RIGHT, PM, 0, 1): ("0x1.05564741f5dbep-2", "0x1.2e8bdd6ab7a1fp-4"),
+    (Region.RIGHT, PM, 3, -7): ("-0x1.0f948ba548c33p-3", "0x1.b7ec6215d7d2bp-2"),
+    (Region.RIGHT, PM, -8, 17): ("-0x1.17c12eb17a095p-3", "0x1.b72300a03efb8p-2"),
+    (Region.RIGHT, PM, 2, 4): ("0x0.0p+0", "-0x0.0p+0"),
+}
+
+
+def test_one_entry_default_calls_keep_their_bits():
+    # a one-entry call's order is the one its entry always took, so its bits stay
+    cfg = FieldConfig.from_mu_l(1.0, time=0.3)
+    for (region, branches, m, k), bits in ENTRY_BITS.items():
+        value = overlap_oracle(m, k, region, branches, cfg)
+        assert (value.real.hex(), value.imag.hex()) == bits
+
+
+def test_block_agrees_with_one_entry_calls_on_the_criterion_1_grid():
+    # verify integrates criterion 1's blocks at the order of their fastest entry, the bench
+    # one entry at a time at that entry's order; both resolve every entry far below 1e-12
+    ms, ks = np.arange(-8, 9), np.arange(-17, 18)
+    for mu_l in (0.1, 1.0, 10.0):
+        cfg = FieldConfig.from_mu_l(mu_l)
+        for region in (Region.LEFT, Region.RIGHT):
+            for branches in (PP, PM):
+                block = overlap_oracle(ms, ks, region, branches, cfg)
+                entries = [[overlap_oracle(m, k, region, branches, cfg) for k in ks.tolist()]
+                           for m in ms.tolist()]
+                assert np.max(np.abs(block - np.array(entries))) <= 1e-12
+
+
+def test_oracle_rejects_a_mass_whose_spinor_normalization_overflows():
+    # no domain check runs before the oracle; at mass 1e200 its spinors returned zeros
+    cfg = FieldConfig(mass=1e200, half_length=1.0)
+    for branches in (PP, PM):
+        with pytest.raises(ValueError, match="spinor normalization overflows float64"):
+            overlap_oracle(0, 1, Region.LEFT, branches, cfg)
 
 
 # --- calibration -----------------------------------------------------------

@@ -108,6 +108,21 @@ def test_spinor_rejects_a_normalization_below_the_normal_floats():
     assert spinor(1.0, 1e-200, Branch.POSITIVE).upper == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 
+def test_spinor_rejects_a_mass_whose_normalization_overflows():
+    # 2*eps*(eps+mass) overflows from eps of about 1e154 on; it divided both components to 0
+    with pytest.raises(ValueError, match="normalization overflows float64 at mass 1e\\+200"):
+        spinor(0.0, 1e200, Branch.POSITIVE)
+    assert spinor(0.0, 1e150, Branch.POSITIVE).upper == 1.0
+
+
+def test_spinor_rejects_a_momentum_whose_normalization_overflows():
+    # one overflowing column was a zero spinor beside a unit one at p = 0
+    with pytest.raises(ValueError, match="normalization overflows float64 at mass 1.0"):
+        spinor(np.array([0.0, 1e160]), 1.0, Branch.POSITIVE)
+    up = spinor(np.array([0.0, 1e150]), 1.0, Branch.POSITIVE)
+    assert up.upper.tolist() == [1.0, pytest.approx(math.sqrt(0.5), rel=1e-15)]
+
+
 def test_spinor_overlap_against_explicit_dot_product():
     # independent route: build both spinors and take the 2-vector dot product; at t = 0 an odd
     # kernel entry is the overlap times its series prefactor over its resonance denominator

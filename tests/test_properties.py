@@ -5,6 +5,7 @@ Draws are derandomized and few, so the suite stays deterministic and fast.
 """
 
 import io
+import math
 import re
 
 import numpy as np
@@ -115,15 +116,22 @@ def _bits(values):
 BRANCH_PAIRS = [(b1, b2) for b1 in Branch for b2 in Branch]
 
 
+def _call_order(ms, ks):
+    """The default order of an oracle call: 8 nodes per wavelength of its fastest entry."""
+    cycles = (2 * max(map(abs, ms)) + max(map(abs, ks))) / 2.0
+    return max(64, 32 * math.ceil((8 * cycles + 16) / 32))
+
+
 @DRAWS
 @given(mu_l=mu_ls, time=times, m=st.integers(-10, 10),
        ks=st.lists(st.integers(-24, 24), min_size=1, max_size=12),
        region=st.sampled_from((Region.LEFT, Region.RIGHT)), branches=st.sampled_from(BRANCH_PAIRS),
        order=st.sampled_from((None, 96, 160)))
 def test_oracle_row_equals_its_entries_bit_for_bit(mu_l, time, m, ks, region, branches, order):
-    # one call per row groups the entries by order; each entry keeps its bits, signed zeros too
+    # one order serves the row; each entry called at it keeps its bits, signed zeros too
     cfg = FieldConfig.from_mu_l(mu_l, time=time)
     row = overlap_oracle(m, np.array(ks), region, branches, cfg, order=order)
+    order = order or _call_order([m], ks)
     entries = [overlap_oracle(m, k, region, branches, cfg, order=order) for k in ks]
     assert row.shape == (len(ks),)
     assert _bits(row) == _bits(entries)
@@ -135,11 +143,11 @@ def test_oracle_row_equals_its_entries_bit_for_bit(mu_l, time, m, ks, region, br
        region=st.sampled_from((Region.LEFT, Region.RIGHT)), branches=st.sampled_from(BRANCH_PAIRS),
        order=st.sampled_from((None, 96, 160)))
 def test_oracle_block_equals_its_rows_bit_for_bit(mu_l, time, ms, ks, region, branches, order):
-    # one call per block groups its entries by order across rows; each row keeps its bits
+    # one order serves the block; each row called at it keeps its bits
     cfg = FieldConfig.from_mu_l(mu_l, time=time)
     args = (np.array(ks), region, branches, cfg)
     try:
-        rows = [row_oracle(m, *args, order=order) for m in ms]
+        rows = [row_oracle(m, *args, order=order or _call_order(ms, ks)) for m in ms]
     except QuadratureUnresolved as exc:  # the block names the same first entry
         with pytest.raises(QuadratureUnresolved, match=re.escape(str(exc))):
             overlap_oracle(np.array(ms), *args, order=order)
