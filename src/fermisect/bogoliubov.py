@@ -122,20 +122,20 @@ def check_domain(ms, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Raises before the first row of rows ``ms`` over ``ks``: `ValueError` where a phase argument
     ``(eps_q +- eps_p) * t`` may overflow, and where, from ``mu`` or a momentum about 1e77 on,
-    the odd columns' spinor-overlap denominator does, largest at the largest ``|m|``;
-    `DegenerateDispersion` at mass 0 when a row ``m = 0`` meets an odd column, and `ValueError`
-    there when that row's denominator product is subnormal, below a mass about ``1e-154 / p``.
+    the odd columns' spinor-overlap denominator does, largest at the largest ``|m|``.  Where a
+    row meets an odd column, the denominator product is smallest at the smallest ``|m|`` and
+    ``p = pi/L``: `DegenerateDispersion` if that row is ``m = 0`` at mass 0, else `ValueError`
+    where the product is subnormal, for ``m = 0`` below a mass about ``1e-154 / p``.
     """
     ks = np.asarray(ks, dtype=int)
-    ms = np.asarray(ms, dtype=int)
+    ms = np.asarray(ms, dtype=int).tolist()
     odd = ks % 2 != 0
     p = section_momentum(ks, cfg)
-    m_top = max(map(abs, ms.tolist()), default=0)
+    m_top = max(map(abs, ms), default=0)
     eps_q = float(energy(subsection_momentum(m_top, cfg), cfg.mass))
     with np.errstate(over="ignore"):  # 2 * eps * |t| bounds (eps_q +- eps_p) * t and 2 * eps_q * t
         eps = energy(p, cfg.mass)
-        bound = 2.0 * (np.append(energy(subsection_momentum(ms, cfg), cfg.mass), eps)
-                       * abs(cfg.time))
+        bound = 2.0 * (np.append(eps_q, eps) * abs(cfg.time))
         p, eps = p[odd], eps[odd]
         den = 2.0 * np.sqrt(eps * eps_q * (eps + cfg.mass) * (eps_q + cfg.mass))
     if not np.all(np.isfinite(bound)):
@@ -143,15 +143,19 @@ def check_domain(ms, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(den)):
         raise ValueError(f"spinor overlap overflows float64 at mass {cfg.mass!r}"
                          " (mass or momentum beyond about 1e77)")
-    if cfg.mass == 0 and odd.any() and np.any(ms == 0):
-        raise DegenerateDispersion("spinor overlap undefined at p = mass = 0")
-    # the m = 0 row's denominator product (eps_q = mu) is smallest at the smallest eps_p; where
-    # it is subnormal its root loses digits
-    tiny = np.finfo(float).tiny
-    low = min(eps.tolist(), default=math.inf) if np.any(ms == 0) else math.inf
-    if low * cfg.mass * (low + cfg.mass) * (2.0 * cfg.mass) < tiny:
-        raise ValueError(f"spinor overlap of the m = 0 row underflows float64 at mass {cfg.mass!r},"
-                         f" below about {math.sqrt(tiny / 2.0) / low:.2g}")
+    if ms and p.size:
+        # the product grows with eps_q and eps_p; where it is subnormal its root loses digits
+        m = min(ms, key=abs)
+        low_p = float(energy(section_momentum(1, cfg), cfg.mass))
+        low_q = float(energy(subsection_momentum(m, cfg), cfg.mass))
+        tiny = np.finfo(float).tiny
+        if low_p * low_q * (low_p + cfg.mass) * (low_q + cfg.mass) < tiny:
+            if m == 0 and cfg.mass == 0:
+                raise DegenerateDispersion("spinor overlap undefined at p = mass = 0")
+            where = (f"below about {math.sqrt(tiny / 2.0) / low_p:.2g}" if m == 0
+                     else f"half-length {cfg.half_length!r}")
+            raise ValueError(f"spinor overlap of the m = {m} row underflows float64 at mass"
+                             f" {cfg.mass!r}, {where}")
     return p, eps
 
 

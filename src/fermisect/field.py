@@ -95,8 +95,9 @@ class FieldConfig:
             raise ValueError(f"half_length must be > 0, got {self.half_length}")
 
     @classmethod
-    def from_mu_l(cls, mu_l: float, half_length: float = 1.0, **kwargs) -> "FieldConfig":
-        return cls(mass=mu_l / half_length, half_length=half_length, **kwargs)
+    def from_mu_l(cls, mu_l: float, **kwargs) -> "FieldConfig":
+        """The configuration at ``L = 1``, where the mass is ``mu_l``."""
+        return cls(mass=float(mu_l), half_length=1.0, **kwargs)
 
 
 @dataclass(frozen=True)

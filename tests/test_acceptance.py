@@ -1,20 +1,21 @@
 """Acceptance suite: one test per verification criterion, one report line each.
 
-Three criteria probe targets the oracle-verified coefficient structure cannot
-meet (canonicity convergence for nonzero modes, the 0.5 saturation window,
-and correlation near-diagonality); they are implemented faithfully at their
-stated tolerances and marked strict-xfail so the failure stays visible
-without drowning the suite.  The clauses of those criteria that do hold
-(zero-mode canonicity, the mu*L ordering) are asserted green in the module
-tests; the correlation matrix is real by construction.  Measured numbers and
-the full analysis live in the README's known-deviations section.
+Three criteria probe targets the oracle-verified coefficients do not meet in
+the current reference basis, which is not orthonormal (canonicity convergence
+for nonzero modes, the 0.5 saturation window, and correlation
+near-diagonality); they are implemented faithfully at their stated tolerances
+and marked strict-xfail so the failure stays visible without drowning the
+suite.  The clauses of those criteria that do hold (zero-mode canonicity, the
+mu*L ordering) are asserted green in the module tests; the correlation matrix
+is real by construction.  Measured numbers and the full analysis live in the
+README's known-deviations section.
 """
 
 import pytest
 
 from fermisect import verify
 
-KNOWN_DEVIATION = "delta-term-only target; unattainable with the full oracle-verified series (README)"
+KNOWN_DEVIATION = "delta-term-only target; not met in the current reference basis (README)"
 
 
 def _report(result):

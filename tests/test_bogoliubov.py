@@ -2,6 +2,7 @@ import importlib.util
 import io
 import math
 import os
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -495,6 +496,24 @@ def test_row_0_rejects_a_mass_whose_overlap_denominator_underflows():
         alpha, beta = next(iter_coefficients([0], [1], FieldConfig.from_mu_l(mass)))
         limit = KAPPA_ALPHA * math.sqrt((math.pi + mass) / (2.0 * math.pi)) / 0.5
         assert abs(alpha[0] - limit) <= 1e-15 * abs(limit) and np.isfinite(beta).all()
+
+
+def test_every_row_rejects_an_overlap_denominator_that_underflows():
+    # at mu*L = 1 the product eps_p*eps_q*(eps_p+mu)*(eps_q+mu) scales as L**-4: subnormal from
+    # L = 1e78 on; at L = 1e80 row 1 read -0.03464681, at 1e100 NaN
+    ms, ks = range(-4, 5), cutoff_indices(9)
+    for half_length in (1e78, 1e80, 1e100):
+        cfg = FieldConfig(mass=1.0 / half_length, half_length=half_length)
+        message = f"m = 1 row underflows float64 at mass {cfg.mass!r}, half-length {half_length!r}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            next(iter_coefficients([1, 2], ks, cfg))
+        with pytest.raises(ValueError, match="m = 0 row underflows"):
+            next(iter_coefficients(ms, ks, cfg))
+    # at L = 1e77 every row equals its mu*L = 1 row to rounding
+    want = [np.stack(row) for row in iter_coefficients(ms, ks, FieldConfig.from_mu_l(1.0))]
+    cfg = FieldConfig(mass=1e-77, half_length=1e77)
+    got = [np.stack(row) for row in iter_coefficients(ms, ks, cfg)]
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-15
 
 
 def _hex(row):

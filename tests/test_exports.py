@@ -1,8 +1,14 @@
-"""The public names: every ``__all__`` entry resolves, and the package imports only those."""
+"""The public names: every ``__all__`` entry resolves, and each is imported from its module alone."""
 
 import ast
 import importlib
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fermisect
 
@@ -17,12 +23,25 @@ def test_every_listed_name_resolves():
 
 
 def test_package_imports_only_listed_names():
+    # the root imports listed submodules alone and holds no name but __version__
     tree = ast.parse(Path(fermisect.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        assert node.level == 1 and node.module in MODULES
-        listed = importlib.import_module(f"fermisect.{node.module}").__all__
-        unlisted = [alias.name for alias in node.names if alias.name not in listed]
-        assert unlisted == [], node.module
-        assert all(alias.asname is None for alias in node.names)
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [(type(node), node.level, node.module) for node in imports] == [(ast.ImportFrom, 1, None)]
+    assert all(alias.name in MODULES and alias.asname is None for alias in imports[0].names)
+    held = [name for name, obj in vars(fermisect).items()
+            if not name.startswith("__") and not inspect.ismodule(obj)]
+    assert held == [] and fermisect.__version__ == "0.1.0"
+    with pytest.raises(ImportError):
+        from fermisect import occupation_spectrum  # noqa: F401
+
+
+def test_package_import_loads_the_computation_modules_in_order():
+    # bench/spans.py imports the package and then reads every module from sys.modules
+    code = ("import sys, fermisect; "
+            "print(' '.join(key for key in sys.modules if key.startswith('fermisect')))")
+    src = str(Path(fermisect.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == [f"fermisect.{short}" for short in
+                           ("_textio", "field", "bogoliubov", "fock", "detector", "povm",
+                            "spectrum")] + ["fermisect"]

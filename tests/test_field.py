@@ -129,7 +129,7 @@ def test_spinor_overlap_against_explicit_dot_product():
     ks = np.arange(-9, 10, 2)
     for mu_l, half_length, ms in [(1.0, 1.0, [-3, 0, 1, 4]), (0.2, 0.5, [-1, 0, 2]),
                                   (2.0, np.pi, [0, -4, 3]), (0.0, 1.0, [-2, 1, 3])]:
-        cfg = FieldConfig.from_mu_l(mu_l, half_length)
+        cfg = FieldConfig(mass=mu_l / half_length, half_length=half_length)
         u_p = spinor(section_momentum(ks, cfg), cfg.mass, Branch.POSITIVE)
         for m, (alpha, beta) in zip(ms, iter_coefficients(ms, ks, cfg)):
             q = subsection_momentum(m, cfg)

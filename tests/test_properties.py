@@ -80,7 +80,7 @@ def test_real_contractions_equal_the_complex_rows(mu_l, half_length, time, k_max
     # The rows' phase arguments (eps_q + eps_j) * t round by about |arg| * 1e-16, so the draws
     # keep mu*t small: against 40 digits at mu*L = 35, t = 1, N = 23, k_max = 7 the rows are off
     # by 2.0e-13 of the largest entry and the real sums by 1.9e-14.
-    cfg = FieldConfig.from_mu_l(mu_l, half_length=half_length, time=time)
+    cfg = FieldConfig(mass=mu_l / half_length, half_length=half_length, time=time)
     n = converged_cutoff(k_max, mu_l) if tail else n
     occupations, corr = _row_contractions(k_max, cfg, n, tail)
     spectrum = occupation_spectrum(k_max, mu_l, n, tail)
