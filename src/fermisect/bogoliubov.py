@@ -192,16 +192,20 @@ def iter_coefficients(ms, ks, cfg: FieldConfig):
         yield alpha, beta
 
 
-def canonicity_residual(m: int, n_max: int, cfg: FieldConfig) -> float:
-    """``| sum_{|k|<=n_max} (|alpha[m,k]|^2 + |beta[m,k]|^2) - 1 |``.
+def canonicity_residual(m, n_max: int, cfg: FieldConfig) -> float | np.ndarray:
+    """``| sum_{|k|<=n_max} (|alpha[m,k]|^2 + |beta[m,k]|^2) - 1 |`` of row ``m``.
 
     The exact transform would make this vanish as ``n_max`` grows; with the
     matched-momentum ``W_m`` term present the limit is nonzero for ``m != 0``
     (see package docs), so the number is reported rather than assumed small.
-    Both halves give the same residual, since ``|region_sign| = 1``.
+    Both halves give the same residual, since ``|region_sign| = 1``.  ``m`` is
+    an int, giving a float, or a 1-D integer array of rows, giving a float array
+    from one `iter_coefficients` call; each entry is the one-row call's, bit for bit.
     """
-    a, b = next(iter_coefficients((m,), cutoff_indices(n_max), cfg))
-    return float(abs(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2) - 1.0))
+    ms = np.atleast_1d(np.asarray(m, dtype=int))
+    residuals = [abs(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2) - 1.0)
+                 for a, b in iter_coefficients(ms, cutoff_indices(n_max), cfg)]
+    return float(residuals[0]) if np.ndim(m) == 0 else np.array(residuals, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +217,14 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gauss_legendre_block(ms, ks, region, branches, cfg, order):
+def _gauss_legendre_block(ms, ks, region, mixed, cfg, order):
     """Mode overlap integrals of rows ``ms`` over columns ``ks`` at one quadrature order.
 
-    One node set, one half-mode call over the rows and one whole-interval call over the columns;
-    each row is reduced alone, so a row of the block is the row alone, bit for bit.
+    Returns one block per flag in ``mixed``, in order: the half mode against the full mode, or,
+    where the flag is true, against its conjugate (a mixed-branch overlap).  One node set, one
+    half-mode call over the rows and one whole-interval call over the columns serve every
+    block; the unconjugated blocks come first, then the full modes are conjugated in place.
+    Each row is reduced alone, so a row of a block is the row alone, bit for bit.
     """
     lo, hi = region.interval(cfg)
     nodes, weights = _leggauss(order)
@@ -225,18 +232,20 @@ def _gauss_legendre_block(ms, ks, region, branches, cfg, order):
     w = 0.5 * (hi - lo) * weights
     f_half = np.conj(mode_function(ms[:, None], region, x, cfg))
     f_full = mode_function(ks[:, None], Region.WHOLE, x, cfg)
-    if branches[0] is not branches[1]:
-        # mixed-branch overlaps pair the half mode with the conjugate full mode
-        f_full = np.conj(f_full)
-    rows = [np.sum(w * f_row * f_full, axis=-1) for f_row in f_half]
-    return np.array(rows).reshape(ms.size, ks.size)  # 2-D when ms or ks is empty
+    blocks = {}
+    for conjugate in sorted(set(mixed)):
+        if conjugate:
+            np.conj(f_full, out=f_full)
+        rows = [np.sum(w * f_row * f_full, axis=-1) for f_row in f_half]
+        blocks[conjugate] = np.array(rows).reshape(ms.size, ks.size)  # 2-D when ms or ks is empty
+    return [blocks[conjugate] for conjugate in mixed]
 
 
 def overlap_oracle(
     m,
     k,
     region: Region,
-    branches: tuple[Branch, Branch],
+    branches: tuple[Branch, Branch] | list[tuple[Branch, Branch]],
     cfg: FieldConfig,
     order: int | None = None,
 ):
@@ -255,13 +264,18 @@ def overlap_oracle(
 
     ``m`` and ``k`` are each an int or a 1-D integer array; the result has shape
     ``np.shape(m) + np.shape(k)``: a complex, a row over ``k``, or a ``(len(m), len(k))``
-    block.  One order serves the call: by default the one that gives its fastest
-    oscillating entry 8 nodes per wavelength, so a one-entry call sets its order
-    alone and a row of a block equals the row called at the block's order, bit for
-    bit.  Each integral is evaluated at two orders (``order`` and ``2*order``); the
-    first entry in row-major order whose two values disagree beyond 1e-8 raises
-    `QuadratureUnresolved` naming its ``(m, k)`` and the two orders.
+    block.  ``branches`` is one pair ``(b1, b2)``, or a list of pairs, which gives a list
+    of results, one per pair in order, each the one-pair call's bit for bit: one node set,
+    one half-mode and one whole-interval evaluation per order serve every pair.  One order
+    serves the call: by default the one that gives its fastest oscillating entry 8 nodes
+    per wavelength, so a one-entry call sets its order alone and a row of a block equals
+    the row called at the block's order, bit for bit.  Each integral is evaluated at two
+    orders (``order`` and ``2*order``); the first entry in row-major order whose two values
+    disagree beyond 1e-8 raises `QuadratureUnresolved` naming its ``(m, k)`` and the two
+    orders, for the first such pair in list order.
     """
+    single = bool(branches) and isinstance(branches[0], Branch)
+    pairs = [branches] if single else list(branches)
     ms = np.atleast_1d(np.asarray(m, dtype=int))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     if order is None:
@@ -270,23 +284,26 @@ def overlap_oracle(
         cycles = (2 * max(map(abs, ms.tolist()), default=0)
                   + max(map(abs, ks.tolist()), default=0)) / 2.0
         order = max(64, 32 * math.ceil((8 * cycles + 16) / 32))
-    b1, b2 = branches
-    spin = spinor(subsection_momentum(ms[:, None], cfg), cfg.mass, b1).dot(
-        spinor(section_momentum(ks, cfg), cfg.mass, b2))
-    args = (ms, ks, region, branches, cfg)
-    coarse = spin * _gauss_legendre_block(*args, order)
-    fine = spin * _gauss_legendre_block(*args, 2 * order)
-    gap = np.abs(fine - coarse)
-    unresolved = np.argwhere(gap > 1e-8)  # in row-major order
-    if unresolved.size:
-        r, c = unresolved[0]
-        raise QuadratureUnresolved(
-            f"entry (m={ms[r]}, k={ks[c]}): orders {order} and {2 * order}"
-            f" disagree by {gap[r, c]:.3e}"
-        )
-    if b1 is not b2:
-        fine = np.conj(fine) if b1 is Branch.POSITIVE else -np.conj(fine)
-    return fine.reshape(np.shape(m) + np.shape(k))[()]
+    q, p = subsection_momentum(ms[:, None], cfg), section_momentum(ks, cfg)
+    spins = [spinor(q, cfg.mass, b1).dot(spinor(p, cfg.mass, b2)) for b1, b2 in pairs]
+    mixed = [b1 is not b2 for b1, b2 in pairs]
+    args = (ms, ks, region, mixed, cfg)
+    results = []
+    for (b1, b2), spin, coarse, fine in zip(pairs, spins, _gauss_legendre_block(*args, order),
+                                            _gauss_legendre_block(*args, 2 * order)):
+        coarse, fine = spin * coarse, spin * fine
+        gap = np.abs(fine - coarse)
+        unresolved = np.argwhere(gap > 1e-8)  # in row-major order
+        if unresolved.size:
+            r, c = unresolved[0]
+            raise QuadratureUnresolved(
+                f"entry (m={ms[r]}, k={ks[c]}): orders {order} and {2 * order}"
+                f" disagree by {gap[r, c]:.3e}"
+            )
+        if b1 is not b2:
+            fine = np.conj(fine) if b1 is Branch.POSITIVE else -np.conj(fine)
+        results.append(fine.reshape(np.shape(m) + np.shape(k))[()])
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------

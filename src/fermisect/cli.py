@@ -43,6 +43,10 @@ from .spectrum import (
 
 __all__ = ["main"]
 
+#: Most ``joint-correlation`` grid points.  The surface holds ``2 * count**2`` entries, and
+#: its JSON output peaks at about 1.2 KB per entry (CSV 0.23 KB), so 500 points peak near 0.6 GB.
+_JOINT_GRID_POINTS = 500
+
 
 class ConfigError(ValueError):
     """A flag or flag combination the command cannot run with."""
@@ -71,8 +75,8 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"bad float list {text!r}") from exc
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """``start:stop:count`` linear grid, or a comma list of values."""
+def _parse_grid(text: str, max_count: int | None = None) -> np.ndarray:
+    """``start:stop:count`` linear grid, or a comma list of values; at most ``max_count`` of them."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -83,17 +87,22 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ConfigError(f"bad grid {text!r}") from exc
         if count < 1:
             raise ConfigError("grid count must be >= 1")
-        return np.linspace(start, stop, count)
-    values = _parse_floats(text)
-    if not values:
-        raise ConfigError(f"--grid needs at least one value, got {text!r}")
-    return np.array(values)
+    else:
+        values = _parse_floats(text)
+        if not values:
+            raise ConfigError(f"--grid needs at least one value, got {text!r}")
+        count = len(values)
+    if max_count is not None and count > max_count:
+        raise ConfigError(f"--grid {text} has {count} points, above the cap of {max_count}")
+    return np.linspace(start, stop, count) if ":" in text else np.array(values)
 
 
-def _grid_labels(args, imaginary: bool = False) -> tuple[list[float], np.ndarray]:
+def _grid_labels(args, imaginary: bool = False,
+                 max_count: int | None = None) -> tuple[list[float], np.ndarray]:
     """``--grid`` values ``g`` and the labels of width-``--sigma`` detectors at ``g``.
 
-    With ``imaginary`` the labels of the detectors at ``i*g`` follow.  This is
+    With ``imaginary`` the labels of the detectors at ``i*g`` follow.  A grid of
+    more than ``max_count`` points is refused before any array is built.  This is
     where a detector grid is validated, once and as an array: ``g`` sits at
     ``x = g/sigma`` and ``i*g`` at ``p = 2*sigma*g``, and the first coordinate
     that is not finite is reported against the flags that produced it.  Each
@@ -101,7 +110,7 @@ def _grid_labels(args, imaginary: bool = False) -> tuple[list[float], np.ndarray
     ``PhasePoint(sigma, p=p).label``, signed zeros included.
     """
     sigma = PhasePoint(args.sigma).sigma  # finite and > 0 before dividing by it
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, max_count)
     n = len(grid)
 
     def finite(name: str, values: np.ndarray) -> np.ndarray:
@@ -213,7 +222,7 @@ def _cmd_detector(args) -> int:
 
 
 def _cmd_joint_correlation(args) -> int:
-    grid, labels = _grid_labels(args, imaginary=True)
+    grid, labels = _grid_labels(args, imaginary=True, max_count=_JOINT_GRID_POINTS)
     n = len(grid)
     with _grid_overflow(args):
         # one surface over both column sets: each real detector's state overlaps once

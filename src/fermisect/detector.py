@@ -31,6 +31,7 @@ __all__ = [
     "MAX_LEVEL",
     "PhasePoint",
     "WidthMismatch",
+    "gram_matrices",
     "gram_matrix",
     "joint_correlation_exact",
     "joint_correlation_exact_surface",
@@ -188,29 +189,48 @@ def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
 
 
 def gram_matrix(modes) -> np.ndarray:
-    """Hermitian PSD matrix of pairwise mode overlaps, unit diagonal.
+    """Hermitian PSD matrix of pairwise mode overlaps, unit diagonal: the one-set `gram_matrices`."""
+    return gram_matrices([modes])[0]
 
-    The upper triangle comes from the `overlap_matrix` kernel, one entry per
-    pair, and the lower triangle is its exact conjugate.  The kernel writes
-    each complex product from its real parts, runs `np.exp` on arrays and
-    keeps ``abs(gamma) ** 2``, `math.exp` and ``gamma ** (n - m)`` per entry
-    on Python numbers, so every entry has the bits of the one-pair formula.
+
+def gram_matrices(mode_sets) -> list[np.ndarray]:
+    """The Gram matrix of each set of modes in ``mode_sets``, in order; ``[]`` for no set.
+
+    The modes of one set must share one width, else `WidthMismatch`; sets may
+    differ in width.  The upper triangles of every set come from one call of
+    the `overlap_matrix` kernel, one entry per pair, and each lower triangle
+    is its exact conjugate.  The kernel writes each complex product from its
+    real parts, runs `np.exp` on arrays and keeps ``abs(gamma) ** 2``,
+    `math.exp` and ``gamma ** (n - m)`` per entry on Python numbers, so every
+    entry has the bits of the one-pair formula.
     """
-    modes = list(modes)
-    _check_widths([mode.point for mode in modes])
-    return _grams(*_ladder(modes))
+    ladders = []
+    for modes in mode_sets:
+        modes = list(modes)
+        _check_widths([mode.point for mode in modes])
+        ladders.append(_ladder(modes))
+    return _grams(ladders)
 
 
-def _grams(labels, levels) -> np.ndarray:
-    """Gram matrices of the modes at ``labels[..., i]`` with ``levels[i]``, shape ``(..., n, n)``."""
-    n = len(levels)
-    rows, cols = np.triu_indices(n, 1)
-    upper = _overlap_entries(labels[..., rows], levels[rows], labels[..., cols], levels[cols])
-    gram = np.zeros(upper.shape[:-1] + (n, n), dtype=complex)
-    gram[..., range(n), range(n)] = 1.0
-    gram[..., rows, cols] = upper
-    gram[..., cols, rows] = np.conj(upper)
-    return gram
+def _grams(ladders) -> list[np.ndarray]:
+    """Gram matrices of the sets ``(labels, levels)`` in ``ladders``, from one kernel call."""
+    if not ladders:
+        return []
+    upper_of = {n: np.triu_indices(n, 1) for n in {len(levels) for _, levels in ladders}}
+    triangles = [upper_of[len(levels)] for _, levels in ladders]
+    # labels and levels of the upper triangles' rows, then of their columns, over every set
+    sides = [np.concatenate([ladder[part][triangle[side]]
+                             for ladder, triangle in zip(ladders, triangles)])
+             for side in (0, 1) for part in (0, 1)]
+    ends = np.cumsum([len(rows) for rows, _ in triangles])
+    grams = []
+    for (_, levels), (rows, cols), upper in zip(ladders, triangles,
+                                                np.split(_overlap_entries(*sides), ends[:-1])):
+        gram = np.eye(len(levels), dtype=complex)
+        gram[rows, cols] = upper
+        gram[cols, rows] = np.conj(upper)
+        grams.append(gram)
+    return grams
 
 
 def registration_probabilities(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +328,9 @@ def joint_correlation_exact_surface(labels_a, labels_b) -> np.ndarray:
     labels = np.zeros(out.shape + (4,), dtype=complex)  # the state modes, levels 0 and 1, at 0j
     labels[..., 2] = labels_a[:, None]
     labels[..., 3] = labels_b
-    evals, evecs = np.linalg.eigh(_grams(labels.reshape(-1, 4), np.array([0, 1, 0, 0])))
+    levels = np.array([0, 1, 0, 0])
+    grams = _grams([(row, levels) for row in labels.reshape(-1, 4)])
+    evals, evecs = np.linalg.eigh(np.array(grams))
     keep = evals > 1e-12
     rank = keep.sum(axis=1)
     flat = out.reshape(-1)

@@ -45,12 +45,13 @@ def test_traced_output_equals_untraced():
 
 
 def test_criterion_1_builds_two_node_sets_per_oracle_call():
-    # 12 calls (3 mu*L, 2 halves, 2 branch pairs) at order 160, each one half-mode and one
-    # whole-interval call on the coarse and the fine node set: 12 * 2 * (160 + 320) nodes
+    # 6 calls (3 mu*L, 2 halves) at order 160, each serving both branch pairs with one
+    # half-mode and one whole-interval call on the coarse and the fine node set:
+    # 6 * 2 * (160 + 320) nodes
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
         _stdout(["verify", "--only", "1"])
     finally:
         tracer.uninstall()
-    assert tracer.metrics()["bogoliubov.oracle.nodes"] == 11520
+    assert tracer.metrics()["bogoliubov.oracle.nodes"] == 5760

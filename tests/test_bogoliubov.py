@@ -230,6 +230,65 @@ def test_block_agrees_with_one_entry_calls_on_the_criterion_1_grid():
                 assert np.max(np.abs(block - np.array(entries))) <= 1e-12
 
 
+ALL_PAIRS = [PP, PM, (Branch.NEGATIVE, Branch.POSITIVE), (Branch.NEGATIVE, Branch.NEGATIVE)]
+
+
+def _hex_entries(values):
+    return [(v.real.hex(), v.imag.hex()) for v in np.ravel(values).tolist()]
+
+
+@pytest.mark.parametrize("m,k", [(np.arange(-8, 9), np.arange(-17, 18)), (3, np.arange(-7, 8)),
+                                 (-8, 17), (2, 4)], ids=["block", "row", "entry", "matched"])
+@pytest.mark.parametrize("region", [Region.LEFT, Region.RIGHT])
+def test_pair_list_equals_the_one_pair_calls_bit_for_bit(region, m, k):
+    # one node set and one mode evaluation per order serve every pair of the list
+    cfg = FieldConfig.from_mu_l(1.0, time=0.3)
+    for pairs in (ALL_PAIRS, ALL_PAIRS[::-1], [PM, PP], [PM], []):
+        stacked = overlap_oracle(m, k, region, pairs, cfg)
+        alone = [overlap_oracle(m, k, region, branches, cfg) for branches in pairs]
+        assert isinstance(stacked, list)
+        assert [np.shape(v) for v in stacked] == [np.shape(v) for v in alone]
+        assert [_hex_entries(v) for v in stacked] == [_hex_entries(v) for v in alone]
+    alone = [overlap_oracle(m, k, region, branches, cfg, order=96) for branches in ALL_PAIRS]
+    stacked = overlap_oracle(m, k, region, ALL_PAIRS, cfg, order=96)
+    assert [_hex_entries(v) for v in stacked] == [_hex_entries(v) for v in alone]
+
+
+def _unresolved(ms, ks, branches):
+    """The message that ``overlap_oracle`` raises at order 16 on the left half, or None."""
+    try:
+        overlap_oracle(ms, ks, Region.LEFT, branches, CFG, order=16)
+    except QuadratureUnresolved as exc:
+        return str(exc)
+    return None
+
+
+def test_pair_list_raises_what_the_first_unresolved_pair_raises():
+    # at order 16 rows 2, 1, -1 over columns 0, 12, 13, -12 first fail at (2, -12) for the
+    # unmixed pairs and at (2, 12) for the mixed ones; over 0, 5, -6, 8 only the mixed pairs fail
+    ms = np.array([2, 1, -1])
+    for ks in (np.array([0, 12, 13, -12]), np.array([0, 5, -6, 8])):
+        for pairs in (ALL_PAIRS, ALL_PAIRS[::-1], [PP, PM], [PM, PP], [ALL_PAIRS[3], PM]):
+            first = next(filter(None, (_unresolved(ms, ks, branches) for branches in pairs)))
+            assert _unresolved(ms, ks, pairs) == first
+    assert "(m=2, k=-12)" in _unresolved(ms, np.array([0, 12, 13, -12]), [PP, PM])
+    assert "(m=2, k=12)" in _unresolved(ms, np.array([0, 12, 13, -12]), [PM, PP])
+    assert "(m=2, k=8): orders 16 and 32" in _unresolved(ms, np.array([0, 5, -6, 8]), [PP, PM])
+    assert _unresolved(ms, np.array([0, 5, -6, 8]), [PP, ALL_PAIRS[3]]) is None
+
+
+def test_canonicity_residual_rows_equal_the_one_row_calls_bit_for_bit():
+    ms = np.arange(-4, 5)
+    for cfg in (CFG, FieldConfig.from_mu_l(0.1, time=0.7)):
+        for n in (1, 64, 512):
+            rows = canonicity_residual(ms, n, cfg)
+            assert rows.shape == (9,) and rows.dtype == float
+            assert [r.hex() for r in rows.tolist()] == [
+                canonicity_residual(m, n, cfg).hex() for m in ms.tolist()]
+    assert type(canonicity_residual(1, 64, CFG)) is float
+    assert canonicity_residual(np.array([], dtype=int), 64, CFG).shape == (0,)
+
+
 def test_oracle_rejects_a_mass_whose_spinor_normalization_overflows():
     # no domain check runs before the oracle; at mass 1e200 its spinors returned zeros
     cfg = FieldConfig(mass=1e200, half_length=1.0)

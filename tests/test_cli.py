@@ -278,6 +278,9 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
      "--grid 1e200 at --sigma 1.0"),
     (["joint-correlation", "--grid=-1.3e154:1.3e154:2", "--out", "{tmp}/x.csv"],
      "--grid -1.3e154:1.3e154:2 at --sigma 1.0"),
+    # a joint-correlation surface holds 2 * count**2 entries; 2000 points would need about 9 GB
+    (["joint-correlation", "--grid", "0:3:2000", "--format", "json", "--out", "{tmp}/x.json"],
+     "--grid 0:3:2000 has 2000 points, above the cap of 500"),
     (["verify", "--only", "abc", "--out", "{tmp}/x.csv"], "--only needs a comma list"),
     # an --only that names no criterion would run none, or all nine
     (["verify", "--only", ",", "--out", "{tmp}/x.csv"], "--only needs a comma list"),
@@ -335,6 +338,21 @@ def test_grid_labels_equal_the_phase_point_labels(sigma):
         (z.real.hex(), z.imag.hex()) for z in want]
     _, real = cli._grid_labels(argparse.Namespace(sigma=sigma, grid=text))
     assert real.tolist() == labels[:len(grid)].tolist()
+
+
+def test_joint_correlation_refuses_a_grid_above_the_cap_before_the_surface(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "joint_correlation_surface", lambda *args: calls.append(args))
+    assert _run(capsys, ["joint-correlation", "--grid", "0:3:501"])[0] == 1
+    grid = ",".join(["0.5"] * 501)
+    assert _run(capsys, ["joint-correlation", "--grid", grid]) == (
+        1, "", f"error: --grid {grid} has 501 points, above the cap of 500\n")
+    assert calls == []
+    args = argparse.Namespace(sigma=1.0, grid=f"0:3:{cli._JOINT_GRID_POINTS}")
+    grid, labels = cli._grid_labels(args, imaginary=True, max_count=cli._JOINT_GRID_POINTS)
+    assert len(grid) == 500 and labels.shape == (1000,)
+    # the detector command's grid has no cap: its cost grows like the point count
+    assert len(cli._grid_labels(argparse.Namespace(sigma=1.0, grid="0:3:2000"))[0]) == 2000
 
 
 @pytest.mark.parametrize("command,count", [("detector", 2000), ("joint-correlation", 200)])

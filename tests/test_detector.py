@@ -14,6 +14,7 @@ from fermisect.detector import (
     LevelTooHigh,
     PhasePoint,
     WidthMismatch,
+    gram_matrices,
     gram_matrix,
     joint_correlation_exact,
     joint_correlation_exact_surface,
@@ -22,6 +23,7 @@ from fermisect.detector import (
     overlap_matrix,
     registration_probabilities,
 )
+from fermisect import detector
 import oracle_reference as reference
 
 
@@ -421,6 +423,42 @@ def _criterion_7_sets(seed):
 def test_gram_matrix_equals_pair_loop_on_criterion_7_sets(seed):
     for modes in _criterion_7_sets(seed):
         assert _hexes(gram_matrix(modes)) == _hexes(reference.gram_by_pairs(modes))
+
+
+@pytest.mark.parametrize("seed", [20240811, 1, 2, 3])
+def test_gram_matrices_equal_the_pair_loop_per_set_on_criterion_7_sets(seed):
+    sets = list(_criterion_7_sets(seed))
+    grams = gram_matrices(sets)
+    assert len(grams) == len(sets)
+    for gram, modes in zip(grams, sets):
+        assert _hexes(gram) == _hexes(reference.gram_by_pairs(modes))
+
+
+def test_gram_matrices_make_one_kernel_call_over_every_upper_triangle(monkeypatch):
+    sizes = []
+    kernel = detector._overlap_entries
+
+    def spy(label_a, level_a, label_b, level_b):
+        sizes.append(label_a.size)
+        return kernel(label_a, level_a, label_b, level_b)
+
+    monkeypatch.setattr(detector, "_overlap_entries", spy)
+    gram_matrices(_criterion_7_sets(20240811))
+    assert sizes == [3910]
+
+
+def test_gram_matrices_check_widths_per_set():
+    assert gram_matrices([]) == []
+    empty, single = gram_matrices([[], [DetectorMode(PhasePoint(0.5, x=1.0), 3)]])
+    assert empty.shape == (0, 0) and single.tolist() == [[1]]
+    # sets may differ in width; the modes of one set may not
+    wide = [DetectorMode(PhasePoint(2.0, x=x), n) for x, n in ((0.0, 0), (0.5, 1))]
+    narrow = [DetectorMode(PhasePoint(0.5, p=p), n) for p, n in ((0.3, 2), (-1.0, 0), (2.0, 1))]
+    grams = gram_matrices([wide, narrow, wide])
+    assert [_hexes(gram) for gram in grams] == [
+        _hexes(reference.gram_by_pairs(modes)) for modes in (wide, narrow, wide)]
+    with pytest.raises(WidthMismatch):
+        gram_matrices([wide, narrow[:1] + wide])
 
 
 @pytest.mark.parametrize("count", [250, 500, 750, 1000, 1250, 1500, 1750, 2000])
