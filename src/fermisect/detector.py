@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from . import fock
 
@@ -104,6 +103,35 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _laguerre(n, alpha, x) -> np.ndarray:
+    """Generalized Laguerre ``L_n^(alpha)(x)`` over 1-D arrays of integer ``n, alpha >= 0``.
+
+    The integer-degree loop of ``scipy.special.eval_genlaguerre`` as masked
+    updates, so every entry has its bits: degree 0 gives 1, degree 1 gives
+    ``-x + alpha + 1``, and a higher degree runs ``n - 1`` steps of the
+    ``d``/``p`` recurrence times ``binom(n + alpha, n)``.  That binomial is
+    the product loop over the smaller of ``n`` and ``alpha``, ``num`` and
+    ``den`` kept apart, which up to `MAX_LEVEL` never reaches the loop's
+    rescaling bound of 1e50.
+    """
+    alpha = alpha.astype(float)
+    d = -x / (alpha + 1)
+    p = d + 1
+    for kk in range(int(n.max(initial=0)) - 1):
+        k = kk + 1.0
+        step = n - 1 > kk
+        d = np.where(step, -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d, d)
+        p = np.where(step, d + p, p)
+    top = n + alpha
+    factors = np.where(n > top / 2, top - n, n)
+    num, den = np.ones_like(x), np.ones_like(x)
+    for i in range(1, int(factors.max(initial=0)) + 1):
+        more = factors >= i
+        num = np.where(more, num * (i + top - factors), num)
+        den = np.where(more, den * i, den)
+    return np.where(n == 0, 1.0, np.where(n == 1, -x + alpha + 1, num / den * p))
+
+
 def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
     """``<a, n_a | b, n_b>`` over broadcast arrays of complex labels and integer levels.
 
@@ -141,7 +169,7 @@ def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
     pr = np.where(live, power.real, np.copysign(1.0, power.real))
     pi = np.where(live, power.imag, np.copysign(1.0, power.imag))
     laguerre = np.where(lo % 2 == 1, -1.0, 1.0)
-    laguerre[live] = eval_genlaguerre(lo[live], k[live], x[live])
+    laguerre[live] = _laguerre(lo[live], k[live], x[live])
     ur, ui = _cmul(*_cmul(amp, 0.0, pr, pi), laguerre, 0.0)
     ui = np.where(swap, -ui, ui)
     # exp((conj(a)*b - a*conj(b))/2) = exp(i*Im(conj(a)*b)), the phase of the ground overlap,
@@ -348,16 +376,13 @@ def _span_correlations(coeffs) -> list[float]:
     """Correlation of each pair from its span coefficients, shape ``(pairs, 4 modes, rank)``."""
     pairs, _, rank = coeffs.shape
     space = fock.build_space(rank, 0)
-
-    def annihilator(row: int):
-        return fock.QuasiOperator(np.conj(coeffs[:, row]), np.zeros((pairs, 0))).matrix(space)
-
-    create_g1, create_g2 = (annihilator(row).conj().T for row in (0, 1))
-    state = (create_g1 @ (create_g2 @ np.tile(space.vacuum(), pairs))).reshape(pairs, -1)
-    state = np.concatenate([block / np.linalg.norm(block) for block in state])
-    n_a, n_b = (ann.conj().T @ ann for ann in map(annihilator, (2, 3)))
+    g1, g2, ann_a, ann_b = (fock.QuasiOperator(np.conj(coeffs[:, row]), np.zeros((pairs, 0)))
+                            for row in range(4))
+    state = g1.adjoint.act(space, g2.adjoint.act(space, np.tile(space.vacuum(), (pairs, 1))))
+    state = np.array([s / np.linalg.norm(s) for s in state])
+    n_a, n_b = [ann_a.adjoint, ann_a], [ann_b.adjoint, ann_b]
     fours, singles_b, singles_a = (fock.expectations(space, ops, state)
-                                   for ops in ([n_b, n_a], [n_b], [n_a]))
+                                   for ops in (n_b + n_a, n_b, n_a))
     return [float((four - b * a).real) for four, b, a in zip(fours, singles_b, singles_a)]
 
 

@@ -42,7 +42,7 @@ from .spectrum import correlation_matrix, cross_correlation_from_rows, occupatio
 
 __all__ = ["CriterionResult", "run", "CRITERIA"]
 
-#: Basis states in one stack of Fock blocks in criterion 5; bounds its peak memory.
+#: Basis states in one stack of Fock states in criterion 5; bounds its peak memory.
 _STACK_STATES = 2048
 
 
@@ -131,8 +131,8 @@ def criterion_wick_oracle() -> CriterionResult:
     """Contraction formula equals exact Fock four-point for 100 random transforms.
 
     The transforms of each mode count go to the Fock engine as stacks of at
-    most `_STACK_STATES` basis states, one block-diagonal matrix per operator
-    and stack; each block's values have the bits of its transform alone.
+    most `_STACK_STATES` basis states, one stacked operator per stack; each
+    state's values have the bits of its transform alone.
     """
     tol = 1e-10
     draws = {}  # n_modes -> [(c, f)]
@@ -153,12 +153,10 @@ def criterion_wick_oracle() -> CriterionResult:
 
 def _wick_deviations(space, cs, fs) -> list[float]:
     """``|(four - singles) - wick|`` of each pair ``(c, f)``, the pairs stacked on ``space``."""
-    c_mat, f_mat = (QuasiOperator(np.array([op.alpha for op in ops]),
-                                  np.array([op.beta for op in ops])).matrix(space)
-                    for ops in (cs, fs))
-    c_dag, f_dag = c_mat.conj().T, f_mat.conj().T
-    values = (expectations(space, ops)
-              for ops in ([c_dag, c_mat, f_dag, f_mat], [c_dag, c_mat], [f_dag, f_mat]))
+    c_op, f_op = (QuasiOperator(np.array([op.alpha for op in ops]),
+                                np.array([op.beta for op in ops])) for ops in (cs, fs))
+    values = (expectations(space, ops) for ops in ([c_op.adjoint, c_op, f_op.adjoint, f_op],
+                                                   [c_op.adjoint, c_op], [f_op.adjoint, f_op]))
     deviations = []
     for c, f, four, c_single, f_single in zip(cs, fs, *values):
         wick = cross_correlation_from_rows(c.alpha, c.beta, f.alpha, f.beta)

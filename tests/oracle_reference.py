@@ -39,7 +39,10 @@ def jordan_wigner(nmodes: int) -> tuple:
 
 
 def matrix_by_terms(op, space):
-    """`QuasiOperator.matrix` as a sum of one Kronecker-built sparse matrix per nonzero coefficient."""
+    """The matrix of a one-row `QuasiOperator`, one Kronecker-built matrix per nonzero coefficient.
+
+    Column k is the operator's action on basis state k.
+    """
     create = jordan_wigner(space.n_modes)
     out = sparse.csr_matrix((space.dimension, space.dimension), dtype=complex)
     for j, a in enumerate(op.alpha):
@@ -114,7 +117,8 @@ def joint_correlation_by_span(a, b) -> float:
     """`detector.joint_correlation_exact_surface` one pair at a time, on its own Fock space.
 
     Orthonormalizes the span of the four modes from the pair's own Gram
-    matrix and builds every annihilator as a one-row `QuasiOperator`.
+    matrix and builds every annihilator as a one-row `QuasiOperator`, acting
+    on the pair's state alone.
     """
     g1, g2 = _state_modes(a.sigma)
     gram = gram_matrix([g1, g2, DetectorMode(a, 0), DetectorMode(b, 0)])
@@ -122,16 +126,18 @@ def joint_correlation_by_span(a, b) -> float:
     keep = evals > 1e-12
     coeffs = np.conj(evecs[:, keep] * np.sqrt(evals[keep]))
     space = build_space(coeffs.shape[1], 0)
+    ann = [QuasiOperator(np.conj(coeffs[row]), np.zeros(0)) for row in range(4)]
 
-    def annihilator(row: int):
-        return QuasiOperator(np.conj(coeffs[row]), np.zeros(0)).matrix(space)
+    def apply(ops, vec):
+        for op in reversed(ops):
+            vec = op.act(space, vec[None])[0]
+        return vec
 
-    state = annihilator(0).conj().T @ (annihilator(1).conj().T @ space.vacuum())
+    state = apply([ann[0].adjoint, ann[1].adjoint], space.vacuum())
     state = state / np.linalg.norm(state)
-    n_a = annihilator(2).conj().T @ annihilator(2)
-    n_b = annihilator(3).conj().T @ annihilator(3)
-    four = complex(state.conj() @ (n_b @ (n_a @ state)))
-    singles = complex(state.conj() @ (n_b @ state)) * complex(state.conj() @ (n_a @ state))
+    n_a, n_b = [ann[2].adjoint, ann[2]], [ann[3].adjoint, ann[3]]
+    four = complex(state.conj() @ apply(n_b + n_a, state))
+    singles = complex(state.conj() @ apply(n_b, state)) * complex(state.conj() @ apply(n_a, state))
     return float((four - singles).real)
 
 

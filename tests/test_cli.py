@@ -160,7 +160,7 @@ GOLDEN = [
     (["bogoliubov", "--mu-l", "1", "--truncation", "16"], 0, "f934984937b773c7"),
     (["bogoliubov", "--mu-l", "3", "--truncation", "16", "--region", "right", "--time", "0.25"],
      0, "e11288d5ca4fe4e5"),
-    (["verify", "--only", "1,2,5"], 2, "670d942dffcef67a"),
+    (["verify", "--only", "1,2,5"], 2, "be54b050622b5f05"),
     (["detector", "--sigma", "0.5", "--grid", "0:3:7"], 0, "5904ead80035b374"),
     (["detector", "--grid", "0,0.5,2.25", "--format", "json"], 0, "2f7293e6252d7e27"),
     (["joint-correlation", "--sigma", "2.0", "--grid", "0:2.5:4"], 0, "64895c6e3e3451fc"),
@@ -195,7 +195,7 @@ GOLDEN = [
     (["bogoliubov", "--mu-l", "0.1", "--truncation", "96", "--region", "right", "--time", "-0.7"],
      0, "1d6e9da42d86b201"),
     # all 9 criteria: one quadrature order per oracle block gives criterion 1 2.903e-14
-    (["verify"], 2, "4aa7b6da3b0ce277"),
+    (["verify"], 2, "6976d52cd8e20afa"),
 ]
 
 

@@ -45,3 +45,27 @@ def test_package_import_loads_the_computation_modules_in_order():
     assert out.split() == [f"fermisect.{short}" for short in
                            ("_textio", "field", "bogoliubov", "fock", "detector", "povm",
                             "spectrum")] + ["fermisect"]
+
+
+def test_spectrum_is_the_one_module_that_imports_scipy():
+    importers = []
+    for path in sorted(Path(fermisect.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module]
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            importers.append(path.stem)
+    assert importers == ["spectrum"]
+
+
+def test_cli_import_loads_no_sparse_or_linalg_scipy():
+    code = ("import sys, fermisect.cli; "
+            "print(' '.join(key for key in sys.modules if key.startswith('scipy')))")
+    src = str(Path(fermisect.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = out.split()
+    assert "scipy.special" in loaded
+    assert not [key for key in loaded if key.startswith(("scipy.sparse", "scipy.linalg"))]

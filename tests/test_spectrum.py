@@ -47,8 +47,7 @@ def test_occupation_matches_fock_engine_on_truncated_rows():
     for k in (1, 2):
         alpha, beta = next(iter_coefficients((k,), np.arange(-n_window, n_window + 1), CFG))
         c = QuasiOperator(alpha=alpha, beta=beta)
-        mat = c.matrix(space)
-        fock_val = expectations(space, [mat.conj().T, mat])[0]
+        fock_val = expectations(space, [c.adjoint, c])[0]
         row_sum = float(np.sum(np.abs(c.beta) ** 2))
         assert fock_val.real == pytest.approx(row_sum, rel=1e-12)
         assert abs(fock_val.imag) <= 1e-14
@@ -66,14 +65,10 @@ def test_antiparticle_occupation_identical():
     space = build_space(2 * n_window + 1, 2 * n_window + 1)
     k = 1
     alpha, beta = next(iter_coefficients((k,), np.arange(-n_window, n_window + 1), CFG))
-    zero, eye = np.zeros(2 * n_window + 1), np.eye(2 * n_window + 1)
-    d_mat = None
-    for j in range(2 * n_window + 1):
-        b_j = QuasiOperator(alpha=zero, beta=eye[j]).matrix(space).conj().T
-        adag_j = QuasiOperator(alpha=eye[j], beta=zero).matrix(space).conj().T
-        term = alpha[j] * b_j - np.conj(beta[j]) * adag_j
-        d_mat = term if d_mat is None else d_mat + term
-    val = expectations(space, [d_mat.conj().T, d_mat])[0]
+    # d = sum_j alpha[j] b_j - conj(beta[j]) adag_j is the adjoint of the quasi-operator
+    # sum_j -beta[j] a_j + conj(alpha[j]) bdag_j
+    d = QuasiOperator(alpha=-beta, beta=alpha).adjoint
+    val = expectations(space, [d.adjoint, d])[0]
     assert val.real == pytest.approx(float(np.sum(np.abs(beta) ** 2)), rel=1e-12)
 
 
@@ -161,10 +156,8 @@ def test_contraction_matches_fock_four_point_synthetic():
     ops = random_canonical_transform(2, seed=11)
     c, f = ops
     space = build_space(2, 2)
-    c_mat, f_mat = c.matrix(space), f.matrix(space)
-    four = expectations(space, [c_mat.conj().T, c_mat, f_mat.conj().T, f_mat])[0]
-    singles = (expectations(space, [c_mat.conj().T, c_mat])[0]
-               * expectations(space, [f_mat.conj().T, f_mat])[0])
+    four = expectations(space, [c.adjoint, c, f.adjoint, f])[0]
+    singles = expectations(space, [c.adjoint, c])[0] * expectations(space, [f.adjoint, f])[0]
     wick = cross_correlation_from_rows(c.alpha, c.beta, f.alpha, f.beta)
     assert abs((four - singles) - wick) <= 1e-12
 
