@@ -192,20 +192,17 @@ def iter_coefficients(ms, ks, cfg: FieldConfig):
         yield alpha, beta
 
 
-def canonicity_residual(m, n_max: int, cfg: FieldConfig) -> float | np.ndarray:
-    """``| sum_{|k|<=n_max} (|alpha[m,k]|^2 + |beta[m,k]|^2) - 1 |`` of row ``m``.
+def canonicity_residual(ms, n_max: int, cfg: FieldConfig) -> np.ndarray:
+    """``| sum_{|k|<=n_max} (|alpha[m,k]|^2 + |beta[m,k]|^2) - 1 |`` of each row ``m`` of ``ms``.
 
     The exact transform would make this vanish as ``n_max`` grows; with the
     matched-momentum ``W_m`` term present the limit is nonzero for ``m != 0``
     (see package docs), so the number is reported rather than assumed small.
-    Both halves give the same residual, since ``|region_sign| = 1``.  ``m`` is
-    an int, giving a float, or a 1-D integer array of rows, giving a float array
-    from one `iter_coefficients` call; each entry is the one-row call's, bit for bit.
+    Both halves give the same residual, since ``|region_sign| = 1``.  One `iter_coefficients`
+    call serves every row of the 1-D int array ``ms``, each entry bit-identical to its one-row call.
     """
-    ms = np.atleast_1d(np.asarray(m, dtype=int))
-    residuals = [abs(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2) - 1.0)
-                 for a, b in iter_coefficients(ms, cutoff_indices(n_max), cfg)]
-    return float(residuals[0]) if np.ndim(m) == 0 else np.array(residuals, dtype=float)
+    return np.array([abs(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2) - 1.0)
+                     for a, b in iter_coefficients(ms, cutoff_indices(n_max), cfg)], dtype=float)
 
 
 # ---------------------------------------------------------------------------

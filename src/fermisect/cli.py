@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import re
@@ -207,8 +208,7 @@ def _cmd_correlation(args) -> int:
 def _cmd_bogoliubov(args) -> int:
     mu_l = _single_mu_l(args.mu_l)
     cfg = FieldConfig.from_mu_l(mu_l, time=args.time)
-    region = Region.LEFT if args.region == "left" else Region.RIGHT
-    pair_to_csv(region, _target(args.out), cfg, args.truncation)
+    pair_to_csv(Region(args.region), _target(args.out), cfg, args.truncation)
     return 0
 
 
@@ -246,7 +246,7 @@ def _cmd_povm(args) -> int:
         table = entangled_table(args.entangled)
     else:
         table = product_table(args.product[0], args.product[1])
-    payload = table.as_dict()
+    payload = dataclasses.asdict(table)
     if args.format == "csv":
         write_table(_target(args.out), {}, ("cell", "probability"),
                     (f"{k},{v!r}\n" for k, v in payload.items()))

@@ -31,7 +31,6 @@ __all__ = [
     "PhasePoint",
     "WidthMismatch",
     "gram_matrices",
-    "gram_matrix",
     "joint_correlation_exact",
     "joint_correlation_exact_surface",
     "joint_correlation_surface",
@@ -214,11 +213,6 @@ def overlap_matrix(modes_a, modes_b) -> np.ndarray:
 def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
     """Gram entry ``<a, n_a | b, n_b>`` between two detector modes: the 1x1 `overlap_matrix`."""
     return complex(overlap_matrix([a], [b])[0, 0])
-
-
-def gram_matrix(modes) -> np.ndarray:
-    """Hermitian PSD matrix of pairwise mode overlaps, unit diagonal: the one-set `gram_matrices`."""
-    return gram_matrices([modes])[0]
 
 
 def gram_matrices(mode_sets) -> list[np.ndarray]:

@@ -175,8 +175,7 @@ def expectations(space: FockSpace, operators, state=None) -> list[complex]:
     operators = list(operators)
     if state is None:
         blocks = max((len(np.atleast_2d(op.alpha)) for op in operators), default=1)
-        state = np.zeros((blocks, space.dimension), dtype=complex)
-        state[:, 0] = 1.0
+        state = np.tile(space.vacuum(), (blocks, 1))
     state = np.atleast_2d(state)
     vec = state
     for op in reversed(operators):

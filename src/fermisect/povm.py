@@ -36,9 +36,6 @@ class JointTable:
     p21: float
     p22: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {"p11": self.p11, "p12": self.p12, "p21": self.p21, "p22": self.p22}
-
     def marginal_a(self) -> tuple[float, float]:
         return (self.p11 + self.p12, self.p21 + self.p22)
 

@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.special import eval_genlaguerre
 
 from fermisect.bogoliubov import KAPPA_ALPHA, KAPPA_BETA, QuadratureUnresolved, coeff_w
-from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch, gram_matrix
+from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch, gram_matrices
 from fermisect.field import (Branch, Region, energy, mode_function, section_momentum, spinor,
                              subsection_momentum)
 from fermisect.fock import QuasiOperator, build_space
@@ -77,7 +77,7 @@ def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
 
 
 def gram_by_pairs(modes) -> np.ndarray:
-    """`detector.gram_matrix` from one scalar `mode_overlap` per upper-triangle pair."""
+    """A `detector.gram_matrices` entry from one scalar `mode_overlap` per upper-triangle pair."""
     modes = list(modes)
     n = len(modes)
     gram = np.empty((n, n), dtype=complex)
@@ -121,7 +121,7 @@ def joint_correlation_by_span(a, b) -> float:
     on the pair's state alone.
     """
     g1, g2 = _state_modes(a.sigma)
-    gram = gram_matrix([g1, g2, DetectorMode(a, 0), DetectorMode(b, 0)])
+    gram = gram_matrices([[g1, g2, DetectorMode(a, 0), DetectorMode(b, 0)]])[0]
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > 1e-12
     coeffs = np.conj(evecs[:, keep] * np.sqrt(evals[keep]))

@@ -284,8 +284,7 @@ def test_canonicity_residual_rows_equal_the_one_row_calls_bit_for_bit():
             rows = canonicity_residual(ms, n, cfg)
             assert rows.shape == (9,) and rows.dtype == float
             assert [r.hex() for r in rows.tolist()] == [
-                canonicity_residual(m, n, cfg).hex() for m in ms.tolist()]
-    assert type(canonicity_residual(1, 64, CFG)) is float
+                canonicity_residual(np.array([m]), n, cfg)[0].hex() for m in ms.tolist()]
     assert canonicity_residual(np.array([], dtype=int), 64, CFG).shape == (0,)
 
 
@@ -394,15 +393,15 @@ def test_magnitudes_independent_of_time():
 # --- canonicity residual (honest numbers, see README) -----------------------
 
 def test_canonicity_residual_zero_mode_converges():
-    r = [canonicity_residual(0, n, CFG) for n in (64, 128, 256, 512)]
+    r = [canonicity_residual(np.array([0]), n, CFG)[0] for n in (64, 128, 256, 512)]
     assert all(r[i + 1] < r[i] for i in range(3))
     assert r[-1] <= r[0] / 4.0
 
 
 def test_canonicity_residual_snapshot_nonzero_modes():
     # the matched-momentum W term keeps the sum above 1 for m != 0
-    assert canonicity_residual(1, 512, CFG) == pytest.approx(0.878, abs=2e-3)
-    assert canonicity_residual(4, 512, CFG) == pytest.approx(0.973, abs=2e-3)
+    assert canonicity_residual(np.array([1]), 512, CFG)[0] == pytest.approx(0.878, abs=2e-3)
+    assert canonicity_residual(np.array([4]), 512, CFG)[0] == pytest.approx(0.973, abs=2e-3)
 
 
 # --- the oracle's reference basis (README, Known deviations) ----------------
@@ -450,7 +449,7 @@ def test_oracle_parseval_sum_is_one_plus_canonicity_residual(m, total):
     alpha = overlap_oracle(m, ks, Region.LEFT, PP, CFG)
     beta = overlap_oracle(m, ks, Region.LEFT, PM, CFG)
     parseval = np.sum(np.abs(alpha) ** 2) + np.sum(np.abs(beta) ** 2)
-    assert abs(parseval - (1.0 + canonicity_residual(m, 48, CFG))) <= 1e-13
+    assert abs(parseval - (1.0 + canonicity_residual(np.array([m]), 48, CFG)[0])) <= 1e-13
     assert parseval == pytest.approx(total, abs=5e-6)
 
 

@@ -16,7 +16,6 @@ from fermisect.detector import (
     PhasePoint,
     WidthMismatch,
     gram_matrices,
-    gram_matrix,
     joint_correlation_exact,
     joint_correlation_exact_surface,
     joint_correlation_surface,
@@ -252,7 +251,7 @@ def test_gram_hermitian_psd_unit_diagonal():
         s = float(rng.uniform(0.4, 1.8))
         modes = [DetectorMode(PhasePoint(s, float(rng.normal()), float(rng.normal())),
                               int(rng.integers(0, 6))) for _ in range(n)]
-        gram = gram_matrix(modes)
+        gram = gram_matrices([modes])[0]
         assert np.allclose(gram, gram.conj().T)
         assert np.allclose(np.diag(gram), 1.0)
         assert np.linalg.eigvalsh(gram).min() >= -1e-10
@@ -404,7 +403,7 @@ def test_overlap_matrix_empty_sides():
     assert overlap_matrix([], modes).shape == (0, 1)
     assert overlap_matrix(modes, []).shape == (1, 0)
     assert overlap_matrix([], []).shape == (0, 0)
-    assert gram_matrix([]).shape == (0, 0)
+    assert gram_matrices([[]])[0].shape == (0, 0)
 
 
 def test_laguerre_factor_equals_scipy_by_bits():
@@ -437,7 +436,7 @@ def _criterion_7_sets(seed):
 @pytest.mark.parametrize("seed", [20240811, 1, 2, 3])
 def test_gram_matrix_equals_pair_loop_on_criterion_7_sets(seed):
     for modes in _criterion_7_sets(seed):
-        assert _hexes(gram_matrix(modes)) == _hexes(reference.gram_by_pairs(modes))
+        assert _hexes(gram_matrices([modes])[0]) == _hexes(reference.gram_by_pairs(modes))
 
 
 @pytest.mark.parametrize("seed", [20240811, 1, 2, 3])
@@ -504,7 +503,7 @@ def test_overlap_overflow_raises_like_the_scalar():
         with pytest.raises(OverflowError):
             overlap_matrix([origin, a], [b, origin])
         with pytest.raises(OverflowError):
-            gram_matrix([origin, a, b])
+            gram_matrices([[origin, a, b]])
 
 
 def test_far_apart_overlap_is_an_exact_zero():
@@ -512,7 +511,7 @@ def test_far_apart_overlap_is_an_exact_zero():
     near = DetectorMode(PhasePoint(1.0), MAX_LEVEL)
     far = DetectorMode(PhasePoint(1.0, x=1e6), MAX_LEVEL)
     assert mode_overlap(near, far) == 0 and mode_overlap(far, near) == 0
-    assert np.isfinite(np.linalg.eigvalsh(gram_matrix([near, far]))).all()
+    assert np.isfinite(np.linalg.eigvalsh(gram_matrices([[near, far]])[0])).all()
 
 
 @pytest.mark.parametrize("far", [1e160, -1e160, 1e300, -1e300])
@@ -523,7 +522,7 @@ def test_far_on_axis_overlap_with_itself_is_exactly_one(far, axis):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         ground = mode_overlap(DetectorMode(point, 0), DetectorMode(point, 0))
-        gram = gram_matrix([DetectorMode(point, 0), DetectorMode(point, 1)])
+        gram = gram_matrices([[DetectorMode(point, 0), DetectorMode(point, 1)]])[0]
     assert ground == 1
     assert (gram == np.eye(2)).all()
 
@@ -536,7 +535,7 @@ def test_far_off_axis_overlap_with_itself_is_exactly_one(x, p):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         ground = mode_overlap(DetectorMode(point, 0), DetectorMode(point, 0))
-        gram = gram_matrix([DetectorMode(point, 0), DetectorMode(point, 1)])
+        gram = gram_matrices([[DetectorMode(point, 0), DetectorMode(point, 1)]])[0]
     assert ground == 1
     assert (gram == np.eye(2)).all()
 
@@ -552,7 +551,7 @@ def test_far_off_axis_overlap_of_distinct_labels_is_exactly_zero(a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         ground = mode_overlap(DetectorMode(a, 0), DetectorMode(b, 0))
-        gram = gram_matrix([DetectorMode(a, 0), DetectorMode(b, 0), DetectorMode(b, 2)])
+        gram = gram_matrices([[DetectorMode(a, 0), DetectorMode(b, 0), DetectorMode(b, 2)]])[0]
     assert ground == 0
     assert (gram == np.eye(3)).all()
 
@@ -600,4 +599,4 @@ def test_overlap_width_mismatch_anywhere_on_either_side():
             with pytest.raises(WidthMismatch):
                 overlap_matrix(a, b)
         with pytest.raises(WidthMismatch):
-            gram_matrix(mixed)
+            gram_matrices([mixed])

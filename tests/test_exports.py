@@ -1,4 +1,5 @@
-"""The public names: every ``__all__`` entry resolves, and each is imported from its module alone."""
+"""The public names: every ``__all__`` entry resolves, has a caller outside the tests, and each
+is imported from its module alone."""
 
 import ast
 import importlib
@@ -20,6 +21,26 @@ def test_every_listed_name_resolves():
         module = importlib.import_module(f"fermisect.{short}")
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], short
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a reference is a Name, an Attribute's attr or an import alias in src/ or bench/;
+    # strings, def and class names and the __all__ entries themselves do not count
+    package = Path(fermisect.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    referenced = set()
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unused = [f"{short}.{name}" for short in MODULES
+              for name in importlib.import_module(f"fermisect.{short}").__all__
+              if name not in referenced]
+    assert unused == []
 
 
 def test_package_imports_only_listed_names():

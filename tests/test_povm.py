@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fermisect.povm import (
@@ -36,7 +38,8 @@ def test_product_rule_exact():
 
 
 def test_entangled_table_structure():
-    assert entangled_table(1.0).as_dict() == {"p11": 1.0, "p12": 0.0, "p21": 0.0, "p22": 0.0}
+    assert dataclasses.asdict(entangled_table(1.0)) == {"p11": 1.0, "p12": 0.0, "p21": 0.0,
+                                                         "p22": 0.0}
     t = entangled_table(0.5)
     assert (t.p11, t.p12, t.p21, t.p22) == (0.5, 0.0, 0.0, 0.5)
     for p in (0.1, 0.42, 0.9):

@@ -21,7 +21,7 @@ from fermisect.bogoliubov import (
     pair_to_csv,
     region_sign,
 )
-from fermisect.detector import DetectorMode, PhasePoint, gram_matrix
+from fermisect.detector import DetectorMode, PhasePoint, gram_matrices
 from fermisect.field import Branch, FieldConfig, Region, energy, subsection_momentum
 from fermisect.spectrum import (
     converged_cutoff,
@@ -181,6 +181,7 @@ def test_csv_round_trip_is_exact(mu_l, time, region, n):
                       min_size=2, max_size=20))
 def test_gram_matrix_is_positive_semidefinite(sigma, modes):
     # pairwise overlaps of normalized modes: unit diagonal, no negative eigenvalue
-    gram = gram_matrix(DetectorMode(PhasePoint(sigma, x=x, p=p), level) for x, p, level in modes)
+    gram = gram_matrices([(DetectorMode(PhasePoint(sigma, x=x, p=p), level)
+                           for x, p, level in modes)])[0]
     assert np.all(np.diag(gram) == 1.0)
     assert np.min(np.linalg.eigvalsh(gram)) >= -1e-10

@@ -89,7 +89,8 @@ def test_overflowing_spinor_overlap_raises():
     assert occupation_spectrum(1, 1e76, 9)[0] == pytest.approx(4.284e-151, rel=1e-3)
     for compute in (lambda mu_l: occupation_spectrum(1, mu_l, 9)[0],
                     lambda mu_l: correlation_matrix(2, mu_l, 9),
-                    lambda mu_l: canonicity_residual(1, 9, FieldConfig.from_mu_l(mu_l))):
+                    lambda mu_l: canonicity_residual(np.array([1]), 9,
+                                                     FieldConfig.from_mu_l(mu_l))):
         with pytest.raises(ValueError, match="overflows float64"):
             compute(1e77)
 
@@ -144,7 +145,7 @@ def test_occupation_input_validation():
         for compute in (lambda n: occupation_spectrum(2, 1.0, n),
                         lambda n: correlation_matrix(2, 1.0, n),
                         lambda n: pair_to_csv(Region.LEFT, io.StringIO(), CFG, n),
-                        lambda n: canonicity_residual(0, n, CFG)):
+                        lambda n: canonicity_residual(np.array([0]), n, CFG)):
             with pytest.raises(ValueError, match=f"truncation must be >= 1, got {n_bad}"):
                 compute(n_bad)
 
