@@ -43,7 +43,6 @@ import numpy as np
 from ._textio import write_table
 from .field import (
     Branch,
-    DegenerateDispersion,
     FieldConfig,
     Region,
     energy,
@@ -120,12 +119,12 @@ def region_sign(ks, region: Region) -> np.ndarray:
 def check_domain(ms, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
     """Momenta and energies ``(p, eps)`` of the odd columns in ``ks``, after the domain checks.
 
-    Raises before the first row of rows ``ms`` over ``ks``: `ValueError` where a phase argument
-    ``(eps_q +- eps_p) * t`` may overflow, and where, from ``mu`` or a momentum about 1e77 on,
-    the odd columns' spinor-overlap denominator does, largest at the largest ``|m|``.  Where a
-    row meets an odd column, the denominator product is smallest at the smallest ``|m|`` and
-    ``p = pi/L``: `DegenerateDispersion` if that row is ``m = 0`` at mass 0, else `ValueError`
-    where the product is subnormal, for ``m = 0`` below a mass about ``1e-154 / p``.
+    Raises `ValueError` before the first row of rows ``ms`` over ``ks``: where a phase argument
+    ``(eps_q +- eps_p) * t`` may overflow; where, from ``mu`` or a momentum about 1e77 on, the
+    odd columns' spinor-overlap denominator does, largest at the largest ``|m|``; and where a
+    row meets an odd column, whose denominator product is smallest at the smallest ``|m|`` and
+    ``p = pi/L``, if that row is ``m = 0`` at mass 0 ("undefined at p = mass = 0") or the
+    product is subnormal, for ``m = 0`` below a mass about ``1e-154 / p``.
     """
     ks = np.asarray(ks, dtype=int)
     ms = np.asarray(ms, dtype=int).tolist()
@@ -151,7 +150,7 @@ def check_domain(ms, ks, cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
         tiny = np.finfo(float).tiny
         if low_p * low_q * (low_p + cfg.mass) * (low_q + cfg.mass) < tiny:
             if m == 0 and cfg.mass == 0:
-                raise DegenerateDispersion("spinor overlap undefined at p = mass = 0")
+                raise ValueError("spinor overlap undefined at p = mass = 0")
             where = (f"below about {math.sqrt(tiny / 2.0) / low_p:.2g}" if m == 0
                      else f"half-length {cfg.half_length!r}")
             raise ValueError(f"spinor overlap of the m = {m} row underflows float64 at mass"
@@ -319,7 +318,7 @@ def pair_to_csv(region: Region, path_or_buf, cfg: FieldConfig, n_max: int) -> No
     form, ``-0.0`` included.
     """
     if cfg.mass == 0:
-        raise DegenerateDispersion("spinor overlap undefined at p = mass = 0 (the m = 0 row)")
+        raise ValueError("spinor overlap undefined at p = mass = 0 (the m = 0 row)")
     ks = cutoff_indices(n_max)
     sign = region_sign(ks, region)
 
@@ -327,8 +326,6 @@ def pair_to_csv(region: Region, path_or_buf, cfg: FieldConfig, n_max: int) -> No
         for m, (a, b) in zip(ks.tolist(), iter_coefficients(ks, ks, cfg)):
             a, b = a * sign, b * sign
             nz = np.flatnonzero((a != 0) | (b != 0))
-            if nz.size == 0:
-                continue
             a, b = a[nz], b[nz]
             cells = chain.from_iterable(zip(ks[nz].tolist(), a.real.tolist(), a.imag.tolist(),
                                             b.real.tolist(), b.imag.tolist()))

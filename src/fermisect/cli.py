@@ -49,10 +49,6 @@ __all__ = ["main"]
 _JOINT_GRID_POINTS = 500
 
 
-class ConfigError(ValueError):
-    """A flag or flag combination the command cannot run with."""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports flag errors via exit code 1.
 
@@ -66,14 +62,14 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
+        raise ValueError(f"bad float list {text!r}") from exc
 
 
 def _parse_grid(text: str, max_count: int | None = None) -> np.ndarray:
@@ -81,20 +77,20 @@ def _parse_grid(text: str, max_count: int | None = None) -> np.ndarray:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"grid must be start:stop:count, got {text!r}")
+            raise ValueError(f"grid must be start:stop:count, got {text!r}")
         try:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
-            raise ConfigError(f"bad grid {text!r}") from exc
+            raise ValueError(f"bad grid {text!r}") from exc
         if count < 1:
-            raise ConfigError("grid count must be >= 1")
+            raise ValueError("grid count must be >= 1")
     else:
         values = _parse_floats(text)
         if not values:
-            raise ConfigError(f"--grid needs at least one value, got {text!r}")
+            raise ValueError(f"--grid needs at least one value, got {text!r}")
         count = len(values)
     if max_count is not None and count > max_count:
-        raise ConfigError(f"--grid {text} has {count} points, above the cap of {max_count}")
+        raise ValueError(f"--grid {text} has {count} points, above the cap of {max_count}")
     return np.linspace(start, stop, count) if ":" in text else np.array(values)
 
 
@@ -117,9 +113,9 @@ def _grid_labels(args, imaginary: bool = False,
     def finite(name: str, values: np.ndarray) -> np.ndarray:
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            raise ConfigError(f"--grid {args.grid} at --sigma {sigma!r} puts a detector at a"
-                              f" non-finite position ({name} must be finite,"
-                              f" got {float(values[bad[0]])})")
+            raise ValueError(f"--grid {args.grid} at --sigma {sigma!r} puts a detector at a"
+                             f" non-finite position ({name} must be finite,"
+                             f" got {float(values[bad[0]])})")
         return values
 
     # sigma*x + 0.5j*p/sigma as CPython's complex arithmetic rounds it: its sums add 0.0
@@ -138,14 +134,14 @@ def _grid_overflow(args):
     try:
         yield
     except OverflowError as exc:
-        raise ConfigError(f"--grid {args.grid} at --sigma {args.sigma!r} overflows float64"
-                          " in the detector arithmetic") from exc
+        raise ValueError(f"--grid {args.grid} at --sigma {args.sigma!r} overflows float64"
+                         " in the detector arithmetic") from exc
 
 
 def _single_mu_l(text: str) -> float:
     mu_ls = _parse_floats(text)
     if len(mu_ls) != 1:
-        raise ConfigError(f"--mu-l needs exactly one value, got {text!r}")
+        raise ValueError(f"--mu-l needs exactly one value, got {text!r}")
     return mu_ls[0]
 
 
@@ -177,7 +173,7 @@ def _cutoff(args, mu_ls) -> tuple[int, bool]:
 def _cmd_spectrum(args) -> int:
     mu_ls = _parse_floats(args.mu_l)
     if not mu_ls:
-        raise ConfigError("--mu-l needs at least one value")
+        raise ValueError("--mu-l needs at least one value")
     # header configs; of equal values (-0.0, 0.0) the first names its column and the header
     cfgs = {mu_l: FieldConfig.from_mu_l(mu_l) for mu_l in dict.fromkeys(mu_ls)}
     n, tail = _cutoff(args, cfgs)
@@ -239,9 +235,9 @@ def _cmd_joint_correlation(args) -> int:
 
 def _cmd_povm(args) -> int:
     if (args.entangled is None) == (args.product is None):
-        raise ConfigError("choose exactly one of --entangled P or --product PA PB")
+        raise ValueError("choose exactly one of --entangled P or --product PA PB")
     if args.with_conditionals and args.format == "csv":
-        raise ConfigError("--with-conditionals needs --format json")
+        raise ValueError("--with-conditionals needs --format json")
     if args.entangled is not None:
         table = entangled_table(args.entangled)
     else:
@@ -265,14 +261,14 @@ def _cmd_verify(args) -> int:
         try:
             numbers = [int(tok) for tok in args.only.split(",") if tok]
         except ValueError as exc:
-            raise ConfigError(message) from exc
+            raise ValueError(message) from exc
         if not numbers:
-            raise ConfigError(message)
+            raise ValueError(message)
         unknown = set(numbers) - set(verify_mod.CRITERIA)
         if unknown:
-            raise ConfigError(f"unknown criteria: {sorted(unknown)}")
+            raise ValueError(f"unknown criteria: {sorted(unknown)}")
     if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     results = verify_mod.run(numbers, seed=args.seed)
     _emit(args.out, "".join(result.line() + "\n" for result in results))
     return 0 if all(r.passed for r in results) else 2

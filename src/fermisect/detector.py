@@ -26,10 +26,8 @@ from . import fock
 
 __all__ = [
     "DetectorMode",
-    "LevelTooHigh",
     "MAX_LEVEL",
     "PhasePoint",
-    "WidthMismatch",
     "gram_matrices",
     "joint_correlation_exact",
     "joint_correlation_exact_surface",
@@ -40,14 +38,6 @@ __all__ = [
 ]
 
 MAX_LEVEL = 30
-
-
-class WidthMismatch(ValueError):
-    """Overlaps of modes with different widths are not supported."""
-
-
-class LevelTooHigh(ValueError):
-    """Oscillator level beyond the recurrence stability bound."""
 
 
 @dataclass(frozen=True)
@@ -81,14 +71,14 @@ class DetectorMode:
         if self.level < 0:
             raise ValueError("level must be >= 0")
         if self.level > MAX_LEVEL:
-            raise LevelTooHigh(f"level {self.level} exceeds the stability bound {MAX_LEVEL}")
+            raise ValueError(f"level {self.level} exceeds the stability bound {MAX_LEVEL}")
 
 
 def _check_widths(points) -> None:
-    """Raise `WidthMismatch` unless every point has the width of the first."""
+    """Raise `ValueError` ("widths differ") unless every point has the width of the first."""
     for point in points[1:]:
         if point.sigma != points[0].sigma:
-            raise WidthMismatch(f"widths differ: {points[0].sigma} vs {point.sigma}")
+            raise ValueError(f"widths differ: {points[0].sigma} vs {point.sigma}")
 
 
 _LOG_FACTORIAL = np.array([math.lgamma(n + 1) for n in range(MAX_LEVEL + 1)])
@@ -201,7 +191,7 @@ def overlap_matrix(modes_a, modes_b) -> np.ndarray:
     ``exp(-|a-b|^2/2 + (conj(a)*b - a*conj(b))/2)`` on the labels at levels
     (0, 0) and to ``delta_{n_a, n_b}`` at equal points; an entry is also the
     anticommutator of the mode-a annihilator with the mode-b creator.  Every
-    mode on both sides must share one width, else `WidthMismatch`.
+    mode on both sides must share one width, else `ValueError`.
     """
     modes_a, modes_b = list(modes_a), list(modes_b)
     _check_widths([mode.point for mode in modes_a + modes_b])
@@ -218,7 +208,7 @@ def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
 def gram_matrices(mode_sets) -> list[np.ndarray]:
     """The Gram matrix of each set of modes in ``mode_sets``, in order; ``[]`` for no set.
 
-    The modes of one set must share one width, else `WidthMismatch`; sets may
+    The modes of one set must share one width, else `ValueError`; sets may
     differ in width.  The upper triangles of every set come from one call of
     the `overlap_matrix` kernel, one entry per pair, and each lower triangle
     is its exact conjugate.  The kernel writes each complex product from its

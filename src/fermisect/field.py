@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "Branch",
-    "DegenerateDispersion",
     "FieldConfig",
     "Region",
     "Spinor",
@@ -34,10 +33,6 @@ __all__ = [
     "spinor",
     "subsection_momentum",
 ]
-
-
-class DegenerateDispersion(ValueError):
-    """Spinor normalization ``1/sqrt(2*eps*(eps+mu))`` is singular at p = mu = 0."""
 
 
 class Branch(enum.Enum):
@@ -134,11 +129,10 @@ def spinor(p, mass: float, branch: Branch) -> Spinor:
 
     Raises
     ------
-    DegenerateDispersion
-        If any ``p = mass = 0``, where the normalization is singular.
     ValueError
-        If ``2*eps*(eps+mass)`` is subnormal, near ``p = 0`` below a mass of about 7e-155, or
-        if it overflows, from a momentum or mass of about 1e154 on.
+        If any ``p = mass = 0``, where the normalization is singular; if ``2*eps*(eps+mass)``
+        is subnormal, near ``p = 0`` below a mass of about 7e-155; or if it overflows, from a
+        momentum or mass of about 1e154 on.
     """
     p = np.asarray(p, dtype=float)
     eps = energy(p, mass)
@@ -147,7 +141,7 @@ def spinor(p, mass: float, branch: Branch) -> Spinor:
     low = min(eps_list, default=math.inf)
     high = max(eps_list, default=0.0)
     if low == 0.0:
-        raise DegenerateDispersion("spinor undefined at p = mass = 0")
+        raise ValueError("spinor undefined at p = mass = 0")
     if 2.0 * low * (low + mass) < np.finfo(float).tiny:
         raise ValueError(f"spinor normalization underflows float64 at mass {mass!r}")
     if not math.isfinite(2.0 * high * (high + mass)):

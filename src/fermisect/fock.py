@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "DimensionTooLarge",
     "FockSpace",
     "MAX_MODES",
     "QuasiOperator",
@@ -42,10 +41,6 @@ __all__ = [
 ]
 
 MAX_MODES = 12
-
-
-class DimensionTooLarge(ValueError):
-    """More than `MAX_MODES` modes requested."""
 
 
 @lru_cache(maxsize=16)
@@ -111,11 +106,11 @@ def _mode_count(n) -> int:
 
 
 def build_space(n_particle: int, n_anti: int = 0) -> FockSpace:
-    """The space of the given mode counts; raises `DimensionTooLarge` above 12 modes."""
+    """The space of the given mode counts; raises `ValueError` above 12 modes."""
     n_particle, n_anti = _mode_count(n_particle), _mode_count(n_anti)
     total = n_particle + n_anti
     if total > MAX_MODES:
-        raise DimensionTooLarge(f"{total} modes exceeds the {MAX_MODES}-mode cap")
+        raise ValueError(f"{total} modes exceeds the {MAX_MODES}-mode cap")
     return FockSpace(n_particle=n_particle, n_anti=n_anti)
 
 
@@ -195,7 +190,7 @@ def random_canonical_transform(n_modes: int, seed: int) -> list[QuasiOperator]:
     """
     n_modes = _mode_count(n_modes)
     if n_modes > 6:
-        raise DimensionTooLarge("random canonical transforms capped at parity 6+6 modes")
+        raise ValueError("random canonical transforms capped at parity 6+6 modes")
     rng = np.random.default_rng(seed)
     dim = 2 * n_modes
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

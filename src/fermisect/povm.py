@@ -11,20 +11,10 @@ from dataclasses import dataclass
 
 __all__ = [
     "JointTable",
-    "OutOfRange",
-    "UndefinedConditional",
     "conditionals",
     "entangled_table",
     "product_table",
 ]
-
-
-class OutOfRange(ValueError):
-    """Probability argument outside [0, 1]."""
-
-
-class UndefinedConditional(ValueError):
-    """Conditioning on an outcome of probability zero."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +35,7 @@ class JointTable:
 
 def _check_unit(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
-        raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 def product_table(pa: float, pb: float) -> JointTable:
@@ -70,7 +60,7 @@ def conditionals(table: JointTable) -> tuple[tuple[float, float], tuple[float, f
     """Column-normalized table ``P(a_i | b_j)``, rows i, columns j."""
     col1, col2 = table.marginal_b()
     if col1 == 0.0 or col2 == 0.0:
-        raise UndefinedConditional("a b-outcome has zero probability")
+        raise ValueError("a b-outcome has zero probability")
     return (
         (table.p11 / col1, table.p12 / col2),
         (table.p21 / col1, table.p22 / col2),

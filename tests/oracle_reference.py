@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.special import eval_genlaguerre
 
 from fermisect.bogoliubov import KAPPA_ALPHA, KAPPA_BETA, QuadratureUnresolved, coeff_w
-from fermisect.detector import DetectorMode, PhasePoint, WidthMismatch, gram_matrices
+from fermisect.detector import DetectorMode, PhasePoint, gram_matrices
 from fermisect.field import (Branch, Region, energy, mode_function, section_momentum, spinor,
                              subsection_momentum)
 from fermisect.fock import QuasiOperator, build_space
@@ -56,7 +56,7 @@ def matrix_by_terms(op, space):
 
 def _check_widths(a: PhasePoint, b: PhasePoint) -> None:
     if a.sigma != b.sigma:
-        raise WidthMismatch(f"widths differ: {a.sigma} vs {b.sigma}")
+        raise ValueError(f"widths differ: {a.sigma} vs {b.sigma}")
 
 
 def _displaced_number_overlap(n: int, m: int, gamma: complex) -> complex:

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fermisect import cli
-from fermisect.bogoliubov import cutoff_indices, region_sign
+from fermisect import cli, verify
+from fermisect.bogoliubov import QuadratureUnresolved, cutoff_indices, region_sign
 from fermisect.cli import main
 from fermisect.detector import PhasePoint
 from fermisect.field import FieldConfig, Region
@@ -236,6 +236,12 @@ def test_outputs_match_golden_hashes(capsys, tmp_path, argv, rc, digest):
     (["joint-correlation", "--sigma", "1e308", "--grid", "0:3:3"], "--sigma 1e+308"),
     (["detector", "--grid", ""], "--grid needs at least one value"),
     (["joint-correlation", "--grid", ","], "--grid needs at least one value"),
+    (["detector", "--grid", "0:1"], "grid must be start:stop:count, got '0:1'"),
+    (["detector", "--grid", "a:b:3"], "bad grid 'a:b:3'"),
+    (["detector", "--grid", "0:1:0"], "grid count must be >= 1"),
+    (["spectrum", "--mu-l", "1,x"], "bad float list '1,x'"),
+    (["spectrum", "--mu-l", ","], "--mu-l needs at least one value"),
+    (["correlation", "--k-max", "0"], "k_max must be >= 1"),
     (["detector", "--sigma", "0"], "sigma must be > 0"),
     (["joint-correlation", "--sigma", "0", "--grid", "0:1:2"], "sigma must be > 0"),
     (["povm", "--product", "0.3", "0.6", "--format", "csv", "--with-conditionals"],
@@ -531,6 +537,15 @@ def test_out_of_memory_exits_1_with_message(capsys, monkeypatch):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and "Unable to allocate" in err
+
+
+def test_unresolved_quadrature_exits_1_with_a_compute_error(capsys, monkeypatch):
+    def unresolved():
+        raise QuadratureUnresolved("entry (m=1, k=12): orders 16 and 32 disagree by 2.000e-06")
+
+    monkeypatch.setitem(verify.CRITERIA, 1, unresolved)
+    assert _run(capsys, ["verify", "--only", "1"]) == (
+        1, "", "compute error: entry (m=1, k=12): orders 16 and 32 disagree by 2.000e-06\n")
 
 
 def test_massless_dump_writes_no_rows(capsys, tmp_path):

@@ -1,5 +1,5 @@
 """The public names: every ``__all__`` entry resolves, has a caller outside the tests, and each
-is imported from its module alone."""
+is imported from its module alone; every exported exception class is caught outside the tests."""
 
 import ast
 import importlib
@@ -23,24 +23,47 @@ def test_every_listed_name_resolves():
         assert missing == [], short
 
 
+def _program_nodes():
+    """Every AST node of ``src/fermisect/*.py`` and ``bench/*.py``."""
+    package = Path(fermisect.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     # a reference is a Name, an Attribute's attr or an import alias in src/ or bench/;
     # strings, def and class names and the __all__ entries themselves do not count
-    package = Path(fermisect.__file__).parent
-    bench = Path(__file__).resolve().parents[1] / "bench"
     referenced = set()
-    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
+    for node in _program_nodes():
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
     unused = [f"{short}.{name}" for short in MODULES
               for name in importlib.import_module(f"fermisect.{short}").__all__
               if name not in referenced]
     assert unused == []
+
+
+def test_every_exported_exception_is_caught_outside_the_tests():
+    # an exception type that only the tests tell apart is a ValueError and its message;
+    # a `raise` does not count, an except clause in src/ or bench/ naming it alone or in a tuple does
+    caught = set()
+    for node in _program_nodes():
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(getattr(kind, "id", getattr(kind, "attr", None)) for kind in types)
+    uncaught = []
+    for short in MODULES:
+        module = importlib.import_module(f"fermisect.{short}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if isinstance(obj, type) and issubclass(obj, BaseException) and name not in caught:
+                uncaught.append(f"{short}.{name}")
+    assert uncaught == []
 
 
 def test_package_imports_only_listed_names():
