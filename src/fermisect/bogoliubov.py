@@ -109,8 +109,10 @@ def region_sign(ks, region: Region) -> np.ndarray:
     """Column factor from left-half rows over ``ks`` to ``region``.
 
     Ones on the left, ``(-1)**k`` on the right, as float64; apply it as
-    ``row * region_sign(ks, region)``.
+    ``row * region_sign(ks, region)``.  `Region.WHOLE` is no half: `ValueError`.
     """
+    if region is Region.WHOLE:
+        raise ValueError(f"region must be left or right, got {region.value}")
     if region is Region.RIGHT:
         return np.where(np.asarray(ks) % 2 == 0, 1.0, -1.0)
     return np.ones_like(np.asarray(ks, dtype=float))
@@ -268,8 +270,10 @@ def overlap_oracle(
     the row called at the block's order, bit for bit.  Each integral is evaluated at two
     orders (``order`` and ``2*order``); the first entry in row-major order whose two values
     disagree beyond 1e-8 raises `QuadratureUnresolved` naming its ``(m, k)`` and the two
-    orders, for the first such pair in list order.
+    orders, for the first such pair in list order.  ``region`` must be a half, else `ValueError`.
     """
+    if region is Region.WHOLE:
+        raise ValueError(f"region must be left or right, got {region.value}")
     single = bool(branches) and isinstance(branches[0], Branch)
     pairs = [branches] if single else list(branches)
     ms = np.atleast_1d(np.asarray(m, dtype=int))
@@ -309,8 +313,8 @@ def overlap_oracle(
 def pair_to_csv(region: Region, path_or_buf, cfg: FieldConfig, n_max: int) -> None:
     """Write one half's nonzero entries over ``|m|, |k| <= n_max`` as ``m,k,re_alpha,...`` rows.
 
-    Rejects mass 0, then ``n_max < 1``, before the target is opened: every dump
-    holds the row ``m = 0``, whose spinor overlaps are undefined at mass 0.
+    Rejects mass 0, then ``n_max < 1``, then `Region.WHOLE`, before the target is opened:
+    every dump holds the row ``m = 0``, whose spinor overlaps are undefined at mass 0.
     Each row ``m`` is formatted by one ``%`` call of the template
     ``"m,%d,%r,%r,%r,%r\n"``, repeated once per nonzero column, over the
     flat cells ``k, re_alpha, im_alpha, re_beta, im_beta``: float ``repr``

@@ -94,12 +94,11 @@ def _parse_grid(text: str, max_count: int | None = None) -> np.ndarray:
     return np.linspace(start, stop, count) if ":" in text else np.array(values)
 
 
-def _grid_labels(args, imaginary: bool = False,
-                 max_count: int | None = None) -> tuple[list[float], np.ndarray]:
+def _grid_labels(args, imaginary: bool = False) -> tuple[list[float], np.ndarray]:
     """``--grid`` values ``g`` and the labels of width-``--sigma`` detectors at ``g``.
 
-    With ``imaginary`` the labels of the detectors at ``i*g`` follow.  A grid of
-    more than ``max_count`` points is refused before any array is built.  This is
+    With ``imaginary`` the labels of the detectors at ``i*g`` follow, and a grid of
+    more than `_JOINT_GRID_POINTS` points is refused before any array is built.  This is
     where a detector grid is validated, once and as an array: ``g`` sits at
     ``x = g/sigma`` and ``i*g`` at ``p = 2*sigma*g``, and the first coordinate
     that is not finite is reported against the flags that produced it.  Each
@@ -107,7 +106,7 @@ def _grid_labels(args, imaginary: bool = False,
     ``PhasePoint(sigma, p=p).label``, signed zeros included.
     """
     sigma = PhasePoint(args.sigma).sigma  # finite and > 0 before dividing by it
-    grid = _parse_grid(args.grid, max_count)
+    grid = _parse_grid(args.grid, _JOINT_GRID_POINTS if imaginary else None)
     n = len(grid)
 
     def finite(name: str, values: np.ndarray) -> np.ndarray:
@@ -218,7 +217,7 @@ def _cmd_detector(args) -> int:
 
 
 def _cmd_joint_correlation(args) -> int:
-    grid, labels = _grid_labels(args, imaginary=True, max_count=_JOINT_GRID_POINTS)
+    grid, labels = _grid_labels(args, imaginary=True)
     n = len(grid)
     with _grid_overflow(args):
         # one surface over both column sets: each real detector's state overlaps once

@@ -18,6 +18,7 @@ cross-checked against an exact finite Fock-space computation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "joint_correlation_exact_surface",
     "joint_correlation_surface",
     "mode_overlap",
-    "overlap_matrix",
     "registration_probabilities",
 ]
 
@@ -68,6 +68,10 @@ class DetectorMode:
     level: int = 0
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.level)
+        except TypeError:
+            raise ValueError(f"level must be an integer, got {self.level!r}") from None
         if self.level < 0:
             raise ValueError("level must be >= 0")
         if self.level > MAX_LEVEL:
@@ -178,50 +182,37 @@ def _overlap_entries(label_a, level_a, label_b, level_b) -> np.ndarray:
     return out
 
 
-def _ladder(modes) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and levels of ``modes`` as arrays."""
-    return (np.array([mode.point.label for mode in modes], dtype=complex),
-            np.array([mode.level for mode in modes], dtype=np.int64))
-
-
-def overlap_matrix(modes_a, modes_b) -> np.ndarray:
-    """Gram block ``<a, n_a | b, n_b>`` of shape ``(len(modes_a), len(modes_b))``.
-
-    The one implementation of the mode overlap.  It reduces to
-    ``exp(-|a-b|^2/2 + (conj(a)*b - a*conj(b))/2)`` on the labels at levels
-    (0, 0) and to ``delta_{n_a, n_b}`` at equal points; an entry is also the
-    anticommutator of the mode-a annihilator with the mode-b creator.  Every
-    mode on both sides must share one width, else `ValueError`.
-    """
-    modes_a, modes_b = list(modes_a), list(modes_b)
-    _check_widths([mode.point for mode in modes_a + modes_b])
-    label_a, level_a = _ladder(modes_a)
-    label_b, level_b = _ladder(modes_b)
-    return _overlap_entries(label_a[:, None], level_a[:, None], label_b, level_b)
-
-
-def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
-    """Gram entry ``<a, n_a | b, n_b>`` between two detector modes: the 1x1 `overlap_matrix`."""
-    return complex(overlap_matrix([a], [b])[0, 0])
-
-
 def gram_matrices(mode_sets) -> list[np.ndarray]:
     """The Gram matrix of each set of modes in ``mode_sets``, in order; ``[]`` for no set.
 
+    The one entry from modes into the overlap kernel.  Entry ``(i, j)`` of a
+    set's Gram is ``<a, n_a | b, n_b>`` for its modes ``i`` and ``j``, so a
+    block between two lists of modes is a block of the Gram of their
+    concatenation.  An entry reduces to ``exp(-|a-b|^2/2 + (conj(a)*b -
+    a*conj(b))/2)`` on the labels at levels (0, 0) and to ``delta_{n_a, n_b}``
+    at equal points, and it is the anticommutator of the mode-a
+    annihilator with the mode-b creator.
+
     The modes of one set must share one width, else `ValueError`; sets may
     differ in width.  The upper triangles of every set come from one call of
-    the `overlap_matrix` kernel, one entry per pair, and each lower triangle
-    is its exact conjugate.  The kernel writes each complex product from its
-    real parts, runs `np.exp` on arrays and keeps ``abs(gamma) ** 2``,
-    `math.exp` and ``gamma ** (n - m)`` per entry on Python numbers, so every
-    entry has the bits of the one-pair formula.
+    the kernel, one entry per pair, and each lower triangle is its exact
+    conjugate.  The kernel writes each complex product from its real parts,
+    runs `np.exp` on arrays and keeps ``abs(gamma) ** 2``, `math.exp` and
+    ``gamma ** (n - m)`` per entry on Python numbers, so every entry has the
+    bits of the one-pair formula.
     """
     ladders = []
     for modes in mode_sets:
         modes = list(modes)
         _check_widths([mode.point for mode in modes])
-        ladders.append(_ladder(modes))
+        ladders.append((np.array([mode.point.label for mode in modes], dtype=complex),
+                        np.array([mode.level for mode in modes], dtype=np.int64)))
     return _grams(ladders)
+
+
+def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
+    """Gram entry ``<a, n_a | b, n_b>`` between two detector modes: entry (0, 1) of their Gram."""
+    return complex(gram_matrices([[a, b]])[0][0, 1])
 
 
 def _grams(ladders) -> list[np.ndarray]:
@@ -276,7 +267,7 @@ def joint_correlation_surface(labels_a, labels_b) -> np.ndarray:
     the real part and drops ``Im C = <[n_b, n_a]>/(2i)``, nonzero off the real
     labels, where overlapping detector modes do not commute.
 
-    Every overlap comes from the kernel behind `overlap_matrix`, at level 0:
+    Every overlap comes from the kernel behind `gram_matrices`, at level 0:
     one block ``<d|g>`` between the detectors and the state modes, computed
     once per detector, whose exact conjugate transpose is ``<g|d>``, and one
     block of the pair overlaps ``<b|a>``.  An ``|gamma|^2``

@@ -104,7 +104,10 @@ def tail_sums(ks, ms, mu_l: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     `_odd_sums` of the weight limits ``1/2 +- mu/(2|p|)`` and ``+-1/2`` to first order in
     ``mu/|p|``, summed over ``x = |j|/2 >= x0`` by digammas and trigammas (DLMF 5.7, 5.15), ``T``
     up to a ``k``-independent constant.  ``ks``, ``ms`` broadcast (``ks[:, None], ks[None, :]``).
+    A cutoff ``n_max < 1`` raises `ValueError`, as in `cutoff_indices`.
     """
+    if n_max < 1:
+        raise ValueError(f"truncation must be >= 1, got {n_max}")
     cfg = FieldConfig.from_mu_l(mu_l)
     x0 = (n_max + 1 + n_max % 2) / 2.0
     c, psi0 = cfg.mass / (4 * np.pi), digamma(x0)  # mu/(2|p|) = c/x

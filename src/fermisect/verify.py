@@ -33,7 +33,6 @@ from .detector import (
     gram_matrices,
     joint_correlation_exact_surface,
     joint_correlation_surface,
-    overlap_matrix,
     registration_probabilities,
 )
 from .field import Branch, FieldConfig, Region
@@ -173,12 +172,13 @@ def criterion_detector_closed_forms() -> CriterionResult:
     points = [PhasePoint(sigma, x=r / sigma) for r in radii]  # label = r on the real axis
     labels = [b.label for b in points]
     p1s, p2s = (p.tolist() for p in registration_probabilities(labels))
-    block = overlap_matrix([DetectorMode(origin, m) for m in (0, 1)],
-                           [DetectorMode(b, 0) for b in points]).T.tolist()
+    states = [DetectorMode(origin, m) for m in (0, 1)]
+    grams = gram_matrices([states + [DetectorMode(b, 0)] for b in points])
     worst = 0.0
-    for p1, p2, overlaps in zip(p1s, p2s, block):
-        g1 = abs(overlaps[0]) ** 2
-        g2 = sum(abs(overlap) ** 2 for overlap in overlaps)
+    for p1, p2, gram in zip(p1s, p2s, grams):
+        ground, excited = gram[:2, 2].tolist()  # <g1|b>, <g2|b>
+        g1 = abs(ground) ** 2
+        g2 = g1 + abs(excited) ** 2
         worst = max(worst, abs(p1 - g1), abs(p2 - g2))
     ordered = all(p2 >= p1 for p1, p2 in zip(p1s, p2s))
     decreasing = all(p1s[i + 1] < p1s[i] for i in range(len(p1s) - 1)) and all(

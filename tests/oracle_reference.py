@@ -69,7 +69,7 @@ def _displaced_number_overlap(n: int, m: int, gamma: complex) -> complex:
 
 
 def mode_overlap(a: DetectorMode, b: DetectorMode) -> complex:
-    """`detector.overlap_matrix` one pair at a time, on Python and numpy scalars."""
+    """`detector.mode_overlap`, one `gram_matrices` entry, on Python and numpy scalars."""
     _check_widths(a.point, b.point)
     al, bl = a.point.label, b.point.label
     phase = np.exp(0.5 * (np.conj(al) * bl - al * np.conj(bl)))

@@ -654,6 +654,25 @@ def test_dump_rejects_mass_0_then_the_cutoff_before_writing():
         assert buf.getvalue() == ""
 
 
+def test_half_only_entry_points_refuse_the_whole_interval(tmp_path):
+    # pair_to_csv wrote left-half rows under "# region=whole", region_sign gave ones and the
+    # oracle integrated whole modes against whole modes
+    message = "^region must be left or right, got whole$"
+    with pytest.raises(ValueError, match=message):
+        region_sign(cutoff_indices(3), Region.WHOLE)
+    with pytest.raises(ValueError, match=message):
+        overlap_oracle(1, 2, Region.WHOLE, PP, CFG)
+    # after the mass-0 and cutoff checks, and before the target is opened
+    target = tmp_path / "whole.csv"
+    cases = ((FieldConfig.from_mu_l(0.0), 2, "undefined at p = mass = 0"),
+             (CFG, 0, "truncation must be >= 1, got 0"),
+             (CFG, 2, message))
+    for cfg, n, want in cases:
+        with pytest.raises(ValueError, match=want):
+            pair_to_csv(Region.WHOLE, str(target), cfg, n)
+        assert not target.exists()
+
+
 def test_csv_header_echoes_config():
     buf = io.StringIO()
     pair_to_csv(Region.RIGHT, buf, CFG, 2)

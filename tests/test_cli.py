@@ -355,7 +355,7 @@ def test_joint_correlation_refuses_a_grid_above_the_cap_before_the_surface(capsy
         1, "", f"error: --grid {grid} has 501 points, above the cap of 500\n")
     assert calls == []
     args = argparse.Namespace(sigma=1.0, grid=f"0:3:{cli._JOINT_GRID_POINTS}")
-    grid, labels = cli._grid_labels(args, imaginary=True, max_count=cli._JOINT_GRID_POINTS)
+    grid, labels = cli._grid_labels(args, imaginary=True)
     assert len(grid) == 500 and labels.shape == (1000,)
     # the detector command's grid has no cap: its cost grows like the point count
     assert len(cli._grid_labels(argparse.Namespace(sigma=1.0, grid="0:3:2000"))[0]) == 2000

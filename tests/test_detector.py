@@ -18,7 +18,6 @@ from fermisect.detector import (
     joint_correlation_exact_surface,
     joint_correlation_surface,
     mode_overlap,
-    overlap_matrix,
     registration_probabilities,
 )
 from fermisect import detector
@@ -82,6 +81,16 @@ def test_level_bounds():
         DetectorMode(PhasePoint(1.0), 31)
     with pytest.raises(ValueError):
         DetectorMode(PhasePoint(1.0), -1)
+
+
+def test_level_must_be_an_integer():
+    # a level that operator.index refuses is refused, not truncated to another level's overlap
+    b = DetectorMode(PhasePoint(1.0, x=0.3), 1)
+    for level in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"level must be an integer, got {level!r}"):
+            DetectorMode(PhasePoint(1.0), level)
+    assert mode_overlap(DetectorMode(PhasePoint(1.0), np.int64(2)), b) == mode_overlap(
+        DetectorMode(PhasePoint(1.0), 2), b)
 
 
 # --- ground overlap ----------------------------------------------------------
@@ -373,8 +382,14 @@ def _hexes(values):
     return [[(z.real.hex(), z.imag.hex()) for z in row] for row in np.asarray(values).tolist()]
 
 
+def _block(modes_a, modes_b):
+    """The ``<a, n_a | b, n_b>`` block of ``modes_a`` against ``modes_b``, from one Gram of both."""
+    modes_a, modes_b = list(modes_a), list(modes_b)
+    return gram_matrices([modes_a + modes_b])[0][:len(modes_a), len(modes_a):]
+
+
 def _assert_block_by_pairs(modes_a, modes_b):
-    block = overlap_matrix(modes_a, modes_b)
+    block = _block(modes_a, modes_b)
     assert block.shape == (len(modes_a), len(modes_b))
     want = [[reference.mode_overlap(a, b) for b in modes_b] for a in modes_a]
     assert _hexes(block) == _hexes(want)
@@ -398,9 +413,9 @@ def test_overlap_matrix_equals_scalar_overlaps(sigma, data):
 
 def test_overlap_matrix_empty_sides():
     modes = [DetectorMode(PhasePoint(1.0, x=0.5), 2)]
-    assert overlap_matrix([], modes).shape == (0, 1)
-    assert overlap_matrix(modes, []).shape == (1, 0)
-    assert overlap_matrix([], []).shape == (0, 0)
+    assert _block([], modes).shape == (0, 1)
+    assert _block(modes, []).shape == (1, 0)
+    assert _block([], []).shape == (0, 0)
     assert gram_matrices([[]])[0].shape == (0, 0)
 
 
@@ -499,7 +514,7 @@ def test_overlap_overflow_raises_like_the_scalar():
         with pytest.raises(OverflowError):
             reference.mode_overlap(a, b)
         with pytest.raises(OverflowError):
-            overlap_matrix([origin, a], [b, origin])
+            _block([origin, a], [b, origin])
         with pytest.raises(OverflowError):
             gram_matrices([[origin, a, b]])
 
@@ -595,6 +610,6 @@ def test_overlap_width_mismatch_anywhere_on_either_side():
         mixed = good[:i] + [odd] + good[i:]
         for a, b in ((mixed, good), (good, mixed), (mixed, []), ([], mixed)):
             with pytest.raises(ValueError, match="widths differ"):
-                overlap_matrix(a, b)
+                _block(a, b)
         with pytest.raises(ValueError, match="widths differ"):
             gram_matrices([mixed])

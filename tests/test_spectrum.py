@@ -140,10 +140,11 @@ def test_occupation_input_validation():
                         lambda mu_l: converged_cutoff(4, mu_l)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 compute(bad)
-    # every truncated sum rejects a cutoff below 1
+    # every truncated sum rejects a cutoff below 1; tail_sums gave a tail past -3 (0.4757...)
     for n_bad in (0, -3):
         for compute in (lambda n: occupation_spectrum(2, 1.0, n),
                         lambda n: correlation_matrix(2, 1.0, n),
+                        lambda n: tail_sums(np.array([1]), np.array([1]), 1.0, n),
                         lambda n: pair_to_csv(Region.LEFT, io.StringIO(), CFG, n),
                         lambda n: canonicity_residual(np.array([0]), n, CFG)):
             with pytest.raises(ValueError, match=f"truncation must be >= 1, got {n_bad}"):
