@@ -45,6 +45,7 @@ from .field import (
     Branch,
     FieldConfig,
     Region,
+    _integer,
     energy,
     mode_function,
     section_momentum,
@@ -85,7 +86,7 @@ class QuadratureUnresolved(RuntimeError):
 
 def cutoff_indices(n_max: int) -> np.ndarray:
     """Full-interval indices ``|k| <= n_max`` of a symmetric cutoff ``n_max >= 1``."""
-    n = int(n_max)
+    n = _integer(n_max, "n_max must be an integer")
     if n < 1:
         raise ValueError(f"truncation must be >= 1, got {n}")
     return np.arange(-n, n + 1)
@@ -109,10 +110,8 @@ def region_sign(ks, region: Region) -> np.ndarray:
     """Column factor from left-half rows over ``ks`` to ``region``.
 
     Ones on the left, ``(-1)**k`` on the right, as float64; apply it as
-    ``row * region_sign(ks, region)``.  `Region.WHOLE` is no half: `ValueError`.
+    ``row * region_sign(ks, region)``.
     """
-    if region is Region.WHOLE:
-        raise ValueError(f"region must be left or right, got {region.value}")
     if region is Region.RIGHT:
         return np.where(np.asarray(ks) % 2 == 0, 1.0, -1.0)
     return np.ones_like(np.asarray(ks, dtype=float))
@@ -229,7 +228,7 @@ def _gauss_legendre_block(ms, ks, region, mixed, cfg, order):
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
     f_half = np.conj(mode_function(ms[:, None], region, x, cfg))
-    f_full = mode_function(ks[:, None], Region.WHOLE, x, cfg)
+    f_full = mode_function(ks[:, None], None, x, cfg)
     blocks = {}
     for conjugate in sorted(set(mixed)):
         if conjugate:
@@ -270,10 +269,8 @@ def overlap_oracle(
     the row called at the block's order, bit for bit.  Each integral is evaluated at two
     orders (``order`` and ``2*order``); the first entry in row-major order whose two values
     disagree beyond 1e-8 raises `QuadratureUnresolved` naming its ``(m, k)`` and the two
-    orders, for the first such pair in list order.  ``region`` must be a half, else `ValueError`.
+    orders, for the first such pair in list order.
     """
-    if region is Region.WHOLE:
-        raise ValueError(f"region must be left or right, got {region.value}")
     single = bool(branches) and isinstance(branches[0], Branch)
     pairs = [branches] if single else list(branches)
     ms = np.atleast_1d(np.asarray(m, dtype=int))
@@ -313,7 +310,7 @@ def overlap_oracle(
 def pair_to_csv(region: Region, path_or_buf, cfg: FieldConfig, n_max: int) -> None:
     """Write one half's nonzero entries over ``|m|, |k| <= n_max`` as ``m,k,re_alpha,...`` rows.
 
-    Rejects mass 0, then ``n_max < 1``, then `Region.WHOLE`, before the target is opened:
+    Rejects mass 0, then ``n_max < 1``, before the target is opened:
     every dump holds the row ``m = 0``, whose spinor overlaps are undefined at mass 0.
     Each row ``m`` is formatted by one ``%`` call of the template
     ``"m,%d,%r,%r,%r,%r\n"``, repeated once per nonzero column, over the

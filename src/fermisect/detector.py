@@ -18,12 +18,12 @@ cross-checked against an exact finite Fock-space computation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
+from .field import _integer
 
 __all__ = [
     "DetectorMode",
@@ -68,10 +68,7 @@ class DetectorMode:
     level: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.level)
-        except TypeError:
-            raise ValueError(f"level must be an integer, got {self.level!r}") from None
+        _integer(self.level, "level must be an integer")
         if self.level < 0:
             raise ValueError("level must be >= 0")
         if self.level > MAX_LEVEL:
@@ -311,17 +308,17 @@ def joint_correlation_exact_surface(labels_a, labels_b) -> np.ndarray:
     len(labels_b))``.  The state modes sit at the origin label ``0j``, the
     `PhasePoint.label` of the origin at every width.  For each pair it
     orthonormalizes the span of the two state modes and the two detector
-    modes, represents every annihilator as a matrix there, and evaluates the
-    four-point expectation minus the product of singles exactly.  All modes
-    outside the span contract to zero, so the restriction is lossless.
+    modes, writes every annihilator as a quasi-operator over that span, and
+    evaluates the four-point expectation minus the product of singles exactly.
+    All modes outside the span contract to zero, so the restriction is lossless.
 
     One batched eigendecomposition of the pairs' Gram matrices gives the
     spans; directions above a rank tolerance are kept, so nearly coincident
     modes (a detector at the origin, or two coincident detectors) reduce the
     span instead of breaking the construction.  The pairs of each rank then
-    share one stacked Fock space, one block-diagonal matrix per mode, and
-    each block is normalized by its own norm, so every value has the bits of
-    its pair alone.
+    share one Fock space, each operator a stack of one coefficient row per
+    pair that `fock` applies without a matrix, and each pair's state is
+    normalized by its own norm, so every value has the bits of its pair alone.
     """
     labels_a = np.asarray(labels_a, dtype=complex)
     labels_b = np.asarray(labels_b, dtype=complex)

@@ -3,8 +3,8 @@
 The detection interval has length ``2L`` and is split into two halves of
 length ``L``.  Each carries its own plane-wave basis:
 
-* full interval, coordinates ``[0, 2L]``, momentum ladder ``p_k = pi*k/L``;
-* left half ``[0, L]`` and right half ``[L, 2L]``, ladder ``q_m = 2*pi*m/L``.
+* full interval ``[0, 2L]``, region ``None``, momentum ladder ``p_k = pi*k/L``;
+* each half a `Region`: left ``[0, L]``, right ``[L, 2L]``, ladder ``q_m = 2*pi*m/L``.
 
 Every mode is normalized to unit L2 norm on its own interval (``1/sqrt(2L)``
 on the full interval, ``1/sqrt(L)`` on a half), which is the normalization
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +44,13 @@ class Branch(enum.Enum):
 
 
 class Region(enum.Enum):
-    """Support of a mode function."""
+    """One half of the interval, the support of a half-interval mode."""
 
-    WHOLE = "whole"
     LEFT = "left"
     RIGHT = "right"
 
     def interval(self, cfg: "FieldConfig") -> tuple[float, float]:
         ell = cfg.half_length
-        if self is Region.WHOLE:
-            return (0.0, 2.0 * ell)
         if self is Region.LEFT:
             return (0.0, ell)
         return (ell, 2.0 * ell)
@@ -106,6 +104,14 @@ class Spinor:
         return self.upper * other.upper + self.lower * other.lower
 
 
+def _integer(n, refusal: str) -> int:
+    """``n`` as `operator.index` gives it, else `ValueError` with ``f"{refusal}, got {n!r}"``."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{refusal}, got {n!r}") from None
+
+
 def energy(p, mass):
     """Dispersion ``eps(p) = sqrt(mass**2 + p**2)``; even in p, >= mass."""
     return np.hypot(np.asarray(p, dtype=float), mass)
@@ -153,17 +159,17 @@ def spinor(p, mass: float, branch: Branch) -> Spinor:
     return Spinor(-p / norm, (eps + mass) / norm)
 
 
-def mode_function(index, region: Region, x, cfg: FieldConfig):
+def mode_function(index, region: Region | None, x, cfg: FieldConfig):
     """Plane-wave mode ``exp(i*(p*x - eps*t))`` at ``t = cfg.time`` on the region, unit L2 norm.
 
-    Half-interval modes vanish identically outside their half.  ``index`` and
-    ``x`` may be arrays and broadcast against each other: ``ks[:, None]`` with
-    nodes ``x`` gives one row per index, each element the value the scalar
-    index gives, bit for bit.
+    ``region=None`` gives the full-interval mode; half-interval modes vanish identically outside
+    their half.  ``index`` and ``x`` may be arrays and broadcast against each other: ``ks[:, None]``
+    with nodes ``x`` gives one row per index, each element the value the scalar index gives, bit
+    for bit.
     """
     t = cfg.time
     x = np.asarray(x, dtype=float)
-    if region is Region.WHOLE:
+    if region is None:
         p = section_momentum(index, cfg)
         amp = 1.0 / math.sqrt(2.0 * cfg.half_length)
         return amp * np.exp(1j * (p * x - energy(p, cfg.mass) * t))

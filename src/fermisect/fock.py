@@ -25,11 +25,12 @@ correctness, not scale.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+
+from .field import _integer
 
 __all__ = [
     "FockSpace",
@@ -96,10 +97,7 @@ class FockSpace:
 
 def _mode_count(n) -> int:
     """``n`` as a Python int; `ValueError` unless it is a nonnegative integer."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"mode counts must be integers, got {n!r}") from None
+    n = _integer(n, "mode counts must be integers")
     if n < 0:
         raise ValueError("mode counts must be nonnegative")
     return n

@@ -26,7 +26,7 @@ from scipy.special import digamma, zeta
 
 from ._textio import write_table
 from .bogoliubov import SERIES_PREFACTOR, check_domain, coeff_w, cutoff_indices
-from .field import Branch, FieldConfig, spinor, subsection_momentum
+from .field import Branch, FieldConfig, _integer, spinor, subsection_momentum
 
 __all__ = [
     "converged_cutoff",
@@ -49,7 +49,7 @@ def converged_cutoff(k_max: int, mu_l: float) -> int:
     mu_l = FieldConfig.from_mu_l(mu_l).mass  # validated; the mass at L = 1
     if mu_l > 512.0:  # compared before 32 * mu_l, which may be inf
         raise ValueError(f"mu*L {mu_l!r} above 512 needs a cutoff past 16385; pass --truncation N")
-    if k_max > 4096:
+    if _integer(k_max, "k_max must be an integer") > 4096:
         raise ValueError(f"k_max {k_max} above 4096 needs a cutoff past 16385; pass --truncation N")
     return max(513, 4 * k_max + 1, int(np.ceil(32.0 * mu_l))) | 1
 
@@ -106,7 +106,7 @@ def tail_sums(ks, ms, mu_l: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     up to a ``k``-independent constant.  ``ks``, ``ms`` broadcast (``ks[:, None], ks[None, :]``).
     A cutoff ``n_max < 1`` raises `ValueError`, as in `cutoff_indices`.
     """
-    if n_max < 1:
+    if _integer(n_max, "n_max must be an integer") < 1:
         raise ValueError(f"truncation must be >= 1, got {n_max}")
     cfg = FieldConfig.from_mu_l(mu_l)
     x0 = (n_max + 1 + n_max % 2) / 2.0
@@ -130,7 +130,7 @@ def occupation_spectrum(k_max: int, mu_l: float, n_max: int, tail: bool = False)
 
     ``|W_k|^2`` plus the odd diagonal, and `tail_sums` if ``tail``.
     """
-    if k_max < 1:
+    if _integer(k_max, "k_max must be an integer") < 1:
         raise ValueError("k_max must be >= 1")
     cfg = FieldConfig.from_mu_l(mu_l)
     ks = np.arange(1, k_max + 1)
@@ -166,7 +166,7 @@ def correlation_matrix(k_max: int, mu_l: float, n_max: int, tail: bool = False) 
     Each cross sum is its matched diagonal minus the real odd-column sum and its ``tail``
     (right-half rows carry -1 there), all from one table of weight sums at ``mu*L = mu_l``.
     """
-    if k_max < 1:
+    if _integer(k_max, "k_max must be an integer") < 1:
         raise ValueError("k_max must be >= 1")
     cfg = FieldConfig.from_mu_l(mu_l)
     ks = np.arange(1, k_max + 1)

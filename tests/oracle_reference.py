@@ -12,7 +12,7 @@ from scipy.special import eval_genlaguerre
 
 from fermisect.bogoliubov import KAPPA_ALPHA, KAPPA_BETA, QuadratureUnresolved, coeff_w
 from fermisect.detector import DetectorMode, PhasePoint, gram_matrices
-from fermisect.field import (Branch, Region, energy, mode_function, section_momentum, spinor,
+from fermisect.field import (Branch, energy, mode_function, section_momentum, spinor,
                              subsection_momentum)
 from fermisect.fock import QuasiOperator, build_space
 
@@ -148,7 +148,7 @@ def _row_values(m, ks, region, branches, cfg, order):
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
     f_half = np.conj(mode_function(m, region, x, cfg))
-    f_full = mode_function(ks[:, None], Region.WHOLE, x, cfg)
+    f_full = mode_function(ks[:, None], None, x, cfg)
     if branches[0] is not branches[1]:
         f_full = np.conj(f_full)
     return np.sum(w * f_half * f_full, axis=-1)

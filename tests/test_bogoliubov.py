@@ -411,13 +411,13 @@ def _reference_gram(ks_a, branch_a, ks_b, branch_b):
     A mode is ``spinor(p_k, branch)`` times `mode_function` on the whole interval, the plane
     wave conjugated on the negative branch as in the oracle.
     """
-    lo, hi = Region.WHOLE.interval(CFG)
+    lo, hi = 0.0, 2 * CFG.half_length
     nodes, weights = np.polynomial.legendre.leggauss(400)
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
 
     def modes(ks, branch):
-        wave = mode_function(ks[:, None], Region.WHOLE, x, CFG)
+        wave = mode_function(ks[:, None], None, x, CFG)
         if branch is Branch.NEGATIVE:
             wave = np.conj(wave)
         spin = spinor(section_momentum(ks, CFG), CFG.mass, branch)
@@ -655,21 +655,18 @@ def test_dump_rejects_mass_0_then_the_cutoff_before_writing():
 
 
 def test_half_only_entry_points_refuse_the_whole_interval(tmp_path):
-    # pair_to_csv wrote left-half rows under "# region=whole", region_sign gave ones and the
-    # oracle integrated whole modes against whole modes
-    message = "^region must be left or right, got whole$"
-    with pytest.raises(ValueError, match=message):
-        region_sign(cutoff_indices(3), Region.WHOLE)
-    with pytest.raises(ValueError, match=message):
-        overlap_oracle(1, 2, Region.WHOLE, PP, CFG)
-    # after the mass-0 and cutoff checks, and before the target is opened
-    target = tmp_path / "whole.csv"
+    # a Region names one half, so the whole interval reaches no half-only entry point: the
+    # enum refuses it, as the CLI's --region choices do
+    with pytest.raises(ValueError, match="'whole' is not a valid Region"):
+        Region("whole")
+    assert [r.value for r in Region] == ["left", "right"]
+    # the dump's mass-0 and cutoff checks run before the target is opened
+    target = tmp_path / "left.csv"
     cases = ((FieldConfig.from_mu_l(0.0), 2, "undefined at p = mass = 0"),
-             (CFG, 0, "truncation must be >= 1, got 0"),
-             (CFG, 2, message))
+             (CFG, 0, "truncation must be >= 1, got 0"))
     for cfg, n, want in cases:
         with pytest.raises(ValueError, match=want):
-            pair_to_csv(Region.WHOLE, str(target), cfg, n)
+            pair_to_csv(Region.LEFT, str(target), cfg, n)
         assert not target.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,15 @@ def test_momentum_ladders():
     assert section_momentum(2, CFG) == pytest.approx(2.0)
     assert subsection_momentum(1, CFG) == pytest.approx(2.0)
     assert subsection_momentum(-3, CFG) == pytest.approx(-6.0)
+
+
+def test_cutoff_indices_refuses_a_non_integer_cutoff():
+    # int(2.7) gave |k| <= 2; an integer-like cutoff keeps the int's indices
+    for bad in (2.7, 3.0, np.float64(2.0), "3", None):
+        message = f"^n_max must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            cutoff_indices(bad)
+    assert cutoff_indices(np.int64(2)).tolist() == cutoff_indices(2).tolist() == [-2, -1, 0, 1, 2]
 
 
 def test_config_validation():
@@ -167,12 +177,12 @@ def _quadrature_inner(f, g, lo, hi):
 
 
 def test_whole_modes_orthonormal_under_quadrature():
-    lo, hi = Region.WHOLE.interval(CFG)
+    lo, hi = 0.0, 2 * CFG.half_length
     for j in range(-8, 9):
         for k in range(-8, 9):
             val = _quadrature_inner(
-                lambda x: mode_function(j, Region.WHOLE, x, CFG),
-                lambda x: mode_function(k, Region.WHOLE, x, CFG),
+                lambda x: mode_function(j, None, x, CFG),
+                lambda x: mode_function(k, None, x, CFG),
                 lo, hi,
             )
             assert abs(val - (1.0 if j == k else 0.0)) <= 1e-10
@@ -180,7 +190,7 @@ def test_whole_modes_orthonormal_under_quadrature():
 
 def test_half_modes_orthonormal_and_mutually_orthogonal():
     lo, hi = Region.LEFT.interval(CFG)  # quadrature on the smooth support
-    wlo, whi = Region.WHOLE.interval(CFG)
+    wlo, whi = 0.0, 2 * CFG.half_length
     for j in range(-4, 5):
         for k in range(-4, 5):
             left = _quadrature_inner(
@@ -206,7 +216,7 @@ def test_left_mode_vanishes_on_right_half():
 
 def test_zero_mode_is_constant():
     x = np.linspace(0, 2 * CFG.half_length, 17)
-    vals = mode_function(0, Region.WHOLE, x, CFG)
+    vals = mode_function(0, None, x, CFG)
     assert np.allclose(vals, 1.0 / math.sqrt(2.0 * CFG.half_length))
 
 
@@ -215,5 +225,5 @@ def test_mode_function_time_phase():
     x = np.array([0.3])
     t = 0.9
     p = float(section_momentum(2, cfg))
-    expected = mode_function(2, Region.WHOLE, x, cfg) * np.exp(-1j * float(energy(p, cfg.mass)) * t)
-    assert np.allclose(mode_function(2, Region.WHOLE, x, replace(cfg, time=t)), expected)
+    expected = mode_function(2, None, x, cfg) * np.exp(-1j * float(energy(p, cfg.mass)) * t)
+    assert np.allclose(mode_function(2, None, x, replace(cfg, time=t)), expected)

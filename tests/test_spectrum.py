@@ -151,6 +151,43 @@ def test_occupation_input_validation():
                 compute(n_bad)
 
 
+def test_occupation_refuses_a_non_integer_mode_count_or_cutoff():
+    # (2.5, 1.0, 65) gave 3 entries, and (2, 1.0, 3.5, tail=True) joined the raw N = 3 sum to a
+    # tail taken from x0 = 2.25, matching neither cutoff
+    with pytest.raises(ValueError, match=r"^k_max must be an integer, got 2\.5$"):
+        occupation_spectrum(2.5, 1.0, 65)
+    with pytest.raises(ValueError, match=r"^n_max must be an integer, got 3\.5$"):
+        occupation_spectrum(2, 1.0, 3.5, tail=True)
+    held = occupation_spectrum(np.int64(2), 1.0, np.int64(65), tail=True)
+    assert held.tolist() == occupation_spectrum(2, 1.0, 65, tail=True).tolist()
+
+
+def test_correlation_refuses_a_non_integer_mode_count_or_cutoff():
+    # (2.5, 1.0, 65) gave a 3x3 matrix
+    with pytest.raises(ValueError, match=r"^k_max must be an integer, got 2\.5$"):
+        correlation_matrix(2.5, 1.0, 65)
+    with pytest.raises(ValueError, match=r"^n_max must be an integer, got 3\.5$"):
+        correlation_matrix(2, 1.0, 3.5, tail=True)
+    held = correlation_matrix(np.int64(2), 1.0, np.int64(65), tail=True)
+    assert held.tolist() == correlation_matrix(2, 1.0, 65, tail=True).tolist()
+
+
+def test_tail_sums_refuse_a_non_integer_cutoff():
+    # a cutoff of 3.5 set x0 = 2.25, between the tails of N = 3 and N = 4
+    one = np.array([1])
+    with pytest.raises(ValueError, match=r"^n_max must be an integer, got 3\.5$"):
+        tail_sums(one, one, 1.0, 3.5)
+    held = tail_sums(one, one, 1.0, np.int64(65))
+    assert [t.tolist() for t in held] == [t.tolist() for t in tail_sums(one, one, 1.0, 65)]
+
+
+def test_converged_cutoff_refuses_a_non_integer_mode_count():
+    # 200.5 raised TypeError from the final "| 1"
+    with pytest.raises(ValueError, match=r"^k_max must be an integer, got 200\.5$"):
+        converged_cutoff(200.5, 1.0)
+    assert converged_cutoff(np.int64(200), 1.0) == converged_cutoff(200, 1.0) == 801
+
+
 # --- cross correlation -------------------------------------------------------
 
 def test_contraction_matches_fock_four_point_synthetic():
