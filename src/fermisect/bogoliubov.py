@@ -39,6 +39,7 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from ._textio import write_table
 from .field import (
@@ -211,7 +212,7 @@ def canonicity_residual(ms, n_max: int, cfg: FieldConfig) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    return leggauss(order)
 
 
 def _gauss_legendre_block(ms, ks, region, mixed, cfg, order):

@@ -334,7 +334,7 @@ def joint_correlation_exact_surface(labels_a, labels_b) -> np.ndarray:
     keep = evals > 1e-12
     rank = keep.sum(axis=1)
     flat = out.reshape(-1)
-    for r in np.unique(rank).tolist():
+    for r in sorted(set(rank.tolist())):
         pairs = np.flatnonzero(rank == r)
         directions = np.swapaxes(evecs[pairs], 1, 2)[keep[pairs]].reshape(len(pairs), r, 4)
         weights = np.sqrt(evals[pairs][keep[pairs]]).reshape(len(pairs), 1, r)

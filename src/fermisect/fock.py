@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import default_rng
 
 from .field import _integer
 
@@ -189,7 +190,7 @@ def random_canonical_transform(n_modes: int, seed: int) -> list[QuasiOperator]:
     n_modes = _mode_count(n_modes)
     if n_modes > 6:
         raise ValueError("random canonical transforms capped at parity 6+6 modes")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     dim = 2 * n_modes
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     gen = 0.5 * (raw - raw.conj().T)

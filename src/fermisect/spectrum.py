@@ -11,7 +11,8 @@ phases ``exp(-+i (eps_k - eps_m) t)``, which cancel in the product, so each sum 
 term (``|W_k|^2`` or ``1/2``, if the cutoff ``n_max`` holds its column) plus a real odd-column
 sum, formed by `_odd_sums` from one table of column-weight sums per mode; `_weight_sums` fills
 it in blocks of modes, each mode's reciprocal denominators a window of one vector over the odd
-integers.  ``tail=True`` adds `tail_sums`, the same form past the cutoff.  A CSV header states
+integers.  ``tail=True`` adds `tail_sums`, the same form past the cutoff, its digammas and
+trigammas from numpy by recurrence and asymptotic series.  A CSV header states
 the configuration, the one cutoff and the ``tail`` flag.
 """
 
@@ -22,7 +23,6 @@ from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import digamma, zeta
 
 from ._textio import write_table
 from .bogoliubov import SERIES_PREFACTOR, check_domain, coeff_w, cutoff_indices
@@ -98,23 +98,54 @@ def _odd_sums(ks, ms, cfg: FieldConfig, t_k, t_m, s_k) -> tuple[np.ndarray, np.n
             SERIES_PREFACTOR**2 * (coeff[0] * pair[0] + coeff[1] * pair[1] + coeff[2] * pair[2]))
 
 
+def _digamma_trigamma(x) -> tuple[np.ndarray, np.ndarray]:
+    """``(psi(x), zeta(2, x))`` of a float array with no entry a non-positive integer.
+
+    Entries below 0 reflect to ``1 - x`` (DLMF 5.5.4, 5.15.6), the recurrences 5.5.2 and 5.15.5
+    lift each entry to ``x >= 20``, and the asymptotic series 5.11.2 and 5.15.8 end there at
+    ``x^-10`` and ``x^-11``, their next terms below 2e-17 of the value.
+    """
+    x = np.asarray(x, dtype=float)
+    below = x < 0
+    y = np.where(below, 1.0 - x, x)
+    psi_steps, tri_steps = np.zeros(y.shape), np.zeros(y.shape)
+    while (low := y < 20.0).any():
+        r = np.where(low, 1.0 / y, 0.0)
+        psi_steps += r
+        tri_steps += r * r
+        y += low
+    z = 1.0 / (y * y)
+    psi_series = z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (1 / 240 - z / 132))))
+    tri_series = (1 / 6 - z * (1 / 30 - z * (1 / 42 - z * (1 / 30 - z * 5 / 66)))) / y
+    psi = np.log(y) - 0.5 / y - psi_series - psi_steps
+    tri = (1.0 + (0.5 + tri_series) / y) / y + tri_steps
+    if below.any():  # never on the CLI's tails, where x0 - k >= 129.5
+        # pi cot(pi x) = pi tan(pi (1/2 - f)), sin^2(pi x) = cos^2(pi (1/2 - f)), f = x - floor(x):
+        # both exact at half-integers, where the cotangent is 0
+        shift = np.pi * (0.5 - (x - np.floor(x)))
+        psi = np.where(below, psi - np.pi * np.tan(shift), psi)
+        tri = np.where(below, np.pi**2 / np.cos(shift) ** 2 - tri, tri)
+    return psi, tri
+
+
 def tail_sums(ks, ms, mu_l: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(alpha_tail, beta_tail)``: sums over odd ``|j| > n_max`` of the cross terms, no phases.
 
     `_odd_sums` of the weight limits ``1/2 +- mu/(2|p|)`` and ``+-1/2`` to first order in
-    ``mu/|p|``, summed over ``x = |j|/2 >= x0`` by digammas and trigammas (DLMF 5.7, 5.15), ``T``
-    up to a ``k``-independent constant.  ``ks``, ``ms`` broadcast (``ks[:, None], ks[None, :]``).
+    ``mu/|p|``, summed over ``x = |j|/2 >= x0`` by digammas and trigammas (DLMF 5.7, 5.15) from
+    `_digamma_trigamma`, numpy's own recurrence and asymptotic series, ``T`` up to a
+    ``k``-independent constant.  ``ks``, ``ms`` broadcast (``ks[:, None], ks[None, :]``).
     A cutoff ``n_max < 1`` raises `ValueError`, as in `cutoff_indices`.
     """
     if _integer(n_max, "n_max must be an integer") < 1:
         raise ValueError(f"truncation must be >= 1, got {n_max}")
     cfg = FieldConfig.from_mu_l(mu_l)
     x0 = (n_max + 1 + n_max % 2) / 2.0
-    c, psi0 = cfg.mass / (4 * np.pi), digamma(x0)  # mu/(2|p|) = c/x
+    c, psi0 = cfg.mass / (4 * np.pi), _digamma_trigamma(x0)[0]  # mu/(2|p|) = c/x
 
     def sums(n):  # over d = x + a, a = n and -n: 1/d (less a constant), 1/d^2, 1/(x d), 1/(x d^2)
         a = np.stack((n, -n)).astype(float)
-        psi, tri = digamma(x0 + a), zeta(2.0, x0 + a)
+        psi, tri = _digamma_trigamma(x0 + a)
         g = (psi - psi0) / a
         t, t_mu = 0.5 * (psi[1] - psi[0]), c * (g[0] - g[1])
         s, s_mu = 0.5 * (tri[0] + tri[1]), c * ((g - tri) / a).sum(axis=0)

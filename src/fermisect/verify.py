@@ -21,9 +21,11 @@ deviations.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import povm
 from .bogoliubov import canonicity_residual, iter_coefficients, overlap_oracle, region_sign
@@ -121,7 +123,7 @@ def criterion_near_diagonal() -> CriterionResult:
     mat = correlation_matrix(16, 1.0, n_max=1025)
     diag = np.abs(np.diag(mat))
     off = np.abs(mat[~np.eye(16, dtype=bool)])
-    ratio = float(np.median(off) / np.median(diag))
+    ratio = statistics.median(off.tolist()) / statistics.median(diag.tolist())
     return CriterionResult(4, "near-diagonal left/right correlation", ratio <= 0.10,
                            f"median off/diag = {ratio:.4f} (tol 0.10)", known_deviation=True)
 
@@ -192,7 +194,7 @@ def criterion_detector_closed_forms() -> CriterionResult:
 
 def criterion_gram_positivity(seed: int = 20240811) -> CriterionResult:
     """Random detector-mode Gram matrices are PSD with unit diagonal."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     mode_sets = []
     for _ in range(50):
         n = int(rng.integers(2, 21))

@@ -1,5 +1,7 @@
 """The public names: every ``__all__`` entry resolves, has a caller outside the tests, and each
-is imported from its module alone; every exported exception class is caught outside the tests."""
+is imported from its module alone; every exported exception class is caught outside the tests.
+The imports: no module imports scipy, and no request loads a numpy module the package import
+did not."""
 
 import ast
 import importlib
@@ -7,6 +9,7 @@ import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -79,19 +82,22 @@ def test_package_imports_only_listed_names():
         from fermisect import occupation_spectrum  # noqa: F401
 
 
+def _run_python(code: str, *args: str) -> str:
+    src = str(Path(fermisect.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+
+
 def test_package_import_loads_the_computation_modules_in_order():
     # bench/spans.py imports the package and then reads every module from sys.modules
-    code = ("import sys, fermisect; "
-            "print(' '.join(key for key in sys.modules if key.startswith('fermisect')))")
-    src = str(Path(fermisect.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
+    out = _run_python("import sys, fermisect; "
+                      "print(' '.join(key for key in sys.modules if key.startswith('fermisect')))")
     assert out.split() == [f"fermisect.{short}" for short in
                            ("_textio", "field", "bogoliubov", "fock", "detector", "povm",
                             "spectrum")] + ["fermisect"]
 
 
-def test_spectrum_is_the_one_module_that_imports_scipy():
+def test_no_module_imports_scipy():
     importers = []
     for path in sorted(Path(fermisect.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -101,15 +107,41 @@ def test_spectrum_is_the_one_module_that_imports_scipy():
                   if isinstance(node, ast.ImportFrom) and node.module]
         if any(name == "scipy" or name.startswith("scipy.") for name in names):
             importers.append(path.stem)
-    assert importers == ["spectrum"]
+    assert importers == []
 
 
-def test_cli_import_loads_no_sparse_or_linalg_scipy():
-    code = ("import sys, fermisect.cli; "
-            "print(' '.join(key for key in sys.modules if key.startswith('scipy')))")
-    src = str(Path(fermisect.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    loaded = out.split()
-    assert "scipy.special" in loaded
-    assert not [key for key in loaded if key.startswith(("scipy.sparse", "scipy.linalg"))]
+def test_cli_import_loads_no_scipy():
+    loaded = _run_python("import sys, fermisect.cli; "
+                         "print(' '.join(key for key in sys.modules if key.startswith('scipy')))")
+    assert loaded.split() == []
+
+
+def test_requests_load_no_numpy_or_scipy_module_after_the_cli_import(tmp_path):
+    # a module that a request imports late is faulted in during the request, so a bench pass
+    # measured from after the package import counts its pages as pass memory
+    requests = [
+        "spectrum --mu-l 1 --k-max 4",
+        "spectrum --mu-l 1 --k-max 4 --truncation 9 --format json",
+        "correlation --mu-l 1 --k-max 4",
+        "correlation --mu-l 1 --k-max 4 --truncation 9 --format json",
+        f"bogoliubov --mu-l 1 --truncation 4 --out {tmp_path / 'pair.csv'}",
+        "verify",
+        "joint-correlation --grid 0:1:3",
+        "detector --grid 0:1:3 --format json",
+        "povm --entangled 0.25",
+    ]
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import fermisect.cli as cli
+        before = set(sys.modules)
+        for argv in sys.argv[1:]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main(argv.split())
+            late = sorted(key for key in set(sys.modules) - before
+                          if key.startswith(("numpy.", "scipy")))
+            before.update(late)
+            print(argv.split()[0], status, *late)
+    """)
+    out = _run_python(code, *requests)
+    assert out.splitlines() == [f"{argv.split()[0]} {2 if argv == 'verify' else 0}"
+                                for argv in requests]

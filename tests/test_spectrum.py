@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma, zeta
 
 from fermisect import spectrum
 from fermisect.bogoliubov import (
@@ -179,6 +180,38 @@ def test_tail_sums_refuse_a_non_integer_cutoff():
         tail_sums(one, one, 1.0, 3.5)
     held = tail_sums(one, one, 1.0, np.int64(65))
     assert [t.tolist() for t in held] == [t.tolist() for t in tail_sums(one, one, 1.0, 65)]
+
+
+# every half-integer from -8192.5 to 16385.5, an integer, and x0 of the cutoff 16385
+HALF_INTEGERS = np.concatenate((np.arange(-8192.5, 16386.0), [257.0, 8193.5]))
+
+
+def test_digamma_trigamma_equal_scipy():
+    # scipy.special is the independent reference.  Measured worst relative gaps: digamma 9.5e-16
+    # (at 2.5) away from its root and 1.05e-14 at 1.5 and -0.5, next to the root 1.4616, where the
+    # recurrence cancels 3.04 - 3.01 down to 0.036; trigamma 5.8e-16 (at 112.5, where scipy's own
+    # value is 4.6e-16 off a 30-digit one and the numpy form's 1.2e-16)
+    psi, tri = spectrum._digamma_trigamma(HALF_INTEGERS)
+    psi_gap = np.abs(psi - digamma(HALF_INTEGERS)) / np.abs(digamma(HALF_INTEGERS))
+    near_root = np.isin(HALF_INTEGERS, (1.5, -0.5))
+    assert psi_gap[~near_root].max() <= 1e-15
+    assert psi_gap[near_root].max() <= 1.2e-14
+    assert np.max(np.abs(tri - zeta(2.0, HALF_INTEGERS)) / zeta(2.0, HALF_INTEGERS)) <= 6e-16
+
+
+@pytest.mark.parametrize("n_max", [1, 9, 513, 16385])
+def test_tail_sums_equal_the_scipy_form(monkeypatch, n_max):
+    # the same closed forms on scipy's digamma and trigamma; N = 1 and 9 reach arguments below 0.
+    # Measured worst gaps over the largest entry: 8.2e-16 up to mu*L = 10, and 8.4e-15 at 512,
+    # where mu/(4 pi) scales the cancelling differences psi(x0 -+ k) - psi(x0)
+    ks = np.arange(1, 65)
+    for mu_l, bound in ((0.0, 1e-15), (1.0, 1e-15), (10.0, 1e-15), (512.0, 1e-14)):
+        got = tail_sums(ks[:, None], ks[None, :], mu_l, n_max)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "_digamma_trigamma", lambda x: (digamma(x), zeta(2.0, x)))
+            want = tail_sums(ks[:, None], ks[None, :], mu_l, n_max)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= bound * np.max(np.abs(w))
 
 
 def test_converged_cutoff_refuses_a_non_integer_mode_count():
