@@ -11,9 +11,9 @@ phases ``exp(-+i (eps_k - eps_m) t)``, which cancel in the product, so each sum 
 term (``|W_k|^2`` or ``1/2``, if the cutoff ``n_max`` holds its column) plus a real odd-column
 sum, formed by `_odd_sums` from one table of column-weight sums per mode; `_weight_sums` fills
 it in blocks of modes, each mode's reciprocal denominators a window of one vector over the odd
-integers.  ``tail=True`` adds `tail_sums`, the same form past the cutoff, its digammas and
-trigammas from numpy by recurrence and asymptotic series.  A CSV header states
-the configuration, the one cutoff and the ``tail`` flag.
+integers.  ``tail=True`` adds `tail_sums`, the same form past the cutoff, from cumulative sums
+of reciprocals and one `_trigamma`.  A CSV header states the configuration, the one cutoff and
+the ``tail`` flag.
 """
 
 from __future__ import annotations
@@ -98,61 +98,54 @@ def _odd_sums(ks, ms, cfg: FieldConfig, t_k, t_m, s_k) -> tuple[np.ndarray, np.n
             SERIES_PREFACTOR**2 * (coeff[0] * pair[0] + coeff[1] * pair[1] + coeff[2] * pair[2]))
 
 
-def _digamma_trigamma(x) -> tuple[np.ndarray, np.ndarray]:
-    """``(psi(x), zeta(2, x))`` of a float array with no entry a non-positive integer.
-
-    Entries below 0 reflect to ``1 - x`` (DLMF 5.5.4, 5.15.6), the recurrences 5.5.2 and 5.15.5
-    lift each entry to ``x >= 20``, and the asymptotic series 5.11.2 and 5.15.8 end there at
-    ``x^-10`` and ``x^-11``, their next terms below 2e-17 of the value.
+def _trigamma(x: float) -> float:
+    """``zeta(2, x)`` of a float ``x > 0``: the recurrence DLMF 5.15.5 lifts ``x`` to ``>= 20``,
+    where the asymptotic series 5.15.8 ends at ``x^-11``, its next term below 2e-17 of the value.
     """
-    x = np.asarray(x, dtype=float)
-    below = x < 0
-    y = np.where(below, 1.0 - x, x)
-    psi_steps, tri_steps = np.zeros(y.shape), np.zeros(y.shape)
-    while (low := y < 20.0).any():
-        r = np.where(low, 1.0 / y, 0.0)
-        psi_steps += r
-        tri_steps += r * r
-        y += low
-    z = 1.0 / (y * y)
-    psi_series = z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (1 / 240 - z / 132))))
-    tri_series = (1 / 6 - z * (1 / 30 - z * (1 / 42 - z * (1 / 30 - z * 5 / 66)))) / y
-    psi = np.log(y) - 0.5 / y - psi_series - psi_steps
-    tri = (1.0 + (0.5 + tri_series) / y) / y + tri_steps
-    if below.any():  # never on the CLI's tails, where x0 - k >= 129.5
-        # pi cot(pi x) = pi tan(pi (1/2 - f)), sin^2(pi x) = cos^2(pi (1/2 - f)), f = x - floor(x):
-        # both exact at half-integers, where the cotangent is 0
-        shift = np.pi * (0.5 - (x - np.floor(x)))
-        psi = np.where(below, psi - np.pi * np.tan(shift), psi)
-        tri = np.where(below, np.pi**2 / np.cos(shift) ** 2 - tri, tri)
-    return psi, tri
+    steps = 0.0
+    while x < 20.0:
+        r = 1.0 / x
+        steps += r * r
+        x += 1.0
+    z = 1.0 / (x * x)
+    series = (1 / 6 - z * (1 / 30 - z * (1 / 42 - z * (1 / 30 - z * 5 / 66)))) / x
+    return (1.0 + (0.5 + series) / x) / x + steps
 
 
 def tail_sums(ks, ms, mu_l: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(alpha_tail, beta_tail)``: sums over odd ``|j| > n_max`` of the cross terms, no phases.
 
     `_odd_sums` of the weight limits ``1/2 +- mu/(2|p|)`` and ``+-1/2`` to first order in
-    ``mu/|p|``, summed over ``x = |j|/2 >= x0`` by digammas and trigammas (DLMF 5.7, 5.15) from
-    `_digamma_trigamma`, numpy's own recurrence and asymptotic series, ``T`` up to a
-    ``k``-independent constant.  ``ks``, ``ms`` broadcast (``ks[:, None], ks[None, :]``).
-    A cutoff ``n_max < 1`` raises `ValueError`, as in `cutoff_indices`.
+    ``mu/|p|``, summed over ``x = |j|/2 >= x0`` in closed form (DLMF 5.7, 5.15): each digamma
+    as ``psi(x0 +- n) - psi(x0)``, a sum of ``1/(x0 +- i)`` (5.5.2), each trigamma as `_trigamma`
+    of ``x0`` plus or minus a sum of their squares, and ``T`` less the ``k``-independent
+    ``psi(x0)``.  ``ks``, ``ms`` are integer arrays that broadcast (``ks[:, None], ks[None, :]``).
+    A cutoff ``n_max < 1`` raises `ValueError`, as in `cutoff_indices`, and so does a mode below 1.
     """
     if _integer(n_max, "n_max must be an integer") < 1:
         raise ValueError(f"truncation must be >= 1, got {n_max}")
     cfg = FieldConfig.from_mu_l(mu_l)
+    ks, ms = np.asarray(ks), np.asarray(ms)
+    modes = np.concatenate((ks.ravel(), ms.ravel()))
+    if modes.size and modes.min() < 1:
+        raise ValueError(f"modes must be >= 1, got {modes.min()}")
     x0 = (n_max + 1 + n_max % 2) / 2.0
-    c, psi0 = cfg.mass / (4 * np.pi), _digamma_trigamma(x0)[0]  # mu/(2|p|) = c/x
+    c, tri0 = cfg.mass / (4 * np.pi), _trigamma(x0)  # mu/(2|p|) = c/x
+    # entry n - 1: psi(x0 + n) - psi(x0), psi(x0) - psi(x0 - n), zeta(2, x0) - zeta(2, x0 + n)
+    # and zeta(2, x0 - n) - zeta(2, x0), as sums of 1/(x0 + i), i < n, 1/(x0 - i), 1 <= i <= n
+    i = np.arange(modes.max(initial=0))
+    up, down = 1.0 / (x0 + i), 1.0 / (x0 - 1 - i)
+    tables = np.cumsum((up, down, up * up, down * down), axis=1)
 
-    def sums(n):  # over d = x + a, a = n and -n: 1/d (less a constant), 1/d^2, 1/(x d), 1/(x d^2)
-        a = np.stack((n, -n)).astype(float)
-        psi, tri = _digamma_trigamma(x0 + a)
-        g = (psi - psi0) / a
-        t, t_mu = 0.5 * (psi[1] - psi[0]), c * (g[0] - g[1])
-        s, s_mu = 0.5 * (tri[0] + tri[1]), c * ((g - tri) / a).sum(axis=0)
-        return (np.stack((t + t_mu, -0.5 * (psi[0] + psi[1]), t - t_mu)),
-                np.stack((s + s_mu, 0.5 * (tri[0] - tri[1]), s - s_mu)))
+    def sums(n):  # over d = x + a, a = n and -n: 1/d (less psi(x0)), 1/d^2, 1/(x d), 1/(x d^2)
+        psi_up, psi_down, tri_up, tri_down = tables[:, n - 1]
+        g = (psi_up - psi_down) / n
+        t, t_mu = -0.5 * (psi_up + psi_down), c * g
+        s, s_mu = tri0 + 0.5 * (tri_down - tri_up), c * (g + tri_up + tri_down) / n
+        return (np.stack((t + t_mu, 0.5 * (psi_down - psi_up), t - t_mu)),
+                np.stack((s + s_mu, -0.5 * (tri_up + tri_down), s - s_mu)))
 
-    (t_k, s_k), (t_m, _) = sums(np.asarray(ks)), sums(np.asarray(ms))
+    (t_k, s_k), (t_m, _) = sums(ks), sums(ms)
     return _odd_sums(ks, ms, cfg, t_k, t_m, s_k)
 
 

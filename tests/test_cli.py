@@ -176,7 +176,7 @@ GOLDEN = [
     (["povm", "--entangled", "0.25", "--with-conditionals"], 0, "fbc9d926c91a0921"),
     # no --truncation: the converged cutoff plus the closed-form tail
     (["spectrum", "--mu-l", "1", "--k-max", "20"], 0, "f28d9de490730ad4"),
-    (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "687754643e1c33f9"),
+    (["correlation", "--mu-l", "0.5", "--k-max", "4"], 0, "c404de37641f5f75"),
     # larger cutoffs; the time-0 right dump writes signed zeros
     (["bogoliubov", "--mu-l", "10", "--truncation", "64", "--time", "0.5"], 0, "897edd0595be5eb0"),
     (["bogoliubov", "--mu-l", "0.1", "--truncation", "48", "--region", "right"],

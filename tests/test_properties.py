@@ -52,6 +52,19 @@ def test_tail_corrected_sums_do_not_depend_on_the_cutoff(mu_l, k_max):
     assert np.max(np.abs(corr - correlation_matrix(k_max, mu_l, 4097, tail=True))) <= 1e-11
 
 
+@pytest.mark.parametrize("n_max", [33, 65, 513, 4097])
+def test_massless_tail_corrected_sums_are_exact_at_every_cutoff(n_max):
+    # at mu*L = 0 the weights equal their limits, so raw sum plus tail is the whole sum at any
+    # cutoff holding every matched column (N >= 2 k_max + 1).  Measured over the largest entry:
+    # occupations 3.3e-16, correlations 9.3e-15 (N = 33) to 2.9e-15 (4097)
+    occupations = occupation_spectrum(16, 0.0, n_max, tail=True)
+    reference = occupation_spectrum(16, 0.0, 16385, tail=True)
+    assert np.max(np.abs(occupations - reference)) <= 2e-14 * np.max(np.abs(reference))
+    corr = correlation_matrix(16, 0.0, n_max, tail=True)
+    reference = correlation_matrix(16, 0.0, 16385, tail=True)
+    assert np.max(np.abs(corr - reference)) <= 2e-14 * np.max(np.abs(reference))
+
+
 def _row_contractions(k_max, cfg, n_max, tail):
     """Occupations and correlation from the complex kernel rows, the right half by `region_sign`."""
     js, ks = cutoff_indices(n_max), np.arange(1, k_max + 1)

@@ -3,11 +3,12 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma, zeta
+from scipy.special import zeta
 
 from fermisect import spectrum
 from fermisect.bogoliubov import (
@@ -20,7 +21,14 @@ from fermisect.bogoliubov import (
     pair_to_csv,
     region_sign,
 )
-from fermisect.field import Branch, FieldConfig, Region, section_momentum, subsection_momentum
+from fermisect.field import (
+    Branch,
+    FieldConfig,
+    Region,
+    section_momentum,
+    spinor,
+    subsection_momentum,
+)
 from fermisect.fock import QuasiOperator, build_space, expectations, random_canonical_transform
 from fermisect.spectrum import (
     converged_cutoff,
@@ -182,35 +190,79 @@ def test_tail_sums_refuse_a_non_integer_cutoff():
     assert [t.tolist() for t in held] == [t.tolist() for t in tail_sums(one, one, 1.0, 65)]
 
 
-# every half-integer from -8192.5 to 16385.5, an integer, and x0 of the cutoff 16385
-HALF_INTEGERS = np.concatenate((np.arange(-8192.5, 16386.0), [257.0, 8193.5]))
+def test_tail_sums_refuse_a_mode_below_one():
+    # entry n - 1 of a cumulative table is read for mode n: mode 0 read entry -1, and the
+    # digamma form divided by 0 to nan
+    one = np.array([1])
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=f"^modes must be >= 1, got {bad}$"):
+            tail_sums(np.array([bad]), one, 1.0, 65)
+        with pytest.raises(ValueError, match=f"^modes must be >= 1, got {bad}$"):
+            tail_sums(one, np.array([1, bad]), 1.0, 65)
+    none, ks = np.arange(1, 1), np.arange(1, 4)
+    for k, m, shape in ((none, none, (0,)), (none[:, None], ks[None, :], (0, 3)),
+                        (ks[:, None], none[None, :], (3, 0))):
+        assert [t.shape for t in tail_sums(k, m, 1.0, 65)] == [shape, shape]
 
 
-def test_digamma_trigamma_equal_scipy():
-    # scipy.special is the independent reference.  Measured worst relative gaps: digamma 9.5e-16
-    # (at 2.5) away from its root and 1.05e-14 at 1.5 and -0.5, next to the root 1.4616, where the
-    # recurrence cancels 3.04 - 3.01 down to 0.036; trigamma 5.8e-16 (at 112.5, where scipy's own
-    # value is 4.6e-16 off a 30-digit one and the numpy form's 1.2e-16)
-    psi, tri = spectrum._digamma_trigamma(HALF_INTEGERS)
-    psi_gap = np.abs(psi - digamma(HALF_INTEGERS)) / np.abs(digamma(HALF_INTEGERS))
-    near_root = np.isin(HALF_INTEGERS, (1.5, -0.5))
-    assert psi_gap[~near_root].max() <= 1e-15
-    assert psi_gap[near_root].max() <= 1.2e-14
-    assert np.max(np.abs(tri - zeta(2.0, HALF_INTEGERS)) / zeta(2.0, HALF_INTEGERS)) <= 6e-16
+def test_trigamma_equals_scipy_zeta():
+    # at x0 of every cutoff 1 .. 16385; scipy.special is the independent reference.  Measured
+    # worst relative gap 5.8e-16 (at 112.5, where scipy's own value is 4.6e-16 off a 30-digit one
+    # and this form's 1.2e-16)
+    x0 = np.arange(1.5, 8194.0)
+    got = np.array([spectrum._trigamma(x) for x in x0.tolist()])
+    assert np.max(np.abs(got - zeta(2.0, x0)) / zeta(2.0, x0)) <= 6e-16
+
+
+def _mp_tail_sums(ks, mu_l, n_max):
+    """`tail_sums` over ``ks[:, None], ks[None, :]`` from 40-digit digammas and trigammas.
+
+    The same closed forms, `_odd_sums` included, in mpmath on object arrays; only the spinor
+    components and the prefactor enter as their float64 values.
+    """
+    cfg = FieldConfig.from_mu_l(mu_l)
+    with mpmath.workdps(40):
+        x0 = mpmath.mpf(n_max + 1 + n_max % 2) / 2
+        c, psi0 = mpmath.mpf(cfg.mass) / (4 * mpmath.pi), mpmath.digamma(x0)
+        t, s = [], []
+        for n in ks.tolist():
+            psi = [mpmath.digamma(x0 + a) for a in (n, -n)]
+            tri = [mpmath.psi(1, x0 + a) for a in (n, -n)]
+            g = [(psi[0] - psi0) / n, (psi[1] - psi0) / -n]
+            t_mu = c * (g[0] - g[1])
+            s_mu = c * ((g[0] - tri[0]) / n - (g[1] - tri[1]) / n)
+            t.append(((psi[1] - psi[0]) / 2 + t_mu, -(psi[0] + psi[1]) / 2,
+                      (psi[1] - psi[0]) / 2 - t_mu))
+            s.append(((tri[0] + tri[1]) / 2 + s_mu, (tri[0] - tri[1]) / 2,
+                      (tri[0] + tri[1]) / 2 - s_mu))
+        t, s = np.array(t, dtype=object).T, np.array(s, dtype=object).T
+        same = np.eye(len(ks), dtype=bool)
+        gap = np.where(same, 1, ks[None, :] - ks[:, None])
+        pair = [np.where(same, s[x][:, None], (t[x][:, None] - t[x][None, :]) / gap)
+                for x in range(3)]
+        u = spinor(subsection_momentum(ks, cfg), cfg.mass, Branch.POSITIVE)
+        upper, lower = (np.array([mpmath.mpf(v) for v in w.tolist()], dtype=object)
+                        for w in (u.upper, u.lower))
+        coeff = (lower[:, None] * lower[None, :],
+                 -(upper[:, None] * lower[None, :] + lower[:, None] * upper[None, :]),
+                 upper[:, None] * upper[None, :])
+        kappa2 = mpmath.mpf(SERIES_PREFACTOR) ** 2
+        alpha = kappa2 * (coeff[0] * pair[2] + coeff[1] * pair[1] + coeff[2] * pair[0])
+        beta = kappa2 * (coeff[0] * pair[0] + coeff[1] * pair[1] + coeff[2] * pair[2])
+    return alpha.astype(float), beta.astype(float)
 
 
 @pytest.mark.parametrize("n_max", [1, 9, 513, 16385])
-def test_tail_sums_equal_the_scipy_form(monkeypatch, n_max):
-    # the same closed forms on scipy's digamma and trigamma; N = 1 and 9 reach arguments below 0.
-    # Measured worst gaps over the largest entry: 8.2e-16 up to mu*L = 10, and 8.4e-15 at 512,
-    # where mu/(4 pi) scales the cancelling differences psi(x0 -+ k) - psi(x0)
+def test_tail_sums_equal_a_40_digit_evaluation(n_max):
+    # N = 1 and 9 reach arguments below 0.  Measured worst gaps over the largest entry, at any
+    # mu*L: 4.5e-16 (N = 1), 5.6e-16 (9), 8.9e-15 (513) and 1.4e-14 (16385), from the cumulative
+    # sums over 64 modes.  scipy's digamma cannot be the reference: its differences
+    # psi(x0 +- k) - psi(x0) cancel, to 3.5e-13 at N = 513 and 8.3e-10 at 16385, mu*L = 512
+    bound = {1: 1e-15, 9: 1e-15, 513: 1e-14, 16385: 1.5e-14}[n_max]
     ks = np.arange(1, 65)
-    for mu_l, bound in ((0.0, 1e-15), (1.0, 1e-15), (10.0, 1e-15), (512.0, 1e-14)):
+    for mu_l in (0.0, 1.0, 10.0, 512.0):
         got = tail_sums(ks[:, None], ks[None, :], mu_l, n_max)
-        with monkeypatch.context() as patch:
-            patch.setattr(spectrum, "_digamma_trigamma", lambda x: (digamma(x), zeta(2.0, x)))
-            want = tail_sums(ks[:, None], ks[None, :], mu_l, n_max)
-        for g, w in zip(got, want):
+        for g, w in zip(got, _mp_tail_sums(ks, mu_l, n_max)):
             assert np.max(np.abs(g - w)) <= bound * np.max(np.abs(w))
 
 
