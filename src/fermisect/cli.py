@@ -173,22 +173,20 @@ def _cmd_spectrum(args) -> int:
     mu_ls = _parse_floats(args.mu_l)
     if not mu_ls:
         raise ValueError("--mu-l needs at least one value")
-    # header configs; of equal values (-0.0, 0.0) the first names its column and the header
-    cfgs = {mu_l: FieldConfig.from_mu_l(mu_l) for mu_l in dict.fromkeys(mu_ls)}
-    n, tail = _cutoff(args, cfgs)
-    spectra = {mu_l: occupation_spectrum(args.k_max, mu_l, n, tail) for mu_l in cfgs}
+    n, tail = _cutoff(args, mu_ls)
+    # of equal values (-0.0, 0.0) the first names its column and the header
+    spectra = {v: occupation_spectrum(args.k_max, v, n, tail) for v in dict.fromkeys(mu_ls)}
     if args.format == "json":
         payload = {repr(mu_l): values.tolist() for mu_l, values in spectra.items()}
         _emit(args.out, json.dumps({"k": list(range(1, args.k_max + 1)), "occupation": payload},
                                    indent=2) + "\n")
     else:
-        write_spectrum_csv(_target(args.out), spectra, cfgs[min(cfgs)], n, tail)
+        write_spectrum_csv(_target(args.out), spectra, n, tail)
     return 0
 
 
 def _cmd_correlation(args) -> int:
     mu_l = _single_mu_l(args.mu_l)
-    cfg = FieldConfig.from_mu_l(mu_l)  # the header; validates --mu-l
     n, tail = _cutoff(args, [mu_l])
     entries = correlation_matrix(args.k_max, mu_l, n, tail)
     if args.format == "json":
@@ -196,7 +194,7 @@ def _cmd_correlation(args) -> int:
                    for k, row in enumerate(entries.tolist(), 1) for m, d in enumerate(row, 1)]
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
     else:
-        write_correlation_csv(_target(args.out), entries, cfg, n, tail)
+        write_correlation_csv(_target(args.out), entries, mu_l, n, tail)
     return 0
 
 

@@ -309,7 +309,8 @@ def joint_correlation_exact_surface(labels_a, labels_b) -> np.ndarray:
     `PhasePoint.label` of the origin at every width.  For each pair it
     orthonormalizes the span of the two state modes and the two detector
     modes, writes every annihilator as a quasi-operator over that span, and
-    evaluates the four-point expectation minus the product of singles exactly.
+    evaluates `fock.number_correlations`, the four-point expectation minus the
+    product of singles, exactly.
     All modes outside the span contract to zero, so the restriction is lossless.
 
     One batched eigendecomposition of the pairs' Gram matrices gives the
@@ -347,15 +348,11 @@ def joint_correlation_exact_surface(labels_a, labels_b) -> np.ndarray:
 def _span_correlations(coeffs) -> list[float]:
     """Correlation of each pair from its span coefficients, shape ``(pairs, 4 modes, rank)``."""
     pairs, _, rank = coeffs.shape
-    space = fock.build_space(rank, 0)
     g1, g2, ann_a, ann_b = (fock.QuasiOperator(np.conj(coeffs[:, row]), np.zeros((pairs, 0)))
                             for row in range(4))
-    state = g1.adjoint.act(space, g2.adjoint.act(space, np.tile(space.vacuum(), (pairs, 1))))
+    state = g1.adjoint.act(g2.adjoint.act(np.tile(fock.build_space(rank, 0).vacuum(), (pairs, 1))))
     state = np.array([s / np.linalg.norm(s) for s in state])
-    n_a, n_b = [ann_a.adjoint, ann_a], [ann_b.adjoint, ann_b]
-    fours, singles_b, singles_a = (fock.expectations(space, ops, state)
-                                   for ops in (n_b + n_a, n_b, n_a))
-    return [float((four - b * a).real) for four, b, a in zip(fours, singles_b, singles_a)]
+    return [float(value.real) for value in fock.number_correlations(ann_b, ann_a, state)]
 
 
 def joint_correlation_exact(a: PhasePoint, b: PhasePoint) -> float:

@@ -7,7 +7,7 @@ adjoint, acting on state vectors under the Jordan-Wigner construction over a
 fixed global mode ordering: particle modes first, then antiparticle modes,
 each with a full sign string, so all operators anticommute across species
 exactly.  A unit row gives ``a_j`` or ``bdag_j``; their adjoints give
-``adag_j`` and ``b_j``.
+``adag_j`` and ``b_j``.  The rows fix the space: one mode per entry.
 
 No matrix is built.  One table per mode count and direction (``c`` or its
 adjoint), computed by bit arithmetic and cached read-only, holds each mode's
@@ -17,7 +17,8 @@ modes share no matrix entry, so on a basis state each output entry is one
 signed coefficient.  A stack of B coefficient rows acts on a stack of B
 states, row b on state b, elementwise along the stack, so each state keeps
 the bits of its row applied alone; `expectations` returns one value per
-state, B vacua by default.
+state, B vacua by default, and `number_correlations` the connected
+``<n_c n_f> - <n_c><n_f>`` from three of them.
 
 Limited to 12 modes total (dimension 4096); the engine exists for
 correctness, not scale.
@@ -39,6 +40,7 @@ __all__ = [
     "QuasiOperator",
     "build_space",
     "expectations",
+    "number_correlations",
     "random_canonical_transform",
 ]
 
@@ -83,12 +85,8 @@ class FockSpace:
     n_anti: int
 
     @property
-    def n_modes(self) -> int:
-        return self.n_particle + self.n_anti
-
-    @property
     def dimension(self) -> int:
-        return 2 ** self.n_modes
+        return 2 ** (self.n_particle + self.n_anti)
 
     def vacuum(self) -> np.ndarray:
         vac = np.zeros(self.dimension, dtype=complex)
@@ -130,28 +128,30 @@ class QuasiOperator:
         """The adjoint: the same rows with `dagger` flipped."""
         return replace(self, dagger=not self.dagger)
 
-    def act(self, space: FockSpace, states) -> np.ndarray:
-        """The operator applied to each state of a ``(B, space.dimension)`` stack.
+    def act(self, states) -> np.ndarray:
+        """The operator applied to each state of a ``(B, 2**n)`` stack, ``n`` the rows' mode count.
 
         A stack of B rows applies row b to state b, and a single row applies
         to every state.  Returns a new complex array of the stack's shape.
         """
         alpha, beta = np.atleast_2d(self.alpha, self.beta)
-        if (alpha.shape[1:] != (space.n_particle,) or beta.shape[1:] != (space.n_anti,)
-                or len(alpha) != len(beta)):
-            raise ValueError("coefficient lengths do not match the space")
+        if alpha.ndim != 2 or beta.ndim != 2 or len(alpha) != len(beta):
+            raise ValueError("alpha and beta must be rows or stacks of rows of one length")
+        n_modes = alpha.shape[1] + beta.shape[1]
+        if n_modes > MAX_MODES:
+            raise ValueError(f"{n_modes} modes exceeds the {MAX_MODES}-mode cap")
         states = np.asarray(states, dtype=complex)
-        if states.ndim != 2 or states.shape[1] != space.dimension:
-            raise ValueError("states must be a stack of vectors of the space")
+        if states.ndim != 2 or states.shape[1] != 2**n_modes:
+            raise ValueError(f"states must be a stack of vectors of the space of {n_modes} modes")
         if len(alpha) not in (1, len(states)):
             raise ValueError(f"{len(alpha)} coefficient rows for a stack of {len(states)} states")
         coeff = np.concatenate([alpha, np.conj(beta)], axis=1).astype(complex)
         if self.dagger:
             coeff = np.conj(coeff)
-        source, sign = _action_table(space.n_particle, space.n_anti, self.dagger)
+        source, sign = _action_table(alpha.shape[1], beta.shape[1], self.dagger)
         out = np.zeros(states.shape, dtype=complex)
         term = np.empty_like(out)
-        for j in range(space.n_modes):
+        for j in range(n_modes):
             np.take(states, source[j], axis=1, out=term)
             term *= sign[j]
             term *= coeff[:, j, None]
@@ -159,22 +159,30 @@ class QuasiOperator:
         return out
 
 
-def expectations(space: FockSpace, operators, state=None) -> list[complex]:
+def expectations(operators, state=None) -> list[complex]:
     """``<s| op_1 op_2 ... op_n |s>`` for each state ``s`` of a stack.
 
-    ``state`` is one vector of ``space`` or a ``(B, space.dimension)``
-    stack; by default, B vacua for the largest operator stack.  Returns B
-    values ``complex(s.conj() @ (op_1 ... op_n s))``.
+    ``state`` is one vector or a ``(B, 2**n)`` stack of the operators' space;
+    by default, B vacua for the largest operator stack.  Returns B values
+    ``complex(s.conj() @ (op_1 ... op_n s))``.
     """
     operators = list(operators)
     if state is None:
-        blocks = max((len(np.atleast_2d(op.alpha)) for op in operators), default=1)
-        state = np.tile(space.vacuum(), (blocks, 1))
-    state = np.atleast_2d(state)
-    vec = state
+        # of the rows that act first; with no operator, <0|0> = 1 in the 0-mode space as in any
+        rows = [np.atleast_2d(op.alpha, op.beta) for op in operators] or [[np.zeros((1, 0))] * 2]
+        space = build_space(rows[-1][0].shape[-1], rows[-1][1].shape[-1])
+        state = np.tile(space.vacuum(), (max(len(alpha) for alpha, _ in rows), 1))
+    vec = state = np.atleast_2d(state)
     for op in reversed(operators):
-        vec = op.act(space, vec)
+        vec = op.act(vec)
     return [complex(s.conj() @ v) for s, v in zip(state, vec)]
+
+
+def number_correlations(c: QuasiOperator, f: QuasiOperator, state=None) -> list[complex]:
+    """``<n_c n_f> - <n_c><n_f>``, ``n_c = c^dagger c``, of each `expectations` state."""
+    n_c, n_f = [c.adjoint, c], [f.adjoint, f]
+    fours, singles_c, singles_f = (expectations(ops, state) for ops in (n_c + n_f, n_c, n_f))
+    return [four - x * y for four, x, y in zip(fours, singles_c, singles_f)]
 
 
 def random_canonical_transform(n_modes: int, seed: int) -> list[QuasiOperator]:

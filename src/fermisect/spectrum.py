@@ -12,8 +12,8 @@ term (``|W_k|^2`` or ``1/2``, if the cutoff ``n_max`` holds its column) plus a r
 sum, formed by `_odd_sums` from one table of column-weight sums per mode; `_weight_sums` fills
 it in blocks of modes, each mode's reciprocal denominators a window of one vector over the odd
 integers.  ``tail=True`` adds `tail_sums`, the same form past the cutoff, from cumulative sums
-of reciprocals and one `_trigamma`.  A CSV header states the configuration, the one cutoff and
-the ``tail`` flag.
+of reciprocals and one `_trigamma`.  A CSV header states the configuration of its ``mu*L`` at
+``L = 1``, the one cutoff and the ``tail`` flag.
 """
 
 from __future__ import annotations
@@ -120,13 +120,15 @@ def tail_sums(ks, ms, mu_l: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     as ``psi(x0 +- n) - psi(x0)``, a sum of ``1/(x0 +- i)`` (5.5.2), each trigamma as `_trigamma`
     of ``x0`` plus or minus a sum of their squares, and ``T`` less the ``k``-independent
     ``psi(x0)``.  ``ks``, ``ms`` are integer arrays that broadcast (``ks[:, None], ks[None, :]``).
-    A cutoff ``n_max < 1`` raises `ValueError`, as in `cutoff_indices`, and so does a mode below 1.
+    ``n_max < 1`` (as in `cutoff_indices`), a mode below 1 or non-integer modes raise `ValueError`.
     """
     if _integer(n_max, "n_max must be an integer") < 1:
         raise ValueError(f"truncation must be >= 1, got {n_max}")
     cfg = FieldConfig.from_mu_l(mu_l)
     ks, ms = np.asarray(ks), np.asarray(ms)
     modes = np.concatenate((ks.ravel(), ms.ravel()))
+    if modes.dtype.kind not in "iu":
+        raise ValueError(f"modes must be integers, got an array of {modes.dtype}")
     if modes.size and modes.min() < 1:
         raise ValueError(f"modes must be >= 1, got {modes.min()}")
     x0 = (n_max + 1 + n_max % 2) / 2.0
@@ -203,23 +205,23 @@ def correlation_matrix(k_max: int, mu_l: float, n_max: int, tail: bool = False) 
     return beta_sum * alpha_sum
 
 
-def write_spectrum_csv(path_or_buf, spectra: dict[float, np.ndarray], cfg: FieldConfig,
-                       n_max: int, tail: bool = False) -> None:
+def write_spectrum_csv(path_or_buf, spectra: dict[float, np.ndarray], n_max: int,
+                       tail: bool = False) -> None:
     """One k column plus one occupation column per sweep value (mu*L), all at cutoff ``n_max``.
 
-    The header echoes ``cfg``, the configuration of the smallest mu*L.
+    The header names the configuration of the smallest mu*L, at ``L = 1``.
     """
     mu_ls = sorted(spectra)
-    header = {**asdict(cfg), "truncation": n_max, **({"tail": "digamma"} if tail else {}),
-              "mu_l_values": ",".join(map(repr, mu_ls))}
+    header = {**asdict(FieldConfig.from_mu_l(min(spectra))), "truncation": n_max,
+              **({"tail": "digamma"} if tail else {}), "mu_l_values": ",".join(map(repr, mu_ls))}
     columns = [spectra[v].tolist() for v in mu_ls]
     lines = (f"{k},{','.join(map(repr, row))}\n" for k, row in enumerate(zip(*columns), 1))
     write_table(path_or_buf, header, ["k"] + [f"n_muL_{v!r}" for v in mu_ls], lines)
 
 
-def write_correlation_csv(path_or_buf, entries: np.ndarray, cfg: FieldConfig, n_max: int,
+def write_correlation_csv(path_or_buf, entries: np.ndarray, mu_l: float, n_max: int,
                           tail: bool = False) -> None:
-    """Rows ``k,m,re_d,im_d`` of the real ``entries`` at cutoff ``n_max``; ``im_d`` is 0.0.
+    """Rows ``k,m,re_d,im_d`` of the real ``entries`` at ``mu_l``, cutoff ``n_max``; ``im_d`` 0.0.
 
     Each row ``k``, under a config header, is one ``%`` call of ``"k,%d,%r,0.0\n"``, repeated once
     per entry, over the flat cells ``m, re_d``: float ``repr`` is the one float formatter.
@@ -227,5 +229,6 @@ def write_correlation_csv(path_or_buf, entries: np.ndarray, cfg: FieldConfig, n_
     ms = range(1, entries.shape[1] + 1)
     lines = ((f"{k},%d,%r,0.0\n" * len(ms)) % tuple(chain.from_iterable(zip(ms, re)))
              for k, re in enumerate(entries.tolist(), 1))
-    header = {**asdict(cfg), "truncation": n_max, **({"tail": "digamma"} if tail else {})}
+    header = {**asdict(FieldConfig.from_mu_l(mu_l)), "truncation": n_max,
+              **({"tail": "digamma"} if tail else {})}
     write_table(path_or_buf, header, ("k", "m", "re_d", "im_d"), lines)

@@ -38,19 +38,20 @@ def jordan_wigner(nmodes: int) -> tuple:
     return tuple(ops)
 
 
-def matrix_by_terms(op, space):
+def matrix_by_terms(op):
     """The matrix of a one-row `QuasiOperator`, one Kronecker-built matrix per nonzero coefficient.
 
-    Column k is the operator's action on basis state k.
+    Column k is the operator's action on basis state k, on the space of one mode per entry.
     """
-    create = jordan_wigner(space.n_modes)
-    out = sparse.csr_matrix((space.dimension, space.dimension), dtype=complex)
+    n_particle = len(op.alpha)
+    create = jordan_wigner(n_particle + len(op.beta))
+    out = sparse.csr_matrix((2 ** len(create),) * 2, dtype=complex)
     for j, a in enumerate(op.alpha):
         if a != 0:
             out = out + a * create[j].conj().T.tocsr()
     for j, b in enumerate(op.beta):
         if b != 0:
-            out = out + np.conj(b) * create[space.n_particle + j]
+            out = out + np.conj(b) * create[n_particle + j]
     return out
 
 
@@ -130,7 +131,7 @@ def joint_correlation_by_span(a, b) -> float:
 
     def apply(ops, vec):
         for op in reversed(ops):
-            vec = op.act(space, vec[None])[0]
+            vec = op.act(vec[None])[0]
         return vec
 
     state = apply([ann[0].adjoint, ann[1].adjoint], space.vacuum())

@@ -1,15 +1,17 @@
 """The public names: every ``__all__`` entry resolves, has a caller outside the tests, and each
-is imported from its module alone; every exported exception class is caught outside the tests.
-The imports: no module imports scipy, and no request loads a numpy module the package import
-did not."""
+is imported from its module alone; every public member of an exported class has a caller outside
+the tests; every exported exception class is caught outside the tests.  The imports: no module
+imports scipy, and no request loads a numpy module the package import did not."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,30 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = [f"{short}.{name}" for short in MODULES
               for name in importlib.import_module(f"fermisect.{short}").__all__
               if name not in referenced]
+    assert unused == []
+
+
+def _public_members(cls) -> list[str]:
+    """The dataclass fields and the methods and properties that ``cls`` itself defines."""
+    fields = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+    members = [name for name, attr in vars(cls).items()
+               if isinstance(attr, (types.FunctionType, classmethod, staticmethod, property))]
+    return [name for name in dict.fromkeys(fields + members) if not name.startswith("_")]
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller_outside_the_tests():
+    # a reference is an Attribute's attr in src/ or bench/, as in `cfg.mass` or `self.dimension`;
+    # a bare Name does not count, since a local variable may share a member's name
+    read = {node.attr for node in _program_nodes() if isinstance(node, ast.Attribute)}
+    members = {}
+    for short in MODULES:
+        module = importlib.import_module(f"fermisect.{short}")
+        for name in module.__all__:
+            if isinstance(getattr(module, name), type):
+                members[f"{short}.{name}"] = _public_members(getattr(module, name))
+    assert len([qual for qual, names in members.items() if names]) >= 9
+    unused = [f"{qual}.{name}" for qual, names in members.items() for name in names
+              if name not in read]
     assert unused == []
 
 

@@ -12,17 +12,18 @@ from fermisect.fock import (
     QuasiOperator,
     _action_table,
     build_space,
-    random_canonical_transform,
     expectations,
+    number_correlations,
+    random_canonical_transform,
 )
 from oracle_reference import jordan_wigner, matrix_by_terms
 
 DRAWS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
 
-def _anticommutator(x, y, space, states):
+def _anticommutator(x, y, states):
     """``{x, y}`` applied to each state of a stack."""
-    return x.act(space, y.act(space, states)) + y.act(space, x.act(space, states))
+    return x.act(y.act(states)) + y.act(x.act(states))
 
 
 def _basis(space):
@@ -31,7 +32,7 @@ def _basis(space):
 
 def _matrix(op, space):
     """The dense matrix of ``op``: column k is its action on basis state k."""
-    return op.act(space, _basis(space)).T
+    return op.act(_basis(space)).T
 
 
 def _ladder(space):
@@ -76,10 +77,25 @@ def test_bad_transform_mode_count_raises_the_space_message(n_modes, message):
 
 @pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 2), (3, 1), (0, 0)])
 def test_coefficient_lengths_must_match_the_space(alpha, beta):
-    op = QuasiOperator(alpha=np.ones(alpha), beta=np.ones(beta))
+    # the rows fix the space, so a row or a stack of rows of other lengths refuses the states
+    # of the 2+1-mode space
     space = build_space(2, 1)
-    with pytest.raises(ValueError, match="coefficient lengths"):
-        op.act(space, _basis(space))
+    for stack in ((), (2,)):
+        op = QuasiOperator(alpha=np.ones(stack + (alpha,)), beta=np.ones(stack + (beta,)))
+        with pytest.raises(ValueError, match="stack of vectors of the space of"):
+            op.act(_basis(space)[:2])
+
+
+def test_rows_of_more_than_max_modes_are_refused():
+    # before the states are read, and before the default vacuum is built
+    for n_particle, n_anti in [(13, 0), (7, 6), (0, 13)]:
+        op = QuasiOperator(alpha=np.ones(n_particle), beta=np.ones(n_anti))
+        with pytest.raises(ValueError, match="^13 modes exceeds the 12-mode cap$"):
+            op.act(np.ones((1, 2)))
+        with pytest.raises(ValueError, match="^13 modes exceeds the 12-mode cap$"):
+            expectations([op.adjoint, op])
+    op = QuasiOperator(alpha=np.ones(MAX_MODES), beta=np.zeros(0))
+    assert expectations([op.adjoint, op]) == [0j]
 
 
 def test_car_identities_exact():
@@ -92,9 +108,9 @@ def test_car_identities_exact():
         for j, cj in enumerate(ops):
             aj = cj.adjoint
             target = basis if i == j else 0.0
-            assert np.max(np.abs(_anticommutator(ai, cj, space, basis) - target)) <= 1e-13
-            assert np.max(np.abs(_anticommutator(ai, aj, space, basis))) <= 1e-13
-            assert np.max(np.abs(_anticommutator(ci, cj, space, basis))) <= 1e-13
+            assert np.max(np.abs(_anticommutator(ai, cj, basis) - target)) <= 1e-13
+            assert np.max(np.abs(_anticommutator(ai, aj, basis))) <= 1e-13
+            assert np.max(np.abs(_anticommutator(ci, cj, basis))) <= 1e-13
 
 
 def test_vacuum_is_annihilated():
@@ -102,8 +118,8 @@ def test_vacuum_is_annihilated():
     vac = space.vacuum()[None]
     a, bdag = _ladder(space)
     for j in range(2):
-        assert np.linalg.norm(a[j].act(space, vac)) == 0
-    assert np.linalg.norm(bdag[0].adjoint.act(space, vac)) == 0
+        assert np.linalg.norm(a[j].act(vac)) == 0
+    assert np.linalg.norm(bdag[0].adjoint.act(vac)) == 0
 
 
 def test_vacuum_uniqueness():
@@ -120,24 +136,22 @@ def test_number_conservation_in_vacuum():
     space = build_space(3, 3)
     a, _ = _ladder(space)
     for j in range(3):
-        assert expectations(space, [a[j].adjoint, a[j]])[0] == 0
+        assert expectations([a[j].adjoint, a[j]])[0] == 0
 
 
 def test_pure_particle_quasi_op_preserves_vacuum():
-    space = build_space(2, 2)
     c = QuasiOperator(alpha=np.array([0.6, 0.8j]), beta=np.zeros(2))
-    assert abs(expectations(space, [c.adjoint, c])[0]) == 0
+    assert abs(expectations([c.adjoint, c])[0]) == 0
 
 
 def test_single_mode_mixing_occupation():
     # c = cos(t) a + e^{i phi} sin(t) bdag: <cdag c> = sin(t)^2
-    space = build_space(1, 1)
     for theta, phi in [(0.3, 0.0), (1.1, 2.0), (np.pi / 2, -0.7)]:
         c = QuasiOperator(
             alpha=np.array([np.cos(theta)]),
             beta=np.array([np.exp(1j * phi) * np.sin(theta)]),
         )
-        val = expectations(space, [c.adjoint, c])[0]
+        val = expectations([c.adjoint, c])[0]
         assert val.real == pytest.approx(np.sin(theta) ** 2, abs=1e-12)
         assert abs(val.imag) <= 1e-14
         assert np.sum(np.abs(c.alpha) ** 2) + np.sum(np.abs(c.beta) ** 2) == pytest.approx(1.0)
@@ -146,13 +160,12 @@ def test_single_mode_mixing_occupation():
 def test_occupation_equals_beta_row_norm_without_canonicity():
     # <cdag c> = sum |beta|^2 for arbitrary rows; no normalization needed
     rng = np.random.default_rng(5)
-    space = build_space(3, 3)
     for _ in range(5):
         c = QuasiOperator(
             alpha=rng.normal(size=3) + 1j * rng.normal(size=3),
             beta=rng.normal(size=3) + 1j * rng.normal(size=3),
         )
-        val = expectations(space, [c.adjoint, c])[0]
+        val = expectations([c.adjoint, c])[0]
         assert val.real == pytest.approx(float(np.sum(np.abs(c.beta) ** 2)), rel=1e-12)
 
 
@@ -167,9 +180,9 @@ def test_random_canonical_transform_is_canonical():
         for i, ci in enumerate(ops):
             for j, cj in enumerate(ops):
                 target = states if i == j else 0.0
-                got = _anticommutator(ci, cj.adjoint, space, states)
+                got = _anticommutator(ci, cj.adjoint, states)
                 assert np.max(np.abs(got - target)) <= 1e-12
-                assert np.max(np.abs(_anticommutator(ci, cj, space, states))) <= 1e-12
+                assert np.max(np.abs(_anticommutator(ci, cj, states))) <= 1e-12
 
 
 def test_random_canonical_transform_rows_are_unitary_and_equal_expm():
@@ -231,9 +244,9 @@ def _assert_acts_as_term_sum(op, space, count=256):
     cols = _sampled_basis(space, count)
     basis = np.zeros((len(cols), space.dimension), dtype=complex)
     basis[np.arange(len(cols)), cols] = 1.0
-    want = matrix_by_terms(op, space)
+    want = matrix_by_terms(op)
     for acting, mat in ((op, want), (op.adjoint, want.conj().T.tocsc())):
-        got = acting.act(space, basis)
+        got = acting.act(basis)
         expected = np.ascontiguousarray(mat[:, cols].toarray().T)
         assert got.dtype == expected.dtype == complex and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
@@ -263,7 +276,7 @@ def test_zero_quasi_operator_matrix_equals_term_sum(n_particle, n_anti):
     op = QuasiOperator(alpha=np.zeros(n_particle), beta=np.zeros(n_anti, dtype=complex))
     space = build_space(n_particle, n_anti)
     states = np.ones((2, space.dimension), dtype=complex)
-    assert not op.act(space, states).any() and not op.adjoint.act(space, states).any()
+    assert not op.act(states).any() and not op.adjoint.act(states).any()
     _assert_acts_as_term_sum(op, space, count=64)
 
 
@@ -317,28 +330,67 @@ def test_stacked_matrix_is_the_block_diagonal_of_its_rows(n_particle, n_anti, bl
     shape = (blocks, space.dimension)
     states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for op in (QuasiOperator(alpha, beta), QuasiOperator(alpha, beta).adjoint):
-        stacked = op.act(space, states)
-        singles = [QuasiOperator(a, b, op.dagger).act(space, s[None])
+        stacked = op.act(states)
+        singles = [QuasiOperator(a, b, op.dagger).act(s[None])
                    for a, b, s in zip(alpha, beta, states)]
         assert stacked.tobytes() == np.concatenate(singles).tobytes()
         shared = QuasiOperator(alpha[0], beta[0], op.dagger)
-        alone = [shared.act(space, s[None]) for s in states]
-        assert shared.act(space, states).tobytes() == np.concatenate(alone).tobytes()
+        alone = [shared.act(s[None]) for s in states]
+        assert shared.act(states).tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_stacked_vacuum_expectations_equal_the_one_block_calls_by_bits():
     for n_modes, seeds in [(2, range(0, 12)), (3, range(12, 15)), (4, range(15, 16))]:
-        space = build_space(n_modes, n_modes)
         ops = [random_canonical_transform(n_modes, seed) for seed in seeds]
         c_ops, f_ops = [op[0] for op in ops], [op[-1] for op in ops]
         c_stack, f_stack = (QuasiOperator(np.array([op.alpha for op in stack]),
                                           np.array([op.beta for op in stack]))
                             for stack in (c_ops, f_ops))
-        got = expectations(space, [c_stack.adjoint, c_stack, f_stack.adjoint, f_stack])
+        got = expectations([c_stack.adjoint, c_stack, f_stack.adjoint, f_stack])
         want = []
         for c, f in zip(c_ops, f_ops):
-            (value,) = expectations(space, [c.adjoint, c, f.adjoint, f])
+            (value,) = expectations([c.adjoint, c, f.adjoint, f])
             want.append(value)
+        assert [type(value) for value in got] == [complex] * len(seeds)
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+def test_no_operator_expects_the_norm():
+    # with no rows to fix a space, the default vacuum is the 0-mode one: <0|0> = 1 in any space
+    states = np.arange(6).reshape(2, 3) * (1 + 1j)
+    assert expectations([]) == [1 + 0j]
+    assert expectations([], states) == [complex(np.vdot(s, s)) for s in states]
+
+
+def test_number_correlations_of_a_canonical_row_with_itself_are_n_times_one_minus_n():
+    # a canonical row makes c^dagger c a projector, so <n n> - <n>^2 = n (1 - n)
+    for n_modes in range(1, 7):
+        for c in random_canonical_transform(n_modes, seed=n_modes):
+            (n,) = expectations([c.adjoint, c])
+            (got,) = number_correlations(c, c)
+            assert abs(got - n * (1 - n)) <= 1e-12
+
+
+@pytest.mark.parametrize("random_states", [False, True])
+def test_stacked_number_correlations_equal_the_one_row_calls_by_bits(random_states):
+    # each value is its own four-point expectation less its singles, bit for bit
+    rng = np.random.default_rng(3)
+    for n_modes, seeds in [(2, range(0, 12)), (3, range(12, 15))]:
+        ops = [random_canonical_transform(n_modes, seed) for seed in seeds]
+        c_ops, f_ops = [op[0] for op in ops], [op[-1] for op in ops]
+        c_stack, f_stack = (QuasiOperator(np.array([op.alpha for op in stack]),
+                                          np.array([op.beta for op in stack]))
+                            for stack in (c_ops, f_ops))
+        shape = (len(seeds), 4**n_modes)
+        states = rng.normal(size=shape) + 1j * rng.normal(size=shape) if random_states else None
+        got = number_correlations(c_stack, f_stack, states)
+        want = []
+        for b, (c, f) in enumerate(zip(c_ops, f_ops)):
+            state = None if states is None else states[b]
+            (four,) = expectations([c.adjoint, c, f.adjoint, f], state)
+            (n_c,), (n_f,) = (expectations([op.adjoint, op], state) for op in (c, f))
+            want.append(four - n_c * n_f)
+            assert number_correlations(c, f, state) == [want[-1]]
         assert [type(value) for value in got] == [complex] * len(seeds)
         assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
@@ -355,39 +407,44 @@ def test_expectations_of_a_stacked_state_equal_each_block_by_bits(blocks):
         c, f = (QuasiOperator(row[..., :2], row[..., 2:]) for row in (c_row, f_row))
         return [c.adjoint, f, c]
 
-    got = expectations(space, ops(c_rows, f_rows), states)
+    got = expectations(ops(c_rows, f_rows), states)
     want = []
     for c_row, f_row, s in zip(c_rows, f_rows, states):
         vec = s[None]
         for op in reversed(ops(c_row, f_row)):
-            vec = op.act(space, vec)
+            vec = op.act(vec)
         want.append(complex(s.conj() @ vec[0]))
     assert isinstance(got, list) and len(got) == blocks
     assert [type(value) for value in got] == [complex] * blocks
     assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
     if blocks == 1:
-        assert expectations(space, ops(c_rows, f_rows), states[0]) == got
+        assert expectations(ops(c_rows, f_rows), states[0]) == got
 
 
 @pytest.mark.parametrize("alpha_shape,beta_shape", [((2, 2), (3, 1)), ((2, 2), (1,)),
                                                     ((2, 3), (2, 1)), ((2, 2, 2), (2, 2, 1))])
 def test_stacks_must_match_each_other_and_the_space(alpha_shape, beta_shape):
+    # a (2, 3)/(2, 1) pair is a stack of two rows of a 3+1-mode space, so the states of the
+    # 2+1-mode space refuse it; the other pairs are not one 2-D stack of rows
     op = QuasiOperator(alpha=np.ones(alpha_shape), beta=np.ones(beta_shape))
-    space = build_space(2, 1)
-    with pytest.raises(ValueError, match="coefficient lengths"):
-        op.act(space, _basis(space)[:2])
+    if len(alpha_shape) == 2 and alpha_shape[:-1] == beta_shape[:-1]:
+        message = "stack of vectors of the space of"
+    else:
+        message = "^alpha and beta must be rows or stacks of rows of one"
+    with pytest.raises(ValueError, match=message):
+        op.act(_basis(build_space(2, 1))[:2])
 
 
 def test_operator_stacks_must_match_the_state_stack():
     space = build_space(2, 1)
     op = QuasiOperator(alpha=np.ones((2, 2)), beta=np.ones((2, 1)))
     with pytest.raises(ValueError, match="2 coefficient rows for a stack of 3 states"):
-        op.act(space, _basis(space)[:3])
+        op.act(_basis(space)[:3])
     with pytest.raises(ValueError, match="2 coefficient rows for a stack of 3 states"):
-        expectations(space, [op.adjoint, op], _basis(space)[:3])
+        expectations([op.adjoint, op], _basis(space)[:3])
     for states in (space.vacuum(), np.ones((2, 4)), np.ones((1, 2, 8))):
         with pytest.raises(ValueError, match="stack of vectors of the space"):
-            op.act(space, states)
+            op.act(states)
 
 
 def test_criterion_5_peak_memory_is_bounded():
@@ -411,7 +468,7 @@ def test_cached_operators_are_read_only():
             with pytest.raises(ValueError, match="read-only"):
                 arr *= 2
     op = QuasiOperator(alpha=np.array([0.5, 2.0j]), beta=np.array([-1.5 + 1j]))
-    out = op.act(space, _basis(space))
+    out = op.act(_basis(space))
     want = out.copy()
     out *= 2
-    assert op.act(space, _basis(space)).tobytes() == want.tobytes()
+    assert op.act(_basis(space)).tobytes() == want.tobytes()

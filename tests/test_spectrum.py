@@ -29,7 +29,7 @@ from fermisect.field import (
     spinor,
     subsection_momentum,
 )
-from fermisect.fock import QuasiOperator, build_space, expectations, random_canonical_transform
+from fermisect.fock import QuasiOperator, expectations, random_canonical_transform
 from fermisect.spectrum import (
     converged_cutoff,
     correlation_matrix,
@@ -52,11 +52,10 @@ def test_occupation_matches_fock_engine_on_truncated_rows():
     # window |j| <= 2 -> 5 particle + 5 antiparticle modes; the Fock
     # expectation of cdag c must equal the partial row sum exactly
     n_window = 2
-    space = build_space(2 * n_window + 1, 2 * n_window + 1)
     for k in (1, 2):
         alpha, beta = next(iter_coefficients((k,), np.arange(-n_window, n_window + 1), CFG))
         c = QuasiOperator(alpha=alpha, beta=beta)
-        fock_val = expectations(space, [c.adjoint, c])[0]
+        fock_val = expectations([c.adjoint, c])[0]
         row_sum = float(np.sum(np.abs(c.beta) ** 2))
         assert fock_val.real == pytest.approx(row_sum, rel=1e-12)
         assert abs(fock_val.imag) <= 1e-14
@@ -71,13 +70,12 @@ def test_antiparticle_occupation_identical():
     # -conj(beta) on particle creators; its vacuum occupation is the same
     # beta-row norm
     n_window = 2
-    space = build_space(2 * n_window + 1, 2 * n_window + 1)
     k = 1
     alpha, beta = next(iter_coefficients((k,), np.arange(-n_window, n_window + 1), CFG))
     # d = sum_j alpha[j] b_j - conj(beta[j]) adag_j is the adjoint of the quasi-operator
     # sum_j -beta[j] a_j + conj(alpha[j]) bdag_j
     d = QuasiOperator(alpha=-beta, beta=alpha).adjoint
-    val = expectations(space, [d.adjoint, d])[0]
+    val = expectations([d.adjoint, d])[0]
     assert val.real == pytest.approx(float(np.sum(np.abs(beta) ** 2)), rel=1e-12)
 
 
@@ -205,6 +203,20 @@ def test_tail_sums_refuse_a_mode_below_one():
         assert [t.shape for t in tail_sums(k, m, 1.0, 65)] == [shape, shape]
 
 
+def test_tail_sums_refuse_a_mode_array_that_is_not_of_integers():
+    # mode n reads entry n - 1 of a cumulative table, so a float mode array raised numpy's
+    # IndexError
+    one = np.array([1])
+    for bad in (np.array([1.0]), np.array([1.5]), np.array([1 + 0j]), np.array([], float)):
+        message = f"^modes must be integers, got an array of {bad.dtype}$"
+        with pytest.raises(ValueError, match=message):
+            tail_sums(bad, one, 1.0, 65)
+        with pytest.raises(ValueError, match=message):
+            tail_sums(one, bad, 1.0, 65)
+    assert [t.tobytes() for t in tail_sums(np.array([1], np.uint8), one, 1.0, 65)] == \
+        [t.tobytes() for t in tail_sums(one, one, 1.0, 65)]
+
+
 def test_trigamma_equals_scipy_zeta():
     # at x0 of every cutoff 1 .. 16385; scipy.special is the independent reference.  Measured
     # worst relative gap 5.8e-16 (at 112.5, where scipy's own value is 4.6e-16 off a 30-digit one
@@ -279,9 +291,8 @@ def test_contraction_matches_fock_four_point_synthetic():
     # 2+2-mode synthetic canonical matrices against the explicit expectation
     ops = random_canonical_transform(2, seed=11)
     c, f = ops
-    space = build_space(2, 2)
-    four = expectations(space, [c.adjoint, c, f.adjoint, f])[0]
-    singles = expectations(space, [c.adjoint, c])[0] * expectations(space, [f.adjoint, f])[0]
+    four = expectations([c.adjoint, c, f.adjoint, f])[0]
+    singles = expectations([c.adjoint, c])[0] * expectations([f.adjoint, f])[0]
     wick = cross_correlation_from_rows(c.alpha, c.beta, f.alpha, f.beta)
     assert abs((four - singles) - wick) <= 1e-12
 
@@ -502,13 +513,23 @@ def test_converged_cutoff_rule():
 def test_spectrum_csv_format():
     spectra = {mu_l: occupation_spectrum(3, mu_l, 65) for mu_l in (0.1, 1.0)}
     buf = io.StringIO()
-    write_spectrum_csv(buf, spectra, FieldConfig.from_mu_l(0.1), 65)
+    write_spectrum_csv(buf, spectra, 65)
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "k,n_muL_0.1,n_muL_1.0"
     assert len(lines) == 5
     k, v1, v2 = lines[2].split(",")
     assert k == "1" and 0 < float(v1) < 1 and 0 < float(v2) < 1
+
+
+def test_spectrum_header_is_the_configuration_of_the_smallest_mu_l():
+    # the header derives from the table it heads, as `spectrum --mu-l=2,0.5 --truncation 65` prints
+    spectra = {mu_l: occupation_spectrum(3, mu_l, 65) for mu_l in (2.0, 0.5)}
+    buf = io.StringIO()
+    write_spectrum_csv(buf, spectra, 65)
+    assert buf.getvalue().splitlines()[:2] == [
+        "# mass=0.5 half_length=1.0 time=0.0 truncation=65 mu_l_values=0.5,2.0",
+        "k,n_muL_0.5,n_muL_2.0"]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -521,14 +542,15 @@ def test_correlation_csv_equals_the_per_entry_writer(k_max, seed, tail):
     entries = np.where(rng.random(shape) < 0.5, rng.choice(edges, shape),
                        np.ldexp(rng.standard_normal(shape), rng.integers(-1074, 1020, shape)))
     got, want = io.StringIO(), io.StringIO()
-    write_correlation_csv(got, entries, CFG, 65, tail)
+    write_correlation_csv(got, entries, 1.0, 65, tail)
     reference_correlation_csv(want, entries, CFG, 65, tail)
     assert got.getvalue() == want.getvalue()
 
 
 def test_correlation_csv_format():
     buf = io.StringIO()
-    write_correlation_csv(buf, correlation_matrix(2, 1.0, 65), CFG, 65)
+    write_correlation_csv(buf, correlation_matrix(2, 1.0, 65), 1.0, 65)
     lines = buf.getvalue().splitlines()
+    assert lines[0] == "# mass=1.0 half_length=1.0 time=0.0 truncation=65"
     assert lines[1] == "k,m,re_d,im_d"
     assert len(lines) == 6
