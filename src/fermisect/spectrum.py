@@ -10,10 +10,12 @@ being the left ones times ``(-1)**j``.  Both depend on ``mu*L`` alone, so the fu
 phases ``exp(-+i (eps_k - eps_m) t)``, which cancel in the product, so each sum is the matched
 term (``|W_k|^2`` or ``1/2``, if the cutoff ``n_max`` holds its column) plus a real odd-column
 sum, formed by `_odd_sums` from one table of column-weight sums per mode; `_weight_sums` fills
-it in blocks of modes, each mode's reciprocal denominators a window of one vector over the odd
-integers.  ``tail=True`` adds `tail_sums`, the same form past the cutoff, from cumulative sums
-of reciprocals and one `_trigamma`.  A CSV header states the configuration of its ``mu*L`` at
-``L = 1``, the one cutoff and the ``tail`` flag.
+it in blocks of modes through one reused buffer, each mode's reciprocal denominators a window
+of one vector over the odd integers.  ``tail=True`` adds the same form past the cutoff,
+from a table of cumulative sums of reciprocals and one `_trigamma` (`tail_sums` for any mode
+arrays).  `correlation_matrix` forms its rows in blocks into the one output array, so no
+temporary holds a whole matrix.  A CSV header states the configuration of its ``mu*L`` at
+``L = 1``, the one cutoff and the ``tail`` flag; the correlation CSV converts one row at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._textio import write_table
-from .bogoliubov import SERIES_PREFACTOR, check_domain, coeff_w, cutoff_indices
+from .bogoliubov import SERIES_PREFACTOR, check_domain, coeff_w
 from .field import Branch, FieldConfig, _integer, spinor, subsection_momentum
 
 __all__ = [
@@ -39,8 +41,10 @@ __all__ = [
 ]
 
 
-#: Largest ``(mode, column)`` count of one block of `_weight_sums`: its ``(3, modes, columns)``
-#: temporaries stay within a single mode's at the largest default cutoff, 16385.
+#: Entries of one block: ``(mode, column)`` entries per weight row in the one buffer of
+#: `_weight_sums`, which then holds one mode at the largest default cutoff, 16385, and
+#: ``(k, m)`` entries in `correlation_matrix`, whose block temporaries then hold about 1.2 MB
+#: beside its output at ``k_max`` 1024.
 _BLOCK_ENTRIES = 8193
 
 
@@ -54,6 +58,14 @@ def converged_cutoff(k_max: int, mu_l: float) -> int:
     return max(513, 4 * k_max + 1, int(np.ceil(32.0 * mu_l))) | 1
 
 
+def _odd_cutoff(n_max) -> int:
+    """The largest odd ``|j| <= n_max``; a cutoff below 1 raises as in `cutoff_indices`."""
+    n = _integer(n_max, "n_max must be an integer")
+    if n < 1:
+        raise ValueError(f"truncation must be >= 1, got {n}")
+    return n - 1 + n % 2
+
+
 def _weight_sums(ks, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(T, S)``, each ``(3, len(ks))``: the sums of ``X_j/d_kj`` and ``X_j/d_kj^2`` over odd j.
 
@@ -62,38 +74,52 @@ def _weight_sums(ks, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarr
     The modes ``ks`` are consecutive.  The reciprocals ``2/n`` are formed once over the odd
     ``n = j + 2k`` of all modes (equal to ``1/d_kj``, as halving is exact), mode ``k`` reading
     the window at offset ``k - ks[0]``.  Modes go in blocks of at most `_BLOCK_ENTRIES`
-    ``(mode, column)`` entries, at least one mode each.
+    ``(mode, column)`` entries, at least one mode each, multiplied and summed in one reused
+    ``(3, modes, columns)`` buffer.
     """
-    js = cutoff_indices(n_max)
-    j = js[js % 2 != 0]
-    p, eps = check_domain(ks, j, cfg)
-    weights = np.stack(((eps + cfg.mass) / (2.0 * eps), p / (2.0 * eps),
-                        p * p / (2.0 * eps * (eps + cfg.mass))))[:, None, :]
-    r = sliding_window_view(2.0 / np.arange(j[0] + 2 * ks[0], j[-1] + 2 * ks[-1] + 1, 2), j.size)
-    step = max(1, _BLOCK_ENTRIES // j.size)
+    top = _odd_cutoff(n_max)
+    p, eps = check_domain(ks, np.arange(-top, top + 1, 2), cfg)
+    weights = np.empty((3, top + 1))  # rows UU, UV, VV, from eps + mu, p^2 and 2 eps in place
+    np.add(eps, cfg.mass, out=weights[0])
+    np.multiply(p, p, out=weights[2])
+    eps *= 2.0
+    np.divide(p, eps, out=weights[1])
+    weights[2] /= eps * weights[0]
+    weights[0] /= eps
+    del p, eps
+    r = sliding_window_view(2.0 / np.arange(2 * ks[0] - top, 2 * ks[-1] + top + 1, 2), top + 1)
+    step = max(1, _BLOCK_ENTRIES // (top + 1))
+    weights, buf = weights[:, None, :], np.empty((3, min(step, len(ks)), top + 1))
     t, s = np.empty((2, 3, len(ks)))
     for lo in range(0, len(ks), step):
         r_block = r[lo:lo + step]
-        w_r = weights * r_block
+        w_r = buf[:, :len(r_block)]
+        np.multiply(weights, r_block, out=w_r)
         # pairwise sums along each contiguous row: a BLAS product would round past 1e-15
-        t[:, lo:lo + step] = np.add.reduce(w_r, axis=-1)
+        np.add.reduce(w_r, axis=-1, out=t[:, lo:lo + step])
         w_r *= r_block
-        s[:, lo:lo + step] = np.add.reduce(w_r, axis=-1)
+        np.add.reduce(w_r, axis=-1, out=s[:, lo:lo + step])
     return t, s
 
 
-def _odd_sums(ks, ms, cfg: FieldConfig, t_k, t_m, s_k) -> tuple[np.ndarray, np.ndarray]:
+def _spinor_rows(ms, cfg: FieldConfig) -> np.ndarray:
+    """``(U, V)`` of the positive spinors ``u+(q_m)`` of half-interval modes ``ms``, stacked."""
+    u = spinor(subsection_momentum(ms, cfg), cfg.mass, Branch.POSITIVE)
+    return np.array((u.upper, u.lower))
+
+
+def _odd_sums(ks, ms, u_k, u_m, t_k, t_m, s_k) -> tuple[np.ndarray, np.ndarray]:
     """``(alpha, beta)``: ``|kappa|^2`` times the odd-column sums of mode pairs ``(k, m)``.
 
-    From weight sums ``(UU, UV, VV)`` along the first axis: ``s_cross(k) s_cross(m) = U_k U_m VV
-    - (U_k V_m + V_k U_m) UV + V_k V_m UU``, ``1/(d_k d_m) = (1/d_k - 1/d_m)/(m - k)``, and
-    ``j -> -j`` swaps ``UU`` and ``VV`` in the alpha sums.
+    From `_spinor_rows` ``(U, V)`` and weight sums ``(UU, UV, VV)`` along the first axis:
+    ``s_cross(k) s_cross(m) = U_k U_m VV - (U_k V_m + V_k U_m) UV + V_k V_m UU``,
+    ``1/(d_k d_m) = (1/d_k - 1/d_m)/(m - k)``, and ``j -> -j`` swaps ``UU`` and ``VV`` in the
+    alpha sums.
     """
     same = ks == ms
     pair = np.where(same, s_k, (t_k - t_m) / np.where(same, 1, ms - ks))
-    u_k, u_m = (spinor(subsection_momentum(n, cfg), cfg.mass, Branch.POSITIVE) for n in (ks, ms))
-    coeff = (u_k.lower * u_m.lower, -(u_k.upper * u_m.lower + u_k.lower * u_m.upper),
-             u_k.upper * u_m.upper)
+    (up_k, low_k), (up_m, low_m) = u_k, u_m
+    coeff = (low_k * low_m, -(up_k * low_m + low_k * up_m), up_k * up_m)
     return (SERIES_PREFACTOR**2 * (coeff[0] * pair[2] + coeff[1] * pair[1] + coeff[2] * pair[0]),
             SERIES_PREFACTOR**2 * (coeff[0] * pair[0] + coeff[1] * pair[1] + coeff[2] * pair[2]))
 
@@ -112,18 +138,38 @@ def _trigamma(x: float) -> float:
     return (1.0 + (0.5 + series) / x) / x + steps
 
 
+def _tail_weight_sums(k_top: int, cfg: FieldConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, S)`` past the cutoff of modes 1..k_top, each ``(3, k_top)``, entry ``k - 1``.
+
+    The weight limits ``1/2 +- mu/(2|p|)`` and ``+-1/2`` to first order in ``mu/|p|``, summed
+    over ``x = |j|/2 >= x0`` in closed form (DLMF 5.7, 5.15): each digamma as
+    ``psi(x0 +- n) - psi(x0)``, a sum of ``1/(x0 +- i)`` (5.5.2), each trigamma as `_trigamma` of
+    ``x0`` plus or minus a sum of their squares, and ``T`` less the ``k``-independent ``psi(x0)``.
+    """
+    x0 = (_odd_cutoff(n_max) + 2) / 2.0
+    c, tri0 = cfg.mass / (4 * np.pi), _trigamma(x0)  # mu/(2|p|) = c/x
+    # entry n - 1: psi(x0 + n) - psi(x0), psi(x0) - psi(x0 - n), zeta(2, x0) - zeta(2, x0 + n)
+    # and zeta(2, x0 - n) - zeta(2, x0), as sums of 1/(x0 + i), i < n, 1/(x0 - i), 1 <= i <= n
+    i = np.arange(k_top)
+    up, down = 1.0 / (x0 + i), 1.0 / (x0 - 1 - i)
+    psi_up, psi_down, tri_up, tri_down = np.cumsum((up, down, up * up, down * down), axis=1)
+    # over d = x + a, a = n and -n: 1/d (less psi(x0)), 1/d^2, 1/(x d), 1/(x d^2)
+    n = i + 1
+    g = (psi_up - psi_down) / n
+    t, t_mu = -0.5 * (psi_up + psi_down), c * g
+    s, s_mu = tri0 + 0.5 * (tri_down - tri_up), c * (g + tri_up + tri_down) / n
+    return (np.stack((t + t_mu, 0.5 * (psi_down - psi_up), t - t_mu)),
+            np.stack((s + s_mu, -0.5 * (tri_up + tri_down), s - s_mu)))
+
+
 def tail_sums(ks, ms, mu_l: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(alpha_tail, beta_tail)``: sums over odd ``|j| > n_max`` of the cross terms, no phases.
 
-    `_odd_sums` of the weight limits ``1/2 +- mu/(2|p|)`` and ``+-1/2`` to first order in
-    ``mu/|p|``, summed over ``x = |j|/2 >= x0`` in closed form (DLMF 5.7, 5.15): each digamma
-    as ``psi(x0 +- n) - psi(x0)``, a sum of ``1/(x0 +- i)`` (5.5.2), each trigamma as `_trigamma`
-    of ``x0`` plus or minus a sum of their squares, and ``T`` less the ``k``-independent
-    ``psi(x0)``.  ``ks``, ``ms`` are integer arrays that broadcast (``ks[:, None], ks[None, :]``).
-    ``n_max < 1`` (as in `cutoff_indices`), a mode below 1 or non-integer modes raise `ValueError`.
+    `_odd_sums` of `_tail_weight_sums`.  ``ks``, ``ms`` are integer arrays that broadcast
+    (``ks[:, None], ks[None, :]``).  ``n_max < 1`` (as in `cutoff_indices`), a mode below 1 or
+    non-integer modes raise `ValueError`.
     """
-    if _integer(n_max, "n_max must be an integer") < 1:
-        raise ValueError(f"truncation must be >= 1, got {n_max}")
+    _odd_cutoff(n_max)  # the cutoff is refused before mu_l and the modes
     cfg = FieldConfig.from_mu_l(mu_l)
     ks, ms = np.asarray(ks), np.asarray(ms)
     modes = np.concatenate((ks.ravel(), ms.ravel()))
@@ -131,24 +177,9 @@ def tail_sums(ks, ms, mu_l: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"modes must be integers, got an array of {modes.dtype}")
     if modes.size and modes.min() < 1:
         raise ValueError(f"modes must be >= 1, got {modes.min()}")
-    x0 = (n_max + 1 + n_max % 2) / 2.0
-    c, tri0 = cfg.mass / (4 * np.pi), _trigamma(x0)  # mu/(2|p|) = c/x
-    # entry n - 1: psi(x0 + n) - psi(x0), psi(x0) - psi(x0 - n), zeta(2, x0) - zeta(2, x0 + n)
-    # and zeta(2, x0 - n) - zeta(2, x0), as sums of 1/(x0 + i), i < n, 1/(x0 - i), 1 <= i <= n
-    i = np.arange(modes.max(initial=0))
-    up, down = 1.0 / (x0 + i), 1.0 / (x0 - 1 - i)
-    tables = np.cumsum((up, down, up * up, down * down), axis=1)
-
-    def sums(n):  # over d = x + a, a = n and -n: 1/d (less psi(x0)), 1/d^2, 1/(x d), 1/(x d^2)
-        psi_up, psi_down, tri_up, tri_down = tables[:, n - 1]
-        g = (psi_up - psi_down) / n
-        t, t_mu = -0.5 * (psi_up + psi_down), c * g
-        s, s_mu = tri0 + 0.5 * (tri_down - tri_up), c * (g + tri_up + tri_down) / n
-        return (np.stack((t + t_mu, 0.5 * (psi_down - psi_up), t - t_mu)),
-                np.stack((s + s_mu, -0.5 * (tri_up + tri_down), s - s_mu)))
-
-    (t_k, s_k), (t_m, _) = sums(ks), sums(ms)
-    return _odd_sums(ks, ms, cfg, t_k, t_m, s_k)
+    t, s = _tail_weight_sums(modes.max(initial=0), cfg, n_max)
+    return _odd_sums(ks, ms, _spinor_rows(ks, cfg), _spinor_rows(ms, cfg), t[:, ks - 1],
+                     t[:, ms - 1], s[:, ks - 1])
 
 
 def occupation_spectrum(k_max: int, mu_l: float, n_max: int, tail: bool = False) -> np.ndarray:
@@ -161,7 +192,8 @@ def occupation_spectrum(k_max: int, mu_l: float, n_max: int, tail: bool = False)
     cfg = FieldConfig.from_mu_l(mu_l)
     ks = np.arange(1, k_max + 1)
     t, s = _weight_sums(ks, cfg, n_max)
-    occupations = _matched_w2(ks, cfg, n_max) + _odd_sums(ks, ks, cfg, t, t, s)[1]
+    u = _spinor_rows(ks, cfg)
+    occupations = _matched_w2(ks, cfg, n_max) + _odd_sums(ks, ks, u, u, t, t, s)[1]
     return occupations + (tail_sums(ks, ks, mu_l, n_max)[1] if tail else 0.0)
 
 
@@ -191,18 +223,31 @@ def correlation_matrix(k_max: int, mu_l: float, n_max: int, tail: bool = False) 
 
     Each cross sum is its matched diagonal minus the real odd-column sum and its ``tail``
     (right-half rows carry -1 there), all from one table of weight sums at ``mu*L = mu_l``.
+    Rows are formed in blocks of at most `_BLOCK_ENTRIES` entries, at least one row each, into
+    the one output array.
     """
     if _integer(k_max, "k_max must be an integer") < 1:
         raise ValueError("k_max must be >= 1")
     cfg = FieldConfig.from_mu_l(mu_l)
     ks = np.arange(1, k_max + 1)
     t, s = _weight_sums(ks, cfg, n_max)
-    alpha_odd, beta_odd = _odd_sums(ks[:, None], ks[None, :], cfg, t[:, :, None], t[:, None, :],
-                                    s[:, :, None])
-    alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], mu_l, n_max) if tail else (0.0, 0.0)
-    beta_sum = np.diag(_matched_w2(ks, cfg, n_max)) - (beta_odd + beta_tail)
-    alpha_sum = np.diag(np.where(2 * ks <= n_max, 0.5, 0.0)) - (alpha_odd + alpha_tail)
-    return beta_sum * alpha_sum
+    u, w2, held = _spinor_rows(ks, cfg), _matched_w2(ks, cfg, n_max), 2 * ks <= n_max
+    t_tail, s_tail = _tail_weight_sums(k_max, cfg, n_max) if tail else (None, None)
+    m, u_m, out = ks[None, :], u[:, None, :], np.empty((k_max, k_max))
+    step = max(1, _BLOCK_ENTRIES // k_max)
+    for lo in range(0, k_max, step):
+        rows = slice(lo, lo + step)
+        k, u_k = ks[rows, None], u[:, rows, None]
+        alpha_odd, beta_odd = _odd_sums(k, m, u_k, u_m, t[:, rows, None], t[:, None, :],
+                                        s[:, rows, None])
+        alpha_tail, beta_tail = (_odd_sums(k, m, u_k, u_m, t_tail[:, rows, None],
+                                           t_tail[:, None, :], s_tail[:, rows, None])
+                                 if tail else (0.0, 0.0))
+        diag = k == m
+        beta_sum = np.where(diag, w2[rows, None], 0.0) - (beta_odd + beta_tail)
+        alpha_sum = np.where(diag & held[rows, None], 0.5, 0.0) - (alpha_odd + alpha_tail)
+        np.multiply(beta_sum, alpha_sum, out=out[rows])
+    return out
 
 
 def write_spectrum_csv(path_or_buf, spectra: dict[float, np.ndarray], n_max: int,
@@ -228,7 +273,7 @@ def write_correlation_csv(path_or_buf, entries: np.ndarray, mu_l: float, n_max: 
     """
     ms = range(1, entries.shape[1] + 1)
     lines = ((f"{k},%d,%r,0.0\n" * len(ms)) % tuple(chain.from_iterable(zip(ms, re)))
-             for k, re in enumerate(entries.tolist(), 1))
+             for k, re in enumerate(map(np.ndarray.tolist, entries), 1))
     header = {**asdict(FieldConfig.from_mu_l(mu_l)), "truncation": n_max,
               **({"tail": "digamma"} if tail else {})}
     write_table(path_or_buf, header, ("k", "m", "re_d", "im_d"), lines)

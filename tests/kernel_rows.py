@@ -1,6 +1,6 @@
 """Stacked kernel rows, the dump reader, and the per-item references of the dump bytes, the
-correlation bytes, the contractions' weight table and ``W``, for the tests that compare whole
-blocks."""
+correlation bytes, the contractions' weight table, the correlation matrix and ``W``, for the tests
+that compare whole blocks."""
 
 import math
 from dataclasses import asdict
@@ -9,7 +9,8 @@ import numpy as np
 
 from fermisect._textio import write_table
 from fermisect.bogoliubov import check_domain, cutoff_indices, iter_coefficients, region_sign
-from fermisect.field import energy, subsection_momentum
+from fermisect.field import FieldConfig, _integer, energy, subsection_momentum
+from fermisect.spectrum import _matched_w2, _odd_sums, _spinor_rows, _weight_sums, tail_sums
 
 
 def coefficient_rows(ms, ks, cfg):
@@ -66,6 +67,22 @@ def reference_weight_sums(ks, cfg, n_max):
         w_r = weights * r
         t[:, i], s[:, i] = np.sum(w_r, axis=1), np.sum(w_r * r, axis=1)
     return t, s
+
+
+def reference_correlation_matrix(k_max, mu_l, n_max, tail=False):
+    """`spectrum.correlation_matrix` by its former one-shot body: all rows in one block."""
+    if _integer(k_max, "k_max must be an integer") < 1:
+        raise ValueError("k_max must be >= 1")
+    cfg = FieldConfig.from_mu_l(mu_l)
+    ks = np.arange(1, k_max + 1)
+    t, s = _weight_sums(ks, cfg, n_max)
+    u = _spinor_rows(ks, cfg)
+    alpha_odd, beta_odd = _odd_sums(ks[:, None], ks[None, :], u[:, :, None], u[:, None, :],
+                                    t[:, :, None], t[:, None, :], s[:, :, None])
+    alpha_tail, beta_tail = tail_sums(ks[:, None], ks[None, :], mu_l, n_max) if tail else (0.0, 0.0)
+    beta_sum = np.diag(_matched_w2(ks, cfg, n_max)) - (beta_odd + beta_tail)
+    alpha_sum = np.diag(np.where(2 * ks <= n_max, 0.5, 0.0)) - (alpha_odd + alpha_tail)
+    return beta_sum * alpha_sum
 
 
 def reference_coeff_w(m, cfg):

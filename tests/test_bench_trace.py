@@ -9,8 +9,8 @@ from fermisect import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 ARGVS = (["bogoliubov", "--truncation", "8"], ["spectrum", "--k-max", "4", "--truncation", "65"],
-         ["correlation", "--k-max", "3"], ["verify", "--only", "1"], ["verify", "--only", "5,8"],
-         ["joint-correlation", "--grid", "0:3:4"])
+         ["spectrum", "--k-max", "4"], ["correlation", "--k-max", "3"], ["verify", "--only", "1"],
+         ["verify", "--only", "5,8"], ["joint-correlation", "--grid", "0:3:4"])
 
 
 def _load_spans():

@@ -194,6 +194,11 @@ GOLDEN = [
     # a negative time and the e-0x beta cells of mu*L = 0.1, hashed before the row template
     (["bogoliubov", "--mu-l", "0.1", "--truncation", "96", "--region", "right", "--time", "-0.7"],
      0, "1d6e9da42d86b201"),
+    # correlations of more than one row block, hashed before the rows were formed in blocks:
+    # the bench's cell, and a tailed one whose last block is partial
+    (["correlation", "--mu-l", "10.0", "--k-max", "128", "--truncation", "1025"],
+     0, "e0cd85bfef795fb0"),
+    (["correlation", "--mu-l", "0.5", "--k-max", "100"], 0, "1ea771764b8b65a0"),
     # all 9 criteria: one quadrature order per oracle block gives criterion 1 2.903e-14
     (["verify"], 2, "6976d52cd8e20afa"),
 ]

@@ -39,7 +39,12 @@ from fermisect.spectrum import (
     write_correlation_csv,
     write_spectrum_csv,
 )
-from kernel_rows import coefficient_rows, reference_correlation_csv, reference_weight_sums
+from kernel_rows import (
+    coefficient_rows,
+    reference_correlation_csv,
+    reference_correlation_matrix,
+    reference_weight_sums,
+)
 
 CFG = FieldConfig(mass=1.0, half_length=1.0, time=0.0)
 PP = (Branch.POSITIVE, Branch.POSITIVE)
@@ -355,53 +360,53 @@ def test_correlation_matrix_matches_oracle_rows():
             assert abs(mat[k - 1, m - 1] - oracle) <= 1e-10
 
 
-def test_correlation_evaluates_each_row_once():
-    # one (16, 32771) complex block is 8.39 MB; left and right rows stacked apart peak at 5
-    block = 16 * 32771 * 16
+def _peak_bytes(contraction, *args, **kwargs):
     tracemalloc.start()
     try:
-        correlation_matrix(16, 1.0, 16385)
-        peak = tracemalloc.get_traced_memory()[1]
+        contraction(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * block
+
+
+def test_correlation_evaluates_each_row_once():
+    # one (16, 32771) complex row block is 8.39 MB, and left and right rows stacked apart peaked
+    # at 5; the contraction builds no row, and its weight sums peak at check_domain's 0.94 MB
+    block = 16 * 32771 * 16
+    assert _peak_bytes(correlation_matrix, 16, 1.0, 16385) < 4.5 * block
 
 
 def test_correlation_holds_two_real_odd_blocks():
     # four real (16, 16386) odd-column blocks, 8.39 MB, are one complex row block; the complex-row
-    # contraction peaked at 34.1 MB, and the weight sums, one mode per block here, peak at 2.0 MB
+    # contraction peaked at 34.1 MB, and the weight sums, one mode per block here, at 0.94 MB
     block = 16 * 16386 * 8
-    tracemalloc.start()
-    try:
-        correlation_matrix(16, 1.0, 16385)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * block
+    assert _peak_bytes(correlation_matrix, 16, 1.0, 16385) < 4 * block
 
 
 def test_occupation_streams_its_modes():
     # one dense (128, 8193) float64 block over the odd columns is 8.39 MB, and dense weight
-    # blocks read 52 MB; the weight sums, one mode per block at this cutoff, peak at 2.0 MB
-    tracemalloc.start()
-    try:
-        occupation_spectrum(128, 1.0, 16385)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 * 8193 * 8
+    # blocks read 52 MB; the weight sums, one mode per block at this cutoff, peak at 0.94 MB
+    assert _peak_bytes(occupation_spectrum, 128, 1.0, 16385) < 128 * 8193 * 8
 
 
 def test_occupation_sums_its_modes_in_bounded_blocks():
     # all 128 modes in one block would hold (3, 128, 1026) float64 temporaries, over the bound
-    # of a whole (3, 128, 513) block; blocks of 7 modes read about 0.55 MB
-    tracemalloc.start()
-    try:
-        occupation_spectrum(128, 1.0, 1025)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 128 * 513 * 8
+    # of a whole (3, 128, 513) block; one reused (3, 7, 1026) buffer leaves about 0.37 MB
+    assert _peak_bytes(occupation_spectrum, 128, 1.0, 1025) < 3 * 128 * 513 * 8
+
+
+@pytest.mark.parametrize("contraction,args", [(occupation_spectrum, (128, 1.0, 16385)),
+                                              (correlation_matrix, (16, 1.0, 16385))])
+def test_weight_sums_reuse_one_block_buffer(contraction, args):
+    # a fresh (3, modes, columns) temporary per block, stacked weights and a full cutoff_indices
+    # mask peaked at 1.98 MB; one reused buffer and in-place weights leave check_domain's 0.94 MB
+    assert _peak_bytes(contraction, *args) < 1.5e6
+
+
+def test_correlation_forms_its_rows_in_blocks():
+    # the output is 8.39 MB; whole (3, 1024, 1024) temporaries of the odd and tail sums peaked
+    # at 93.6 MB, and (8, 1024) row blocks leave about 1.2 MB beside the output
+    assert _peak_bytes(correlation_matrix, 1024, 1.0, 4097, tail=True) < 12e6
 
 
 def _assert_weight_sums_equal_the_per_mode_loop(k_max, mu_l, n_max):
@@ -425,6 +430,29 @@ def test_weight_sums_equal_the_per_mode_loop_bit_for_bit(n_max):
 @given(k_max=st.integers(1, 300), mu_l=st.floats(0.0, 512.0), n_max=st.integers(1, 20000))
 def test_weight_sums_equal_the_per_mode_loop_on_draws(k_max, mu_l, n_max):
     _assert_weight_sums_equal_the_per_mode_loop(k_max, mu_l, n_max)
+
+
+def _assert_correlation_equals_the_one_shot_body(k_max, mu_l, n_max, tail):
+    got = correlation_matrix(k_max, mu_l, n_max, tail)
+    want = reference_correlation_matrix(k_max, mu_l, n_max, tail)
+    assert got.shape == (k_max, k_max)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 9, 513, 1025, 4097])
+def test_correlation_equals_the_one_shot_body_bit_for_bit(n_max):
+    # 8193 // k_max rows a block: k_max 100, 129 and 300 leave a partial last block, 65 has one
+    for k_max in (1, 2, 65, 100, 128, 129, 200, 300):
+        for mu_l in (0.0, 1e-320, 0.1, 1.0, 10.0, 512.0):
+            for tail in (False, True):
+                _assert_correlation_equals_the_one_shot_body(k_max, mu_l, n_max, tail)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(k_max=st.integers(1, 400), mu_l=st.floats(0.0, 512.0), n_max=st.integers(1, 5000),
+       tail=st.booleans())
+def test_correlation_equals_the_one_shot_body_on_draws(k_max, mu_l, n_max, tail):
+    _assert_correlation_equals_the_one_shot_body(k_max, mu_l, n_max, tail)
 
 
 def test_occupation_calls_coeff_w_once(monkeypatch):
